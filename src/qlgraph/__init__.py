@@ -14,13 +14,11 @@ from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescr
                           FactorResult, SampleResult, ensemble_spectrum,
                           iter_samples, run_sample)
 from .graphs import (AdjacencyMatrix, Graph, adjacency, apply_diagonal_disorder,
-                     complete_graph, cycle_graph, d_regular_random,
-                     delete_random_edges, graph_from_adjacency, graph_from_json_dict,
-                     graph_to_json_dict, is_connected)
-from .products import (ComposedSpectrum, ProductGraph, cartesian_product,
-                       compose_spectra, composed_spectrum_rows,
+                     cycle_graph, d_regular_random, delete_random_edges,
+                     graph_from_json_dict, graph_to_json_dict, is_connected)
+from .products import (ComposedSpectrum, compose_spectra, composed_spectrum_rows,
                        kronecker_sum_adjacency, mixed_radix_decode,
-                       mixed_radix_encode, product_eigenvector, product_graph,
+                       mixed_radix_encode, product_eigenvector,
                        write_composed_spectrum_csv)
 from .projection import (BellCombination, BellStateReport, JBasis, ProjectionReport,
                          bell_state_check, block_split, project_alphas)
@@ -39,18 +37,18 @@ __all__ = [
     "EmergentPair", "EmergentState", "EnsembleHistogram", "ExperimentDescriptor",
     "FactorResult", "GenerationFailureError", "Graph", "HYBRID", "IN_PHASE",
     "InvalidParameterError", "JBasis", "NumericalFailureError", "OUT_OF_PHASE",
-    "ProductGraph", "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
+    "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
     "RngSeed", "SampleResult", "SizeCapError", "Spectrum", "SplittingPrediction",
     "StateLabel", "adjacency", "alon_boppana_check", "apply_diagonal_disorder",
-    "bell_state_check", "block_split", "cartesian_product", "classify_states",
-    "complete_graph", "compose_spectra", "composed_spectrum_rows", "couple",
+    "bell_state_check", "block_split", "classify_states",
+    "compose_spectra", "composed_spectrum_rows", "couple",
     "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
     "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "fix_sign",
-    "graph_from_adjacency", "graph_from_json_dict", "graph_to_json_dict",
+    "graph_from_json_dict", "graph_to_json_dict",
     "histogram_from_values", "is_connected", "iter_samples",
     "kronecker_sum_adjacency", "max_residual", "mixed_radix_decode",
     "mixed_radix_encode", "orthonormality_defect", "predict_splitting",
-    "product_eigenvector", "product_graph", "project_alphas",
+    "product_eigenvector", "project_alphas",
     "qlbit_from_json_dict", "qlbit_to_json_dict", "run_sample", "spectral_gap",
     "write_composed_spectrum_csv", "write_histogram_csv",
 ]

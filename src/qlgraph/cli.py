@@ -20,8 +20,7 @@ from .ensembles import write_histogram_csv
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, SizeCapError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
-                          KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum,
-                          iter_samples)
+                          KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum)
 from .products import write_composed_spectrum_csv
 from .projection import project_alphas
 from .rng import RngSeed
@@ -85,8 +84,7 @@ def _metadata_json_text(desc: ExperimentDescriptor, artifacts: list[str]) -> str
 
 def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    first = next(iter_samples(desc, n_samples=1))
-    histogram = ensemble_spectrum(desc)
+    first, histogram = ensemble_spectrum(desc)
 
     artifacts: dict[str, str] = {}
     artifacts[f"{desc.name}_spectrum.csv"] = _spectrum_csv_text(first, desc.kind)

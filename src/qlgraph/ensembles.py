@@ -30,7 +30,7 @@ class StateLabel:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleHistogram:
     """Aggregate eigenvalue histogram over ensemble samples."""
 

@@ -153,52 +153,58 @@ class SampleResult:
         return tuple(classify_states(self.composed, list(self.emergent_index_sets)))
 
 
-def _base_graph(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int, side: int) -> Graph:
+def _generate_base(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int, side: int) -> Graph:
     if desc.graph == GRAPH_CYCLE:
-        g = cycle_graph(desc.n)
-    else:
-        k_base = 0 if desc.shared_base else k
-        g = d_regular_random(desc.n, desc.d, sample_seed.derive(_STAGE_BASE, k_base, side))
+        return cycle_graph(desc.n)
+    return d_regular_random(desc.n, desc.d, sample_seed.derive(_STAGE_BASE, k, side))
+
+
+def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
+                  bases: list[Graph]) -> FactorResult:
+    """Factor k from its generated base graphs, one per QL-bit side."""
     if desc.deletions:
-        g = delete_random_edges(g, desc.deletions, sample_seed.derive(_STAGE_DELETE, k, side))
-    return g
-
-
-def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int) -> FactorResult:
+        bases = [delete_random_edges(g, desc.deletions, sample_seed.derive(_STAGE_DELETE, k, side))
+                 for side, g in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        b1 = _base_graph(desc, sample_seed, k, 0)
-        b2 = _base_graph(desc, sample_seed, k, 1)
-        q = couple(b1, b2, desc.p, desc.sign, sample_seed.derive(_STAGE_COUPLE, k))
+        q = couple(*bases, desc.p, desc.sign, sample_seed.derive(_STAGE_COUPLE, k))
         graph = q.composite
         emergent_indices = frozenset({0, 1})
     else:
         q = None
-        graph = _base_graph(desc, sample_seed, k, 0)
+        (graph,) = bases
         emergent_indices = frozenset({0})
     a = adjacency(graph)
     if desc.sigma > 0:
         a = apply_diagonal_disorder(a, desc.sigma, sample_seed.derive(_STAGE_DISORDER, k))
     spectrum = eigendecompose(a, want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
     if q is not None:
-        return FactorResult(graph, spectrum, emergent_indices, is_connected(graph),
-                            qlbit=q, splitting=predict_splitting(q), emergent=emergent_pair(q))
+        return FactorResult(graph, spectrum, emergent_indices, is_connected(graph), qlbit=q,
+                            splitting=predict_splitting(q), emergent=emergent_pair(q, spectrum))
     return FactorResult(graph, spectrum, emergent_indices, is_connected(graph))
 
 
 def run_sample(desc: ExperimentDescriptor, sample_index: int,
                master_seed: int | None = None) -> SampleResult:
-    """Run the full pipeline for one sample, deterministic in the master seed."""
+    """Run the full pipeline for one sample, deterministic in the master seed.
+
+    With ``shared_base`` every factor starts from the bases generated for
+    factor 0, which are generated once; deletions stay per factor.
+    """
     errors = desc.validate()
     if errors:
         raise InvalidParameterError("; ".join(errors))
     seed = RngSeed(desc.master_seed if master_seed is None else master_seed)
     sample_seed = seed.derive(sample_index)
+    sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
+    first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
     factors = []
     for k in range(desc.n_factors):
         if desc.identical_factors and k > 0:
             factors.append(factors[0])
-        else:
-            factors.append(_build_factor(desc, sample_seed, k))
+            continue
+        bases = first_bases if k == 0 or desc.shared_base else [
+            _generate_base(desc, sample_seed, k, side) for side in sides]
+        factors.append(_build_factor(desc, sample_seed, k, bases))
     composed = compose_spectra([f.spectrum for f in factors])
     return SampleResult(sample_index, tuple(factors), composed)
 
@@ -214,22 +220,23 @@ def iter_samples(desc: ExperimentDescriptor, n_samples: int | None = None,
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor, n_samples: int | None = None,
-                      bins: int | None = None,
-                      master_seed: int | None = None) -> EnsembleHistogram:
-    """Aggregate all eigenvalues of the sampled pipeline into one histogram.
+                      bins: int | None = None, master_seed: int | None = None,
+                      ) -> tuple[SampleResult, EnsembleHistogram]:
+    """Sample 0 and the histogram of every eigenvalue of every sample.
 
-    Counts sum to n_samples * product_dim: every eigenvalue of every sample
-    lands in a bin.
+    One pass over the samples, so sample 0 is computed once. Counts sum to
+    n_samples * product_dim: every eigenvalue of every sample lands in a bin.
     """
     count = desc.n_samples if n_samples is None else n_samples
     seed = desc.master_seed if master_seed is None else master_seed
     if count < 1:
         raise InvalidParameterError(f"n_samples must be positive, got {count}")
-    values = np.concatenate(
-        [s.composed.values for s in iter_samples(desc, count, seed)])
+    samples = iter_samples(desc, count, seed)
+    first = next(samples)
+    values = np.concatenate([first.composed.values] + [s.composed.values for s in samples])
     parameters = dict(desc.to_json_dict(), n_samples=count, master_seed=seed)
-    return histogram_from_values(values, desc.bins if bins is None else bins,
-                                 count, parameters)
+    return first, histogram_from_values(values, desc.bins if bins is None else bins,
+                                        count, parameters)
 
 
 def _fig(name: str, **kwargs) -> ExperimentDescriptor:

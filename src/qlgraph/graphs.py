@@ -1,12 +1,12 @@
 """Basis graphs: construction, validation and dense adjacency matrices.
 
 Graphs are simple, undirected and weighted (default weight +1). Edges are
-stored canonically as (u, v, weight) with u < v, sorted, which makes every
+held as an (m, 2) int64 array of (u, v) with u < v, sorted by (u, v), with
+the weights in a parallel float64 array. The canonical order makes every
 downstream random draw over edges deterministic.
 """
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,71 +16,61 @@ import numpy as np
 from .errors import GenerationFailureError, InvalidParameterError
 from .rng import RngSeed
 
-Edge = tuple[int, int, float]
-
 DEFAULT_MAX_RESTARTS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected weighted graph on vertices 0..n_vertices-1.
 
+    ``edges`` is an (m, 2) int64 array, each row (u, v) with u < v, rows
+    sorted; ``weights`` is the matching (m,) float64 array, all +1 when
+    omitted. Endpoints may be given in either order and rows in any order.
     Invariants enforced at construction: no self-loops, no duplicate edges,
-    all endpoints in range, finite weights. Instances are immutable.
+    all endpoints in range, finite weights. Instances and their arrays are
+    immutable.
     """
 
     n_vertices: int
-    edges: tuple[Edge, ...]
-    vertex_labels: tuple | None = None
+    edges: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n_vertices <= 0:
-            raise InvalidParameterError(f"n_vertices must be positive, got {self.n_vertices}")
-        seen = set()
-        normalized = []
-        for e in self.edges:
-            if len(e) == 2:
-                u, v, w = e[0], e[1], 1.0
-            else:
-                u, v, w = e
-            u, v = int(u), int(v)
-            if u == v:
-                raise InvalidParameterError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise InvalidParameterError(f"edge ({u},{v}) out of range for n={self.n_vertices}")
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge ({u},{v})")
-            w = float(w)
-            if not math.isfinite(w):
-                raise InvalidParameterError(f"non-finite weight on edge ({u},{v})")
-            seen.add((u, v))
-            normalized.append((u, v, w))
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
-        if self.vertex_labels is not None:
-            labels = tuple(self.vertex_labels)
-            if len(labels) != self.n_vertices:
-                raise InvalidParameterError("vertex_labels length must equal n_vertices")
-            object.__setattr__(self, "vertex_labels", labels)
+        n = self.n_vertices
+        if n <= 0:
+            raise InvalidParameterError(f"n_vertices must be positive, got {n}")
+        e = np.asarray(self.edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        w = np.ones(len(e)) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
+        if e.ndim != 2 or e.shape[1] != 2 or w.shape != (len(e),):
+            raise InvalidParameterError(
+                f"need (m, 2) edges and (m,) weights, got shapes {e.shape} and {w.shape}")
+        e = np.sort(e, axis=1)
+        order = np.lexsort((e[:, 1], e[:, 0]))
+        e, w = e[order], w[order]
+        u, v = e.T
+        repeat = np.concatenate([[False], (e[1:] == e[:-1]).all(axis=1)])
+        for bad, problem in ((u == v, "is a self-loop"),
+                             ((u < 0) | (v >= n), f"is out of range for n={n}"),
+                             (repeat, "is a duplicate"),
+                             (~np.isfinite(w), "has a non-finite weight")):
+            if bad.any():
+                i = bad.argmax()
+                raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
+        e.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Dense symmetric real matrix realization of a graph.
 
@@ -113,14 +103,8 @@ def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
-    return Graph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
-
-
-def complete_graph(n: int) -> Graph:
-    """The complete graph K_n."""
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n}")
-    return Graph(n, tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)))
+    i = np.arange(n)
+    return Graph(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
@@ -173,13 +157,11 @@ def d_regular_random(n: int, d: int, seed: RngSeed,
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
     edges = _d_regular_edges(n, d, seed.generator(), max_restarts)
-    return Graph(n, tuple((u, v, 1.0) for u, v in sorted(edges)))
+    return Graph(n, np.array(list(edges), dtype=np.int64).reshape(-1, 2))
 
 
 def _d_regular_edges(n: int, d: int, rng: np.random.Generator,
                      max_restarts: int) -> set[tuple[int, int]]:
-    if d == n - 1:
-        return {(i, j) for i in range(n) for j in range(i + 1, n)}
     if d == 0:
         return set()
     if 2 * d > n - 1:
@@ -204,29 +186,18 @@ def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"cannot delete {count} of {g.n_edges} edges")
     if count == 0:
         return g
-    rng = seed.generator()
-    doomed = set(rng.choice(g.n_edges, size=count, replace=False).tolist())
-    kept = tuple(e for i, e in enumerate(g.edges) if i not in doomed)
-    return Graph(g.n_vertices, kept, g.vertex_labels)
+    kept = np.ones(g.n_edges, dtype=bool)
+    kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
+    return Graph(g.n_vertices, g.edges[kept], g.weights[kept])
 
 
 def adjacency(g: Graph) -> AdjacencyMatrix:
     """Dense symmetric adjacency matrix; entries equal edge weights."""
     m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.float64)
-    for u, v, w in g.edges:
-        m[u, v] = w
-        m[v, u] = w
+    u, v = g.edges.T
+    m[u, v] = g.weights
+    m[v, u] = g.weights
     return AdjacencyMatrix(m)
-
-
-def graph_from_adjacency(a: AdjacencyMatrix) -> Graph:
-    """Recover the graph whose edges are the nonzero off-diagonal entries."""
-    m = a.entries
-    n = a.dim
-    edges = tuple(
-        (i, j, float(m[i, j])) for i in range(n) for j in range(i + 1, n) if m[i, j] != 0.0
-    )
-    return Graph(n, edges)
 
 
 def apply_diagonal_disorder(a: AdjacencyMatrix, sigma: float, seed: RngSeed) -> AdjacencyMatrix:
@@ -241,29 +212,22 @@ def apply_diagonal_disorder(a: AdjacencyMatrix, sigma: float, seed: RngSeed) -> 
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first connectivity check."""
-    if g.n_vertices == 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for u, v, _ in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.n_vertices
+    """Breadth-first connectivity check, one whole frontier per step."""
+    u, v = g.edges.T
+    seen = np.zeros(g.n_vertices, dtype=bool)
+    seen[0] = True
+    while True:
+        crossing = seen[u] != seen[v]
+        if not crossing.any():
+            return bool(seen.all())
+        seen[u[crossing]] = True
+        seen[v[crossing]] = True
 
 
 def graph_to_json_dict(g: Graph) -> dict:
     """Interchange form: {"n": int, "edges": [[u, v, w?], ...]}, weight omitted when +1."""
-    edges = [[u, v] if w == 1.0 else [u, v, w] for u, v, w in g.edges]
+    edges = [[u, v] if w == 1.0 else [u, v, w]
+             for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())]
     return {"n": g.n_vertices, "edges": edges}
 
 
@@ -273,12 +237,10 @@ def graph_from_json_dict(data: dict) -> Graph:
         raw: Iterable[Sequence] = data["edges"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameterError(f"malformed graph JSON: {exc}") from exc
-    edges = []
+    pairs, weights = [], []
     for item in raw:
-        if len(item) == 2:
-            edges.append((int(item[0]), int(item[1]), 1.0))
-        elif len(item) == 3:
-            edges.append((int(item[0]), int(item[1]), float(item[2])))
-        else:
+        if len(item) not in (2, 3):
             raise InvalidParameterError(f"edge entry must have 2 or 3 fields, got {item}")
-    return Graph(n, tuple(edges))
+        pairs.append((int(item[0]), int(item[1])))
+        weights.append(float(item[2]) if len(item) == 3 else 1.0)
+    return Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(weights))

@@ -1,4 +1,4 @@
-"""Cartesian products of graphs and structure-exploiting spectrum composition.
+"""Cartesian products: Kronecker-sum adjacency and structure-exploiting spectrum composition.
 
 Index convention, used everywhere in this module and its consumers: a
 product vertex (i_1, ..., i_N) maps to the flat index
@@ -19,7 +19,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, SizeCapError
-from .graphs import AdjacencyMatrix, Graph
+from .graphs import AdjacencyMatrix
 from .spectra import Spectrum
 
 DEFAULT_SIZE_CAP = 100_000
@@ -40,69 +40,10 @@ def mixed_radix_decode(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class ProductGraph:
-    """Explicitly constructed Cartesian product with its factor list."""
-
-    factors: tuple[Graph, ...]
-    composite: Graph
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.n_vertices for f in self.factors)
-
-    def flat_index(self, indices: Sequence[int]) -> int:
-        if len(indices) != len(self.factors):
-            raise InvalidParameterError("index tuple length must equal factor count")
-        for i, n in zip(indices, self.dims):
-            if not 0 <= i < n:
-                raise InvalidParameterError(f"factor index {i} out of range [0,{n})")
-        return mixed_radix_encode(indices, self.dims)
-
-    def factor_indices(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.composite.n_vertices:
-            raise InvalidParameterError(f"flat index {flat} out of range")
-        return mixed_radix_decode(flat, self.dims)
-
-
-def cartesian_product(g: Graph, h: Graph, size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
-    """Explicit Cartesian product: an edge wherever one factor steps and the
-    other stands still. Weights are inherited from the contributing edge."""
-    dim = g.n_vertices * h.n_vertices
-    if dim > size_cap:
-        raise SizeCapError(f"product dim {dim} exceeds cap {size_cap}")
-    nh = h.n_vertices
-    edges = []
-    for u, v, w in g.edges:
-        for x in range(nh):
-            edges.append((u * nh + x, v * nh + x, w))
-    for x, y, w in h.edges:
-        for u in range(g.n_vertices):
-            edges.append((u * nh + x, u * nh + y, w))
-    return ProductGraph((g, h), Graph(dim, tuple(edges)))
-
-
-def product_graph(factors: Sequence[Graph], size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
-    """Left fold of `cartesian_product` over two or more factors.
-
-    Under the flat-index convention the fold is exactly associative, so the
-    result records the flattened factor list.
-    """
-    if len(factors) < 1:
-        raise InvalidParameterError("need at least one factor")
-    if len(factors) == 1:
-        return ProductGraph((factors[0],), factors[0])
-    acc = cartesian_product(factors[0], factors[1], size_cap)
-    for f in factors[2:]:
-        step = cartesian_product(acc.composite, f, size_cap)
-        acc = ProductGraph(acc.factors + (f,), step.composite)
-    return acc
-
-
 def kronecker_sum_adjacency(a_g: AdjacencyMatrix, a_h: AdjacencyMatrix,
                             size_cap: int = DEFAULT_SIZE_CAP) -> AdjacencyMatrix:
-    """kron(A_G, I) + kron(I, A_H): the product adjacency, bit-identical to
-    adjacency(cartesian_product(G, H).composite) for undisordered factors.
+    """kron(A_G, I) + kron(I, A_H): the adjacency of the Cartesian product
+    G x H under the flat-index convention, built without the product graph.
 
     Diagonal disorder on either factor lands on the product diagonal (the
     identity blocks carry it through), so disordered products compose the
@@ -120,7 +61,7 @@ def kronecker_sum_adjacency(a_g: AdjacencyMatrix, a_h: AdjacencyMatrix,
     return AdjacencyMatrix(entries, disorder)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComposedSpectrum:
     """All eigenvalue sums of the factor spectra, labeled by factor indices.
 

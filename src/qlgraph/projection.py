@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .qlbits import IN_PHASE, OUT_OF_PHASE, EmergentPair, QLBit, emergent_pair
-from .spectra import fix_sign
+from .graphs import adjacency
+from .qlbits import IN_PHASE, OUT_OF_PHASE, QLBit, emergent_pair
+from .spectra import eigendecompose, fix_sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JBasis:
     """Block-uniform unit vectors of one QL bit on its composite space."""
 
@@ -29,12 +30,7 @@ class JBasis:
 
     @classmethod
     def from_qlbit(cls, q: QLBit) -> "JBasis":
-        n1, n2 = q.basis_1.n_vertices, q.basis_2.n_vertices
-        j0 = np.zeros(n1 + n2)
-        j0[:n1] = 1.0 / math.sqrt(n1)
-        j1 = np.zeros(n1 + n2)
-        j1[n1:] = 1.0 / math.sqrt(n2)
-        return cls(j0, j1)
+        return cls(*q.block_uniform())
 
     def stacked(self) -> np.ndarray:
         """(dim, 2) matrix with columns [j0, j1]."""
@@ -164,8 +160,9 @@ def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> Be
     sign, against the tensor product of per-bit patterns (+,+) and (+,-).
     Magnitudes are reported against the uniform |alpha| = 1/2.
     """
-    pairs = (emergent_pair(qlbit_a, min_gap), emergent_pair(qlbit_b, min_gap))
     qlbits = (qlbit_a, qlbit_b)
+    pairs = tuple(emergent_pair(q, eigendecompose(adjacency(q.composite)), min_gap)
+                  for q in qlbits)
     combos = []
     all_match = True
     for sa in (1, -1):

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import Graph, adjacency, graph_from_json_dict, graph_to_json_dict
 from .rng import RngSeed
-from .spectra import eigendecompose, fix_sign
+from .spectra import Spectrum, fix_sign
 
 IN_PHASE = "in_phase"
 OUT_OF_PHASE = "out_of_phase"
@@ -27,31 +27,53 @@ INDETERMINATE = "indeterminate"
 DEGENERACY_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QLBit:
-    """Two coupled basis graphs and their block-structured composite."""
+    """Two coupled basis graphs and their block-structured composite.
+
+    ``coupling_edges`` is an (n_c, 2) int64 array of (u, v) cross edges, u a
+    vertex of basis_1 and v of basis_2, each of weight ``sign``. The
+    composite is derived from the other fields: basis_1's vertices first,
+    then basis_2's, plus the cross edges.
+    """
 
     basis_1: Graph
     basis_2: Graph
-    coupling_edges: tuple[tuple[int, int, float], ...]
+    coupling_edges: np.ndarray
     sign: int
-    composite: Graph
+    composite: Graph = field(init=False)
 
     def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise InvalidParameterError(f"sign must be +1 or -1, got {self.sign}")
         n1, n2 = self.basis_1.n_vertices, self.basis_2.n_vertices
-        if self.composite.n_vertices != n1 + n2:
-            raise InvalidParameterError("composite size must be |basis_1| + |basis_2|")
-        seen = set()
-        for u, v, _ in self.coupling_edges:
-            if not (0 <= u < n1 and 0 <= v < n2):
-                raise InvalidParameterError(f"coupling edge ({u},{v}) does not bridge the blocks")
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate coupling edge ({u},{v})")
-            seen.add((u, v))
+        c = np.asarray(self.coupling_edges, dtype=np.int64).reshape(-1, 2)
+        outside = ((c < 0) | (c >= (n1, n2))).any(axis=1)
+        if outside.any():
+            u, v = c[outside.argmax()]
+            raise InvalidParameterError(f"coupling edge ({u},{v}) does not bridge the blocks")
+        c.flags.writeable = False
+        # Duplicate cross edges are duplicate composite edges, refused by Graph.
+        composite = Graph(
+            n1 + n2,
+            np.concatenate([self.basis_1.edges, self.basis_2.edges + n1, c + (0, n1)]),
+            np.concatenate([self.basis_1.weights, self.basis_2.weights,
+                            np.full(len(c), float(self.sign))]))
+        object.__setattr__(self, "coupling_edges", c)
+        object.__setattr__(self, "composite", composite)
 
     @property
     def n_coupling(self) -> int:
         return len(self.coupling_edges)
+
+    def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit vectors J_0, J_1, uniform on basis_1's and basis_2's block."""
+        n1, n2 = self.basis_1.n_vertices, self.basis_2.n_vertices
+        j0 = np.zeros(n1 + n2)
+        j0[:n1] = 1.0 / math.sqrt(n1)
+        j1 = np.zeros(n1 + n2)
+        j1[n1:] = 1.0 / math.sqrt(n2)
+        return j0, j1
 
 
 @dataclass(frozen=True)
@@ -63,7 +85,7 @@ class SplittingPrediction:
     predicted_pair: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmergentState:
     eigenvalue: float
     eigenvector: np.ndarray
@@ -100,17 +122,8 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be in [0,1], got {p}")
-    if sign not in (1, -1):
-        raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
-    n1, n2 = basis_1.n_vertices, basis_2.n_vertices
-    mask = seed.generator().random((n1, n2)) < p
-    w = float(sign)
-    coupling = tuple((int(i), int(j), w) for i, j in np.argwhere(mask))
-    composite_edges = list(basis_1.edges)
-    composite_edges += [(u + n1, v + n1, wt) for u, v, wt in basis_2.edges]
-    composite_edges += [(i, j + n1, w) for i, j, _ in coupling]
-    composite = Graph(n1 + n2, tuple(composite_edges))
-    return QLBit(basis_1, basis_2, coupling, sign, composite)
+    mask = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
+    return QLBit(basis_1, basis_2, np.argwhere(mask), sign)
 
 
 def predict_splitting(q: QLBit) -> SplittingPrediction:
@@ -131,14 +144,6 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
     return SplittingPrediction(d_eff, delta, (d_eff + delta, d_eff - delta))
 
 
-def _block_uniform(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    j0 = np.zeros(n1 + n2)
-    j0[:n1] = 1.0 / math.sqrt(n1)
-    j1 = np.zeros(n1 + n2)
-    j1[n1:] = 1.0 / math.sqrt(n2)
-    return j0, j1
-
-
 def _phase_of(v: np.ndarray, n1: int) -> str:
     prod = np.sign(v[:n1].mean()) * np.sign(v[n1:].mean())
     if prod > 0:
@@ -148,10 +153,12 @@ def _phase_of(v: np.ndarray, n1: int) -> str:
     return INDETERMINATE
 
 
-def emergent_pair(q: QLBit, min_gap: float = 0.5) -> EmergentPair:
+def emergent_pair(q: QLBit, s: Spectrum, min_gap: float = 0.5) -> EmergentPair:
     """The two emergent eigenpairs of the composite, phase-classified.
 
-    Returns the two largest eigenvalues with eigenvectors; each vector is
+    ``s`` is the spectrum, with eigenvectors, of the composite's adjacency,
+    including any diagonal disorder applied to it. Returns its two largest
+    eigenvalues with eigenvectors; each vector is
     classified in-phase or out-of-phase from the relative sign of its block
     means. Cross-coupling sign does not move the pair (the sign=-1
     composite is similar to the sign=+1 one), it swaps which phase sits on
@@ -163,7 +170,8 @@ def emergent_pair(q: QLBit, min_gap: float = 0.5) -> EmergentPair:
     ``degraded_isolation`` is set on the result.
     """
     n1 = q.basis_1.n_vertices
-    s = eigendecompose(adjacency(q.composite), want_vectors=True)
+    if s.eigenvectors is None or s.dim != q.composite.n_vertices:
+        raise InvalidParameterError("need the composite's spectrum with eigenvectors")
     if s.dim < 3:
         raise InvalidParameterError("composite too small to isolate an emergent pair")
     lam = s.eigenvalues
@@ -172,7 +180,7 @@ def emergent_pair(q: QLBit, min_gap: float = 0.5) -> EmergentPair:
     degenerate = abs(lam[0] - lam[1]) <= DEGENERACY_RTOL * max(1.0, abs(lam[0]))
     if degenerate:
         basis = vecs[:, :2]
-        j0, j1 = _block_uniform(n1, q.basis_2.n_vertices)
+        j0, j1 = q.block_uniform()
         proj = basis @ basis.T
         resolved = []
         for combo, phase in ((j0 + j1, IN_PHASE), (j0 - j1, OUT_OF_PHASE)):
@@ -204,10 +212,11 @@ def emergent_pair(q: QLBit, min_gap: float = 0.5) -> EmergentPair:
 
 def qlbit_to_json_dict(q: QLBit) -> dict:
     """Interchange form with per-basis graph JSON and the coupling list."""
+    w = float(q.sign)
     return {
         "basis_1": graph_to_json_dict(q.basis_1),
         "basis_2": graph_to_json_dict(q.basis_2),
-        "coupling": [[u, v, w] for u, v, w in q.coupling_edges],
+        "coupling": [[u, v, w] for u, v in q.coupling_edges.tolist()],
         "sign": q.sign,
     }
 
@@ -217,11 +226,9 @@ def qlbit_from_json_dict(data: dict) -> QLBit:
         b1 = graph_from_json_dict(data["basis_1"])
         b2 = graph_from_json_dict(data["basis_2"])
         sign = int(data["sign"])
-        coupling = tuple((int(u), int(v), float(w)) for u, v, w in data["coupling"])
+        coupling = [(int(u), int(v), float(w)) for u, v, w in data["coupling"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed QL-bit JSON: {exc}") from exc
-    n1 = b1.n_vertices
-    edges = list(b1.edges)
-    edges += [(u + n1, v + n1, w) for u, v, w in b2.edges]
-    edges += [(u, v + n1, w) for u, v, w in coupling]
-    return QLBit(b1, b2, coupling, sign, Graph(n1 + b2.n_vertices, tuple(edges)))
+    if any(w != sign for _, _, w in coupling):
+        raise InvalidParameterError(f"every coupling weight must equal the sign {sign}")
+    return QLBit(b1, b2, np.array([(u, v) for u, v, _ in coupling], dtype=np.int64), sign)

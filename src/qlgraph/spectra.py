@@ -12,7 +12,7 @@ from .graphs import AdjacencyMatrix
 SYMMETRY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
 

@@ -27,6 +27,11 @@ def make_qlbit(n=20, d=15, p=0.2, seed=1234, sign=1, deletions=0) -> ql.QLBit:
     return ql.couple(b1, b2, p, sign, root.derive(4))
 
 
+def composite_spectrum(q: ql.QLBit) -> ql.Spectrum:
+    """Full spectrum, with eigenvectors, of the QL bit's composite."""
+    return ql.eigendecompose(ql.adjacency(q.composite))
+
+
 @pytest.fixture
 def c5():
     return ql.cycle_graph(5)

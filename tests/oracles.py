@@ -1,0 +1,85 @@
+"""Explicit constructions that the package never builds, kept as test oracles.
+
+The pipeline composes product spectra without forming product graphs; these
+helpers form them anyway so tests can compare against the dense result.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+import qlgraph as ql
+from qlgraph.errors import InvalidParameterError, SizeCapError
+from qlgraph.products import DEFAULT_SIZE_CAP
+
+
+def complete_graph(n: int) -> ql.Graph:
+    """The complete graph K_n."""
+    if n < 1:
+        raise InvalidParameterError(f"n must be positive, got {n}")
+    return ql.Graph(n, np.column_stack(np.triu_indices(n, 1)))
+
+
+def graph_from_adjacency(a: ql.AdjacencyMatrix) -> ql.Graph:
+    """Recover the graph whose edges are the nonzero off-diagonal entries."""
+    u, v = np.nonzero(np.triu(a.entries, 1))
+    return ql.Graph(a.dim, np.column_stack([u, v]), a.entries[u, v])
+
+
+@dataclass(frozen=True, eq=False)
+class ProductGraph:
+    """Explicitly constructed Cartesian product with its factor list."""
+
+    factors: tuple[ql.Graph, ...]
+    composite: ql.Graph
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(f.n_vertices for f in self.factors)
+
+    def flat_index(self, indices: Sequence[int]) -> int:
+        if len(indices) != len(self.factors):
+            raise InvalidParameterError("index tuple length must equal factor count")
+        for i, n in zip(indices, self.dims):
+            if not 0 <= i < n:
+                raise InvalidParameterError(f"factor index {i} out of range [0,{n})")
+        return ql.mixed_radix_encode(indices, self.dims)
+
+    def factor_indices(self, flat: int) -> tuple[int, ...]:
+        if not 0 <= flat < self.composite.n_vertices:
+            raise InvalidParameterError(f"flat index {flat} out of range")
+        return ql.mixed_radix_decode(flat, self.dims)
+
+
+def cartesian_product(g: ql.Graph, h: ql.Graph, size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
+    """Explicit Cartesian product: an edge wherever one factor steps and the
+    other stands still. Weights are inherited from the contributing edge."""
+    dim = g.n_vertices * h.n_vertices
+    if dim > size_cap:
+        raise SizeCapError(f"product dim {dim} exceeds cap {size_cap}")
+    nh = h.n_vertices
+    # (u, v) in g with h standing at x, then (x, y) in h with g standing at u.
+    g_steps = g.edges[:, None, :] * nh + np.arange(nh)[None, :, None]
+    h_steps = np.arange(g.n_vertices)[:, None, None] * nh + h.edges[None, :, :]
+    edges = np.concatenate([g_steps.reshape(-1, 2), h_steps.reshape(-1, 2)])
+    weights = np.concatenate([np.repeat(g.weights, nh), np.tile(h.weights, g.n_vertices)])
+    return ProductGraph((g, h), ql.Graph(dim, edges, weights))
+
+
+def product_graph(factors: Sequence[ql.Graph], size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
+    """Left fold of `cartesian_product` over two or more factors.
+
+    Under the flat-index convention the fold is exactly associative, so the
+    result records the flattened factor list.
+    """
+    if len(factors) < 1:
+        raise InvalidParameterError("need at least one factor")
+    if len(factors) == 1:
+        return ProductGraph((factors[0],), factors[0])
+    acc = cartesian_product(factors[0], factors[1], size_cap)
+    for f in factors[2:]:
+        step = cartesian_product(acc.composite, f, size_cap)
+        acc = ProductGraph(acc.factors + (f,), step.composite)
+    return acc

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
@@ -134,3 +136,40 @@ class TestRun:
         assert code == 3
         assert json.loads(out)["kind"] == "numerical"
         assert not list(out_dir.iterdir())  # nothing staged, nothing left behind
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of the named functions, wherever a qlgraph module holds them."""
+    calls = Counter()
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "qlgraph" or key.startswith("qlgraph.")]
+    for name in names:
+        original = getattr(sys.modules["qlgraph.experiments"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("descriptor,bases_per_sample", [
+        ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
+          "n_factors": 2, "n_samples": 3}, 4),
+        ({"name": "once-shared", "kind": "d-regular-product", "n": 12, "d": 8,
+          "deletions": 4, "n_factors": 3, "shared_base": True, "n_samples": 3}, 1),
+    ])
+    def test_each_sample_factor_and_base_computed_once(self, descriptor, bases_per_sample,
+                                                      tmp_path, capsys, monkeypatch):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(descriptor))
+        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random"))
+        code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert code == 0
+        samples, factors = descriptor["n_samples"], descriptor["n_factors"]
+        assert calls == Counter(run_sample=samples, eigendecompose=samples * factors,
+                                d_regular_random=samples * bases_per_sample)

@@ -120,7 +120,7 @@ class TestRunSample:
         a = ql.run_sample(desc, 0)
         b = ql.run_sample(desc, 0)
         assert np.array_equal(a.composed.values, b.composed.values)
-        assert a.factors[0].graph.edges == b.factors[0].graph.edges
+        assert np.array_equal(a.factors[0].graph.edges, b.factors[0].graph.edges)
 
     def test_samples_differ(self):
         desc = small_qlbit_descriptor()
@@ -135,17 +135,17 @@ class TestRunSample:
 
     def test_independent_factors_differ(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        assert sample.factors[0].graph.edges != sample.factors[1].graph.edges
+        assert not np.array_equal(sample.factors[0].graph.edges, sample.factors[1].graph.edges)
 
     def test_shared_base_shares_generation(self):
         desc = ql.ExperimentDescriptor(name="t", kind="d-regular-product", n=12, d=8,
                                        n_factors=3, shared_base=True, n_samples=1)
         sample = ql.run_sample(desc, 0)
-        assert sample.factors[0].graph.edges == sample.factors[1].graph.edges
+        assert np.array_equal(sample.factors[0].graph.edges, sample.factors[1].graph.edges)
         # With deletions the bases still agree; the survivors are subsets.
         desc = desc.with_overrides(deletions=4)
         sample = ql.run_sample(desc, 0)
-        e0, e1 = set(sample.factors[0].graph.edges), set(sample.factors[1].graph.edges)
+        e0, e1 = ({tuple(e) for e in f.graph.edges.tolist()} for f in sample.factors[:2])
         assert e0 != e1
         assert len(e0 | e1) <= 48
 
@@ -157,6 +157,15 @@ class TestRunSample:
         assert f.emergent is not None
         assert f.emergent_indices == frozenset({0, 1})
         assert f.spectrum.eigenvectors is not None
+
+    def test_disordered_qlbit_emergent_pair_uses_factor_spectrum(self):
+        # The emergent pair is read off the factor's own (disordered) spectrum.
+        sample = ql.run_sample(small_qlbit_descriptor(sigma=1.0), 0)
+        for f in sample.factors:
+            got = [st.eigenvalue for st in f.emergent.states]
+            assert got == f.spectrum.eigenvalues[:2].tolist()
+            for k, st in enumerate(f.emergent.states):
+                assert np.array_equal(st.eigenvector, ql.fix_sign(f.spectrum.eigenvectors[:, k]))
 
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
@@ -176,25 +185,25 @@ class TestRunSample:
 class TestEnsembleSpectrum:
     def test_counts_account_for_every_draw(self):
         desc = small_qlbit_descriptor()
-        h = ql.ensemble_spectrum(desc)
+        _, h = ql.ensemble_spectrum(desc)
         assert h.counts.sum() == 3 * 16**2
         assert h.n_samples == 3
 
     def test_single_sample_counts_equal_dim(self):
-        h = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
+        _, h = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
         assert h.counts.sum() == 16**2
 
     def test_deterministic_and_seed_sensitive(self):
         desc = small_qlbit_descriptor()
-        h1 = ql.ensemble_spectrum(desc)
-        h2 = ql.ensemble_spectrum(desc)
-        h3 = ql.ensemble_spectrum(desc, master_seed=1)
+        _, h1 = ql.ensemble_spectrum(desc)
+        _, h2 = ql.ensemble_spectrum(desc)
+        _, h3 = ql.ensemble_spectrum(desc, master_seed=1)
         assert np.array_equal(h1.counts, h2.counts)
         assert np.array_equal(h1.bin_edges, h2.bin_edges)
         assert not np.array_equal(h1.counts, h3.counts)
 
     def test_parameters_recorded(self):
-        h = ql.ensemble_spectrum(small_qlbit_descriptor(), n_samples=2)
+        _, h = ql.ensemble_spectrum(small_qlbit_descriptor(), n_samples=2)
         assert h.parameters["n_samples"] == 2
         assert h.parameters["kind"] == "qlbit-product"
 

@@ -6,6 +6,8 @@ import pytest
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
+from oracles import complete_graph, graph_from_adjacency
+
 
 def cycle_eigenvalues(n):
     """Analytic cycle spectrum 2*cos(2*pi*k/n), the oracle for C_n tests."""
@@ -14,26 +16,30 @@ def cycle_eigenvalues(n):
 
 class TestGraphType:
     def test_normalizes_and_sorts_edges(self):
-        g = ql.Graph(4, ((3, 1, 1.0), (0, 2, 1.0)))
-        assert g.edges == ((0, 2, 1.0), (1, 3, 1.0))
+        g = ql.Graph(4, [[3, 1], [0, 2]], [2.0, 5.0])
+        assert g.edges.dtype == np.int64
+        assert np.array_equal(g.edges, [[0, 2], [1, 3]])
+        assert np.array_equal(g.weights, [5.0, 2.0])  # weights follow their edges
 
     def test_default_weight_is_one(self):
-        g = ql.Graph(3, ((0, 1), (1, 2)))
-        assert all(w == 1.0 for _, _, w in g.edges)
+        g = ql.Graph(3, [[0, 1], [1, 2]])
+        assert g.weights.dtype == np.float64
+        assert np.array_equal(g.weights, [1.0, 1.0])
 
     @pytest.mark.parametrize("edges", [
-        ((0, 0, 1.0),),              # self-loop
-        ((0, 1, 1.0), (1, 0, 2.0)),  # duplicate after normalization
-        ((0, 5, 1.0),),              # out of range
-        ((0, 1, float("nan")),),     # non-finite weight
+        ([[0, 0]], None),                  # self-loop
+        ([[0, 1], [1, 0]], [1.0, 2.0]),    # duplicate after normalization
+        ([[0, 5]], None),                  # out of range
+        ([[0, 1]], [float("nan")]),        # non-finite weight
     ])
     def test_invalid_edges_rejected(self, edges):
+        pairs, weights = edges
         with pytest.raises(InvalidParameterError):
-            ql.Graph(3, edges)
+            ql.Graph(3, pairs, weights)
 
     def test_nonpositive_vertex_count_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ql.Graph(0, ())
+            ql.Graph(0, [])
 
 
 class TestCycleGraph:
@@ -69,7 +75,7 @@ class TestDRegularRandom:
 
     def test_forced_complete_graph(self):
         g = ql.d_regular_random(6, 5, ql.RngSeed(1))
-        assert g.edge_set() == ql.complete_graph(6).edge_set()
+        assert np.array_equal(g.edges, complete_graph(6).edges)
 
     def test_paper_case_20_15_top_eigenvalue(self):
         g = ql.d_regular_random(20, 15, ql.RngSeed(2))
@@ -89,8 +95,8 @@ class TestDRegularRandom:
         a = ql.d_regular_random(16, 5, ql.RngSeed(42, 3))
         b = ql.d_regular_random(16, 5, ql.RngSeed(42, 3))
         c = ql.d_regular_random(16, 5, ql.RngSeed(42, 4))
-        assert a.edge_set() == b.edge_set()
-        assert a.edge_set() != c.edge_set()
+        assert np.array_equal(a.edges, b.edges)
+        assert not np.array_equal(a.edges, c.edges)
 
     def test_principal_eigenvector_uniform(self):
         g = ql.d_regular_random(12, 8, ql.RngSeed(5))
@@ -115,7 +121,7 @@ class TestDeleteRandomEdges:
 
     def test_zero_is_identity(self):
         g = ql.d_regular_random(12, 8, ql.RngSeed(10))
-        assert ql.delete_random_edges(g, 0, ql.RngSeed(11)).edges == g.edges
+        assert np.array_equal(ql.delete_random_edges(g, 0, ql.RngSeed(11)).edges, g.edges)
 
     def test_handshake_degree_loss(self):
         # 4 deleted edges remove exactly 8 units of total degree.
@@ -134,12 +140,12 @@ class TestDeleteRandomEdges:
         g = ql.d_regular_random(12, 8, ql.RngSeed(14))
         h1 = ql.delete_random_edges(g, 4, ql.RngSeed(15))
         h2 = ql.delete_random_edges(g, 4, ql.RngSeed(15))
-        assert h1.edges == h2.edges
+        assert np.array_equal(h1.edges, h2.edges)
 
 
 class TestAdjacency:
     def test_k2(self):
-        m = ql.adjacency(ql.Graph(2, ((0, 1),))).entries
+        m = ql.adjacency(ql.Graph(2, [[0, 1]])).entries
         assert np.array_equal(m, [[0, 1], [1, 0]])
 
     def test_c5_circulant(self, c5):
@@ -150,16 +156,20 @@ class TestAdjacency:
                 assert m[i, j] == expected
 
     def test_negative_weight_symmetric(self):
-        m = ql.adjacency(ql.Graph(3, ((0, 2, -1.0),))).entries
+        m = ql.adjacency(ql.Graph(3, [[0, 2]], [-1.0])).entries
         assert m[0, 2] == m[2, 0] == -1.0
 
     def test_round_trip(self):
         g = ql.d_regular_random(10, 3, ql.RngSeed(20))
-        assert ql.graph_from_adjacency(ql.adjacency(g)).edges == g.edges
+        back = graph_from_adjacency(ql.adjacency(g))
+        assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(back.weights, g.weights)
 
     def test_round_trip_with_weights(self):
-        g = ql.Graph(4, ((0, 1, -1.0), (2, 3, 0.5)))
-        assert ql.graph_from_adjacency(ql.adjacency(g)).edges == g.edges
+        g = ql.Graph(4, [[0, 1], [2, 3]], [-1.0, 0.5])
+        back = graph_from_adjacency(ql.adjacency(g))
+        assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(back.weights, g.weights)
 
 
 class TestDiagonalDisorder:
@@ -202,21 +212,25 @@ class TestConnectivity:
         assert ql.is_connected(c5)
 
     def test_two_components(self):
-        assert not ql.is_connected(ql.Graph(4, ((0, 1), (2, 3))))
+        assert not ql.is_connected(ql.Graph(4, [[0, 1], [2, 3]]))
 
 
 class TestJson:
     def test_round_trip_default_weight_omitted(self, c5):
         data = ql.graph_to_json_dict(c5)
         assert all(len(e) == 2 for e in data["edges"])
-        assert ql.graph_from_json_dict(data).edges == c5.edges
+        back = ql.graph_from_json_dict(data)
+        assert np.array_equal(back.edges, c5.edges)
+        assert np.array_equal(back.weights, c5.weights)
 
     def test_round_trip_weighted(self):
-        g = ql.Graph(4, ((0, 1, -1.0), (1, 2, 1.0)))
+        g = ql.Graph(4, [[0, 1], [1, 2]], [-1.0, 1.0])
         data = ql.graph_to_json_dict(g)
-        assert [0, 1, -1.0] in data["edges"]
-        assert [1, 2] in data["edges"]
-        assert ql.graph_from_json_dict(data).edges == g.edges
+        assert data["edges"] == [[0, 1, -1.0], [1, 2]]
+        assert all(type(x) in (int, float) for e in data["edges"] for x in e)
+        back = ql.graph_from_json_dict(data)
+        assert np.array_equal(back.edges, g.edges)
+        assert np.array_equal(back.weights, g.weights)
 
     def test_malformed_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -5,7 +5,7 @@ import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 from qlgraph.qlbits import IN_PHASE, OUT_OF_PHASE
 
-from conftest import make_qlbit
+from conftest import composite_spectrum, make_qlbit
 
 EXPECTED_PATTERNS = {
     (1, 1): (1, 1, 1, 1),
@@ -58,7 +58,7 @@ class TestBlockSplit:
 
     def test_in_phase_vector_aligns_with_both_j(self):
         q = make_qlbit(seed=7)
-        pair = ql.emergent_pair(q)
+        pair = ql.emergent_pair(q, composite_spectrum(q))
         v = pair.by_phase(IN_PHASE).eigenvector
         u, x = ql.block_split(v, q)
         jb = ql.JBasis.from_qlbit(q)
@@ -83,24 +83,24 @@ class TestProjectAlphas:
 
     def test_in_phase_product_alphas_uniform(self):
         qa, qb = uncoupled_bit(seed=13), uncoupled_bit(seed=15)
-        va = ql.emergent_pair(qa).by_phase(IN_PHASE).eigenvector
-        vb = ql.emergent_pair(qb).by_phase(IN_PHASE).eigenvector
+        va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(IN_PHASE).eigenvector
+        vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
         report = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
         for key in ("00", "01", "10", "11"):
             assert abs(report.alphas[key] - 0.5) <= 1e-9
 
     def test_out_in_sign_pattern(self):
         qa, qb = uncoupled_bit(seed=17), uncoupled_bit(seed=19)
-        va = ql.emergent_pair(qa).by_phase(OUT_OF_PHASE).eigenvector
-        vb = ql.emergent_pair(qb).by_phase(IN_PHASE).eigenvector
+        va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(OUT_OF_PHASE).eigenvector
+        vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
         report = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
         pattern = tuple(int(np.sign(report.alphas[k])) for k in ("00", "01", "10", "11"))
         assert pattern in ((1, 1, -1, -1), (-1, -1, 1, 1))
 
     def test_paths_agree(self):
         qa, qb = make_qlbit(seed=21), make_qlbit(seed=23)
-        va = ql.emergent_pair(qa).states[0].eigenvector
-        vb = ql.emergent_pair(qb).states[1].eigenvector
+        va = ql.emergent_pair(qa, composite_spectrum(qa)).states[0].eigenvector
+        vb = ql.emergent_pair(qb, composite_spectrum(qb)).states[1].eigenvector
         v = np.kron(va, vb)
         factored = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
         general = ql.project_alphas(v, [qa, qb])
@@ -137,7 +137,7 @@ class TestProjectAlphas:
 
     def test_three_factor_keys(self):
         bits = [make_qlbit(n=6, d=3, p=0.3, seed=35 + 2 * k) for k in range(3)]
-        vectors = [ql.emergent_pair(q).states[0].eigenvector for q in bits]
+        vectors = [ql.emergent_pair(q, composite_spectrum(q)).states[0].eigenvector for q in bits]
         report = ql.project_alphas(None, bits, factor_vectors=vectors)
         assert sorted(report.alphas) == [format(i, "03b") for i in range(8)]
 

@@ -5,7 +5,7 @@ import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 from qlgraph.qlbits import IN_PHASE, OUT_OF_PHASE
 
-from conftest import make_qlbit
+from conftest import composite_spectrum, make_qlbit
 
 
 class TestCouple:
@@ -19,7 +19,7 @@ class TestCouple:
         assert np.allclose(np.sort(comp), np.sort(np.concatenate([basis, basis])), atol=1e-9)
 
     def test_p_one_k2_bases_gives_k4(self):
-        k2 = ql.Graph(2, ((0, 1),))
+        k2 = ql.Graph(2, [[0, 1]])
         q = ql.couple(k2, k2, 1.0, 1, ql.RngSeed(3))
         assert q.n_coupling == 4
         # Oracle: dense eigendecomposition of the explicit 4x4 complete graph.
@@ -45,28 +45,32 @@ class TestCouple:
 
     def test_negative_sign_weights(self):
         q = make_qlbit(n=10, d=3, p=0.5, seed=6, sign=-1)
-        assert all(w == -1.0 for _, _, w in q.coupling_edges)
+        a = ql.adjacency(q.composite).entries
+        assert q.n_coupling > 0
+        assert np.all(a[:10, 10:][a[:10, 10:] != 0] == -1.0)
+        assert ql.qlbit_to_json_dict(q)["coupling"][0][2] == -1.0
 
     def test_invalid_p(self):
-        k2 = ql.Graph(2, ((0, 1),))
+        k2 = ql.Graph(2, [[0, 1]])
         with pytest.raises(InvalidParameterError):
             ql.couple(k2, k2, 1.5, 1, ql.RngSeed(0))
 
     def test_invalid_sign(self):
-        k2 = ql.Graph(2, ((0, 1),))
+        k2 = ql.Graph(2, [[0, 1]])
         with pytest.raises(InvalidParameterError):
             ql.couple(k2, k2, 0.5, 2, ql.RngSeed(0))
 
     def test_deterministic(self):
-        assert make_qlbit(seed=7).coupling_edges == make_qlbit(seed=7).coupling_edges
+        a, b = make_qlbit(seed=7), make_qlbit(seed=7)
+        assert a.coupling_edges.dtype == np.int64
+        assert np.array_equal(a.coupling_edges, b.coupling_edges)
 
     def test_qlbit_invariants_enforced(self):
-        k2 = ql.Graph(2, ((0, 1),))
-        comp = ql.Graph(4, ((0, 1), (2, 3)))
+        k2 = ql.Graph(2, [[0, 1]])
         with pytest.raises(InvalidParameterError):
-            ql.QLBit(k2, k2, ((0, 5, 1.0),), 1, comp)  # not bridging
+            ql.QLBit(k2, k2, [[0, 5]], 1)  # not bridging
         with pytest.raises(InvalidParameterError):
-            ql.QLBit(k2, k2, ((0, 0, 1.0), (0, 0, 1.0)), 1, comp)  # duplicate
+            ql.QLBit(k2, k2, [[0, 0], [0, 0]], 1)  # duplicate
 
 
 class TestPredictSplitting:
@@ -74,11 +78,8 @@ class TestPredictSplitting:
         # Handcrafted 80-edge coupling: Delta = 80/20 = 4, pair (19, 11).
         b1 = ql.d_regular_random(20, 15, ql.RngSeed(8))
         b2 = ql.d_regular_random(20, 15, ql.RngSeed(9))
-        coupling = tuple((i, j, 1.0) for i in range(20) for j in range(4))
-        edges = list(b1.edges)
-        edges += [(u + 20, v + 20, w) for u, v, w in b2.edges]
-        edges += [(i, j + 20, 1.0) for i, j, _ in coupling]
-        q = ql.QLBit(b1, b2, coupling, 1, ql.Graph(40, tuple(edges)))
+        coupling = [(i, j) for i in range(20) for j in range(4)]
+        q = ql.QLBit(b1, b2, coupling, 1)
         pred = ql.predict_splitting(q)
         assert pred.delta == 4.0
         assert abs(pred.d_eff - 15.0) <= 1e-9
@@ -113,7 +114,7 @@ class TestPredictSplitting:
 class TestEmergentPair:
     def test_in_and_out_of_phase(self):
         q = make_qlbit(seed=16)
-        pair = ql.emergent_pair(q)
+        pair = ql.emergent_pair(q, composite_spectrum(q))
         assert not pair.degraded_isolation
         phases = {st.phase for st in pair.states}
         assert phases == {IN_PHASE, OUT_OF_PHASE}
@@ -124,7 +125,7 @@ class TestEmergentPair:
         # classifies into one in-phase and one out-of-phase state.
         for s in range(20):
             q = make_qlbit(p=0.1 if s % 2 else 0.2, seed=5000 + s)
-            pair = ql.emergent_pair(q)
+            pair = ql.emergent_pair(q, composite_spectrum(q))
             if not pair.degraded_isolation:
                 assert {st.phase for st in pair.states} == {IN_PHASE, OUT_OF_PHASE}
 
@@ -132,19 +133,19 @@ class TestEmergentPair:
         # Perturbation oracle: two coupled uniform modes mix symmetrically,
         # so the top eigenvector's block means carry the same sign.
         q = make_qlbit(seed=17)
-        top = ql.emergent_pair(q).states[0]
+        top = ql.emergent_pair(q, composite_spectrum(q)).states[0]
         assert top.eigenvector[:20].mean() * top.eigenvector[20:].mean() > 0
 
     def test_negative_sign_flips_ordering(self):
         q = make_qlbit(seed=18, sign=-1)
-        pair = ql.emergent_pair(q)
+        pair = ql.emergent_pair(q, composite_spectrum(q))
         assert pair.states[0].phase == OUT_OF_PHASE
         assert pair.states[1].phase == IN_PHASE
 
     def test_p_zero_degenerate_resolved(self):
         b = ql.d_regular_random(12, 8, ql.RngSeed(19))
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(20))
-        pair = ql.emergent_pair(q)
+        pair = ql.emergent_pair(q, composite_spectrum(q))
         assert abs(pair.states[0].eigenvalue - pair.states[1].eigenvalue) <= 1e-12
         assert pair.states[0].phase == IN_PHASE
         assert pair.states[1].phase == OUT_OF_PHASE
@@ -158,12 +159,12 @@ class TestEmergentPair:
     def test_degraded_isolation_for_cycle_bases(self):
         # Cycle bases are not expanders: the pair is not isolated.
         q = ql.couple(ql.cycle_graph(20), ql.cycle_graph(20), 0.05, 1, ql.RngSeed(21))
-        assert ql.emergent_pair(q).degraded_isolation
+        assert ql.emergent_pair(q, composite_spectrum(q)).degraded_isolation
 
     def test_residuals_are_eigenpairs(self):
         q = make_qlbit(seed=22)
         a = ql.adjacency(q.composite).entries
-        for st in ql.emergent_pair(q).states:
+        for st in ql.emergent_pair(q, composite_spectrum(q)).states:
             assert np.max(np.abs(a @ st.eigenvector - st.eigenvalue * st.eigenvector)) <= 1e-8
 
 
@@ -208,11 +209,13 @@ class TestJson:
         q = make_qlbit(n=10, d=3, p=0.3, seed=25, sign=-1)
         data = ql.qlbit_to_json_dict(q)
         back = ql.qlbit_from_json_dict(data)
-        assert back.basis_1.edges == q.basis_1.edges
-        assert back.basis_2.edges == q.basis_2.edges
-        assert back.coupling_edges == q.coupling_edges
+        for got, want in ((back.basis_1, q.basis_1), (back.basis_2, q.basis_2),
+                          (back.composite, q.composite)):
+            assert np.array_equal(got.edges, want.edges)
+            assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(back.coupling_edges, q.coupling_edges)
         assert back.sign == q.sign
-        assert back.composite.edges == q.composite.edges
+        assert ql.qlbit_to_json_dict(back) == data
 
     def test_malformed_rejected(self):
         with pytest.raises(InvalidParameterError):

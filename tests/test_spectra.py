@@ -7,6 +7,7 @@ import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
 from conftest import assert_valid_spectrum
+from oracles import complete_graph
 
 
 class TestEigendecompose:
@@ -65,7 +66,7 @@ class TestSpectralGap:
 
     def test_complete_graph_gap(self):
         # K_n spectrum is {n-1, -1 x (n-1)}: gap n.
-        s = ql.eigendecompose(ql.adjacency(ql.complete_graph(4)))
+        s = ql.eigendecompose(ql.adjacency(complete_graph(4)))
         assert abs(ql.spectral_gap(s) - 4.0) <= 1e-9
 
     def test_uncoupled_qlbit_degenerate(self):
