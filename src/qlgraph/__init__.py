@@ -5,8 +5,7 @@ products and their spectra without materializing product matrices, classify
 emergent/hybrid/random states, and project emergent eigenvectors onto the
 2^N qubit tensor basis.
 """
-from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram, StateLabel,
-                        classify_states, emergent_component_counts,
+from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram,
                         histogram_from_values, write_histogram_csv)
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError, SizeCapError)
@@ -16,9 +15,8 @@ from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescr
 from .graphs import (AdjacencyMatrix, Graph, adjacency, apply_diagonal_disorder,
                      cycle_graph, d_regular_random, delete_random_edges,
                      graph_from_json_dict, graph_to_json_dict, is_connected)
-from .products import (ComposedSpectrum, compose_spectra, composed_spectrum_rows,
-                       kronecker_sum_adjacency, mixed_radix_decode,
-                       mixed_radix_encode, product_eigenvector,
+from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
+                       kronecker_sum_adjacency, product_eigenvector,
                        write_composed_spectrum_csv)
 from .projection import (BellCombination, BellStateReport, JBasis, ProjectionReport,
                          bell_state_check, block_split, project_alphas)
@@ -39,15 +37,13 @@ __all__ = [
     "InvalidParameterError", "JBasis", "NumericalFailureError", "OUT_OF_PHASE",
     "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
     "RngSeed", "SampleResult", "SizeCapError", "Spectrum", "SplittingPrediction",
-    "StateLabel", "adjacency", "alon_boppana_check", "apply_diagonal_disorder",
-    "bell_state_check", "block_split", "classify_states",
-    "compose_spectra", "composed_spectrum_rows", "couple",
+    "adjacency", "alon_boppana_check", "apply_diagonal_disorder",
+    "bell_state_check", "block_split", "compose_spectra", "couple",
     "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
     "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "fix_sign",
     "graph_from_json_dict", "graph_to_json_dict",
     "histogram_from_values", "is_connected", "iter_samples",
-    "kronecker_sum_adjacency", "max_residual", "mixed_radix_decode",
-    "mixed_radix_encode", "orthonormality_defect", "predict_splitting",
+    "kronecker_sum_adjacency", "max_residual", "orthonormality_defect", "predict_splitting",
     "product_eigenvector", "project_alphas",
     "qlbit_from_json_dict", "qlbit_to_json_dict", "run_sample", "spectral_gap",
     "write_composed_spectrum_csv", "write_histogram_csv",

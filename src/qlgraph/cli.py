@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .ensembles import write_histogram_csv
+from .ensembles import state_kinds, write_histogram_csv
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, SizeCapError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
@@ -52,11 +52,11 @@ def _load_descriptor(ref: str) -> ExperimentDescriptor:
 def _spectrum_csv_text(sample, kind: str) -> str:
     buf = io.StringIO()
     if kind == KIND_SINGLE:
+        order = sample.composed.descending_order()
+        names = state_kinds(sample.composed.n_factors)[sample.emergent_counts[order]]
         buf.write("index,eigenvalue,label\n")
-        for i, flat in enumerate(sample.composed.descending_order()):
-            lab = sample.labels[int(flat)]
-            name = lab.kind if lab.kind != "hybrid" else f"hybrid({lab.k})"
-            buf.write(f"{i},{sample.composed.values[flat]!r},{name}\n")
+        buf.write("".join(map("{},{!r},{}\n".format, range(order.size),
+                              sample.composed.values[order].tolist(), names.tolist())))
     else:
         write_composed_spectrum_csv(sample.composed, buf, sample.emergent_index_sets)
     return buf.getvalue()

@@ -1,33 +1,25 @@
-"""State classification of composed spectra and ensemble histograms.
+"""State class names of composed spectra, and ensemble histograms.
 
-Classification is ground truth from composition: an eigenvalue's label is
-decided by which factor eigen-indices it sums, never by peak finding.
+A composed state's class follows from its emergent component count k
+(`products.emergent_component_counts`) and the factor count N.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .products import ComposedSpectrum
 
 EMERGENT = "emergent"
 HYBRID = "hybrid"
 RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class StateLabel:
-    """Classification of one composed eigenvalue.
-
-    ``k`` counts the factor components drawn from emergent indices:
-    k == N -> emergent, 0 < k < N -> hybrid(k), k == 0 -> random.
-    """
-
-    kind: str
-    k: int
+def state_kinds(n_factors: int) -> np.ndarray:
+    """Class names indexed by k: k == N emergent, k == 0 random, else hybrid(k)."""
+    return np.array([RANDOM] + [f"{HYBRID}({k})" for k in range(1, n_factors)] + [EMERGENT])
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,41 +42,6 @@ class EnsembleHistogram:
             raise InvalidParameterError("counts must be non-negative")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
-
-
-def emergent_component_counts(c: ComposedSpectrum,
-                              factor_emergent_indices: Sequence[frozenset[int] | set[int]],
-                              ) -> np.ndarray:
-    """Per-flat-index count of factor components that are emergent indices."""
-    if len(factor_emergent_indices) != c.n_factors:
-        raise InvalidParameterError("one emergent index set per factor required")
-    counts = np.zeros(1, dtype=np.int64)
-    for dim, indices in zip(c.dims, factor_emergent_indices):
-        member = np.zeros(dim, dtype=np.int64)
-        for i in indices:
-            if not 0 <= i < dim:
-                raise InvalidParameterError(f"emergent index {i} out of range [0,{dim})")
-            member[i] = 1
-        counts = np.add.outer(counts, member).ravel()
-    return counts
-
-
-def classify_states(c: ComposedSpectrum,
-                    factor_emergent_indices: Sequence[frozenset[int] | set[int]],
-                    ) -> list[StateLabel]:
-    """Label every composed eigenvalue, aligned with flat index order."""
-    n = c.n_factors
-    counts = emergent_component_counts(c, factor_emergent_indices)
-    labels = []
-    for k in counts:
-        k = int(k)
-        if k == n:
-            labels.append(StateLabel(EMERGENT, k))
-        elif k == 0:
-            labels.append(StateLabel(RANDOM, 0))
-        else:
-            labels.append(StateLabel(HYBRID, k))
-    return labels
 
 
 def histogram_from_values(values: np.ndarray, bins: int, n_samples: int,

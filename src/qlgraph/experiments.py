@@ -8,17 +8,19 @@ identical results.
 """
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .ensembles import EnsembleHistogram, StateLabel, classify_states, histogram_from_values
+from .ensembles import EnsembleHistogram, histogram_from_values
 from .errors import GenerationFailureError, InvalidParameterError
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
-from .products import ComposedSpectrum, compose_spectra
+from .products import ComposedSpectrum, compose_spectra, emergent_component_counts
 from .qlbits import EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair, predict_splitting
 from .rng import RngSeed
 from .spectra import Spectrum, eigendecompose
@@ -37,6 +39,23 @@ _STAGE_BASE = 0
 _STAGE_DELETE = 1
 _STAGE_COUPLE = 2
 _STAGE_DISORDER = 3
+
+# Artifact file stems: no path separators, no leading dot.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Descriptor field annotation -> (value check, expectation in the error message).
+_FIELD_CHECKS = {
+    "int": (_is_int, "an int"),
+    "float": (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+              "a finite float"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a str"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,9 +80,11 @@ class ExperimentDescriptor:
 
     def validate(self) -> list[str]:
         """All precondition violations, empty when the descriptor is runnable."""
-        errors = []
-        if not self.name:
-            errors.append("name must be non-empty")
+        errors = self._type_errors()
+        if errors:
+            return errors
+        if not _NAME_PATTERN.fullmatch(self.name):
+            errors.append(f"name must match {_NAME_PATTERN.pattern}, got {self.name!r}")
         if self.kind not in KINDS:
             errors.append(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.graph not in GRAPH_FAMILIES:
@@ -104,11 +125,26 @@ class ExperimentDescriptor:
             errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         return errors
 
+    def _type_errors(self) -> list[str]:
+        """Fields whose value is not of the annotated type; floats must be finite."""
+        errors = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            expected = f.type.removesuffix(" | None")
+            if value is None and expected != f.type:
+                continue
+            check, expectation = _FIELD_CHECKS[expected]
+            if not check(value):
+                errors.append(f"{f.name} must be {expectation}, got {value!r}")
+        return errors
+
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentDescriptor":
+        if not isinstance(data, dict):
+            raise InvalidParameterError("descriptor must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -131,13 +167,17 @@ class FactorResult:
     emergent_indices: frozenset[int]
     connected: bool
     qlbit: QLBit | None = None
-    splitting: SplittingPrediction | None = None
     emergent: EmergentPair | None = None
+
+    @cached_property
+    def splitting(self) -> SplittingPrediction | None:
+        """The Δ = n_c/n prediction for a QL bit, computed on first use."""
+        return None if self.qlbit is None else predict_splitting(self.qlbit)
 
 
 @dataclass(frozen=True)
 class SampleResult:
-    """One pipeline sample: factors, composed spectrum, and state labels."""
+    """One pipeline sample: factors, composed spectrum, and emergent counts."""
 
     index: int
     factors: tuple[FactorResult, ...]
@@ -148,9 +188,9 @@ class SampleResult:
         return tuple(f.emergent_indices for f in self.factors)
 
     @cached_property
-    def labels(self) -> tuple[StateLabel, ...]:
-        """Per-eigenvalue classification, built on first use (the grid can be large)."""
-        return tuple(classify_states(self.composed, list(self.emergent_index_sets)))
+    def emergent_counts(self) -> np.ndarray:
+        """Per-flat-index emergent component count k, built on first use."""
+        return emergent_component_counts(self.composed, self.emergent_index_sets)
 
 
 def _generate_base(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int, side: int) -> Graph:
@@ -177,10 +217,8 @@ def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
     if desc.sigma > 0:
         a = apply_diagonal_disorder(a, desc.sigma, sample_seed.derive(_STAGE_DISORDER, k))
     spectrum = eigendecompose(a, want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
-    if q is not None:
-        return FactorResult(graph, spectrum, emergent_indices, is_connected(graph), qlbit=q,
-                            splitting=predict_splitting(q), emergent=emergent_pair(q, spectrum))
-    return FactorResult(graph, spectrum, emergent_indices, is_connected(graph))
+    return FactorResult(graph, spectrum, emergent_indices, is_connected(graph), qlbit=q,
+                        emergent=None if q is None else emergent_pair(q, spectrum))
 
 
 def run_sample(desc: ExperimentDescriptor, sample_index: int,

@@ -12,9 +12,8 @@ numpy's ``kron`` operand order, so the product adjacency is
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -23,21 +22,8 @@ from .graphs import AdjacencyMatrix
 from .spectra import Spectrum
 
 DEFAULT_SIZE_CAP = 100_000
-
-
-def mixed_radix_encode(indices: Sequence[int], dims: Sequence[int]) -> int:
-    flat = 0
-    for i, n in zip(indices, dims):
-        flat = flat * n + i
-    return flat
-
-
-def mixed_radix_decode(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for n in reversed(dims):
-        out.append(flat % n)
-        flat //= n
-    return tuple(reversed(out))
+# Spectrum CSV rows formatted per block: bounds the text held at once.
+_BLOCK_ROWS = 4096
 
 
 def kronecker_sum_adjacency(a_g: AdjacencyMatrix, a_h: AdjacencyMatrix,
@@ -65,8 +51,8 @@ def kronecker_sum_adjacency(a_g: AdjacencyMatrix, a_h: AdjacencyMatrix,
 class ComposedSpectrum:
     """All eigenvalue sums of the factor spectra, labeled by factor indices.
 
-    ``values[flat]`` is the eigenvalue whose per-factor labels are the
-    mixed-radix digits of ``flat``; it equals the left-fold sum of the
+    ``values[flat]`` is the eigenvalue whose per-factor labels are
+    ``np.unravel_index(flat, dims)``; it equals the left-fold sum of the
     labeled factor eigenvalues exactly, by construction. Eigenvectors are
     tensor products of factor eigenvectors, built on demand.
     """
@@ -89,11 +75,11 @@ class ComposedSpectrum:
     def labels_of(self, flat: int) -> tuple[int, ...]:
         if not 0 <= flat < self.size:
             raise InvalidParameterError(f"flat index {flat} out of range")
-        return mixed_radix_decode(flat, self.dims)
+        return tuple(int(i) for i in np.unravel_index(flat, self.dims))
 
     def flat_of(self, labels: Sequence[int]) -> int:
         self._check_labels(labels)
-        return mixed_radix_encode(labels, self.dims)
+        return int(np.ravel_multi_index(tuple(labels), self.dims))
 
     def value_of(self, labels: Sequence[int]) -> float:
         return float(self.values[self.flat_of(labels)])
@@ -101,10 +87,6 @@ class ComposedSpectrum:
     def descending_order(self) -> np.ndarray:
         """Flat indices sorted by descending value; ties keep flat order."""
         return np.argsort(-self.values, kind="stable")
-
-    def iter_sorted(self) -> Iterator[tuple[float, tuple[int, ...]]]:
-        for flat in self.descending_order():
-            yield float(self.values[flat]), self.labels_of(int(flat))
 
     def _check_labels(self, labels: Sequence[int]) -> None:
         if len(labels) != self.n_factors:
@@ -140,28 +122,42 @@ def product_eigenvector(c: ComposedSpectrum, labels: Sequence[int]) -> np.ndarra
     return vec
 
 
-def composed_spectrum_rows(c: ComposedSpectrum,
-                           emergent_indices: Sequence[frozenset[int]] | None = None,
-                           ) -> Iterator[list]:
-    """CSV rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending.
+def emergent_component_counts(c: ComposedSpectrum,
+                              factor_emergent_indices: Sequence[frozenset[int] | set[int]],
+                              ) -> np.ndarray:
+    """Per-flat-index count k of factor components that are emergent indices.
 
-    ``n_emergent_factors`` counts factor components whose label is in that
-    factor's emergent index set (0 everywhere when no sets are given).
+    A composed state is emergent when k == N, random when k == 0 and
+    hybrid(k) otherwise: its class is decided by which factor eigen-indices
+    it sums, never by peak finding.
     """
-    if emergent_indices is not None and len(emergent_indices) != c.n_factors:
+    if len(factor_emergent_indices) != c.n_factors:
         raise InvalidParameterError("one emergent index set per factor required")
-    for value, labels in c.iter_sorted():
-        if emergent_indices is None:
-            n_em = 0
-        else:
-            n_em = sum(1 for i, s in zip(labels, emergent_indices) if i in s)
-        yield [repr(value), *labels, n_em]
+    counts = np.zeros(1, dtype=np.int64)
+    for dim, indices in zip(c.dims, factor_emergent_indices):
+        member = np.zeros(dim, dtype=np.int64)
+        for i in indices:
+            if not 0 <= i < dim:
+                raise InvalidParameterError(f"emergent index {i} out of range [0,{dim})")
+            member[i] = 1
+        counts = np.add.outer(counts, member).ravel()
+    return counts
 
 
 def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
                                 emergent_indices: Sequence[frozenset[int]] | None = None) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["value"] + [f"label_{k+1}" for k in range(c.n_factors)] + ["n_emergent_factors"]
-    writer.writerow(header)
-    for row in composed_spectrum_rows(c, emergent_indices):
-        writer.writerow(row)
+    """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending.
+
+    ``n_emergent_factors`` is `emergent_component_counts` (0 everywhere when
+    no sets are given). Values are written as ``repr`` of Python floats.
+    """
+    counts = (np.zeros(c.size, dtype=np.int64) if emergent_indices is None
+              else emergent_component_counts(c, emergent_indices))
+    labels = [f"label_{k + 1}" for k in range(c.n_factors)]
+    fh.write(",".join(["value", *labels, "n_emergent_factors"]) + "\n")
+    row = ",".join(["{!r}"] + ["{}"] * (c.n_factors + 1)) + "\n"
+    order = c.descending_order()
+    for start in range(0, c.size, _BLOCK_ROWS):
+        block = order[start:start + _BLOCK_ROWS]
+        columns = [c.values[block], *np.unravel_index(block, c.dims), counts[block]]
+        fh.write("".join(map(row.format, *(col.tolist() for col in columns))))

@@ -2,9 +2,12 @@
 
 The pipeline composes product spectra without forming product graphs; these
 helpers form them anyway so tests can compare against the dense result.
+The composed spectrum CSV is also rebuilt here one row at a time.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,12 +48,12 @@ class ProductGraph:
         for i, n in zip(indices, self.dims):
             if not 0 <= i < n:
                 raise InvalidParameterError(f"factor index {i} out of range [0,{n})")
-        return ql.mixed_radix_encode(indices, self.dims)
+        return int(np.ravel_multi_index(tuple(indices), self.dims))
 
     def factor_indices(self, flat: int) -> tuple[int, ...]:
         if not 0 <= flat < self.composite.n_vertices:
             raise InvalidParameterError(f"flat index {flat} out of range")
-        return ql.mixed_radix_decode(flat, self.dims)
+        return tuple(int(i) for i in np.unravel_index(flat, self.dims))
 
 
 def cartesian_product(g: ql.Graph, h: ql.Graph, size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
@@ -83,3 +86,24 @@ def product_graph(factors: Sequence[ql.Graph], size_cap: int = DEFAULT_SIZE_CAP)
         step = cartesian_product(acc.composite, f, size_cap)
         acc = ProductGraph(acc.factors + (f,), step.composite)
     return acc
+
+
+def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
+                                    emergent_indices: Sequence[frozenset[int]] | None = None,
+                                    ) -> str:
+    """The composed spectrum CSV written row by row, with Python's stable sort
+    and a mixed-radix decode of each flat index (first factor slowest)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["value"] + [f"label_{k + 1}" for k in range(c.n_factors)]
+                    + ["n_emergent_factors"])
+    values = c.values.tolist()
+    for flat in sorted(range(c.size), key=lambda f: -values[f]):
+        labels, rest = [], flat
+        for n in reversed(c.dims):
+            rest, i = divmod(rest, n)
+            labels.insert(0, i)
+        n_em = 0 if emergent_indices is None else sum(
+            1 for i, s in zip(labels, emergent_indices) if i in s)
+        writer.writerow([repr(values[flat]), *labels, n_em])
+    return buf.getvalue()

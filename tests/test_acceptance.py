@@ -148,7 +148,7 @@ def test_criterion_7_four_qlbit_composed_scale():
         assert sample.composed.size == 38416
         counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
         assert int((counts == 4).sum()) == 16
-        assert sum(1 for lab in sample.labels if lab.kind == "emergent") == 16
+        assert np.array_equal(sample.emergent_counts, counts)
         # Composition only: the largest object anywhere is the value grid.
         assert max(f.spectrum.dim for f in sample.factors) == 14
 

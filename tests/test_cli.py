@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import qlgraph as ql
 import qlgraph.cli as cli
 from qlgraph.errors import NumericalFailureError
 
@@ -50,6 +51,37 @@ class TestListAndValidate:
         assert report["status"] == "error"
         assert report["kind"] == "validation"
         assert report["errors"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("n", "20"),
+        ("name", "../evil"),
+        ("name", ".hidden"),
+        ("sigma", float("inf")),
+        ("n_samples", True),
+        ("d", 8.0),
+    ])
+    def test_malformed_descriptor_refused(self, field, value, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "mine", "kind": "single-graph",
+                                    "n": 12, "d": 8, field: value}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
+            code, out = run_cli(args, capsys)
+            assert code == 2
+            report = json.loads(out)
+            assert report["status"] == "error" and report["kind"] == "validation"
+            assert any(e.startswith(f"{field} must") for e in report["errors"])
+        assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])  # nothing beside --out
+        assert not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1]"])
+    def test_validate_non_object_json(self, text, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        code, out = run_cli(["validate", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["kind"] == "validation"
 
     def test_validate_missing_file(self, capsys):
         code, out = run_cli(["validate", "no-such-thing"], capsys)
@@ -116,6 +148,10 @@ class TestRun:
         assert lines[0] == "index,eigenvalue,label"
         assert lines[1].split(",")[2] == "emergent"
         assert lines[2].split(",")[2] == "random"
+        sample = ql.run_sample(ql.ExperimentDescriptor.from_json_dict(
+            json.loads(path.read_text())), 0)
+        expected = sample.composed.values[sample.composed.descending_order()]
+        assert [float(row.split(",")[1]) for row in lines[1:]] == expected.tolist()
 
     def test_zero_samples_rejected_no_files(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -167,9 +203,11 @@ class TestComputeOnce:
                                                       tmp_path, capsys, monkeypatch):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(descriptor))
-        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random"))
+        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
+                                          "predict_splitting"))
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         assert calls == Counter(run_sample=samples, eigendecompose=samples * factors,
                                 d_regular_random=samples * bases_per_sample)
+        assert calls["predict_splitting"] == 0  # no artifact reads the prediction

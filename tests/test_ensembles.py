@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qlgraph as ql
-from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM
+from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
 
@@ -14,36 +14,44 @@ def small_qlbit_descriptor(**overrides):
 
 
 class TestClassifyStates:
+    """A state's class is state_kinds(N)[k], k from emergent_component_counts."""
+
     def setup_method(self):
         s = ql.eigendecompose(ql.adjacency(ql.cycle_graph(4)), want_vectors=False)
         self.composed = ql.compose_spectra([s, s, s])
 
+    def kinds(self, emergent_indices):
+        counts = ql.emergent_component_counts(self.composed, emergent_indices)
+        assert counts.shape == (self.composed.size,) and counts.dtype == np.int64
+        return counts, state_kinds(self.composed.n_factors)[counts]
+
     def test_labels_by_component_membership(self):
-        labels = ql.classify_states(self.composed, [{0}, {0}, {0}])
-        assert labels[self.composed.flat_of((0, 0, 0))].kind == EMERGENT
-        assert labels[self.composed.flat_of((0, 2, 3))] == ql.StateLabel(HYBRID, 1)
-        assert labels[self.composed.flat_of((0, 0, 3))] == ql.StateLabel(HYBRID, 2)
-        assert labels[self.composed.flat_of((1, 2, 3))].kind == RANDOM
+        counts, kinds = self.kinds([{0}, {0}, {0}])
+        flat = self.composed.flat_of
+        assert kinds[flat((0, 0, 0))] == EMERGENT
+        assert (counts[flat((0, 2, 3))], kinds[flat((0, 2, 3))]) == (1, f"{HYBRID}(1)")
+        assert (counts[flat((0, 0, 3))], kinds[flat((0, 0, 3))]) == (2, f"{HYBRID}(2)")
+        assert kinds[flat((1, 2, 3))] == RANDOM
 
     def test_partition_is_exhaustive(self):
-        labels = ql.classify_states(self.composed, [{0}, {0}, {0}])
-        counts = {EMERGENT: 0, HYBRID: 0, RANDOM: 0}
-        for lab in labels:
-            counts[lab.kind] += 1
+        _, kinds = self.kinds([{0}, {0}, {0}])
+        names, counts = np.unique(kinds, return_counts=True)
+        counts = dict(zip(names.tolist(), counts.tolist()))
         assert sum(counts.values()) == self.composed.size == 64
         assert counts[EMERGENT] == 1
-        assert counts[HYBRID] == 3 * 3 + 3 * 9  # one or two emergent components
+        # one or two emergent components
+        assert counts[f"{HYBRID}(1)"] + counts[f"{HYBRID}(2)"] == 3 * 3 + 3 * 9
         assert counts[RANDOM] == 27
 
     def test_qlbit_factors_give_2_to_n_emergent(self):
-        labels = ql.classify_states(self.composed, [{0, 1}] * 3)
-        assert sum(1 for lab in labels if lab.kind == EMERGENT) == 2**3
+        _, kinds = self.kinds([{0, 1}] * 3)
+        assert np.count_nonzero(kinds == EMERGENT) == 2**3
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ql.classify_states(self.composed, [{0}, {9}, {0}])
+            ql.emergent_component_counts(self.composed, [{0}, {9}, {0}])
         with pytest.raises(InvalidParameterError):
-            ql.classify_states(self.composed, [{0}, {0}])
+            ql.emergent_component_counts(self.composed, [{0}, {0}])
 
 
 class TestHistogram:
@@ -169,7 +177,7 @@ class TestRunSample:
 
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        assert sum(1 for lab in sample.labels if lab.kind == EMERGENT) == 4
+        assert np.count_nonzero(state_kinds(2)[sample.emergent_counts] == EMERGENT) == 4
 
     def test_invalid_descriptor_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -4,26 +4,37 @@ import numpy as np
 import pytest
 
 import qlgraph as ql
+import qlgraph.products as products
 from qlgraph.errors import InvalidParameterError, SizeCapError
 
 from conftest import assert_valid_spectrum, make_qlbit
-from oracles import ProductGraph, cartesian_product, product_graph
+from oracles import (ProductGraph, cartesian_product, product_graph,
+                     reference_composed_spectrum_csv)
 
 
 def explicit_eigenvalues(pg: ProductGraph) -> np.ndarray:
     return np.linalg.eigvalsh(ql.adjacency(pg.composite).entries)
 
 
+def composed_with_dims(dims) -> ql.ComposedSpectrum:
+    return ql.compose_spectra([ql.Spectrum(np.zeros(n), None, n) for n in dims])
+
+
 class TestMixedRadix:
     @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 4, 5)])
     def test_round_trip(self, dims):
-        total = int(np.prod(dims))
-        for flat in range(total):
-            assert ql.mixed_radix_encode(ql.mixed_radix_decode(flat, dims), dims) == flat
+        c = composed_with_dims(dims)
+        for flat in range(c.size):
+            labels = c.labels_of(flat)
+            assert all(type(i) is int for i in labels)
+            assert c.flat_of(labels) == flat
+        with pytest.raises(InvalidParameterError):
+            c.labels_of(c.size)
 
     def test_first_factor_slowest(self):
-        assert ql.mixed_radix_encode((1, 0), (2, 3)) == 3
-        assert ql.mixed_radix_decode(3, (2, 3)) == (1, 0)
+        c = composed_with_dims((2, 3))
+        assert c.flat_of((1, 0)) == 3
+        assert c.labels_of(3) == (1, 0)
 
 
 class TestCartesianProduct:
@@ -233,11 +244,37 @@ class TestComposedCsv:
 
     def test_counts_default_zero(self, c5):
         s = ql.eigendecompose(ql.adjacency(c5))
-        rows = list(ql.composed_spectrum_rows(ql.compose_spectra([s, s])))
-        assert all(r[-1] == 0 for r in rows)
+        buf = io.StringIO()
+        ql.write_composed_spectrum_csv(ql.compose_spectra([s, s]), buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert len(rows) == 25
+        assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
 
     def test_wrong_set_count_rejected(self, c5):
         s = ql.eigendecompose(ql.adjacency(c5))
         c = ql.compose_spectra([s, s])
         with pytest.raises(InvalidParameterError):
-            list(ql.composed_spectrum_rows(c, [frozenset({0})]))
+            ql.write_composed_spectrum_csv(c, io.StringIO(), [frozenset({0})])
+
+    @pytest.mark.parametrize("block_rows", [4096, 7])
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4])
+    @pytest.mark.parametrize("with_sets", [False, True])
+    def test_matches_reference_writer_on_c5_powers(self, c5, n_factors, with_sets,
+                                                  block_rows, monkeypatch):
+        # C5 x ... x C5 has many tied values: ties must keep flat order.
+        monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
+        c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))] * n_factors)
+        sets = [frozenset({0})] * n_factors if with_sets else None
+        buf = io.StringIO()
+        ql.write_composed_spectrum_csv(c, buf, sets)
+        assert buf.getvalue() == reference_composed_spectrum_csv(c, sets)
+
+    @pytest.mark.parametrize("block_rows", [4096, 7])
+    def test_matches_reference_writer_on_qlbit_product(self, block_rows, monkeypatch):
+        monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
+        s = ql.eigendecompose(ql.adjacency(make_qlbit(n=7, d=6, p=0.1, seed=69).composite))
+        c = ql.compose_spectra([s, s, s])
+        sets = [frozenset({0, 1})] * 3
+        buf = io.StringIO()
+        ql.write_composed_spectrum_csv(c, buf, sets)
+        assert buf.getvalue() == reference_composed_spectrum_csv(c, sets)
