@@ -18,7 +18,7 @@ from .graphs import (AdjacencyMatrix, Graph, adjacency, apply_diagonal_disorder,
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
                        kronecker_sum_adjacency, product_eigenvector,
                        write_composed_spectrum_csv)
-from .projection import (BellCombination, BellStateReport, JBasis, ProjectionReport,
+from .projection import (BellCombination, BellStateReport, ProjectionReport,
                          bell_state_check, block_split, project_alphas)
 from .qlbits import (IN_PHASE, OUT_OF_PHASE, EmergentPair, EmergentState, QLBit,
                      SplittingPrediction, couple, emergent_pair, predict_splitting,
@@ -34,7 +34,7 @@ __all__ = [
     "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT", "EXPERIMENT_NOTES",
     "EmergentPair", "EmergentState", "EnsembleHistogram", "ExperimentDescriptor",
     "FactorResult", "GenerationFailureError", "Graph", "HYBRID", "IN_PHASE",
-    "InvalidParameterError", "JBasis", "NumericalFailureError", "OUT_OF_PHASE",
+    "InvalidParameterError", "NumericalFailureError", "OUT_OF_PHASE",
     "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
     "RngSeed", "SampleResult", "SizeCapError", "Spectrum", "SplittingPrediction",
     "adjacency", "alon_boppana_check", "apply_diagonal_disorder",

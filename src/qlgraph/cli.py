@@ -23,7 +23,6 @@ from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PROD
                           KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum)
 from .products import write_composed_spectrum_csv
 from .projection import project_alphas
-from .rng import RngSeed
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,19 +71,22 @@ def _projection_json_text(sample) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _metadata_json_text(desc: ExperimentDescriptor, artifacts: list[str]) -> str:
-    master = RngSeed(desc.master_seed)
+def _metadata_json_text(desc: ExperimentDescriptor, sample_seeds: list[int],
+                        artifacts: list[str]) -> str:
     meta = {
         "descriptor": desc.to_json_dict(),
-        "sample_seeds": [master.derive(i).seed for i in range(desc.n_samples)],
+        "sample_seeds": sample_seeds,
         "artifacts": sorted(artifacts),
     }
     return json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
 
 def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    first, histogram = ensemble_spectrum(desc)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot use --out as a directory: {exc}") from exc
+    first, histogram, sample_seeds = ensemble_spectrum(desc)
 
     artifacts: dict[str, str] = {}
     artifacts[f"{desc.name}_spectrum.csv"] = _spectrum_csv_text(first, desc.kind)
@@ -94,7 +96,7 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     if desc.kind == KIND_QLBIT_PRODUCT:
         artifacts[f"{desc.name}_projection.json"] = _projection_json_text(first)
     names = sorted(artifacts) + [f"{desc.name}_metadata.json"]
-    artifacts[f"{desc.name}_metadata.json"] = _metadata_json_text(desc, names)
+    artifacts[f"{desc.name}_metadata.json"] = _metadata_json_text(desc, sample_seeds, names)
 
     # Stage everything, then rename: no partial outputs on failure.
     staged = []

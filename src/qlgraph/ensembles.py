@@ -16,6 +16,8 @@ EMERGENT = "emergent"
 HYBRID = "hybrid"
 RANDOM = "random"
 
+_PAD = 0.5
+
 
 def state_kinds(n_factors: int) -> np.ndarray:
     """Class names indexed by k: k == N emergent, k == 0 random, else hybrid(k)."""
@@ -28,8 +30,6 @@ class EnsembleHistogram:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    n_samples: int
-    parameters: dict
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
@@ -44,16 +44,15 @@ class EnsembleHistogram:
         object.__setattr__(self, "counts", counts)
 
 
-def histogram_from_values(values: np.ndarray, bins: int, n_samples: int,
-                          parameters: dict, pad: float = 0.5) -> EnsembleHistogram:
-    """Uniform bins spanning [min - pad, max + pad]; every value lands in a bin."""
+def histogram_from_values(values: np.ndarray, bins: int) -> EnsembleHistogram:
+    """Uniform bins spanning [min - 0.5, max + 0.5]; every value lands in a bin."""
     if bins < 1:
         raise InvalidParameterError(f"bins must be positive, got {bins}")
     if values.size == 0:
         raise InvalidParameterError("no values to histogram")
-    edges = np.linspace(values.min() - pad, values.max() + pad, bins + 1)
+    edges = np.linspace(values.min() - _PAD, values.max() + _PAD, bins + 1)
     counts, _ = np.histogram(values, bins=edges)
-    return EnsembleHistogram(edges, counts, n_samples, parameters)
+    return EnsembleHistogram(edges, counts)
 
 
 def write_histogram_csv(h: EnsembleHistogram, fh: IO[str]) -> None:

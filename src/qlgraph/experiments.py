@@ -40,6 +40,9 @@ _STAGE_DELETE = 1
 _STAGE_COUPLE = 2
 _STAGE_DISORDER = 3
 
+# Histogram edges are float64: 10^6 bins take 8 MB.
+MAX_BINS = 1_000_000
+
 # Artifact file stems: no path separators, no leading dot.
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
@@ -119,8 +122,8 @@ class ExperimentDescriptor:
             errors.append(f"sigma must be non-negative, got {self.sigma}")
         if self.n_samples < 1:
             errors.append(f"n_samples must be positive, got {self.n_samples}")
-        if self.bins < 1:
-            errors.append(f"bins must be positive, got {self.bins}")
+        if not 1 <= self.bins <= MAX_BINS:
+            errors.append(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
         if not 0 <= self.master_seed < 2**64:
             errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         return errors
@@ -180,6 +183,7 @@ class SampleResult:
     """One pipeline sample: factors, composed spectrum, and emergent counts."""
 
     index: int
+    seed: int  # derived from the master seed; RngSeed(seed) roots every stream of the sample
     factors: tuple[FactorResult, ...]
     composed: ComposedSpectrum
 
@@ -221,18 +225,21 @@ def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
                         emergent=None if q is None else emergent_pair(q, spectrum))
 
 
-def run_sample(desc: ExperimentDescriptor, sample_index: int,
-               master_seed: int | None = None) -> SampleResult:
-    """Run the full pipeline for one sample, deterministic in the master seed.
-
-    With ``shared_base`` every factor starts from the bases generated for
-    factor 0, which are generated once; deletions stay per factor.
-    """
+def _require_valid(desc: ExperimentDescriptor) -> None:
     errors = desc.validate()
     if errors:
         raise InvalidParameterError("; ".join(errors))
-    seed = RngSeed(desc.master_seed if master_seed is None else master_seed)
-    sample_seed = seed.derive(sample_index)
+
+
+def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
+    """Run the full pipeline for one sample, deterministic in the master seed.
+
+    Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. With
+    ``shared_base`` every factor starts from the bases generated for factor
+    0, which are generated once; deletions stay per factor.
+    """
+    _require_valid(desc)
+    sample_seed = RngSeed(desc.master_seed).derive(sample_index)
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
     first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
     factors = []
@@ -244,37 +251,32 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int,
             _generate_base(desc, sample_seed, k, side) for side in sides]
         factors.append(_build_factor(desc, sample_seed, k, bases))
     composed = compose_spectra([f.spectrum for f in factors])
-    return SampleResult(sample_index, tuple(factors), composed)
+    return SampleResult(sample_index, sample_seed.seed, tuple(factors), composed)
 
 
-def iter_samples(desc: ExperimentDescriptor, n_samples: int | None = None,
-                 master_seed: int | None = None) -> Iterator[SampleResult]:
-    count = desc.n_samples if n_samples is None else n_samples
-    for i in range(count):
+def iter_samples(desc: ExperimentDescriptor) -> Iterator[SampleResult]:
+    for i in range(desc.n_samples):
         try:
-            yield run_sample(desc, i, master_seed)
+            yield run_sample(desc, i)
         except GenerationFailureError as exc:
             raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
 
 
-def ensemble_spectrum(desc: ExperimentDescriptor, n_samples: int | None = None,
-                      bins: int | None = None, master_seed: int | None = None,
-                      ) -> tuple[SampleResult, EnsembleHistogram]:
-    """Sample 0 and the histogram of every eigenvalue of every sample.
+def ensemble_spectrum(desc: ExperimentDescriptor,
+                      ) -> tuple[SampleResult, EnsembleHistogram, list[int]]:
+    """Sample 0, the histogram of every eigenvalue of every sample, and the sample seeds.
 
     One pass over the samples, so sample 0 is computed once. Counts sum to
     n_samples * product_dim: every eigenvalue of every sample lands in a bin.
     """
-    count = desc.n_samples if n_samples is None else n_samples
-    seed = desc.master_seed if master_seed is None else master_seed
-    if count < 1:
-        raise InvalidParameterError(f"n_samples must be positive, got {count}")
-    samples = iter_samples(desc, count, seed)
-    first = next(samples)
-    values = np.concatenate([first.composed.values] + [s.composed.values for s in samples])
-    parameters = dict(desc.to_json_dict(), n_samples=count, master_seed=seed)
-    return first, histogram_from_values(values, desc.bins if bins is None else bins,
-                                        count, parameters)
+    _require_valid(desc)  # also guarantees n_samples >= 1, so sample 0 exists
+    first, values, seeds = None, [], []
+    for sample in iter_samples(desc):
+        first = first or sample
+        values.append(sample.composed.values)
+        seeds.append(sample.seed)
+    values = np.concatenate(values)  # rebinding frees the per-sample arrays: lower peak memory
+    return first, histogram_from_values(values, desc.bins), seeds
 
 
 def _fig(name: str, **kwargs) -> ExperimentDescriptor:

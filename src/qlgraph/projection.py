@@ -21,22 +21,6 @@ from .qlbits import IN_PHASE, OUT_OF_PHASE, QLBit, emergent_pair
 from .spectra import eigendecompose, fix_sign
 
 
-@dataclass(frozen=True, eq=False)
-class JBasis:
-    """Block-uniform unit vectors of one QL bit on its composite space."""
-
-    j0: np.ndarray
-    j1: np.ndarray
-
-    @classmethod
-    def from_qlbit(cls, q: QLBit) -> "JBasis":
-        return cls(*q.block_uniform())
-
-    def stacked(self) -> np.ndarray:
-        """(dim, 2) matrix with columns [j0, j1]."""
-        return np.stack([self.j0, self.j1], axis=1)
-
-
 @dataclass(frozen=True)
 class ProjectionReport:
     """Alpha coefficients over all N-bit strings plus the leftover mass.
@@ -93,7 +77,7 @@ def project_alphas(v: np.ndarray | None, qlbits: Sequence[QLBit],
     if len(qlbits) == 0:
         raise InvalidParameterError("need at least one QL bit")
     n = len(qlbits)
-    bases = [JBasis.from_qlbit(q) for q in qlbits]
+    bases = [q.block_uniform() for q in qlbits]
     dims = [q.composite.n_vertices for q in qlbits]
 
     if factor_vectors is not None:
@@ -101,11 +85,11 @@ def project_alphas(v: np.ndarray | None, qlbits: Sequence[QLBit],
             raise InvalidParameterError("one factor eigenvector per QL bit required")
         per_factor = []
         sq_norm = 1.0
-        for w, jb, d in zip(factor_vectors, bases, dims):
+        for w, (j0, j1), d in zip(factor_vectors, bases, dims):
             w = np.asarray(w, dtype=np.float64)
             if w.shape != (d,):
                 raise InvalidParameterError(f"factor vector length {w.shape} != composite dim {d}")
-            per_factor.append(np.array([w @ jb.j0, w @ jb.j1]))
+            per_factor.append(np.array([w @ j0, w @ j1]))
             sq_norm *= float(w @ w)
         tensor = per_factor[0]
         for comp in per_factor[1:]:
@@ -122,8 +106,8 @@ def project_alphas(v: np.ndarray | None, qlbits: Sequence[QLBit],
         sq_norm = float(v @ v)
         tensor = v.reshape(dims)
         # Contract each factor axis with [j0, j1]; axes accumulate in order.
-        for jb in bases:
-            tensor = np.tensordot(tensor, jb.stacked(), axes=([0], [0]))
+        for j in bases:
+            tensor = np.tensordot(tensor, np.stack(j, axis=1), axes=([0], [0]))
 
     flat = tensor.reshape(-1)
     alphas = {b: float(a) for b, a in zip(_bit_strings(n), flat)}

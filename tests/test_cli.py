@@ -1,9 +1,15 @@
+import dataclasses
 import hashlib
 import json
+import math
 import sys
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qlgraph as ql
 import qlgraph.cli as cli
@@ -59,6 +65,7 @@ class TestListAndValidate:
         ("sigma", float("inf")),
         ("n_samples", True),
         ("d", 8.0),
+        ("bins", 10**9),
     ])
     def test_malformed_descriptor_refused(self, field, value, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -163,6 +170,16 @@ class TestRun:
         assert json.loads(out)["kind"] == "validation"
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
+    @pytest.mark.parametrize("out", ["taken", "taken/x"])
+    def test_out_not_a_directory_refused(self, out, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, report = run_cli(["run", "fig2a", "--out", str(tmp_path / out)], capsys)
+        assert code == 2
+        assert json.loads(report)["kind"] == "validation"
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "keep"
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise NumericalFailureError("synthetic non-convergence")
@@ -193,6 +210,10 @@ def count_calls(monkeypatch, names):
 
 
 class TestComputeOnce:
+    # Seeds each sample derives: its own seed, one per generated base, then one
+    # per factor for coupling (QL bits) or per factor and side for deletion.
+    DERIVES_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
+
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
           "n_factors": 2, "n_samples": 3}, 4),
@@ -205,9 +226,57 @@ class TestComputeOnce:
         path.write_text(json.dumps(descriptor))
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
                                           "predict_splitting"))
+        derive = ql.RngSeed.derive
+
+        def counted_derive(*args, **kwargs):
+            calls["derive"] += 1
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(ql.RngSeed, "derive", counted_derive)
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         assert calls == Counter(run_sample=samples, eigendecompose=samples * factors,
-                                d_regular_random=samples * bases_per_sample)
+                                d_regular_random=samples * bases_per_sample,
+                                derive=samples * self.DERIVES_PER_SAMPLE[descriptor["name"]])
         assert calls["predict_splitting"] == 0  # no artifact reads the prediction
+
+
+# A valid single-graph descriptor with up to four of its fields, or an unknown
+# field, set to values of any JSON type, including ones no field accepts.
+_ODD_VALUES = st.one_of(
+    st.integers(min_value=-3, max_value=30),
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.booleans(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.5, -0.0, 1e308]),
+    st.sampled_from(["../x", "", ".hidden", "a/b", "20", "cycle", "qlbit-product"]),
+    st.none(),
+    st.lists(st.integers(min_value=-1, max_value=1), max_size=2),
+)
+_DESCRIPTORS = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(ql.ExperimentDescriptor)] + ["extra"]),
+    _ODD_VALUES, max_size=4,
+).map(lambda odd: {"name": "prop", "kind": "single-graph", "n": 12, "d": 8, **odd})
+
+
+class TestHostileDescriptors:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_DESCRIPTORS)
+    def test_refusals_exit_2_and_write_nothing(self, data, capsys):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / "exp.json"
+            path.write_text(json.dumps(data))
+            code, out = run_cli(["validate", str(path)], capsys)
+            assert code in (0, 2)
+            assert json.loads(out)["status"] == ("ok" if code == 0 else "error")
+            if code == 0:
+                return
+            out_dir = root / "out"
+            out_dir.mkdir()
+            code, out = run_cli(["run", str(path), "--out", str(out_dir)], capsys)
+            assert code == 2
+            assert json.loads(out)["kind"] == "validation"
+            assert sorted(root.iterdir()) == sorted([path, out_dir])
+            assert not list(out_dir.iterdir())

@@ -57,18 +57,18 @@ class TestClassifyStates:
 class TestHistogram:
     def test_counts_cover_all_values(self):
         values = ql.RngSeed(1).generator().normal(size=500)
-        h = ql.histogram_from_values(values, 20, 1, {})
+        h = ql.histogram_from_values(values, 20)
         assert h.counts.sum() == 500
         assert h.bin_edges.shape == (21,)
         assert np.all(np.diff(h.bin_edges) > 0)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            ql.EnsembleHistogram(np.array([0.0, 1.0]), np.array([1, 2]), 1, {})
+            ql.EnsembleHistogram(np.array([0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(InvalidParameterError):
-            ql.EnsembleHistogram(np.array([0.0, 0.0, 1.0]), np.array([1, 2]), 1, {})
+            ql.EnsembleHistogram(np.array([0.0, 0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(InvalidParameterError):
-            ql.histogram_from_values(np.array([1.0]), 0, 1, {})
+            ql.histogram_from_values(np.array([1.0]), 0)
 
 
 class TestDescriptor:
@@ -98,6 +98,7 @@ class TestDescriptor:
         (dict(bins=0), "bins"),
         (dict(deletions=1000), "deletions"),
         (dict(master_seed=-1), "master_seed"),
+        (dict(bins=ql.experiments.MAX_BINS + 1), "bins"),
     ])
     def test_validation_messages(self, overrides, fragment):
         desc = small_qlbit_descriptor(**overrides)
@@ -193,27 +194,33 @@ class TestRunSample:
 class TestEnsembleSpectrum:
     def test_counts_account_for_every_draw(self):
         desc = small_qlbit_descriptor()
-        _, h = ql.ensemble_spectrum(desc)
+        _, h, seeds = ql.ensemble_spectrum(desc)
         assert h.counts.sum() == 3 * 16**2
-        assert h.n_samples == 3
+        assert len(seeds) == 3
 
     def test_single_sample_counts_equal_dim(self):
-        _, h = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
+        _, h, _ = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
         assert h.counts.sum() == 16**2
 
     def test_deterministic_and_seed_sensitive(self):
         desc = small_qlbit_descriptor()
-        _, h1 = ql.ensemble_spectrum(desc)
-        _, h2 = ql.ensemble_spectrum(desc)
-        _, h3 = ql.ensemble_spectrum(desc, master_seed=1)
+        _, h1, _ = ql.ensemble_spectrum(desc)
+        _, h2, _ = ql.ensemble_spectrum(desc)
+        _, h3, _ = ql.ensemble_spectrum(desc.with_overrides(master_seed=1))
         assert np.array_equal(h1.counts, h2.counts)
         assert np.array_equal(h1.bin_edges, h2.bin_edges)
         assert not np.array_equal(h1.counts, h3.counts)
 
     def test_parameters_recorded(self):
-        _, h = ql.ensemble_spectrum(small_qlbit_descriptor(), n_samples=2)
-        assert h.parameters["n_samples"] == 2
-        assert h.parameters["kind"] == "qlbit-product"
+        desc = small_qlbit_descriptor(n_samples=2)
+        first, _, seeds = ql.ensemble_spectrum(desc)
+        assert seeds == [ql.RngSeed(9000).derive(i).seed for i in range(2)]
+        assert seeds == [s.seed for s in ql.iter_samples(desc)]
+        assert (first.index, first.seed) == (0, seeds[0])
+
+    def test_zero_samples_refused(self):
+        with pytest.raises(InvalidParameterError, match="n_samples"):
+            ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=0))
 
     def test_generation_failure_names_sample(self, monkeypatch):
         import qlgraph.graphs as graphs
@@ -229,7 +236,7 @@ class TestFig3BandStructure:
         # and the top state stays separated from the rest.
         desc = ql.BUNDLED_EXPERIMENTS["fig3"]
         emergent_vals, random_means, separated = [], [], 0
-        for sample in ql.iter_samples(desc, n_samples=100):
+        for sample in ql.iter_samples(desc.with_overrides(n_samples=100)):
             counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
             vals = sample.composed.values
             emergent_vals.append(float(vals[counts == 3][0]))

@@ -22,10 +22,10 @@ def uncoupled_bit(n=12, d=8, seed=1):
 
 class TestJBasis:
     def test_orthogonal_unit_vectors(self):
-        jb = ql.JBasis.from_qlbit(make_qlbit(n=10, d=3, p=0.2, seed=2))
-        assert jb.j0 @ jb.j1 == 0.0  # disjoint supports: exactly orthogonal
-        assert abs(np.linalg.norm(jb.j0) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(jb.j1) - 1.0) <= 1e-12
+        j0, j1 = make_qlbit(n=10, d=3, p=0.2, seed=2).block_uniform()
+        assert j0 @ j1 == 0.0  # disjoint supports: exactly orthogonal
+        assert abs(np.linalg.norm(j0) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(j1) - 1.0) <= 1e-12
 
 
 class TestBlockSplit:
@@ -61,8 +61,8 @@ class TestBlockSplit:
         pair = ql.emergent_pair(q, composite_spectrum(q))
         v = pair.by_phase(IN_PHASE).eigenvector
         u, x = ql.block_split(v, q)
-        jb = ql.JBasis.from_qlbit(q)
-        assert (u @ jb.j0) * (x @ jb.j1) > 0
+        j0, j1 = q.block_uniform()
+        assert (u @ j0) * (x @ j1) > 0
 
     def test_dim_mismatch_rejected(self):
         q = make_qlbit(n=10, d=3, p=0.2, seed=8)
@@ -115,20 +115,20 @@ class TestProjectAlphas:
         total = sum(a * a for a in report.alphas.values()) + report.residual_norm**2
         assert abs(total - v @ v) <= 1e-8
         # Independent residual: subtract the J-product components explicitly.
-        jba, jbb = ql.JBasis.from_qlbit(qa), ql.JBasis.from_qlbit(qb)
+        jba, jbb = qa.block_uniform(), qb.block_uniform()
         remainder = v.astype(float).copy()
         for key, alpha in report.alphas.items():
-            ja = jba.j0 if key[0] == "0" else jba.j1
-            jb = jbb.j0 if key[1] == "0" else jbb.j1
+            ja = jba[int(key[0])]
+            jb = jbb[int(key[1])]
             remainder -= alpha * np.kron(ja, jb)
         assert abs(np.linalg.norm(remainder) - report.residual_norm) <= 1e-8
 
     def test_j_products_exactly_orthogonal(self):
         qa, qb = make_qlbit(n=6, d=3, p=0.3, seed=31), make_qlbit(n=6, d=3, p=0.3, seed=33)
-        jba, jbb = ql.JBasis.from_qlbit(qa), ql.JBasis.from_qlbit(qb)
+        jba, jbb = qa.block_uniform(), qb.block_uniform()
         vecs = {}
-        for ka, ja in (("0", jba.j0), ("1", jba.j1)):
-            for kb, jb in (("0", jbb.j0), ("1", jbb.j1)):
+        for ka, ja in (("0", jba[0]), ("1", jba[1])):
+            for kb, jb in (("0", jbb[0]), ("1", jbb[1])):
                 vecs[ka + kb] = np.kron(ja, jb)
         keys = sorted(vecs)
         for i, a in enumerate(keys):
