@@ -21,7 +21,7 @@ from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, SizeCapError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
                           KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum)
-from .products import write_composed_spectrum_csv
+from .products import repr_texts, write_composed_spectrum_csv
 from .projection import project_alphas
 
 EXIT_OK = 0
@@ -54,8 +54,8 @@ def _spectrum_csv_text(sample, kind: str) -> str:
         order = sample.composed.descending_order()
         names = state_kinds(sample.composed.n_factors)[sample.emergent_counts[order]]
         buf.write("index,eigenvalue,label\n")
-        buf.write("".join(map("{},{!r},{}\n".format, range(order.size),
-                              sample.composed.values[order].tolist(), names.tolist())))
+        rows = zip(repr_texts(sample.composed.values[order]).tolist(), names.tolist())
+        buf.write("".join([f"{i},{v},{name}\n" for i, (v, name) in enumerate(rows)]))
     else:
         write_composed_spectrum_csv(sample.composed, buf, sample.emergent_index_sets)
     return buf.getvalue()
@@ -86,6 +86,16 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidParameterError(f"cannot use --out as a directory: {exc}") from exc
+    suffixes = ["spectrum.csv", "histogram.csv", "metadata.json"]
+    if desc.kind == KIND_QLBIT_PRODUCT:
+        suffixes.append("projection.json")
+    names = [f"{desc.name}_{suffix}" for suffix in suffixes]
+    # A write or rename onto a directory (or similar) would fail midway: refuse
+    # before any work.
+    for name in names:
+        for path in (out_dir / f".{name}.tmp", out_dir / name):
+            if path.exists() and not path.is_file():
+                raise InvalidParameterError(f"{path} exists and is not a regular file")
     first, histogram, sample_seeds = ensemble_spectrum(desc)
 
     artifacts: dict[str, str] = {}
@@ -95,7 +105,6 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     artifacts[f"{desc.name}_histogram.csv"] = buf.getvalue()
     if desc.kind == KIND_QLBIT_PRODUCT:
         artifacts[f"{desc.name}_projection.json"] = _projection_json_text(first)
-    names = sorted(artifacts) + [f"{desc.name}_metadata.json"]
     artifacts[f"{desc.name}_metadata.json"] = _metadata_json_text(desc, sample_seeds, names)
 
     # Stage everything, then rename: no partial outputs on failure.

@@ -12,6 +12,7 @@ numpy's ``kron`` operand order, so the product adjacency is
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -144,20 +145,47 @@ def emergent_component_counts(c: ComposedSpectrum,
     return counts
 
 
+def repr_texts(values: np.ndarray) -> np.ndarray:
+    """Object array of the ``repr`` of each float64 in ``values``, calling
+    ``repr`` once per run of equal neighbours (as ties form in sorted values).
+
+    Runs are found by comparing bits, not values: 0.0 and -0.0 compare equal
+    but print differently, so they stay apart.
+    """
+    bits = values.view(np.int64)
+    starts = np.ones(bits.size, dtype=bool)
+    starts[1:] = bits[1:] != bits[:-1]
+    texts = np.array([repr(v) for v in values[starts].tolist()], dtype=object)
+    return texts[np.cumsum(starts) - 1]
+
+
+def _label_texts(dims: Sequence[int]) -> np.ndarray:
+    """`",i_1,...,i_k"` for every index tuple of ``dims``, in C order."""
+    return np.array(["".join(f",{i}" for i in t) for t in itertools.product(*map(range, dims))],
+                    dtype=object)
+
+
 def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
                                 emergent_indices: Sequence[frozenset[int]] | None = None) -> None:
     """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending.
 
     ``n_emergent_factors`` is `emergent_component_counts` (0 everywhere when
     no sets are given). Values are written as ``repr`` of Python floats.
+    Each piece of row text is built once and picked by index: labels from two
+    tables, for the first N//2 factors and for the rest, by splitting the
+    flat index in two, and the count text from a table indexed by k.
     """
     counts = (np.zeros(c.size, dtype=np.int64) if emergent_indices is None
               else emergent_component_counts(c, emergent_indices))
     labels = [f"label_{k + 1}" for k in range(c.n_factors)]
     fh.write(",".join(["value", *labels, "n_emergent_factors"]) + "\n")
-    row = ",".join(["{!r}"] + ["{}"] * (c.n_factors + 1)) + "\n"
+    half = c.n_factors // 2
+    front, back = _label_texts(c.dims[:half]), _label_texts(c.dims[half:])
+    ends = np.array([f",{k}\n" for k in range(c.n_factors + 1)], dtype=object)
     order = c.descending_order()
     for start in range(0, c.size, _BLOCK_ROWS):
         block = order[start:start + _BLOCK_ROWS]
-        columns = [c.values[block], *np.unravel_index(block, c.dims), counts[block]]
-        fh.write("".join(map(row.format, *(col.tolist() for col in columns))))
+        i, j = np.divmod(block, back.size)
+        pieces = np.stack([repr_texts(c.values[block]), front[i], back[j], ends[counts[block]]],
+                          axis=1)
+        fh.write("".join(pieces.ravel().tolist()))

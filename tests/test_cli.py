@@ -15,6 +15,8 @@ import qlgraph as ql
 import qlgraph.cli as cli
 from qlgraph.errors import NumericalFailureError
 
+from oracles import reference_composed_spectrum_csv
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -138,6 +140,14 @@ class TestRun:
         report = json.loads((tmp_path / "fig4f_projection.json").read_text())
         assert len(report["alphas"]) == 16
 
+    def test_fig4f_spectrum_matches_reference_writer(self, tmp_path, capsys):
+        # Four identical QL bits: 38,416 rows, many tied values, labels from half-tables.
+        assert run_cli(["run", "fig4f", "--out", str(tmp_path)], capsys)[0] == 0
+        sample = ql.run_sample(ql.BUNDLED_EXPERIMENTS["fig4f"], 0)
+        expected = reference_composed_spectrum_csv(sample.composed, sample.emergent_index_sets)
+        text = (tmp_path / "fig4f_spectrum.csv").read_text()
+        assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
     def test_qlbit_run_writes_projection(self, tmp_path, capsys):
         code, _ = run_cli(["run", "fig4a", "--samples", "1", "--out", str(tmp_path)], capsys)
         assert code == 0
@@ -179,6 +189,17 @@ class TestRun:
         assert json.loads(report)["kind"] == "validation"
         assert list(tmp_path.iterdir()) == [taken]
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("blocked", ["fig2a_spectrum.csv", "fig2a_metadata.json",
+                                         ".fig2a_histogram.csv.tmp"])
+    def test_artifact_path_not_a_file_refused(self, blocked, tmp_path, capsys, monkeypatch):
+        (tmp_path / blocked).mkdir()
+        monkeypatch.setattr(cli, "ensemble_spectrum", None)  # refused before any work
+        code, report = run_cli(["run", "fig2a", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert json.loads(report)["kind"] == "validation"
+        assert list(tmp_path.iterdir()) == [tmp_path / blocked]
+        assert not list((tmp_path / blocked).iterdir())
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -16,6 +16,11 @@ def explicit_eigenvalues(pg: ProductGraph) -> np.ndarray:
     return np.linalg.eigvalsh(ql.adjacency(pg.composite).entries)
 
 
+def assert_same_rows(text: str, expected: str) -> None:
+    # Line lists, not strings: a failing comparison reports quickly at any size.
+    assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
+
+
 def composed_with_dims(dims) -> ql.ComposedSpectrum:
     return ql.compose_spectra([ql.Spectrum(np.zeros(n), None, n) for n in dims])
 
@@ -257,17 +262,18 @@ class TestComposedCsv:
             ql.write_composed_spectrum_csv(c, io.StringIO(), [frozenset({0})])
 
     @pytest.mark.parametrize("block_rows", [4096, 7])
-    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("with_sets", [False, True])
     def test_matches_reference_writer_on_c5_powers(self, c5, n_factors, with_sets,
                                                   block_rows, monkeypatch):
-        # C5 x ... x C5 has many tied values: ties must keep flat order.
+        # C5 x ... x C5 has many tied values: ties must keep flat order. An odd
+        # factor count splits the labels into unequal halves.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))] * n_factors)
         sets = [frozenset({0})] * n_factors if with_sets else None
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
-        assert buf.getvalue() == reference_composed_spectrum_csv(c, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
 
     @pytest.mark.parametrize("block_rows", [4096, 7])
     def test_matches_reference_writer_on_qlbit_product(self, block_rows, monkeypatch):
@@ -277,4 +283,34 @@ class TestComposedCsv:
         sets = [frozenset({0, 1})] * 3
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
-        assert buf.getvalue() == reference_composed_spectrum_csv(c, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
+
+    @pytest.mark.parametrize("block_rows", [4096, 7])
+    def test_matches_reference_writer_on_four_identical_qlbits(self, block_rows, monkeypatch):
+        monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
+        s = ql.eigendecompose(ql.adjacency(make_qlbit(n=5, d=4, p=0.2, seed=11).composite))
+        c = ql.compose_spectra([s] * 4)
+        assert np.unique(c.values).size < c.size // 4  # runs of tied values cross blocks
+        sets = [frozenset({0, 1})] * 4
+        buf = io.StringIO()
+        ql.write_composed_spectrum_csv(c, buf, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
+
+    SIGNED_ZEROS = [1.0, 0.0, -0.0, 0.0, -0.0, -1.0]
+
+    @pytest.mark.parametrize("block_rows", [4096, 7])
+    @pytest.mark.parametrize("factors", [[SIGNED_ZEROS], [SIGNED_ZEROS, [-0.0]],
+                                         [[-0.0], SIGNED_ZEROS]],
+                             ids=["alone", "times-neg-zero", "neg-zero-times"])
+    @pytest.mark.parametrize("with_sets", [False, True])
+    def test_signed_zeros_stay_distinct(self, factors, with_sets, block_rows, monkeypatch):
+        # 0.0 == -0.0, but their text differs: equal values must not share text.
+        monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
+        c = ql.compose_spectra([ql.Spectrum(np.array(v), None, len(v)) for v in factors])
+        sets = [frozenset({0})] * len(factors) if with_sets else None
+        buf = io.StringIO()
+        ql.write_composed_spectrum_csv(c, buf, sets)
+        text = buf.getvalue()
+        assert_same_rows(text, reference_composed_spectrum_csv(c, sets))
+        assert [row.split(",")[0] for row in text.splitlines()[1:]] == [
+            "1.0", "0.0", "-0.0", "0.0", "-0.0", "-1.0"]
