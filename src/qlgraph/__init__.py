@@ -8,21 +8,18 @@ emergent/hybrid/random states, and project emergent eigenvectors onto the
 from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram,
                         histogram_from_values, write_histogram_csv)
 from .errors import (GenerationFailureError, InvalidParameterError,
-                     NumericalFailureError, QLGraphError, SizeCapError)
+                     NumericalFailureError, QLGraphError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
                           FactorResult, SampleResult, ensemble_spectrum,
                           iter_samples, run_sample)
 from .graphs import (AdjacencyMatrix, Graph, adjacency, apply_diagonal_disorder,
-                     cycle_graph, d_regular_random, delete_random_edges,
-                     graph_from_json_dict, graph_to_json_dict, is_connected)
+                     cycle_graph, d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
-                       kronecker_sum_adjacency, product_eigenvector,
                        write_composed_spectrum_csv)
 from .projection import (BellCombination, BellStateReport, ProjectionReport,
-                         bell_state_check, block_split, project_alphas)
+                         bell_state_check, project_alphas)
 from .qlbits import (IN_PHASE, OUT_OF_PHASE, EmergentPair, EmergentState, QLBit,
-                     SplittingPrediction, couple, emergent_pair, predict_splitting,
-                     qlbit_from_json_dict, qlbit_to_json_dict)
+                     SplittingPrediction, couple, emergent_pair, predict_splitting)
 from .rng import RngSeed
 from .spectra import (AlonBoppanaReport, Spectrum, alon_boppana_check, eigendecompose,
                       fix_sign, max_residual, orthonormality_defect, spectral_gap)
@@ -36,15 +33,13 @@ __all__ = [
     "FactorResult", "GenerationFailureError", "Graph", "HYBRID", "IN_PHASE",
     "InvalidParameterError", "NumericalFailureError", "OUT_OF_PHASE",
     "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
-    "RngSeed", "SampleResult", "SizeCapError", "Spectrum", "SplittingPrediction",
+    "RngSeed", "SampleResult", "Spectrum", "SplittingPrediction",
     "adjacency", "alon_boppana_check", "apply_diagonal_disorder",
-    "bell_state_check", "block_split", "compose_spectra", "couple",
+    "bell_state_check", "compose_spectra", "couple",
     "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
     "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "fix_sign",
-    "graph_from_json_dict", "graph_to_json_dict",
     "histogram_from_values", "is_connected", "iter_samples",
-    "kronecker_sum_adjacency", "max_residual", "orthonormality_defect", "predict_splitting",
-    "product_eigenvector", "project_alphas",
-    "qlbit_from_json_dict", "qlbit_to_json_dict", "run_sample", "spectral_gap",
+    "max_residual", "orthonormality_defect", "predict_splitting",
+    "project_alphas", "run_sample", "spectral_gap",
     "write_composed_spectrum_csv", "write_histogram_csv",
 ]

@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from .ensembles import state_kinds, write_histogram_csv
-from .errors import (GenerationFailureError, InvalidParameterError,
-                     NumericalFailureError, SizeCapError)
+from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
                           KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum)
 from .products import repr_texts, write_composed_spectrum_csv
@@ -42,9 +41,10 @@ def _load_descriptor(ref: str) -> ExperimentDescriptor:
         raise InvalidParameterError(
             f"{ref!r} is neither a bundled experiment nor a descriptor file")
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"descriptor is not valid JSON: {exc}") from exc
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers.
+        raise InvalidParameterError(f"descriptor is not readable UTF-8 JSON: {exc}") from exc
     return ExperimentDescriptor.from_json_dict(data)
 
 
@@ -62,12 +62,10 @@ def _spectrum_csv_text(sample, kind: str) -> str:
 
 
 def _projection_json_text(sample) -> str:
-    top_labels = (0,) * len(sample.factors)
     vectors = [f.spectrum.eigenvectors[:, 0] for f in sample.factors]
-    report = project_alphas(None, [f.qlbit for f in sample.factors],
-                            factor_vectors=vectors,
-                            eigenvalue=sample.composed.value_of(top_labels),
-                            labels=top_labels)
+    report = project_alphas([f.qlbit for f in sample.factors], vectors,
+                            eigenvalue=float(sample.composed.values[0]),
+                            labels=(0,) * len(sample.factors))
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
@@ -141,7 +139,7 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
     try:
         written = _run(desc, Path(args.out))
-    except (InvalidParameterError, SizeCapError) as exc:
+    except InvalidParameterError as exc:
         print(_error_report("validation", [str(exc)]))
         return EXIT_VALIDATION
     except (NumericalFailureError, GenerationFailureError) as exc:

@@ -17,9 +17,5 @@ class GenerationFailureError(QLGraphError, RuntimeError):
         self.restarts = restarts
 
 
-class SizeCapError(QLGraphError):
-    """An explicit construction would exceed the configured size cap."""
-
-
 class NumericalFailureError(QLGraphError, RuntimeError):
     """A numerical routine (eigensolver) failed to converge."""

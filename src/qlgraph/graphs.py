@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -74,12 +73,10 @@ class Graph:
 class AdjacencyMatrix:
     """Dense symmetric real matrix realization of a graph.
 
-    The diagonal is zero unless disorder has been applied, in which case
-    ``diagonal_disorder`` records the added values.
+    The diagonal is zero unless disorder has been applied to it.
     """
 
     entries: np.ndarray
-    diagonal_disorder: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=np.float64)
@@ -88,11 +85,6 @@ class AdjacencyMatrix:
         if not np.array_equal(m, m.T):
             raise InvalidParameterError("adjacency must be exactly symmetric")
         object.__setattr__(self, "entries", m)
-        if self.diagonal_disorder is not None:
-            d = np.asarray(self.diagonal_disorder, dtype=np.float64)
-            if d.shape != (m.shape[0],):
-                raise InvalidParameterError("diagonal_disorder length must equal dim")
-            object.__setattr__(self, "diagonal_disorder", d)
 
     @property
     def dim(self) -> int:
@@ -207,8 +199,7 @@ def apply_diagonal_disorder(a: AdjacencyMatrix, sigma: float, seed: RngSeed) -> 
     draws = seed.generator().normal(0.0, sigma, size=a.dim)
     entries = a.entries.copy()
     entries[np.diag_indices(a.dim)] += draws
-    total = draws if a.diagonal_disorder is None else a.diagonal_disorder + draws
-    return AdjacencyMatrix(entries, total)
+    return AdjacencyMatrix(entries)
 
 
 def is_connected(g: Graph) -> bool:
@@ -222,25 +213,3 @@ def is_connected(g: Graph) -> bool:
             return bool(seen.all())
         seen[u[crossing]] = True
         seen[v[crossing]] = True
-
-
-def graph_to_json_dict(g: Graph) -> dict:
-    """Interchange form: {"n": int, "edges": [[u, v, w?], ...]}, weight omitted when +1."""
-    edges = [[u, v] if w == 1.0 else [u, v, w]
-             for (u, v), w in zip(g.edges.tolist(), g.weights.tolist())]
-    return {"n": g.n_vertices, "edges": edges}
-
-
-def graph_from_json_dict(data: dict) -> Graph:
-    try:
-        n = int(data["n"])
-        raw: Iterable[Sequence] = data["edges"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameterError(f"malformed graph JSON: {exc}") from exc
-    pairs, weights = [], []
-    for item in raw:
-        if len(item) not in (2, 3):
-            raise InvalidParameterError(f"edge entry must have 2 or 3 fields, got {item}")
-        pairs.append((int(item[0]), int(item[1])))
-        weights.append(float(item[2]) if len(item) == 3 else 1.0)
-    return Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(weights))

@@ -1,4 +1,4 @@
-"""Cartesian products: Kronecker-sum adjacency and structure-exploiting spectrum composition.
+"""Cartesian products: spectrum composition without product matrices.
 
 Index convention, used everywhere in this module and its consumers: a
 product vertex (i_1, ..., i_N) maps to the flat index
@@ -18,34 +18,11 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeCapError
-from .graphs import AdjacencyMatrix
+from .errors import InvalidParameterError
 from .spectra import Spectrum
 
-DEFAULT_SIZE_CAP = 100_000
 # Spectrum CSV rows formatted per block: bounds the text held at once.
 _BLOCK_ROWS = 4096
-
-
-def kronecker_sum_adjacency(a_g: AdjacencyMatrix, a_h: AdjacencyMatrix,
-                            size_cap: int = DEFAULT_SIZE_CAP) -> AdjacencyMatrix:
-    """kron(A_G, I) + kron(I, A_H): the adjacency of the Cartesian product
-    G x H under the flat-index convention, built without the product graph.
-
-    Diagonal disorder on either factor lands on the product diagonal (the
-    identity blocks carry it through), so disordered products compose the
-    same way.
-    """
-    dim = a_g.dim * a_h.dim
-    if dim > size_cap:
-        raise SizeCapError(f"product dim {dim} exceeds cap {size_cap}")
-    entries = np.kron(a_g.entries, np.eye(a_h.dim)) + np.kron(np.eye(a_g.dim), a_h.entries)
-    disorder = None
-    if a_g.diagonal_disorder is not None or a_h.diagonal_disorder is not None:
-        dg = a_g.diagonal_disorder if a_g.diagonal_disorder is not None else np.zeros(a_g.dim)
-        dh = a_h.diagonal_disorder if a_h.diagonal_disorder is not None else np.zeros(a_h.dim)
-        disorder = (dg[:, None] + dh[None, :]).ravel()
-    return AdjacencyMatrix(entries, disorder)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +31,9 @@ class ComposedSpectrum:
 
     ``values[flat]`` is the eigenvalue whose per-factor labels are
     ``np.unravel_index(flat, dims)``; it equals the left-fold sum of the
-    labeled factor eigenvalues exactly, by construction. Eigenvectors are
-    tensor products of factor eigenvectors, built on demand.
+    labeled factor eigenvalues exactly, by construction. Its eigenvector is
+    the tensor product of the labeled factor eigenvectors; projections use
+    the factors directly and never build it.
     """
 
     factor_spectra: tuple[Spectrum, ...]
@@ -73,28 +51,9 @@ class ComposedSpectrum:
     def n_factors(self) -> int:
         return len(self.factor_spectra)
 
-    def labels_of(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise InvalidParameterError(f"flat index {flat} out of range")
-        return tuple(int(i) for i in np.unravel_index(flat, self.dims))
-
-    def flat_of(self, labels: Sequence[int]) -> int:
-        self._check_labels(labels)
-        return int(np.ravel_multi_index(tuple(labels), self.dims))
-
-    def value_of(self, labels: Sequence[int]) -> float:
-        return float(self.values[self.flat_of(labels)])
-
     def descending_order(self) -> np.ndarray:
         """Flat indices sorted by descending value; ties keep flat order."""
         return np.argsort(-self.values, kind="stable")
-
-    def _check_labels(self, labels: Sequence[int]) -> None:
-        if len(labels) != self.n_factors:
-            raise InvalidParameterError("label tuple length must equal factor count")
-        for i, n in zip(labels, self.dims):
-            if not 0 <= i < n:
-                raise InvalidParameterError(f"label {i} out of range [0,{n})")
 
 
 def compose_spectra(factor_spectra: Sequence[Spectrum]) -> ComposedSpectrum:
@@ -109,18 +68,6 @@ def compose_spectra(factor_spectra: Sequence[Spectrum]) -> ComposedSpectrum:
     for s in factor_spectra[1:]:
         grid = np.add.outer(grid, s.eigenvalues)
     return ComposedSpectrum(tuple(factor_spectra), grid.ravel())
-
-
-def product_eigenvector(c: ComposedSpectrum, labels: Sequence[int]) -> np.ndarray:
-    """Tensor product of the labeled factor eigenvectors (first factor slowest)."""
-    c._check_labels(labels)
-    vec = None
-    for s, i in zip(c.factor_spectra, labels):
-        if s.eigenvectors is None:
-            raise InvalidParameterError("factor spectrum carries no eigenvectors")
-        col = s.eigenvectors[:, i]
-        vec = col if vec is None else np.kron(vec, col)
-    return vec
 
 
 def emergent_component_counts(c: ComposedSpectrum,

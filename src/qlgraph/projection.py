@@ -4,8 +4,7 @@ Each QL bit contributes two block-uniform unit vectors J_0 (over basis_1's
 vertices) and J_1 (over basis_2's); their tensor products over the factors
 form an orthonormal set indexed by N-bit strings. The alpha coefficient of
 a product eigenvector on bit string b is the inner product with that
-J-product vector; for a vector with known factor decomposition it factors
-into per-bit inner products.
+J-product vector, which factors into per-bit inner products.
 """
 from __future__ import annotations
 
@@ -43,74 +42,40 @@ class ProjectionReport:
         return out
 
 
-def block_split(v: np.ndarray, q: QLBit) -> tuple[np.ndarray, np.ndarray]:
-    """Split a composite-space vector into its block restrictions.
-
-    Returns (U_1, X_2) as full-length vectors that are zero off their block,
-    so U_1 + X_2 == v exactly and <U_1, X_2> = 0.
-    """
-    n1, n2 = q.basis_1.n_vertices, q.basis_2.n_vertices
-    if v.shape != (n1 + n2,):
-        raise InvalidParameterError(f"vector length {v.shape} does not match composite dim {n1 + n2}")
-    u = np.zeros_like(v)
-    x = np.zeros_like(v)
-    u[:n1] = v[:n1]
-    x[n1:] = v[n1:]
-    return u, x
-
-
 def _bit_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)]
 
 
-def project_alphas(v: np.ndarray | None, qlbits: Sequence[QLBit],
-                   factor_vectors: Sequence[np.ndarray] | None = None,
+def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray],
                    eigenvalue: float | None = None,
                    labels: Sequence[int] | None = None) -> ProjectionReport:
-    """Alpha coefficients of a product-space vector on the qubit basis.
+    """Alpha coefficients of a product vector on the qubit basis.
 
-    With ``factor_vectors`` (one per-bit eigenvector whose tensor product is
-    the state), alphas factor into products of per-bit inner products with
-    J_0/J_1. Without them, ``v`` is projected directly onto the J-product
-    vectors; the two paths agree for product vectors.
+    The vector is the tensor product of ``factor_vectors``, one per QL bit
+    (first factor slowest), and is never formed: its alphas are products of
+    the per-bit inner products with J_0/J_1, and its squared norm is the
+    product of the per-bit squared norms.
     """
     if len(qlbits) == 0:
         raise InvalidParameterError("need at least one QL bit")
-    n = len(qlbits)
-    bases = [q.block_uniform() for q in qlbits]
-    dims = [q.composite.n_vertices for q in qlbits]
-
-    if factor_vectors is not None:
-        if len(factor_vectors) != n:
-            raise InvalidParameterError("one factor eigenvector per QL bit required")
-        per_factor = []
-        sq_norm = 1.0
-        for w, (j0, j1), d in zip(factor_vectors, bases, dims):
-            w = np.asarray(w, dtype=np.float64)
-            if w.shape != (d,):
-                raise InvalidParameterError(f"factor vector length {w.shape} != composite dim {d}")
-            per_factor.append(np.array([w @ j0, w @ j1]))
-            sq_norm *= float(w @ w)
-        tensor = per_factor[0]
-        for comp in per_factor[1:]:
-            tensor = np.multiply.outer(tensor, comp)
-    else:
-        if v is None:
-            raise InvalidParameterError("either v or factor_vectors must be given")
-        v = np.asarray(v, dtype=np.float64)
-        total = 1
-        for d in dims:
-            total *= d
-        if v.shape != (total,):
-            raise InvalidParameterError(f"vector length {v.shape} != product dim {total}")
-        sq_norm = float(v @ v)
-        tensor = v.reshape(dims)
-        # Contract each factor axis with [j0, j1]; axes accumulate in order.
-        for j in bases:
-            tensor = np.tensordot(tensor, np.stack(j, axis=1), axes=([0], [0]))
+    if len(factor_vectors) != len(qlbits):
+        raise InvalidParameterError("one factor vector per QL bit required")
+    per_factor = []
+    sq_norm = 1.0
+    for w, q in zip(factor_vectors, qlbits):
+        w = np.asarray(w, dtype=np.float64)
+        d = q.composite.n_vertices
+        if w.shape != (d,):
+            raise InvalidParameterError(f"factor vector length {w.shape} != composite dim {d}")
+        j0, j1 = q.block_uniform()
+        per_factor.append(np.array([w @ j0, w @ j1]))
+        sq_norm *= float(w @ w)
+    tensor = per_factor[0]
+    for comp in per_factor[1:]:
+        tensor = np.multiply.outer(tensor, comp)
 
     flat = tensor.reshape(-1)
-    alphas = {b: float(a) for b, a in zip(_bit_strings(n), flat)}
+    alphas = {b: float(a) for b, a in zip(_bit_strings(len(qlbits)), flat)}
     residual_sq = max(0.0, sq_norm - float(flat @ flat))
     return ProjectionReport(alphas, math.sqrt(residual_sq), eigenvalue,
                             tuple(labels) if labels is not None else None)
@@ -161,7 +126,7 @@ def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> Be
                     state = pair.states[0 if choice == 1 else 1]
                 vectors.append(fix_sign(state.eigenvector))
                 value += state.eigenvalue
-            report = project_alphas(None, qlbits, factor_vectors=vectors, eigenvalue=value)
+            report = project_alphas(qlbits, vectors, eigenvalue=value)
             keys = _bit_strings(2)
             pattern = tuple(int(np.sign(report.alphas[k])) for k in keys)
             expected = _expected_pattern((sa, sb))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import Graph, adjacency, graph_from_json_dict, graph_to_json_dict
+from .graphs import Graph, adjacency
 from .rng import RngSeed
 from .spectra import Spectrum, fix_sign
 
@@ -208,27 +208,3 @@ def emergent_pair(q: QLBit, s: Spectrum, min_gap: float = 0.5) -> EmergentPair:
     band = 2.0 * math.sqrt(max(d_mean - 1.0, 0.0))
     threshold = max(min_gap, band - float(lam[2]))
     return EmergentPair(states, gap < threshold, gap, threshold)
-
-
-def qlbit_to_json_dict(q: QLBit) -> dict:
-    """Interchange form with per-basis graph JSON and the coupling list."""
-    w = float(q.sign)
-    return {
-        "basis_1": graph_to_json_dict(q.basis_1),
-        "basis_2": graph_to_json_dict(q.basis_2),
-        "coupling": [[u, v, w] for u, v in q.coupling_edges.tolist()],
-        "sign": q.sign,
-    }
-
-
-def qlbit_from_json_dict(data: dict) -> QLBit:
-    try:
-        b1 = graph_from_json_dict(data["basis_1"])
-        b2 = graph_from_json_dict(data["basis_2"])
-        sign = int(data["sign"])
-        coupling = [(int(u), int(v), float(w)) for u, v, w in data["coupling"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed QL-bit JSON: {exc}") from exc
-    if any(w != sign for _, _, w in coupling):
-        raise InvalidParameterError(f"every coupling weight must equal the sign {sign}")
-    return QLBit(b1, b2, np.array([(u, v) for u, v, _ in coupling], dtype=np.int64), sign)

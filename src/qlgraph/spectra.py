@@ -22,24 +22,23 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    source_dim: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        if vals.shape != (self.source_dim,):
-            raise InvalidParameterError("eigenvalue count must equal source_dim")
+        if vals.ndim != 1:
+            raise InvalidParameterError("eigenvalues must be a 1-D array")
         if np.any(np.diff(vals) > 0):
             raise InvalidParameterError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", vals)
         if self.eigenvectors is not None:
             vecs = np.asarray(self.eigenvectors, dtype=np.float64)
-            if vecs.shape != (self.source_dim, self.source_dim):
+            if vecs.shape != (vals.size, vals.size):
                 raise InvalidParameterError("eigenvector matrix must be dim x dim")
             object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def dim(self) -> int:
-        return self.source_dim
+        return len(self.eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,9 @@ def eigendecompose(a: AdjacencyMatrix, want_vectors: bool = True) -> Spectrum:
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(m)
-            return Spectrum(vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]), a.dim)
+            return Spectrum(vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]))
         vals = np.linalg.eigvalsh(m)
-        return Spectrum(vals[::-1].copy(), None, a.dim)
+        return Spectrum(vals[::-1].copy(), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
             f"eigendecomposition failed for dim={a.dim}, max|entry|={np.max(np.abs(m)):.3g}: {exc}"

@@ -9,7 +9,7 @@ ORTHO_TOL = 1e-8
 
 def assert_valid_spectrum(a: ql.AdjacencyMatrix, s: ql.Spectrum):
     """Spectrum invariants: order, residual, orthonormality, trace."""
-    assert s.source_dim == a.dim
+    assert s.dim == a.dim
     assert np.all(np.diff(s.eigenvalues) <= 0)
     assert abs(s.eigenvalues.sum() - np.trace(a.entries)) <= 1e-6 * a.dim
     if s.eigenvectors is not None:

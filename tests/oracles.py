@@ -1,21 +1,23 @@
 """Explicit constructions that the package never builds, kept as test oracles.
 
-The pipeline composes product spectra without forming product graphs; these
+The pipeline composes product spectra without forming product graphs or
+matrices, and projects product eigenvectors without forming them; these
 helpers form them anyway so tests can compare against the dense result.
 The composed spectrum CSV is also rebuilt here one row at a time.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 import qlgraph as ql
-from qlgraph.errors import InvalidParameterError, SizeCapError
-from qlgraph.products import DEFAULT_SIZE_CAP
+from qlgraph.errors import InvalidParameterError
 
 
 def complete_graph(n: int) -> ql.Graph:
@@ -56,12 +58,10 @@ class ProductGraph:
         return tuple(int(i) for i in np.unravel_index(flat, self.dims))
 
 
-def cartesian_product(g: ql.Graph, h: ql.Graph, size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
+def cartesian_product(g: ql.Graph, h: ql.Graph) -> ProductGraph:
     """Explicit Cartesian product: an edge wherever one factor steps and the
     other stands still. Weights are inherited from the contributing edge."""
     dim = g.n_vertices * h.n_vertices
-    if dim > size_cap:
-        raise SizeCapError(f"product dim {dim} exceeds cap {size_cap}")
     nh = h.n_vertices
     # (u, v) in g with h standing at x, then (x, y) in h with g standing at u.
     g_steps = g.edges[:, None, :] * nh + np.arange(nh)[None, :, None]
@@ -71,7 +71,7 @@ def cartesian_product(g: ql.Graph, h: ql.Graph, size_cap: int = DEFAULT_SIZE_CAP
     return ProductGraph((g, h), ql.Graph(dim, edges, weights))
 
 
-def product_graph(factors: Sequence[ql.Graph], size_cap: int = DEFAULT_SIZE_CAP) -> ProductGraph:
+def product_graph(factors: Sequence[ql.Graph]) -> ProductGraph:
     """Left fold of `cartesian_product` over two or more factors.
 
     Under the flat-index convention the fold is exactly associative, so the
@@ -81,11 +81,34 @@ def product_graph(factors: Sequence[ql.Graph], size_cap: int = DEFAULT_SIZE_CAP)
         raise InvalidParameterError("need at least one factor")
     if len(factors) == 1:
         return ProductGraph((factors[0],), factors[0])
-    acc = cartesian_product(factors[0], factors[1], size_cap)
+    acc = cartesian_product(factors[0], factors[1])
     for f in factors[2:]:
-        step = cartesian_product(acc.composite, f, size_cap)
+        step = cartesian_product(acc.composite, f)
         acc = ProductGraph(acc.factors + (f,), step.composite)
     return acc
+
+
+def kronecker_sum_adjacency(a: ql.AdjacencyMatrix, b: ql.AdjacencyMatrix) -> ql.AdjacencyMatrix:
+    """kron(A, I) + kron(I, B): the product adjacency under the flat-index
+    convention, built without the product graph; diagonals add up too."""
+    return ql.AdjacencyMatrix(np.kron(a.entries, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.entries))
+
+
+def product_eigenvector(spectra: Sequence[ql.Spectrum], labels: Sequence[int]) -> np.ndarray:
+    """Tensor product of the labeled factor eigenvectors (first factor slowest)."""
+    return functools.reduce(np.kron, [s.eigenvectors[:, i] for s, i in zip(spectra, labels)])
+
+
+def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit]) -> ql.ProjectionReport:
+    """Alphas of any product-space vector, product or not: contract each
+    factor axis of ``v`` with that bit's [J_0, J_1]."""
+    v = np.asarray(v, dtype=np.float64)
+    tensor = v.reshape([q.composite.n_vertices for q in qlbits])
+    for q in qlbits:
+        tensor = np.tensordot(tensor, np.stack(q.block_uniform(), axis=1), axes=([0], [0]))
+    flat = tensor.reshape(-1)
+    alphas = {format(i, f"0{len(qlbits)}b"): float(a) for i, a in enumerate(flat)}
+    return ql.ProjectionReport(alphas, math.sqrt(max(0.0, float(v @ v) - float(flat @ flat))))
 
 
 def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,

@@ -84,6 +84,24 @@ class TestListAndValidate:
         assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])  # nothing beside --out
         assert not list(out_dir.iterdir())
 
+    @pytest.mark.parametrize("content", [
+        b'{"name": "caf\xe9", "kind": "single-graph", "n": 12, "d": 8}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"name": "mine", "kind": "single-graph", "n": ' + b"1" * 5000 + b', "d": 8}',
+    ], ids=["not-utf8", "nested-100000-deep", "int-of-5000-digits"])
+    def test_unreadable_descriptor_refused(self, content, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_bytes(content)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
+            code, out = run_cli(args, capsys)
+            assert code == 2
+            report = json.loads(out)
+            assert report["status"] == "error" and report["kind"] == "validation"
+        assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])  # nothing beside --out
+        assert not list(out_dir.iterdir())
+
     @pytest.mark.parametrize("text", ["5", "null", "[1]"])
     def test_validate_non_object_json(self, text, tmp_path, capsys):
         path = tmp_path / "exp.json"

@@ -27,7 +27,9 @@ class TestClassifyStates:
 
     def test_labels_by_component_membership(self):
         counts, kinds = self.kinds([{0}, {0}, {0}])
-        flat = self.composed.flat_of
+        def flat(labels):
+            return np.ravel_multi_index(labels, self.composed.dims)
+
         assert kinds[flat((0, 0, 0))] == EMERGENT
         assert (counts[flat((0, 2, 3))], kinds[flat((0, 2, 3))]) == (1, f"{HYBRID}(1)")
         assert (counts[flat((0, 0, 3))], kinds[flat((0, 0, 3))]) == (2, f"{HYBRID}(2)")

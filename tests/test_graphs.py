@@ -184,7 +184,7 @@ class TestDiagonalDisorder:
         off = ~np.eye(6, dtype=bool)
         assert np.array_equal(a.entries[off], b.entries[off])
         assert np.array_equal(b.entries, b.entries.T)
-        assert b.diagonal_disorder is not None
+        assert np.all(np.diag(b.entries) != 0.0)
 
     def test_sample_variance_matches_sigma(self):
         # 100 matrices of dim 100: 10,000 draws at sigma=2.0.
@@ -213,30 +213,6 @@ class TestConnectivity:
 
     def test_two_components(self):
         assert not ql.is_connected(ql.Graph(4, [[0, 1], [2, 3]]))
-
-
-class TestJson:
-    def test_round_trip_default_weight_omitted(self, c5):
-        data = ql.graph_to_json_dict(c5)
-        assert all(len(e) == 2 for e in data["edges"])
-        back = ql.graph_from_json_dict(data)
-        assert np.array_equal(back.edges, c5.edges)
-        assert np.array_equal(back.weights, c5.weights)
-
-    def test_round_trip_weighted(self):
-        g = ql.Graph(4, [[0, 1], [1, 2]], [-1.0, 1.0])
-        data = ql.graph_to_json_dict(g)
-        assert data["edges"] == [[0, 1, -1.0], [1, 2]]
-        assert all(type(x) in (int, float) for e in data["edges"] for x in e)
-        back = ql.graph_from_json_dict(data)
-        assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.weights, g.weights)
-
-    def test_malformed_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ql.graph_from_json_dict({"edges": [[0, 1]]})
-        with pytest.raises(InvalidParameterError):
-            ql.graph_from_json_dict({"n": 3, "edges": [[0, 1, 1.0, 9]]})
 
 
 class TestRngSeed:

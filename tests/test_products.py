@@ -5,11 +5,11 @@ import pytest
 
 import qlgraph as ql
 import qlgraph.products as products
-from qlgraph.errors import InvalidParameterError, SizeCapError
+from qlgraph.errors import InvalidParameterError
 
 from conftest import assert_valid_spectrum, make_qlbit
-from oracles import (ProductGraph, cartesian_product, product_graph,
-                     reference_composed_spectrum_csv)
+from oracles import (ProductGraph, cartesian_product, kronecker_sum_adjacency,
+                     product_eigenvector, product_graph, reference_composed_spectrum_csv)
 
 
 def explicit_eigenvalues(pg: ProductGraph) -> np.ndarray:
@@ -19,27 +19,6 @@ def explicit_eigenvalues(pg: ProductGraph) -> np.ndarray:
 def assert_same_rows(text: str, expected: str) -> None:
     # Line lists, not strings: a failing comparison reports quickly at any size.
     assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
-
-
-def composed_with_dims(dims) -> ql.ComposedSpectrum:
-    return ql.compose_spectra([ql.Spectrum(np.zeros(n), None, n) for n in dims])
-
-
-class TestMixedRadix:
-    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 4, 5)])
-    def test_round_trip(self, dims):
-        c = composed_with_dims(dims)
-        for flat in range(c.size):
-            labels = c.labels_of(flat)
-            assert all(type(i) is int for i in labels)
-            assert c.flat_of(labels) == flat
-        with pytest.raises(InvalidParameterError):
-            c.labels_of(c.size)
-
-    def test_first_factor_slowest(self):
-        c = composed_with_dims((2, 3))
-        assert c.flat_of((1, 0)) == 3
-        assert c.labels_of(3) == (1, 0)
 
 
 class TestCartesianProduct:
@@ -74,10 +53,6 @@ class TestCartesianProduct:
         with pytest.raises(InvalidParameterError):
             pg.factor_indices(15)
 
-    def test_size_cap(self, c5):
-        with pytest.raises(SizeCapError):
-            cartesian_product(c5, c5, size_cap=20)
-
     def test_connectivity_iff_factors_connected(self, c5):
         assert ql.is_connected(cartesian_product(c5, c5).composite)
         broken = ql.Graph(4, [[0, 1], [2, 3]])
@@ -104,35 +79,32 @@ class TestCartesianProduct:
 class TestKroneckerSum:
     def test_matches_explicit_construction(self, c5):
         pg = cartesian_product(c5, c5)
-        ks = ql.kronecker_sum_adjacency(ql.adjacency(c5), ql.adjacency(c5))
+        ks = kronecker_sum_adjacency(ql.adjacency(c5), ql.adjacency(c5))
         assert np.array_equal(ks.entries, ql.adjacency(pg.composite).entries)
 
     def test_matches_explicit_weighted(self):
         g = make_qlbit(n=4, d=3, p=0.5, seed=63, sign=-1).composite
         h = ql.cycle_graph(3)
-        ks = ql.kronecker_sum_adjacency(ql.adjacency(g), ql.adjacency(h))
+        ks = kronecker_sum_adjacency(ql.adjacency(g), ql.adjacency(h))
         explicit = ql.adjacency(cartesian_product(g, h).composite)
         assert np.array_equal(ks.entries, explicit.entries)
 
     def test_single_vertex_identity(self, c5):
         one = ql.AdjacencyMatrix(np.zeros((1, 1)))
         a = ql.adjacency(c5)
-        assert np.array_equal(ql.kronecker_sum_adjacency(one, a).entries, a.entries)
-        assert np.array_equal(ql.kronecker_sum_adjacency(a, one).entries, a.entries)
+        assert np.array_equal(kronecker_sum_adjacency(one, a).entries, a.entries)
+        assert np.array_equal(kronecker_sum_adjacency(a, one).entries, a.entries)
 
     def test_disordered_factors_compose(self):
         a = ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(6)), 2.0, ql.RngSeed(64))
         b = ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(8)), 1.0, ql.RngSeed(65))
-        ks = ql.kronecker_sum_adjacency(a, b)
-        assert ks.diagonal_disorder is not None
+        ks = kronecker_sum_adjacency(a, b)
+        # The disorder lands on the product diagonal as every pairwise sum.
+        assert np.array_equal(np.diag(ks.entries),
+                              np.add.outer(np.diag(a.entries), np.diag(b.entries)).ravel())
         # Spectrum equals all pairwise sums of the disordered factor spectra.
         sums = np.add.outer(np.linalg.eigvalsh(a.entries), np.linalg.eigvalsh(b.entries)).ravel()
         assert np.allclose(np.sort(np.linalg.eigvalsh(ks.entries)), np.sort(sums), atol=1e-8)
-
-    def test_size_cap(self, c5):
-        with pytest.raises(SizeCapError):
-            ql.kronecker_sum_adjacency(ql.adjacency(c5), ql.adjacency(c5), size_cap=24)
-
 
 class TestComposeSpectra:
     def test_single_factor_identity(self, c5):
@@ -156,10 +128,8 @@ class TestComposeSpectra:
         s5 = ql.eigendecompose(ql.adjacency(c5))
         s3 = ql.eigendecompose(ql.adjacency(ql.cycle_graph(3)))
         c = ql.compose_spectra([s5, s3])
-        for flat in range(c.size):
-            i, j = c.labels_of(flat)
+        for flat, (i, j) in enumerate(zip(*np.unravel_index(np.arange(c.size), c.dims))):
             assert c.values[flat] == s5.eigenvalues[i] + s3.eigenvalues[j]
-            assert c.value_of((i, j)) == c.values[flat]
 
     def test_oracle_equivalence(self):
         # Composed sums equal the explicit product spectrum.
@@ -191,9 +161,8 @@ class TestProductEigenvector:
     def test_uniform_times_uniform(self):
         g = ql.d_regular_random(8, 3, ql.RngSeed(70))
         h = ql.d_regular_random(6, 3, ql.RngSeed(71))
-        c = ql.compose_spectra([
-            ql.eigendecompose(ql.adjacency(g)), ql.eigendecompose(ql.adjacency(h))])
-        v = ql.fix_sign(ql.product_eigenvector(c, (0, 0)))
+        spectra = [ql.eigendecompose(ql.adjacency(g)), ql.eigendecompose(ql.adjacency(h))]
+        v = ql.fix_sign(product_eigenvector(spectra, (0, 0)))
         assert np.max(np.abs(v - 1 / np.sqrt(48))) <= 1e-9
 
     def test_residual_against_explicit_matrix(self):
@@ -202,36 +171,23 @@ class TestProductEigenvector:
         sg = ql.eigendecompose(ql.adjacency(g))
         sh = ql.eigendecompose(ql.adjacency(h))
         c = ql.compose_spectra([sg, sh])
-        a = ql.kronecker_sum_adjacency(ql.adjacency(g), ql.adjacency(h)).entries
+        a = kronecker_sum_adjacency(ql.adjacency(g), ql.adjacency(h)).entries
         rng = ql.RngSeed(75).generator()
         for _ in range(10):
             labels = (int(rng.integers(12)), int(rng.integers(40)))
-            v = ql.product_eigenvector(c, labels)
-            lam = c.value_of(labels)
+            v = product_eigenvector([sg, sh], labels)
+            lam = c.values[np.ravel_multi_index(labels, c.dims)]
             assert np.max(np.abs(a @ v - lam * v)) <= 1e-8
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
     def test_orthogonality(self):
         g = ql.d_regular_random(10, 3, ql.RngSeed(76))
         s = ql.eigendecompose(ql.adjacency(g))
-        c = ql.compose_spectra([s, s])
-        va = ql.product_eigenvector(c, (0, 3))
-        vb = ql.product_eigenvector(c, (2, 5))
-        vc = ql.product_eigenvector(c, (0, 4))
+        va = product_eigenvector([s, s], (0, 3))
+        vb = product_eigenvector([s, s], (2, 5))
+        vc = product_eigenvector([s, s], (0, 4))
         assert abs(va @ vb) <= 1e-8
         assert abs(va @ vc) <= 1e-8
-
-    def test_label_out_of_range(self, c5):
-        c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))])
-        with pytest.raises(InvalidParameterError):
-            ql.product_eigenvector(c, (7,))
-
-    def test_missing_vectors_rejected(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5), want_vectors=False)
-        c = ql.compose_spectra([s])
-        with pytest.raises(InvalidParameterError):
-            ql.product_eigenvector(c, (0,))
-
 
 class TestComposedCsv:
     def test_rows_sorted_with_emergent_counts(self, c5):
@@ -306,7 +262,7 @@ class TestComposedCsv:
     def test_signed_zeros_stay_distinct(self, factors, with_sets, block_rows, monkeypatch):
         # 0.0 == -0.0, but their text differs: equal values must not share text.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
-        c = ql.compose_spectra([ql.Spectrum(np.array(v), None, len(v)) for v in factors])
+        c = ql.compose_spectra([ql.Spectrum(np.array(v), None) for v in factors])
         sets = [frozenset({0})] * len(factors) if with_sets else None
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)

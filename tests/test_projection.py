@@ -6,6 +6,7 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.qlbits import IN_PHASE, OUT_OF_PHASE
 
 from conftest import composite_spectrum, make_qlbit
+from oracles import dense_project_alphas
 
 EXPECTED_PATTERNS = {
     (1, 1): (1, 1, 1, 1),
@@ -29,22 +30,6 @@ class TestJBasis:
 
 
 class TestBlockSplit:
-    def test_split_sums_back(self):
-        q = make_qlbit(n=10, d=3, p=0.2, seed=3)
-        v = ql.RngSeed(4).generator().normal(size=20)
-        u, x = ql.block_split(v, q)
-        assert np.array_equal(u + x, v)
-        assert u @ x == 0.0
-        assert np.all(u[10:] == 0.0)
-        assert np.all(x[:10] == 0.0)
-
-    def test_uniform_vector_halves_mass(self):
-        q = make_qlbit(n=10, d=3, p=0.2, seed=5)
-        v = np.full(20, 1 / np.sqrt(20))
-        u, x = ql.block_split(v, q)
-        assert abs(u @ u - 0.5) <= 1e-12
-        assert abs(x @ x - 0.5) <= 1e-12
-
     def test_localized_vector_leaves_other_block_empty(self):
         # p=0 composite: the basis-1 emergent vector is an eigenvector and
         # lives entirely on block 1.
@@ -53,21 +38,13 @@ class TestBlockSplit:
         v[:12] = 1 / np.sqrt(12)
         a = ql.adjacency(q.composite).entries
         assert np.allclose(a @ v, 8.0 * v, atol=1e-12)
-        _, x = ql.block_split(v, q)
-        assert np.all(x == 0.0)
 
     def test_in_phase_vector_aligns_with_both_j(self):
         q = make_qlbit(seed=7)
         pair = ql.emergent_pair(q, composite_spectrum(q))
         v = pair.by_phase(IN_PHASE).eigenvector
-        u, x = ql.block_split(v, q)
         j0, j1 = q.block_uniform()
-        assert (u @ j0) * (x @ j1) > 0
-
-    def test_dim_mismatch_rejected(self):
-        q = make_qlbit(n=10, d=3, p=0.2, seed=8)
-        with pytest.raises(InvalidParameterError):
-            ql.block_split(np.zeros(7), q)
+        assert (v @ j0) * (v @ j1) > 0
 
 
 class TestProjectAlphas:
@@ -75,7 +52,7 @@ class TestProjectAlphas:
         qa, qb = uncoupled_bit(seed=9), uncoupled_bit(seed=11)
         va = np.zeros(24); va[:12] = 1 / np.sqrt(12)
         vb = np.zeros(24); vb[:12] = 1 / np.sqrt(12)
-        report = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
+        report = ql.project_alphas([qa, qb], [va, vb])
         assert abs(report.alphas["00"] - 1.0) <= 1e-9
         for key in ("01", "10", "11"):
             assert abs(report.alphas[key]) <= 1e-9
@@ -85,7 +62,7 @@ class TestProjectAlphas:
         qa, qb = uncoupled_bit(seed=13), uncoupled_bit(seed=15)
         va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(IN_PHASE).eigenvector
         vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
-        report = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
+        report = ql.project_alphas([qa, qb], [va, vb])
         for key in ("00", "01", "10", "11"):
             assert abs(report.alphas[key] - 0.5) <= 1e-9
 
@@ -93,7 +70,7 @@ class TestProjectAlphas:
         qa, qb = uncoupled_bit(seed=17), uncoupled_bit(seed=19)
         va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(OUT_OF_PHASE).eigenvector
         vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
-        report = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
+        report = ql.project_alphas([qa, qb], [va, vb])
         pattern = tuple(int(np.sign(report.alphas[k])) for k in ("00", "01", "10", "11"))
         assert pattern in ((1, 1, -1, -1), (-1, -1, 1, 1))
 
@@ -102,26 +79,36 @@ class TestProjectAlphas:
         va = ql.emergent_pair(qa, composite_spectrum(qa)).states[0].eigenvector
         vb = ql.emergent_pair(qb, composite_spectrum(qb)).states[1].eigenvector
         v = np.kron(va, vb)
-        factored = ql.project_alphas(None, [qa, qb], factor_vectors=[va, vb])
-        general = ql.project_alphas(v, [qa, qb])
+        factored = ql.project_alphas([qa, qb], [va, vb])
+        general = dense_project_alphas(v, [qa, qb])
         for key in factored.alphas:
             assert abs(factored.alphas[key] - general.alphas[key]) <= 1e-8
         assert abs(factored.residual_norm - general.residual_norm) <= 1e-8
 
     def test_parseval_on_arbitrary_vector(self):
         qa, qb = make_qlbit(n=6, d=3, p=0.3, seed=25), make_qlbit(n=6, d=3, p=0.3, seed=27)
-        v = ql.RngSeed(29).generator().normal(size=144)
-        report = ql.project_alphas(v, [qa, qb])
-        total = sum(a * a for a in report.alphas.values()) + report.residual_norm**2
-        assert abs(total - v @ v) <= 1e-8
-        # Independent residual: subtract the J-product components explicitly.
+        rng = ql.RngSeed(29).generator()
+        wa, wb = rng.normal(size=12), rng.normal(size=12)  # arbitrary, not eigenvectors
+        v_any = rng.normal(size=144)
+        # The dense reference on a vector that is not a product, and the
+        # package on a product of arbitrary per-bit vectors.
+        cases = [(v_any, dense_project_alphas(v_any, [qa, qb])),
+                 (np.kron(wa, wb), ql.project_alphas([qa, qb], [wa, wb]))]
         jba, jbb = qa.block_uniform(), qb.block_uniform()
-        remainder = v.astype(float).copy()
+        for v, report in cases:
+            total = sum(a * a for a in report.alphas.values()) + report.residual_norm**2
+            assert abs(total - v @ v) <= 1e-8
+            # Independent residual: subtract the J-product components explicitly.
+            remainder = v.astype(float).copy()
+            for key, alpha in report.alphas.items():
+                ja = jba[int(key[0])]
+                jb = jbb[int(key[1])]
+                remainder -= alpha * np.kron(ja, jb)
+            assert abs(np.linalg.norm(remainder) - report.residual_norm) <= 1e-8
+        v, report = cases[1]
+        dense = dense_project_alphas(v, [qa, qb])
         for key, alpha in report.alphas.items():
-            ja = jba[int(key[0])]
-            jb = jbb[int(key[1])]
-            remainder -= alpha * np.kron(ja, jb)
-        assert abs(np.linalg.norm(remainder) - report.residual_norm) <= 1e-8
+            assert abs(alpha - dense.alphas[key]) <= 1e-8
 
     def test_j_products_exactly_orthogonal(self):
         qa, qb = make_qlbit(n=6, d=3, p=0.3, seed=31), make_qlbit(n=6, d=3, p=0.3, seed=33)
@@ -138,19 +125,17 @@ class TestProjectAlphas:
     def test_three_factor_keys(self):
         bits = [make_qlbit(n=6, d=3, p=0.3, seed=35 + 2 * k) for k in range(3)]
         vectors = [ql.emergent_pair(q, composite_spectrum(q)).states[0].eigenvector for q in bits]
-        report = ql.project_alphas(None, bits, factor_vectors=vectors)
+        report = ql.project_alphas(bits, vectors)
         assert sorted(report.alphas) == [format(i, "03b") for i in range(8)]
 
     def test_input_validation(self):
         q = make_qlbit(n=6, d=3, p=0.3, seed=41)
         with pytest.raises(InvalidParameterError):
-            ql.project_alphas(None, [q])  # neither v nor factor vectors
+            ql.project_alphas([q, q], [np.zeros(12)])  # one vector short
         with pytest.raises(InvalidParameterError):
-            ql.project_alphas(np.zeros(5), [q])  # wrong product dim
+            ql.project_alphas([q], [np.zeros(5)])  # wrong composite dim
         with pytest.raises(InvalidParameterError):
-            ql.project_alphas(None, [q], factor_vectors=[np.zeros(5)])
-        with pytest.raises(InvalidParameterError):
-            ql.project_alphas(None, [])
+            ql.project_alphas([], [])
 
 
 class TestBellStateCheck:

@@ -48,7 +48,6 @@ class TestCouple:
         a = ql.adjacency(q.composite).entries
         assert q.n_coupling > 0
         assert np.all(a[:10, 10:][a[:10, 10:] != 0] == -1.0)
-        assert ql.qlbit_to_json_dict(q)["coupling"][0][2] == -1.0
 
     def test_invalid_p(self):
         k2 = ql.Graph(2, [[0, 1]])
@@ -202,21 +201,3 @@ class TestInvariants:
         s = np.diag([1.0] * 20 + [-1.0] * 20)
         assert np.array_equal(s @ mm @ s, mp)
         assert np.allclose(np.linalg.eigvalsh(mm), np.linalg.eigvalsh(mp), atol=1e-9)
-
-
-class TestJson:
-    def test_round_trip(self):
-        q = make_qlbit(n=10, d=3, p=0.3, seed=25, sign=-1)
-        data = ql.qlbit_to_json_dict(q)
-        back = ql.qlbit_from_json_dict(data)
-        for got, want in ((back.basis_1, q.basis_1), (back.basis_2, q.basis_2),
-                          (back.composite, q.composite)):
-            assert np.array_equal(got.edges, want.edges)
-            assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(back.coupling_edges, q.coupling_edges)
-        assert back.sign == q.sign
-        assert ql.qlbit_to_json_dict(back) == data
-
-    def test_malformed_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            ql.qlbit_from_json_dict({"basis_1": {"n": 2, "edges": []}})

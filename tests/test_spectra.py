@@ -51,11 +51,13 @@ class TestEigendecompose:
 class TestSpectrumType:
     def test_order_enforced(self):
         with pytest.raises(InvalidParameterError):
-            ql.Spectrum(np.array([0.0, 1.0]), None, 2)
+            ql.Spectrum(np.array([0.0, 1.0]), None)
 
     def test_length_enforced(self):
         with pytest.raises(InvalidParameterError):
-            ql.Spectrum(np.array([1.0, 0.0]), None, 3)
+            ql.Spectrum(np.array([1.0, 0.0]), np.eye(3))
+        with pytest.raises(InvalidParameterError):
+            ql.Spectrum(np.zeros((2, 2)), None)
 
 
 class TestSpectralGap:
@@ -77,7 +79,7 @@ class TestSpectralGap:
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
-            ql.spectral_gap(ql.Spectrum(np.array([1.0]), None, 1))
+            ql.spectral_gap(ql.Spectrum(np.array([1.0]), None))
 
 
 class TestAlonBoppana:
