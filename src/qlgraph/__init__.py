@@ -12,8 +12,8 @@ from .errors import (GenerationFailureError, InvalidParameterError,
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
                           FactorResult, SampleResult, ensemble_spectrum,
                           iter_samples, run_sample)
-from .graphs import (AdjacencyMatrix, Graph, adjacency, apply_diagonal_disorder,
-                     cycle_graph, d_regular_random, delete_random_edges, is_connected)
+from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
+                     d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
                        write_composed_spectrum_csv)
 from .projection import (BellCombination, BellStateReport, ProjectionReport,
@@ -27,7 +27,7 @@ from .spectra import (AlonBoppanaReport, Spectrum, alon_boppana_check, eigendeco
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjacencyMatrix", "AlonBoppanaReport", "BellCombination", "BellStateReport",
+    "AlonBoppanaReport", "BellCombination", "BellStateReport",
     "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT", "EXPERIMENT_NOTES",
     "EmergentPair", "EmergentState", "EnsembleHistogram", "ExperimentDescriptor",
     "FactorResult", "GenerationFailureError", "Graph", "HYBRID", "IN_PHASE",

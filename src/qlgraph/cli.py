@@ -19,7 +19,7 @@ from pathlib import Path
 from .ensembles import state_kinds, write_histogram_csv
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
-                          KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum)
+                          KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum, require_valid)
 from .products import repr_texts, write_composed_spectrum_csv
 from .projection import project_alphas
 
@@ -28,9 +28,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _error_report(kind: str, errors: list[str]) -> str:
-    return json.dumps({"status": "error", "kind": kind, "errors": errors},
-                      indent=2, sort_keys=True)
+def _refuse(kind: str, exc: Exception, code: int) -> int:
+    """Print the error report, one entry per exception argument, and return the exit code."""
+    print(json.dumps({"status": "error", "kind": kind, "errors": list(exc.args)},
+                     indent=2, sort_keys=True))
+    return code
 
 
 def _load_descriptor(ref: str) -> ExperimentDescriptor:
@@ -124,27 +126,12 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
 
 
 def cmd_run(args) -> int:
-    try:
-        desc = _load_descriptor(args.descriptor)
-        if args.seed is not None:
-            desc = desc.with_overrides(master_seed=args.seed)
-        if args.samples is not None:
-            desc = desc.with_overrides(n_samples=args.samples)
-        errors = desc.validate()
-        if errors:
-            print(_error_report("validation", errors))
-            return EXIT_VALIDATION
-    except InvalidParameterError as exc:
-        print(_error_report("validation", [str(exc)]))
-        return EXIT_VALIDATION
-    try:
-        written = _run(desc, Path(args.out))
-    except InvalidParameterError as exc:
-        print(_error_report("validation", [str(exc)]))
-        return EXIT_VALIDATION
-    except (NumericalFailureError, GenerationFailureError) as exc:
-        print(_error_report("numerical", [str(exc)]))
-        return EXIT_NUMERICAL
+    desc = _load_descriptor(args.descriptor)
+    if args.seed is not None:
+        desc = desc.with_overrides(master_seed=args.seed)
+    if args.samples is not None:
+        desc = desc.with_overrides(n_samples=args.samples)
+    written = _run(require_valid(desc), Path(args.out))
     print(json.dumps({"status": "ok", "name": desc.name,
                       "artifacts": [str(p) for p in written]},
                      indent=2, sort_keys=True))
@@ -152,15 +139,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        desc = _load_descriptor(args.descriptor)
-        errors = desc.validate()
-    except InvalidParameterError as exc:
-        print(_error_report("validation", [str(exc)]))
-        return EXIT_VALIDATION
-    if errors:
-        print(_error_report("validation", errors))
-        return EXIT_VALIDATION
+    desc = require_valid(_load_descriptor(args.descriptor))
     print(json.dumps({"status": "ok", "name": desc.name}, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -195,7 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidParameterError as exc:
+        return _refuse("validation", exc, EXIT_VALIDATION)
+    except (NumericalFailureError, GenerationFailureError) as exc:
+        return _refuse("numerical", exc, EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -43,8 +43,15 @@ _STAGE_DISORDER = 3
 # Histogram edges are float64: 10^6 bins take 8 MB.
 MAX_BINS = 1_000_000
 
-# Artifact file stems: no path separators, no leading dot.
-_NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+# Modelled peak memory of a run, refused past this: one factor's dense
+# adjacency, 8*dim^2 bytes (dim = 2n for a QL bit, else n), plus
+# (8*n_samples + 64)*dim^n_factors bytes for every sample's composed values
+# and sample 0's sort and label arrays.
+MAX_BYTES = 2**30
+
+# Artifact file stems: no path separators, no leading dot, and at most 200
+# characters, so the longest staged file name stays within 255.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,199}")
 
 
 def _is_int(value) -> bool:
@@ -126,7 +133,20 @@ class ExperimentDescriptor:
             errors.append(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
         if not 0 <= self.master_seed < 2**64:
             errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        if not errors and self._over_budget():
+            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={self.n}, "
+                          f"n_factors={self.n_factors}, n_samples={self.n_samples}")
         return errors
+
+    def _over_budget(self) -> bool:
+        """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
+        dim = 2 * self.n if self.kind == KIND_QLBIT_PRODUCT else self.n
+        states = 1
+        for _ in range(self.n_factors):  # dim >= 2: past the budget within ~30 steps
+            states *= dim
+            if 8 * dim * dim + (8 * self.n_samples + 64) * states > MAX_BYTES:
+                return True
+        return False
 
     def _type_errors(self) -> list[str]:
         """Fields whose value is not of the annotated type; floats must be finite."""
@@ -225,10 +245,12 @@ def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
                         emergent=None if q is None else emergent_pair(q, spectrum))
 
 
-def _require_valid(desc: ExperimentDescriptor) -> None:
+def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
+    """The descriptor itself; InvalidParameterError with one argument per error otherwise."""
     errors = desc.validate()
     if errors:
-        raise InvalidParameterError("; ".join(errors))
+        raise InvalidParameterError(*errors)
+    return desc
 
 
 def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
@@ -238,7 +260,7 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     ``shared_base`` every factor starts from the bases generated for factor
     0, which are generated once; deletions stay per factor.
     """
-    _require_valid(desc)
+    require_valid(desc)
     sample_seed = RngSeed(desc.master_seed).derive(sample_index)
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
     first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
@@ -269,7 +291,7 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     One pass over the samples, so sample 0 is computed once. Counts sum to
     n_samples * product_dim: every eigenvalue of every sample lands in a bin.
     """
-    _require_valid(desc)  # also guarantees n_samples >= 1, so sample 0 exists
+    require_valid(desc)  # also guarantees n_samples >= 1, so sample 0 exists
     first, values, seeds = None, [], []
     for sample in iter_samples(desc):
         first = first or sample

@@ -69,28 +69,6 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyMatrix:
-    """Dense symmetric real matrix realization of a graph.
-
-    The diagonal is zero unless disorder has been applied to it.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidParameterError(f"adjacency must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise InvalidParameterError("adjacency must be exactly symmetric")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
     if n < 3:
@@ -133,14 +111,14 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def d_regular_random(n: int, d: int, seed: RngSeed,
-                     max_restarts: int = DEFAULT_MAX_RESTARTS) -> Graph:
+def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     """Sample a simple d-regular graph on n vertices, deterministic in seed.
 
     Uses the configuration (stub-pairing) model with repair of clashing
     stubs. Dense degrees (2d > n-1) are reduced to the sparse complement:
     an (n-1-d)-regular graph is sampled and complemented, which is exact
-    and keeps degrees close to n-1 feasible.
+    and keeps degrees close to n-1 feasible. Gives up with
+    GenerationFailureError after DEFAULT_MAX_RESTARTS failed passes.
     """
     if d < 1:
         raise InvalidParameterError(f"degree must be positive, got {d}")
@@ -148,19 +126,18 @@ def d_regular_random(n: int, d: int, seed: RngSeed,
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    edges = _d_regular_edges(n, d, seed.generator(), max_restarts)
+    edges = _d_regular_edges(n, d, seed.generator())
     return Graph(n, np.array(list(edges), dtype=np.int64).reshape(-1, 2))
 
 
-def _d_regular_edges(n: int, d: int, rng: np.random.Generator,
-                     max_restarts: int) -> set[tuple[int, int]]:
+def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]]:
     if d == 0:
         return set()
     if 2 * d > n - 1:
-        comp = _d_regular_edges(n, n - 1 - d, rng, max_restarts)
+        comp = _d_regular_edges(n, n - 1 - d, rng)
         return {(i, j) for i in range(n) for j in range(i + 1, n)} - comp
     restarts = 0
-    while restarts < max_restarts:
+    while restarts < DEFAULT_MAX_RESTARTS:
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
             return edges
@@ -183,23 +160,24 @@ def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
     return Graph(g.n_vertices, g.edges[kept], g.weights[kept])
 
 
-def adjacency(g: Graph) -> AdjacencyMatrix:
-    """Dense symmetric adjacency matrix; entries equal edge weights."""
+def adjacency(g: Graph) -> np.ndarray:
+    """Dense symmetric float64 adjacency matrix; entries equal edge weights."""
     m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.float64)
     u, v = g.edges.T
     m[u, v] = g.weights
     m[v, u] = g.weights
-    return AdjacencyMatrix(m)
+    return m
 
 
-def apply_diagonal_disorder(a: AdjacencyMatrix, sigma: float, seed: RngSeed) -> AdjacencyMatrix:
-    """Add independent N(0, sigma^2) draws to the diagonal, off-diagonal untouched."""
+def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
+    """A copy of square matrix a with independent N(0, sigma^2) draws added to its diagonal."""
+    m = np.array(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
     if sigma < 0:
         raise InvalidParameterError(f"sigma must be non-negative, got {sigma}")
-    draws = seed.generator().normal(0.0, sigma, size=a.dim)
-    entries = a.entries.copy()
-    entries[np.diag_indices(a.dim)] += draws
-    return AdjacencyMatrix(entries)
+    m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
+    return m
 
 
 def is_connected(g: Graph) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .graphs import adjacency
 from .qlbits import IN_PHASE, OUT_OF_PHASE, QLBit, emergent_pair
-from .spectra import eigendecompose, fix_sign
+from .spectra import eigendecompose
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class BellStateReport:
     all_match: bool
 
 
-def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> BellStateReport:
+def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit) -> BellStateReport:
     """Project all four emergent-pair product combinations of two QL bits.
 
     For each choice (s_a, s_b) with s = +1 (in-phase) or -1 (out-of-phase),
@@ -110,8 +110,7 @@ def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> Be
     Magnitudes are reported against the uniform |alpha| = 1/2.
     """
     qlbits = (qlbit_a, qlbit_b)
-    pairs = tuple(emergent_pair(q, eigendecompose(adjacency(q.composite)), min_gap)
-                  for q in qlbits)
+    pairs = tuple(emergent_pair(q, eigendecompose(adjacency(q.composite))) for q in qlbits)
     combos = []
     all_match = True
     for sa in (1, -1):
@@ -124,12 +123,12 @@ def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> Be
                 if state is None:
                     # Phase classification failed; fall back positionally.
                     state = pair.states[0 if choice == 1 else 1]
-                vectors.append(fix_sign(state.eigenvector))
+                vectors.append(state.eigenvector)
                 value += state.eigenvalue
             report = project_alphas(qlbits, vectors, eigenvalue=value)
             keys = _bit_strings(2)
             pattern = tuple(int(np.sign(report.alphas[k])) for k in keys)
-            expected = _expected_pattern((sa, sb))
+            expected = tuple(np.kron([1, sa], [1, sb]).tolist())
             neg = tuple(-x for x in expected)
             matches = pattern in (expected, neg) and 0 not in pattern
             deviation = max(abs(abs(report.alphas[k]) - 0.5) for k in keys)
@@ -138,11 +137,3 @@ def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit, min_gap: float = 0.5) -> Be
             all_match = all_match and matches
     degraded = (pairs[0].degraded_isolation, pairs[1].degraded_isolation)
     return BellStateReport(tuple(combos), degraded, all_match)
-
-
-def _expected_pattern(choices: Sequence[int]) -> tuple[int, ...]:
-    """Tensor product of per-factor patterns (+,+) for +1 and (+,-) for -1."""
-    pattern = np.array([1.0])
-    for s in choices:
-        pattern = np.multiply.outer(pattern, np.array([1.0, float(s)])).reshape(-1)
-    return tuple(int(x) for x in pattern)

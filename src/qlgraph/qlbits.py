@@ -26,6 +26,9 @@ INDETERMINATE = "indeterminate"
 # resolved explicitly against block-uniform vectors.
 DEGENERACY_RTOL = 1e-9
 
+# Least gap between the second and third eigenvalues of an isolated pair.
+MIN_ISOLATION_GAP = 0.5
+
 
 @dataclass(frozen=True, eq=False)
 class QLBit:
@@ -140,7 +143,7 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
             stacklevel=2,
         )
     delta = q.n_coupling / n1
-    d_eff = float(np.linalg.eigvalsh(adjacency(q.basis_1).entries)[-1])
+    d_eff = float(np.linalg.eigvalsh(adjacency(q.basis_1))[-1])
     return SplittingPrediction(d_eff, delta, (d_eff + delta, d_eff - delta))
 
 
@@ -153,7 +156,7 @@ def _phase_of(v: np.ndarray, n1: int) -> str:
     return INDETERMINATE
 
 
-def emergent_pair(q: QLBit, s: Spectrum, min_gap: float = 0.5) -> EmergentPair:
+def emergent_pair(q: QLBit, s: Spectrum) -> EmergentPair:
     """The two emergent eigenpairs of the composite, phase-classified.
 
     ``s`` is the spectrum, with eigenvectors, of the composite's adjacency,
@@ -166,7 +169,7 @@ def emergent_pair(q: QLBit, s: Spectrum, min_gap: float = 0.5) -> EmergentPair:
     combinations against the block-uniform vectors.
 
     Isolation: the second eigenvalue must clear the third by
-    max(min_gap, 2*sqrt(d_mean - 1) - lambda_2); otherwise
+    max(MIN_ISOLATION_GAP, 2*sqrt(d_mean - 1) - lambda_2); otherwise
     ``degraded_isolation`` is set on the result.
     """
     n1 = q.basis_1.n_vertices
@@ -206,5 +209,5 @@ def emergent_pair(q: QLBit, s: Spectrum, min_gap: float = 0.5) -> EmergentPair:
     gap = float(lam[1] - lam[2])
     d_mean = 2.0 * q.basis_1.n_edges / n1
     band = 2.0 * math.sqrt(max(d_mean - 1.0, 0.0))
-    threshold = max(min_gap, band - float(lam[2]))
+    threshold = max(MIN_ISOLATION_GAP, band - float(lam[2]))
     return EmergentPair(states, gap < threshold, gap, threshold)

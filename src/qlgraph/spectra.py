@@ -7,9 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFailureError
-from .graphs import AdjacencyMatrix
 
-SYMMETRY_TOL = 1e-12
+# Finite graphs may exceed the asymptotic Alon-Boppana bound by this much.
+AB_SLACK = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,19 +48,19 @@ class AlonBoppanaReport:
     bound: float
     lambda_1: float
     satisfied: bool
-    slack: float
 
 
-def eigendecompose(a: AdjacencyMatrix, want_vectors: bool = True) -> Spectrum:
-    """Full eigendecomposition of a symmetric adjacency matrix.
+def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
+    """Full eigendecomposition of a square, exactly symmetric matrix.
 
     Eigenvalues come back descending; eigenvectors (optional) are the
     matching orthonormal columns.
     """
-    m = a.entries
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise InvalidParameterError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL:.0e}")
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise InvalidParameterError("matrix must be exactly symmetric")
     try:
         if want_vectors:
             vals, vecs = np.linalg.eigh(m)
@@ -69,7 +69,7 @@ def eigendecompose(a: AdjacencyMatrix, want_vectors: bool = True) -> Spectrum:
         return Spectrum(vals[::-1].copy(), None)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(
-            f"eigendecomposition failed for dim={a.dim}, max|entry|={np.max(np.abs(m)):.3g}: {exc}"
+            f"eigendecomposition failed for dim={len(m)}, max|entry|={np.max(np.abs(m)):.3g}: {exc}"
         ) from exc
 
 
@@ -80,8 +80,8 @@ def spectral_gap(s: Spectrum) -> float:
     return float(s.eigenvalues[0] - s.eigenvalues[1])
 
 
-def alon_boppana_check(s: Spectrum, d: int, slack: float = 0.5) -> AlonBoppanaReport:
-    """Report whether lambda_1 respects 2*sqrt(d-1) up to a finite-size slack.
+def alon_boppana_check(s: Spectrum, d: int) -> AlonBoppanaReport:
+    """Report whether lambda_1 respects 2*sqrt(d-1) up to the finite-size AB_SLACK.
 
     Report-only: finite graphs occasionally exceed the asymptotic bound, so
     callers log violations rather than fail on them.
@@ -92,14 +92,14 @@ def alon_boppana_check(s: Spectrum, d: int, slack: float = 0.5) -> AlonBoppanaRe
         raise InvalidParameterError("Alon-Boppana check needs dim >= 2")
     bound = 2.0 * math.sqrt(d - 1)
     lam1 = float(s.eigenvalues[1])
-    return AlonBoppanaReport(bound, lam1, lam1 <= bound + slack, slack)
+    return AlonBoppanaReport(bound, lam1, lam1 <= bound + AB_SLACK)
 
 
-def max_residual(a: AdjacencyMatrix, s: Spectrum) -> float:
+def max_residual(a: np.ndarray, s: Spectrum) -> float:
     """max over pairs of ||A v - lambda v||_inf / max(1, |lambda|)."""
     if s.eigenvectors is None:
         raise InvalidParameterError("spectrum carries no eigenvectors")
-    r = a.entries @ s.eigenvectors - s.eigenvectors * s.eigenvalues[np.newaxis, :]
+    r = a @ s.eigenvectors - s.eigenvectors * s.eigenvalues[np.newaxis, :]
     scale = np.maximum(1.0, np.abs(s.eigenvalues))
     return float(np.max(np.max(np.abs(r), axis=0) / scale))
 

@@ -27,10 +27,10 @@ def complete_graph(n: int) -> ql.Graph:
     return ql.Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
-def graph_from_adjacency(a: ql.AdjacencyMatrix) -> ql.Graph:
+def graph_from_adjacency(a: np.ndarray) -> ql.Graph:
     """Recover the graph whose edges are the nonzero off-diagonal entries."""
-    u, v = np.nonzero(np.triu(a.entries, 1))
-    return ql.Graph(a.dim, np.column_stack([u, v]), a.entries[u, v])
+    u, v = np.nonzero(np.triu(a, 1))
+    return ql.Graph(len(a), np.column_stack([u, v]), a[u, v])
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,10 +88,10 @@ def product_graph(factors: Sequence[ql.Graph]) -> ProductGraph:
     return acc
 
 
-def kronecker_sum_adjacency(a: ql.AdjacencyMatrix, b: ql.AdjacencyMatrix) -> ql.AdjacencyMatrix:
+def kronecker_sum_adjacency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """kron(A, I) + kron(I, B): the product adjacency under the flat-index
     convention, built without the product graph; diagonals add up too."""
-    return ql.AdjacencyMatrix(np.kron(a.entries, np.eye(b.dim)) + np.kron(np.eye(a.dim), b.entries))
+    return np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
 
 
 def product_eigenvector(spectra: Sequence[ql.Spectrum], labels: Sequence[int]) -> np.ndarray:

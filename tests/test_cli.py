@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qlgraph as ql
 import qlgraph.cli as cli
-from qlgraph.errors import NumericalFailureError
+from qlgraph.errors import InvalidParameterError, NumericalFailureError
 
 from oracles import reference_composed_spectrum_csv
 
@@ -68,6 +68,7 @@ class TestListAndValidate:
         ("n_samples", True),
         ("d", 8.0),
         ("bins", 10**9),
+        ("name", "a" * 300),
     ])
     def test_malformed_descriptor_refused(self, field, value, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -83,6 +84,35 @@ class TestListAndValidate:
             assert any(e.startswith(f"{field} must") for e in report["errors"])
         assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])  # nothing beside --out
         assert not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "qlbit-product", "n": 20, "d": 15, "n_factors": 9},
+        {"kind": "single-graph", "n": 200_000, "d": 3},
+        {"kind": "d-regular-product", "n": 30, "d": 3, "n_factors": 6, "n_samples": 10**8},
+        {"kind": "d-regular-product", "n": 5, "graph": "cycle", "n_factors": 10**18},
+    ], ids=["40^9-states", "dense-200000", "10^8-samples", "10^18-factors"])
+    def test_over_memory_budget_refused(self, descriptor, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "big", **descriptor}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
+            code, out = run_cli(args, capsys)
+            assert code == 2
+            report = json.loads(out)
+            assert report["kind"] == "validation"
+            assert report["errors"][0].startswith("modelled memory exceeds")
+        assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])
+        assert not list(out_dir.iterdir())
+
+    def test_every_error_reported_alike_by_validate_and_run(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "mine", "kind": "single-graph", "n": 12, "d": 8,
+                                    "sign": 3, "sigma": -1.0, "n_samples": 0}))
+        reports = [json.loads(run_cli(args, capsys)[1]) for args in (
+            ["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")])]
+        assert len(reports[0]["errors"]) == 3
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("content", [
         b'{"name": "caf\xe9", "kind": "single-graph", "n": 12, "d": 8}',
@@ -218,6 +248,17 @@ class TestRun:
         assert json.loads(report)["kind"] == "validation"
         assert list(tmp_path.iterdir()) == [tmp_path / blocked]
         assert not list((tmp_path / blocked).iterdir())
+
+    def test_invalid_parameter_during_run_exit_code(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise InvalidParameterError("synthetic refusal")
+        monkeypatch.setattr(cli, "ensemble_spectrum", refuse)
+        out_dir = tmp_path / "out"
+        code, out = run_cli(["run", "fig2a", "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert json.loads(out) == {"status": "error", "kind": "validation",
+                                   "errors": ["synthetic refusal"]}
+        assert not list(out_dir.iterdir())
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

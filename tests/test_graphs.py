@@ -56,7 +56,7 @@ class TestCycleGraph:
             ql.cycle_graph(2)
 
     def test_c5_spectrum_matches_analytic(self, c5):
-        vals = np.linalg.eigvalsh(ql.adjacency(c5).entries)[::-1]
+        vals = np.linalg.eigvalsh(ql.adjacency(c5))[::-1]
         assert np.allclose(vals, cycle_eigenvalues(5), atol=1e-9)
 
 
@@ -80,7 +80,7 @@ class TestDRegularRandom:
     def test_paper_case_20_15_top_eigenvalue(self):
         g = ql.d_regular_random(20, 15, ql.RngSeed(2))
         assert g.n_edges == 150
-        top = np.linalg.eigvalsh(ql.adjacency(g).entries)[-1]
+        top = np.linalg.eigvalsh(ql.adjacency(g))[-1]
         assert abs(top - 15.0) <= 1e-9
 
     def test_odd_nd_rejected(self):
@@ -108,8 +108,8 @@ class TestDRegularRandom:
         import qlgraph.graphs as graphs
         monkeypatch.setattr(graphs, "_pairing_attempt", lambda *a: None)
         with pytest.raises(ql.GenerationFailureError) as exc:
-            ql.d_regular_random(16, 4, ql.RngSeed(0), max_restarts=25)
-        assert exc.value.restarts == 25
+            ql.d_regular_random(16, 4, ql.RngSeed(0))
+        assert exc.value.restarts == graphs.DEFAULT_MAX_RESTARTS
 
 
 class TestDeleteRandomEdges:
@@ -145,18 +145,18 @@ class TestDeleteRandomEdges:
 
 class TestAdjacency:
     def test_k2(self):
-        m = ql.adjacency(ql.Graph(2, [[0, 1]])).entries
+        m = ql.adjacency(ql.Graph(2, [[0, 1]]))
         assert np.array_equal(m, [[0, 1], [1, 0]])
 
     def test_c5_circulant(self, c5):
-        m = ql.adjacency(c5).entries
+        m = ql.adjacency(c5)
         for i in range(5):
             for j in range(5):
                 expected = 1.0 if (j - i) % 5 in (1, 4) else 0.0
                 assert m[i, j] == expected
 
     def test_negative_weight_symmetric(self):
-        m = ql.adjacency(ql.Graph(3, [[0, 2]], [-1.0])).entries
+        m = ql.adjacency(ql.Graph(3, [[0, 2]], [-1.0]))
         assert m[0, 2] == m[2, 0] == -1.0
 
     def test_round_trip(self):
@@ -176,23 +176,23 @@ class TestDiagonalDisorder:
     def test_sigma_zero_unchanged(self):
         a = ql.adjacency(ql.cycle_graph(6))
         b = ql.apply_diagonal_disorder(a, 0.0, ql.RngSeed(30))
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
     def test_off_diagonal_untouched_and_symmetric(self):
         a = ql.adjacency(ql.cycle_graph(6))
         b = ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(31))
         off = ~np.eye(6, dtype=bool)
-        assert np.array_equal(a.entries[off], b.entries[off])
-        assert np.array_equal(b.entries, b.entries.T)
-        assert np.all(np.diag(b.entries) != 0.0)
+        assert np.array_equal(a[off], b[off])
+        assert np.array_equal(b, b.T)
+        assert np.all(np.diag(b) != 0.0)
 
     def test_sample_variance_matches_sigma(self):
         # 100 matrices of dim 100: 10,000 draws at sigma=2.0.
         draws = []
-        zero = ql.AdjacencyMatrix(np.zeros((100, 100)))
+        zero = np.zeros((100, 100))
         for k in range(100):
             b = ql.apply_diagonal_disorder(zero, 2.0, ql.RngSeed(32, k))
-            draws.append(np.diag(b.entries))
+            draws.append(np.diag(b))
         var = np.concatenate(draws).var()
         assert abs(var - 4.0) <= 0.05 * 4.0
 
@@ -200,11 +200,20 @@ class TestDiagonalDisorder:
         with pytest.raises(InvalidParameterError):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), -1.0, ql.RngSeed(0))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ql.apply_diagonal_disorder(np.zeros((2, 3)), 1.0, ql.RngSeed(0))
+
+    def test_input_not_modified(self):
+        a = ql.adjacency(ql.cycle_graph(6))
+        ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(34))
+        assert np.array_equal(a, ql.adjacency(ql.cycle_graph(6)))
+
     def test_deterministic(self):
         a = ql.adjacency(ql.cycle_graph(6))
         b1 = ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(33))
         b2 = ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(33))
-        assert np.array_equal(b1.entries, b2.entries)
+        assert np.array_equal(b1, b2)
 
 
 class TestConnectivity:

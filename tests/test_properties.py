@@ -62,7 +62,7 @@ def test_project_alphas_parseval_and_dense_agreement(bits):
 def test_compose_spectra_matches_kronecker_sum_and_regroups_exactly(factors):
     spectra = [ql.eigendecompose(a, want_vectors=False) for a in factors]
     composed = ql.compose_spectra(spectra).values
-    explicit = np.linalg.eigvalsh(functools.reduce(kronecker_sum_adjacency, factors).entries)
+    explicit = np.linalg.eigvalsh(functools.reduce(kronecker_sum_adjacency, factors))
     assert np.max(np.abs(np.sort(composed) - explicit)) <= 1e-8
     # Composing a prefix first, as one factor, gives the same sums to the bit.
     for k in range(1, len(spectra)):

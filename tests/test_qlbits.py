@@ -14,8 +14,8 @@ class TestCouple:
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(2))
         assert q.n_coupling == 0
         # Spectrum of the composite is the union of the basis spectra.
-        comp = np.linalg.eigvalsh(ql.adjacency(q.composite).entries)
-        basis = np.linalg.eigvalsh(ql.adjacency(b).entries)
+        comp = np.linalg.eigvalsh(ql.adjacency(q.composite))
+        basis = np.linalg.eigvalsh(ql.adjacency(b))
         assert np.allclose(np.sort(comp), np.sort(np.concatenate([basis, basis])), atol=1e-9)
 
     def test_p_one_k2_bases_gives_k4(self):
@@ -25,7 +25,7 @@ class TestCouple:
         # Oracle: dense eigendecomposition of the explicit 4x4 complete graph.
         k4 = np.ones((4, 4)) - np.eye(4)
         expected = np.linalg.eigvalsh(k4)
-        got = np.linalg.eigvalsh(ql.adjacency(q.composite).entries)
+        got = np.linalg.eigvalsh(ql.adjacency(q.composite))
         assert np.allclose(got, expected, atol=1e-12)
         assert abs(got[-1] - 3.0) <= 1e-12
 
@@ -36,16 +36,16 @@ class TestCouple:
 
     def test_composite_block_layout(self):
         q = make_qlbit(n=10, d=3, p=0.3, seed=5)
-        a = ql.adjacency(q.composite).entries
-        b1 = ql.adjacency(q.basis_1).entries
-        b2 = ql.adjacency(q.basis_2).entries
+        a = ql.adjacency(q.composite)
+        b1 = ql.adjacency(q.basis_1)
+        b2 = ql.adjacency(q.basis_2)
         assert np.array_equal(a[:10, :10], b1)
         assert np.array_equal(a[10:, 10:], b2)
         assert (a[:10, 10:] != 0).sum() == q.n_coupling
 
     def test_negative_sign_weights(self):
         q = make_qlbit(n=10, d=3, p=0.5, seed=6, sign=-1)
-        a = ql.adjacency(q.composite).entries
+        a = ql.adjacency(q.composite)
         assert q.n_coupling > 0
         assert np.all(a[:10, 10:][a[:10, 10:] != 0] == -1.0)
 
@@ -162,7 +162,7 @@ class TestEmergentPair:
 
     def test_residuals_are_eigenpairs(self):
         q = make_qlbit(seed=22)
-        a = ql.adjacency(q.composite).entries
+        a = ql.adjacency(q.composite)
         for st in ql.emergent_pair(q, composite_spectrum(q)).states:
             assert np.max(np.abs(a @ st.eigenvector - st.eigenvalue * st.eigenvector)) <= 1e-8
 
@@ -170,13 +170,13 @@ class TestEmergentPair:
 class TestInvariants:
     def test_block_test_recovers_basis_spectra(self):
         q = make_qlbit(seed=23)
-        a = ql.adjacency(q.composite).entries.copy()
+        a = ql.adjacency(q.composite).copy()
         a[:20, 20:] = 0.0
         a[20:, :20] = 0.0
         got = np.sort(np.linalg.eigvalsh(a))
         expected = np.sort(np.concatenate([
-            np.linalg.eigvalsh(ql.adjacency(q.basis_1).entries),
-            np.linalg.eigvalsh(ql.adjacency(q.basis_2).entries),
+            np.linalg.eigvalsh(ql.adjacency(q.basis_1)),
+            np.linalg.eigvalsh(ql.adjacency(q.basis_2)),
         ]))
         assert np.allclose(got, expected, atol=1e-9)
 
@@ -186,7 +186,7 @@ class TestInvariants:
             splits = []
             for s in range(50):
                 q = make_qlbit(p=p, seed=3000 + s)
-                vals = np.linalg.eigvalsh(ql.adjacency(q.composite).entries)
+                vals = np.linalg.eigvalsh(ql.adjacency(q.composite))
                 splits.append(vals[-1] - vals[-2])
             means.append(np.mean(splits))
         assert means[0] <= means[1] <= means[2]
@@ -196,8 +196,8 @@ class TestInvariants:
         # one exactly, so the eigenvalue multisets coincide.
         qp = make_qlbit(seed=24, sign=1)
         qm = make_qlbit(seed=24, sign=-1)
-        mp = ql.adjacency(qp.composite).entries
-        mm = ql.adjacency(qm.composite).entries
+        mp = ql.adjacency(qp.composite)
+        mm = ql.adjacency(qm.composite)
         s = np.diag([1.0] * 20 + [-1.0] * 20)
         assert np.array_equal(s @ mm @ s, mp)
         assert np.allclose(np.linalg.eigvalsh(mm), np.linalg.eigvalsh(mp), atol=1e-9)

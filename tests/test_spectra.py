@@ -18,7 +18,7 @@ class TestEigendecompose:
         assert_valid_spectrum(a, s)
 
     def test_zero_matrix(self):
-        a = ql.AdjacencyMatrix(np.zeros((3, 3)))
+        a = np.zeros((3, 3))
         s = ql.eigendecompose(a)
         assert np.array_equal(s.eigenvalues, np.zeros(3))
 
@@ -36,16 +36,21 @@ class TestEigendecompose:
         assert s.eigenvectors is None
         assert s.eigenvalues.shape == (5,)
 
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(3), np.triu(np.ones((3, 3)))])
+    def test_non_square_or_asymmetric_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            ql.eigendecompose(bad)
+
     def test_asymmetry_rejected(self, c5):
         a = ql.adjacency(c5)
-        a.entries[0, 1] += 1e-6  # mutate past the constructor
+        a[0, 1] += 1e-6
         with pytest.raises(InvalidParameterError):
             ql.eigendecompose(a)
 
     def test_trace_matches_disordered(self):
         a = ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(8)), 2.0, ql.RngSeed(41))
         s = ql.eigendecompose(a)
-        assert abs(s.eigenvalues.sum() - np.trace(a.entries)) <= 1e-6 * a.dim
+        assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
 
 
 class TestSpectrumType:
