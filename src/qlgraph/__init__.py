@@ -5,7 +5,7 @@ products and their spectra without materializing product matrices, classify
 emergent/hybrid/random states, and project emergent eigenvectors onto the
 2^N qubit tensor basis.
 """
-from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram,
+from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram, histogram_edges,
                         histogram_from_values, write_histogram_csv)
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError)
@@ -38,7 +38,7 @@ __all__ = [
     "bell_state_check", "compose_spectra", "couple",
     "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
     "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "fix_sign",
-    "histogram_from_values", "is_connected", "iter_samples",
+    "histogram_edges", "histogram_from_values", "is_connected", "iter_samples",
     "max_residual", "orthonormality_defect", "predict_splitting",
     "project_alphas", "run_sample", "spectral_gap",
     "write_composed_spectrum_csv", "write_histogram_csv",

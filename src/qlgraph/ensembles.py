@@ -44,15 +44,20 @@ class EnsembleHistogram:
         object.__setattr__(self, "counts", counts)
 
 
-def histogram_from_values(values: np.ndarray, bins: int) -> EnsembleHistogram:
-    """Uniform bins spanning [min - 0.5, max + 0.5]; every value lands in a bin."""
+def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
+    """``bins + 1`` uniform edges spanning [lo - 0.5, hi + 0.5]: every value
+    in [lo, hi] lands in a bin."""
     if bins < 1:
         raise InvalidParameterError(f"bins must be positive, got {bins}")
-    if values.size == 0:
-        raise InvalidParameterError("no values to histogram")
-    edges = np.linspace(values.min() - _PAD, values.max() + _PAD, bins + 1)
+    return np.linspace(lo - _PAD, hi + _PAD, bins + 1)
+
+
+def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of ``values`` per bin between consecutive ``edges``; the last
+    bin includes its right edge. Counts of parts add up to the counts of
+    the whole."""
     counts, _ = np.histogram(values, bins=edges)
-    return EnsembleHistogram(edges, counts)
+    return counts
 
 
 def write_histogram_csv(h: EnsembleHistogram, fh: IO[str]) -> None:

@@ -16,11 +16,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import EnsembleHistogram, histogram_from_values
+from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import GenerationFailureError, InvalidParameterError
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
-from .products import ComposedSpectrum, compose_spectra, emergent_component_counts
+from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
+                       emergent_component_counts)
 from .qlbits import EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair, predict_splitting
 from .rng import RngSeed
 from .spectra import Spectrum, eigendecompose
@@ -43,11 +44,19 @@ _STAGE_DISORDER = 3
 # Histogram edges are float64: 10^6 bins take 8 MB.
 MAX_BINS = 1_000_000
 
-# Modelled peak memory of a run, refused past this: one factor's dense
-# adjacency, 8*dim^2 bytes (dim = 2n for a QL bit, else n), plus
-# (8*n_samples + 64)*dim^n_factors bytes for every sample's composed values
-# and sample 0's sort and label arrays.
+# `ensemble_spectrum` recomposes and bins this many values at a time, or one
+# whole sample when that is larger: its memory does not grow with n_samples.
+_CHUNK_VALUES = 2**14
+
+# Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
+# and n otherwise, and states = dim^n_factors, the model adds up one factor's
+# dense adjacency, 8*dim^2 bytes; sample 0, kept whole, with its composed
+# values, sort and label arrays, 72*states; one chunk of at most
+# max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
+# bytes a value; and per sample its factor eigenvalues, 8*n_factors*dim, and
+# its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
 MAX_BYTES = 2**30
+_SEED_BYTES = 128
 
 # Artifact file stems: no path separators, no leading dot, and at most 200
 # characters, so the longest staged file name stays within 255.
@@ -90,9 +99,14 @@ class ExperimentDescriptor:
 
     def validate(self) -> list[str]:
         """All precondition violations, empty when the descriptor is runnable."""
+        return list(self._errors)
+
+    @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        """The violations, found once per descriptor: its fields never change."""
         errors = self._type_errors()
         if errors:
-            return errors
+            return tuple(errors)
         if not _NAME_PATTERN.fullmatch(self.name):
             errors.append(f"name must match {_NAME_PATTERN.pattern}, got {self.name!r}")
         if self.kind not in KINDS:
@@ -136,15 +150,16 @@ class ExperimentDescriptor:
         if not errors and self._over_budget():
             errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={self.n}, "
                           f"n_factors={self.n_factors}, n_samples={self.n_samples}")
-        return errors
+        return tuple(errors)
 
     def _over_budget(self) -> bool:
         """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
         dim = 2 * self.n if self.kind == KIND_QLBIT_PRODUCT else self.n
         states = 1
-        for _ in range(self.n_factors):  # dim >= 2: past the budget within ~30 steps
+        for k in range(1, self.n_factors + 1):  # dim >= 2: past the budget within ~30 steps
             states *= dim
-            if 8 * dim * dim + (8 * self.n_samples + 64) * states > MAX_BYTES:
+            if (8 * dim * dim + 72 * states + 16 * max(_CHUNK_VALUES, states)
+                    + self.n_samples * (8 * k * dim + _SEED_BYTES) > MAX_BYTES):
                 return True
         return False
 
@@ -288,17 +303,28 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
                       ) -> tuple[SampleResult, EnsembleHistogram, list[int]]:
     """Sample 0, the histogram of every eigenvalue of every sample, and the sample seeds.
 
-    One pass over the samples, so sample 0 is computed once. Counts sum to
-    n_samples * product_dim: every eigenvalue of every sample lands in a bin.
+    Counts sum to n_samples * product_dim: every eigenvalue of every sample
+    lands in a bin. Each sample is run once. Pass 1 keeps sample 0 whole and
+    only the factor eigenvalues of every sample; the bin edges follow from
+    their extremes. Pass 2 recomposes the samples `_CHUNK_VALUES` values at
+    a time, with the additions of `compose_spectra`, and adds up the counts.
     """
     require_valid(desc)  # also guarantees n_samples >= 1, so sample 0 exists
-    first, values, seeds = None, [], []
+    first, kept, seeds = None, [], []
     for sample in iter_samples(desc):
-        first = first or sample
-        values.append(sample.composed.values)
+        if first is None:
+            first = sample
+            kept = [np.empty((desc.n_samples, f.spectrum.dim)) for f in sample.factors]
+        for rows, f in zip(kept, sample.factors):
+            rows[sample.index] = f.spectrum.eigenvalues
         seeds.append(sample.seed)
-    values = np.concatenate(values)  # rebinding frees the per-sample arrays: lower peak memory
-    return first, histogram_from_values(values, desc.bins), seeds
+    edges = histogram_edges(*composed_range(kept), desc.bins)
+    counts = np.zeros(desc.bins, dtype=np.int64)
+    step = max(1, _CHUNK_VALUES // first.composed.size)
+    for start in range(0, desc.n_samples, step):
+        chunk = compose_values([rows[start:start + step] for rows in kept])
+        counts += histogram_from_values(chunk.ravel(), edges)
+    return first, EnsembleHistogram(edges, counts), seeds
 
 
 def _fig(name: str, **kwargs) -> ExperimentDescriptor:

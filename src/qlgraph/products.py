@@ -64,10 +64,25 @@ def compose_spectra(factor_spectra: Sequence[Spectrum]) -> ComposedSpectrum:
     """
     if len(factor_spectra) == 0:
         raise InvalidParameterError("need at least one factor spectrum")
-    grid = factor_spectra[0].eigenvalues
-    for s in factor_spectra[1:]:
-        grid = np.add.outer(grid, s.eigenvalues)
-    return ComposedSpectrum(tuple(factor_spectra), grid.ravel())
+    values = compose_values([s.eigenvalues[None, :] for s in factor_spectra])
+    return ComposedSpectrum(tuple(factor_spectra), values[0])
+
+
+def compose_values(factor_values: Sequence[np.ndarray]) -> np.ndarray:
+    """Row s: the composed values of row s of each ``(n_samples, dim_k)``
+    factor array, as the left fold of outer sums raveled in C order, so each
+    value is added in the same order for any number of rows."""
+    grid = factor_values[0]
+    for v in factor_values[1:]:
+        grid = (grid[:, :, None] + v[:, None, :]).reshape(len(grid), -1)
+    return grid
+
+
+def composed_range(factor_values: Sequence[np.ndarray]) -> tuple[float, float]:
+    """Least and greatest value of `compose_values`, from the factor extremes
+    alone: rows are sorted descending and float addition is monotone."""
+    return (float(compose_values([v[:, -1:] for v in factor_values]).min()),
+            float(compose_values([v[:, :1] for v in factor_values]).max()))
 
 
 def emergent_component_counts(c: ComposedSpectrum,

@@ -3,7 +3,8 @@
 The pipeline composes product spectra without forming product graphs or
 matrices, and projects product eigenvectors without forming them; these
 helpers form them anyway so tests can compare against the dense result.
-The composed spectrum CSV is also rebuilt here one row at a time.
+The composed spectrum CSV is also rebuilt here one row at a time, and the
+ensemble histogram from every sample's values held at once.
 """
 from __future__ import annotations
 
@@ -130,3 +131,12 @@ def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
             1 for i, s in zip(labels, emergent_indices) if i in s)
         writer.writerow([repr(values[flat]), *labels, n_em])
     return buf.getvalue()
+
+
+def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:
+    """Every sample's composed values concatenated, then binned at once over
+    uniform edges spanning [min - 0.5, max + 0.5]."""
+    values = np.concatenate([s.composed.values for s in ql.iter_samples(desc)])
+    edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
+    counts, _ = np.histogram(values, bins=edges)
+    return ql.EnsembleHistogram(edges, counts)

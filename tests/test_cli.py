@@ -85,15 +85,23 @@ class TestListAndValidate:
         assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])  # nothing beside --out
         assert not list(out_dir.iterdir())
 
-    @pytest.mark.parametrize("descriptor", [
-        {"kind": "qlbit-product", "n": 20, "d": 15, "n_factors": 9},
-        {"kind": "single-graph", "n": 200_000, "d": 3},
-        {"kind": "d-regular-product", "n": 30, "d": 3, "n_factors": 6, "n_samples": 10**8},
-        {"kind": "d-regular-product", "n": 5, "graph": "cycle", "n_factors": 10**18},
-    ], ids=["40^9-states", "dense-200000", "10^8-samples", "10^18-factors"])
-    def test_over_memory_budget_refused(self, descriptor, tmp_path, capsys):
+    @pytest.mark.parametrize("descriptor,refused", [
+        ({"kind": "qlbit-product", "n": 20, "d": 15, "n_factors": 9}, True),
+        ({"kind": "single-graph", "n": 200_000, "d": 3}, True),
+        ({"kind": "d-regular-product", "n": 30, "d": 3, "n_factors": 6, "n_samples": 10**8},
+         True),
+        ({"kind": "d-regular-product", "n": 5, "graph": "cycle", "n_factors": 10**18}, True),
+        ({"kind": "qlbit-product", "n": 12, "d": 11, "p": 0.1, "n_factors": 3,
+          "n_samples": 10_000}, False),
+    ], ids=["40^9-states", "dense-200000", "10^8-samples", "10^18-factors",
+            "fig4e-10^4-samples"])
+    def test_over_memory_budget_refused(self, descriptor, refused, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"name": "big", **descriptor}))
+        if not refused:  # the streamed ensemble holds no n_samples x 24^3 values
+            code, out = run_cli(["validate", str(path)], capsys)
+            assert (code, json.loads(out)["status"]) == (0, "ok")
+            return
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
@@ -321,6 +329,19 @@ class TestComputeOnce:
                                 derive=samples * self.DERIVES_PER_SAMPLE[descriptor["name"]])
         assert calls["predict_splitting"] == 0  # no artifact reads the prediction
 
+    def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):
+        type_errors = ql.ExperimentDescriptor._type_errors
+        calls = []
+
+        def counted(desc):
+            calls.append(desc)
+            return type_errors(desc)
+
+        monkeypatch.setattr(ql.ExperimentDescriptor, "_type_errors", counted)
+        code, _ = run_cli(["run", "fig4a", "--samples", "5", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert len(calls) == 1
+
 
 # A valid single-graph descriptor with up to four of its fields, or an unknown
 # field, set to values of any JSON type, including ones no field accepts.
@@ -337,12 +358,25 @@ _DESCRIPTORS = st.dictionaries(
     st.sampled_from([f.name for f in dataclasses.fields(ql.ExperimentDescriptor)] + ["extra"]),
     _ODD_VALUES, max_size=4,
 ).map(lambda odd: {"name": "prop", "kind": "single-graph", "n": 12, "d": 8, **odd})
+# Valid descriptors past the memory budget by a factor of 8 or more: a dense
+# adjacency of 8n^2 bytes, 3^n_factors composed states, or at least a byte
+# per sample. They are named "big"; the budget is their only error.
+_OVER_BUDGET = st.one_of(
+    st.builds(lambda n: {"kind": "single-graph", "n": 2 * n, "d": 8},
+              st.integers(2**14, 2**40)),
+    st.builds(lambda n, n_factors: {"kind": "d-regular-product", "graph": "cycle", "n": n,
+                                    "n_factors": n_factors},
+              st.integers(3, 40), st.integers(22, 10**18)),
+    st.builds(lambda kind, n_samples: {"kind": kind, "n": 12, "d": 8, "n_samples": n_samples},
+              st.sampled_from(["single-graph", "d-regular-product", "qlbit-product"]),
+              st.integers(2**33, 2**64)),
+).map(lambda sizes: {"name": "big", **sizes})
 
 
 class TestHostileDescriptors:
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None,
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=_DESCRIPTORS)
+    @given(data=st.one_of(_DESCRIPTORS, _OVER_BUDGET))
     def test_refusals_exit_2_and_write_nothing(self, data, capsys):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -351,6 +385,9 @@ class TestHostileDescriptors:
             code, out = run_cli(["validate", str(path)], capsys)
             assert code in (0, 2)
             assert json.loads(out)["status"] == ("ok" if code == 0 else "error")
+            if data["name"] == "big":
+                assert [e.split(":")[0] for e in json.loads(out)["errors"]] == [
+                    f"modelled memory exceeds {ql.experiments.MAX_BYTES} bytes"]
             if code == 0:
                 return
             out_dir = root / "out"

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qlgraph as ql
 from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
+
+from oracles import one_shot_histogram
 
 
 def small_qlbit_descriptor(**overrides):
@@ -59,10 +63,13 @@ class TestClassifyStates:
 class TestHistogram:
     def test_counts_cover_all_values(self):
         values = ql.RngSeed(1).generator().normal(size=500)
-        h = ql.histogram_from_values(values, 20)
-        assert h.counts.sum() == 500
-        assert h.bin_edges.shape == (21,)
-        assert np.all(np.diff(h.bin_edges) > 0)
+        edges = ql.histogram_edges(values.min(), values.max(), 20)
+        counts = ql.histogram_from_values(values, edges)
+        assert counts.sum() == 500
+        assert edges.shape == (21,)
+        assert np.all(np.diff(edges) > 0)
+        parts = [ql.histogram_from_values(part, edges) for part in np.split(values, [123, 400])]
+        assert np.array_equal(sum(parts), counts)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -70,7 +77,7 @@ class TestHistogram:
         with pytest.raises(InvalidParameterError):
             ql.EnsembleHistogram(np.array([0.0, 0.0, 1.0]), np.array([1, 2]))
         with pytest.raises(InvalidParameterError):
-            ql.histogram_from_values(np.array([1.0]), 0)
+            ql.histogram_edges(1.0, 1.0, 0)
 
 
 class TestDescriptor:
@@ -219,6 +226,33 @@ class TestEnsembleSpectrum:
         assert seeds == [ql.RngSeed(9000).derive(i).seed for i in range(2)]
         assert seeds == [s.seed for s in ql.iter_samples(desc)]
         assert (first.index, first.seed) == (0, seeds[0])
+
+    # The bundled figures, and one single-graph ensemble (one factor per sample).
+    ORACLE_CASES = {**ql.BUNDLED_EXPERIMENTS, "single": ql.ExperimentDescriptor(
+        name="single", kind="single-graph", n=12, d=8, sigma=2.0, n_samples=30)}
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [None, 777, 12345])
+    def test_streamed_histogram_matches_one_shot_oracle(self, name, seed):
+        desc = self.ORACLE_CASES[name]
+        if seed is not None:
+            desc = desc.with_overrides(master_seed=seed)
+        _, h, _ = ql.ensemble_spectrum(desc)
+        expected = one_shot_histogram(desc)
+        assert h.bin_edges.tobytes() == expected.bin_edges.tobytes()
+        assert np.array_equal(h.counts, expected.counts)
+
+    def test_many_sample_peak_memory_bounded(self):
+        # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at once.
+        desc = ql.BUNDLED_EXPERIMENTS["fig4e"].with_overrides(n_samples=100)
+        tracemalloc.start()
+        try:
+            _, h, _ = ql.ensemble_spectrum(desc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.counts.sum() == 100 * 24**3
+        assert peak < 4 * 2**20
 
     def test_zero_samples_refused(self):
         with pytest.raises(InvalidParameterError, match="n_samples"):

@@ -1,5 +1,6 @@
-"""Property tests of the two numerical claims: projection Parseval and
-spectrum composition, each held against a dense oracle."""
+"""Property tests of the numerical claims: projection Parseval, spectrum
+composition, and the histogram range found without the composed grid, each
+held against an explicit oracle."""
 import functools
 
 import numpy as np
@@ -69,3 +70,33 @@ def test_compose_spectra_matches_kronecker_sum_and_regroups_exactly(factors):
         prefix = ql.Spectrum(np.sort(ql.compose_spectra(spectra[:k]).values)[::-1], None)
         regrouped = ql.compose_spectra([prefix, *spectra[k:]]).values
         assert np.array_equal(np.sort(regrouped), np.sort(composed))
+
+
+# Eigenvalues with ties, negative values and zeros of both signs.
+_EIGENVALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                         st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def descending_factor_rows(draw):
+    """Per factor, an (n_samples, dim) array whose rows are sorted descending."""
+    n_samples = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    return [np.array([sorted(draw(st.lists(_EIGENVALUES, min_size=dim, max_size=dim)),
+                             reverse=True) for _ in range(n_samples)])
+            for dim in dims]
+
+
+@PROPERTY_SETTINGS
+@given(factors=descending_factor_rows())
+def test_composed_range_is_the_extremes_of_the_explicit_grid(factors):
+    grids = [functools.reduce(np.add.outer, [rows[s] for rows in factors]).ravel()
+             for s in range(len(factors[0]))]
+    values = ql.products.compose_values(factors)
+    for row, grid in zip(values, grids):  # bit for bit, signed zeros included
+        assert row.tobytes() == grid.tobytes()
+    grid = np.concatenate(grids)
+    lo, hi = ql.products.composed_range(factors)
+    assert (lo, hi) == (grid.min(), grid.max())
+    edges = ql.histogram_edges(lo, hi, 7)
+    assert edges.tobytes() == np.linspace(grid.min() - 0.5, grid.max() + 0.5, 8).tobytes()
