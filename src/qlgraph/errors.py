@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import numpy as np
 
 
 class QLGraphError(Exception):
@@ -6,7 +7,13 @@ class QLGraphError(Exception):
 
 
 class InvalidParameterError(QLGraphError, ValueError):
-    """A precondition on an operation's inputs was violated."""
+    """A precondition on an operation's inputs was violated.
+
+    Several arguments are several errors; the message joins them with "; ".
+    """
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))
 
 
 class GenerationFailureError(QLGraphError, RuntimeError):
@@ -19,3 +26,10 @@ class GenerationFailureError(QLGraphError, RuntimeError):
 
 class NumericalFailureError(QLGraphError, RuntimeError):
     """A numerical routine (eigensolver) failed to converge."""
+
+
+def require_int(name: str, value) -> int:
+    """value as an int; InvalidParameterError unless it is an int or np.integer (bool refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import GenerationFailureError, InvalidParameterError
+from .errors import GenerationFailureError, InvalidParameterError, require_int
 from .rng import RngSeed
 
 DEFAULT_MAX_RESTARTS = 10_000
+# Edge keys u * n + v stay below n**2, which must fit in int64.
+MAX_VERTICES = 2**31
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +28,10 @@ class Graph:
     ``edges`` is an (m, 2) int64 array, each row (u, v) with u < v, rows
     sorted; ``weights`` is the matching (m,) float64 array, all +1 when
     omitted. Endpoints may be given in either order and rows in any order.
-    Invariants enforced at construction: no self-loops, no duplicate edges,
-    all endpoints in range, finite weights. Instances and their arrays are
-    immutable.
+    Invariants enforced at construction: an integer vertex count in
+    [1, MAX_VERTICES], no self-loops, all endpoints in range, no duplicate
+    edges, finite weights; a refusal names the smallest offending (u, v).
+    Instances and their arrays are immutable.
     """
 
     n_vertices: int
@@ -35,9 +39,9 @@ class Graph:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.n_vertices
-        if n <= 0:
-            raise InvalidParameterError(f"n_vertices must be positive, got {n}")
+        n = require_int("n_vertices", self.n_vertices)
+        if not 0 < n <= MAX_VERTICES:
+            raise InvalidParameterError(f"n_vertices must be in [1, {MAX_VERTICES}], got {n}")
         e = np.asarray(self.edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
@@ -45,19 +49,18 @@ class Graph:
         if e.ndim != 2 or e.shape[1] != 2 or w.shape != (len(e),):
             raise InvalidParameterError(
                 f"need (m, 2) edges and (m,) weights, got shapes {e.shape} and {w.shape}")
-        e = np.sort(e, axis=1)
-        order = np.lexsort((e[:, 1], e[:, 0]))
-        e, w = e[order], w[order]
-        u, v = e.T
-        repeat = np.concatenate([[False], (e[1:] == e[:-1]).all(axis=1)])
-        for bad, problem in ((u == v, "is a self-loop"),
-                             ((u < 0) | (v >= n), f"is out of range for n={n}"),
-                             (repeat, "is a duplicate"),
-                             (~np.isfinite(w), "has a non-finite weight")):
-            if bad.any():
-                i = bad.argmax()
-                raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
+        u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        _refuse_first(u == v, u, v, "is a self-loop")
+        _refuse_first((u < 0) | (v >= n), u, v, f"is out of range for n={n}")
+        # One flat key orders rows by (u, v); the stable sort keeps equal rows in input order.
+        key = u * n + v
+        order = np.argsort(key, kind="stable")
+        key, u, v, w = key[order], u[order], v[order], w[order]
+        _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, "is a duplicate")
+        _refuse_first(~np.isfinite(w), u, v, "has a non-finite weight")
+        e = np.stack((u, v), axis=1)
         e.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "weights", w)
 
@@ -67,6 +70,14 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
+
+
+def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, problem: str) -> None:
+    """InvalidParameterError naming the smallest (u, v) among the rows flagged bad, if any."""
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        i = rows[np.lexsort((v[rows], u[rows]))[0]]
+        raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
 
 
 def cycle_graph(n: int) -> Graph:
@@ -126,21 +137,22 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    edges = _d_regular_edges(n, d, seed.generator())
-    return Graph(n, np.array(list(edges), dtype=np.int64).reshape(-1, 2))
+    return Graph(n, _d_regular_edges(n, d, seed.generator()))
 
 
-def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]]:
-    if d == 0:
-        return set()
+def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, 2) int64 edges (u, v), u < v, of a d-regular graph; canonical order when dense."""
     if 2 * d > n - 1:
+        taken = np.tri(n, dtype=bool)  # the diagonal and below hold no edge (u, v) with u < v
         comp = _d_regular_edges(n, n - 1 - d, rng)
-        return {(i, j) for i in range(n) for j in range(i + 1, n)} - comp
+        taken[comp[:, 0], comp[:, 1]] = True
+        return np.argwhere(~taken)
     restarts = 0
     while restarts < DEFAULT_MAX_RESTARTS:
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            return edges
+            return np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                               count=2 * len(edges)).reshape(-1, 2)
         restarts += 1
     raise GenerationFailureError(
         f"d-regular generation failed for n={n}, d={d} after {restarts} restarts", restarts
@@ -149,6 +161,7 @@ def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
     """A copy of g with `count` uniformly chosen distinct edges removed."""
+    count = require_int("count", count)
     if count < 0:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
     if count > g.n_edges:

@@ -4,7 +4,9 @@ The pipeline composes product spectra without forming product graphs or
 matrices, and projects product eigenvectors without forming them; these
 helpers form them anyway so tests can compare against the dense result.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
-ensemble histogram from every sample's values held at once.
+ensemble histogram from every sample's values held at once. Graph
+validation and dense d-regular generation are rebuilt on Python sets and a
+two-column lexsort, the way the package once did them.
 """
 from __future__ import annotations
 
@@ -19,6 +21,43 @@ import numpy as np
 
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
+
+
+def reference_graph_arrays(n: int, edges, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Graph's canonical (edges, weights) by row-wise sort and a two-column lexsort.
+
+    Refuses as Graph does, checking in the same order and naming the first
+    offending edge in (u, v) order.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    w = np.ones(len(e)) if weights is None else np.asarray(weights, dtype=np.float64)
+    e = np.sort(e, axis=1)
+    order = np.lexsort((e[:, 1], e[:, 0]))
+    e, w = e[order], w[order]
+    u, v = e.T
+    repeat = np.concatenate([[False], (e[1:] == e[:-1]).all(axis=1)])
+    for bad, problem in ((u == v, "is a self-loop"),
+                         ((u < 0) | (v >= n), f"is out of range for n={n}"),
+                         (repeat, "is a duplicate"),
+                         (~np.isfinite(w), "has a non-finite weight")):
+        if bad.any():
+            i = bad.argmax()
+            raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
+    return e, w
+
+
+def reference_d_regular_random(n: int, d: int, seed: ql.RngSeed) -> ql.Graph:
+    """d_regular_random with the dense complement taken as a set difference of tuples."""
+    from qlgraph.graphs import _pairing_attempt
+
+    def edges(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]]:
+        if 2 * d > n - 1:
+            return {(i, j) for i in range(n) for j in range(i + 1, n)} - edges(n, n - 1 - d, rng)
+        while (found := _pairing_attempt(n, d, rng)) is None:
+            pass
+        return found
+
+    return ql.Graph(n, np.array(list(edges(n, d, seed.generator())), dtype=np.int64).reshape(-1, 2))
 
 
 def complete_graph(n: int) -> ql.Graph:

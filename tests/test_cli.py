@@ -122,6 +122,15 @@ class TestListAndValidate:
         assert len(reports[0]["errors"]) == 3
         assert reports[0] == reports[1]
 
+    def test_library_caller_sees_errors_joined(self):
+        desc = dataclasses.replace(ql.BUNDLED_EXPERIMENTS["fig2a"], sign=3, n_samples=0)
+        with pytest.raises(InvalidParameterError) as exc:
+            ql.run_sample(desc, 0)
+        assert len(exc.value.args) == 2
+        assert str(exc.value) == "; ".join(exc.value.args)
+        assert str(InvalidParameterError("a", "b")) == "a; b"
+        assert str(InvalidParameterError("only")) == "only"
+
     @pytest.mark.parametrize("content", [
         b'{"name": "caf\xe9", "kind": "single-graph", "n": 12, "d": 8}',
         b"[" * 100_000 + b"]" * 100_000,

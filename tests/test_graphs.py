@@ -6,7 +6,7 @@ import pytest
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
-from oracles import complete_graph, graph_from_adjacency
+from oracles import complete_graph, graph_from_adjacency, reference_d_regular_random
 
 
 def cycle_eigenvalues(n):
@@ -40,6 +40,34 @@ class TestGraphType:
     def test_nonpositive_vertex_count_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.Graph(0, [])
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, None, np.float64(3.0)])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="n_vertices must be an integer"):
+            ql.Graph(n, [[0, 1]])
+
+    def test_vertex_count_past_the_int64_key_range_rejected(self):
+        with pytest.raises(InvalidParameterError, match="n_vertices must be in"):
+            ql.Graph(ql.graphs.MAX_VERTICES + 1, [[0, 1]])
+        assert ql.Graph(ql.graphs.MAX_VERTICES, [[0, ql.graphs.MAX_VERTICES - 1]]).n_edges == 1
+
+    def test_numpy_integer_vertex_count_accepted(self):
+        g = ql.Graph(np.uint64(3), [[0, 1], [1, 2]])
+        assert type(g.n_vertices) is int and g.n_vertices == 3
+        assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("n,edges,weights,message", [
+        (5, [[4, 4], [3, 1], [2, 2], [0, 1]], None, "edge (2,2) is a self-loop"),
+        (3, [[5, 0], [1, 7], [0, 4], [0, 1]], None, "edge (0,4) is out of range for n=3"),
+        (3, [[2, 1], [-1, 2], [-2, 0]], None, "edge (-2,0) is out of range for n=3"),
+        (3, [[0, 5], [2, 2]], None, "edge (2,2) is a self-loop"),  # self-loops are checked first
+        (4, [[3, 2], [1, 0], [2, 3], [0, 1]], None, "edge (0,1) is a duplicate"),
+        (4, [[2, 3], [0, 1], [1, 2]], [math.nan, 1.0, math.inf], "edge (1,2) has a non-finite weight"),
+    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "non-finite"])
+    def test_refusal_names_the_smallest_offending_edge(self, n, edges, weights, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            ql.Graph(n, edges, weights)
+        assert str(exc.value) == message
 
 
 class TestCycleGraph:
@@ -104,6 +132,15 @@ class TestDRegularRandom:
         v = ql.fix_sign(s.eigenvectors[:, 0])
         assert np.max(np.abs(v - 1 / math.sqrt(12))) <= 1e-9
 
+    @pytest.mark.parametrize("n,d", [(20, 15), (12, 8), (10, 9), (12, 11), (7, 6), (16, 3)])
+    def test_matches_set_difference_oracle(self, n, d):
+        root = ql.RngSeed(2024)
+        for s in range(100):
+            seed = root.derive(n, d, s)
+            g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
+            assert np.array_equal(g.edges, ref.edges)
+            assert np.array_equal(g.weights, ref.weights)
+
     def test_generation_failure_carries_retry_count(self, monkeypatch):
         import qlgraph.graphs as graphs
         monkeypatch.setattr(graphs, "_pairing_attempt", lambda *a: None)
@@ -135,6 +172,17 @@ class TestDeleteRandomEdges:
         g = ql.cycle_graph(5)
         with pytest.raises(InvalidParameterError):
             ql.delete_random_edges(g, 6, ql.RngSeed(0))
+
+    @pytest.mark.parametrize("count", [2.0, 1.5, True, "2", None])
+    def test_non_integer_count_rejected(self, count):
+        g = ql.d_regular_random(12, 8, ql.RngSeed(10))
+        with pytest.raises(InvalidParameterError, match="count must be an integer"):
+            ql.delete_random_edges(g, count, ql.RngSeed(11))
+
+    def test_numpy_integer_count_accepted(self):
+        g = ql.d_regular_random(12, 8, ql.RngSeed(10))
+        h = ql.delete_random_edges(g, np.int64(4), ql.RngSeed(11))
+        assert np.array_equal(h.edges, ql.delete_random_edges(g, 4, ql.RngSeed(11)).edges)
 
     def test_deterministic(self):
         g = ql.d_regular_random(12, 8, ql.RngSeed(14))
@@ -244,3 +292,23 @@ class TestRngSeed:
             ql.RngSeed(-1)
         with pytest.raises(InvalidParameterError):
             ql.RngSeed(0, -2)
+
+    @pytest.mark.parametrize("seed,stream_id,path", [
+        (3.7, 0, ()), ("7", 0, ()), (True, 0, ()), (None, 0, ()), (7.0, 0, ()),
+        (7, 1.5, ()), (7, False, ()),
+        (7, 0, (2.5,)), (7, 0, (1, True)), (7, 0, ("1",)), (7, 0, (np.float64(1),)),
+    ])
+    def test_non_integer_rejected(self, seed, stream_id, path):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ql.RngSeed(seed, stream_id).derive(*path)
+
+    def test_numpy_integers_accepted(self):
+        a = ql.RngSeed(np.uint64(2**64 - 1), np.int32(2))
+        assert a == ql.RngSeed(2**64 - 1, 2)
+        assert type(a.seed) is int and type(a.stream_id) is int
+        assert a.derive(np.int64(3), np.uint8(1)) == ql.RngSeed(2**64 - 1, 2).derive(3, 1)
+        assert np.array_equal(a.generator().random(4), ql.RngSeed(2**64 - 1, 2).generator().random(4))
+
+    def test_negative_path_entry_rejected(self):
+        with pytest.raises(InvalidParameterError, match="non-negative"):
+            ql.RngSeed(7).derive(1, -1)

@@ -1,15 +1,19 @@
 """Property tests of the numerical claims: projection Parseval, spectrum
 composition, and the histogram range found without the composed grid, each
-held against an explicit oracle."""
+held against an explicit oracle. Graph's canonical arrays and refusals, and
+the seed streams, are held the same way against a two-column lexsort and
+against numpy's own SeedSequence."""
 import functools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlgraph as ql
+from qlgraph.errors import InvalidParameterError
 
-from oracles import dense_project_alphas, kronecker_sum_adjacency
+from oracles import dense_project_alphas, kronecker_sum_adjacency, reference_graph_arrays
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -100,3 +104,62 @@ def test_composed_range_is_the_extremes_of_the_explicit_grid(factors):
     assert (lo, hi) == (grid.min(), grid.max())
     edges = ql.histogram_edges(lo, hi, 7)
     assert edges.tobytes() == np.linspace(grid.min() - 0.5, grid.max() + 0.5, 8).tobytes()
+
+
+# 64-bit seeds and spawn-key entries around the 32-bit word boundaries.
+_WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1))
+_KEY_ENTRIES = st.one_of(_WORDS, st.integers(2**64, 2**100))
+
+
+@PROPERTY_SETTINGS
+@given(seed=_WORDS, stream_id=_KEY_ENTRIES, path=st.lists(_KEY_ENTRIES, max_size=4))
+def test_rng_streams_equal_plain_seed_sequence(seed, stream_id, path):
+    root = ql.RngSeed(seed, stream_id)
+    spawned = np.random.SeedSequence(seed, spawn_key=(stream_id, *path))
+    assert root.derive(*path).seed == int(spawned.generate_state(1, np.uint64)[0])
+    plain = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+    assert root.generator().bit_generator.state == plain.state
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and a valid edge list in any row and endpoint order, maybe with one fault:
+    a repeated edge, arbitrary extra endpoints, or a non-finite weight."""
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    fault = draw(st.sampled_from([None, "repeat", "endpoints", "weight"]))
+    if fault == "repeat" and edges:
+        edges.append(draw(st.sampled_from(edges))[::-1])
+    if fault == "endpoints":
+        end = st.integers(-2, n + 1)
+        edges += draw(st.lists(st.tuples(end, end), min_size=1, max_size=4))
+    weights = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=len(edges),
+                                         max_size=len(edges)))
+    if fault == "weight" and edges:
+        weights = weights or [1.0] * len(edges)
+        weights[draw(st.integers(0, len(edges) - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return n, edges, weights
+
+
+def _outcome(build):
+    try:
+        edges, weights = build()
+    except InvalidParameterError as exc:
+        return "refused", str(exc)
+    return edges.dtype, edges.tolist(), weights.dtype, weights.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(case=edge_lists())
+def test_graph_arrays_and_refusals_equal_lexsort_oracle(case):
+    n, edges, weights = case
+
+    def graph():
+        g = ql.Graph(n, edges, weights)
+        return g.edges, g.weights
+
+    assert _outcome(graph) == _outcome(lambda: reference_graph_arrays(n, edges, weights))
