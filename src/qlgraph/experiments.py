@@ -8,6 +8,7 @@ identical results.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -17,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
-from .errors import GenerationFailureError, InvalidParameterError
+from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
@@ -46,12 +47,18 @@ MAX_BINS = 1_000_000
 
 # `ensemble_spectrum` recomposes and bins this many values at a time, or one
 # whole sample when that is larger: its memory does not grow with n_samples.
+# Samples are built and eigendecomposed in chunks of at most this many matrix
+# entries across their distinct factors, or of one sample when that is larger.
 _CHUNK_VALUES = 2**14
 
 # Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
-# and n otherwise, and states = dim^n_factors, the model adds up one factor's
-# dense adjacency, 8*dim^2 bytes; sample 0, kept whole, with its composed
-# values, sort and label arrays, 72*states; one chunk of at most
+# and n otherwise, states = dim^n_factors, and entries = dim^2 times the
+# distinct factors of a sample, the model adds up one chunk of at most
+# max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
+# factor matrices and their stacked copy and, for QL bits, which keep
+# eigenvectors, for the solver's vectors, each sample's copy of them and
+# sample 0's kept copy; sample 0, kept whole, with its composed values,
+# sort and label arrays, 72*states; one chunk of at most
 # max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
 # bytes a value; and per sample its factor eigenvalues, 8*n_factors*dim, and
 # its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
@@ -152,13 +159,21 @@ class ExperimentDescriptor:
                           f"n_factors={self.n_factors}, n_samples={self.n_samples}")
         return tuple(errors)
 
+    @property
+    def _dim(self) -> int:
+        """The side of each factor matrix: 2n for a QL bit, n otherwise."""
+        return 2 * self.n if self.kind == KIND_QLBIT_PRODUCT else self.n
+
     def _over_budget(self) -> bool:
         """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
-        dim = 2 * self.n if self.kind == KIND_QLBIT_PRODUCT else self.n
+        dim = self._dim
+        entry_bytes = 40 if self.kind == KIND_QLBIT_PRODUCT else 16
         states = 1
         for k in range(1, self.n_factors + 1):  # dim >= 2: past the budget within ~30 steps
             states *= dim
-            if (8 * dim * dim + 72 * states + 16 * max(_CHUNK_VALUES, states)
+            entries = (1 if self.identical_factors else k) * dim * dim
+            if (entry_bytes * max(_CHUNK_VALUES, entries) + 72 * states
+                    + 16 * max(_CHUNK_VALUES, states)
                     + self.n_samples * (8 * k * dim + _SEED_BYTES) > MAX_BYTES):
                 return True
         return False
@@ -238,26 +253,76 @@ def _generate_base(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int, sid
     return d_regular_random(desc.n, desc.d, sample_seed.derive(_STAGE_BASE, k, side))
 
 
-def _build_factor(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
-                  bases: list[Graph]) -> FactorResult:
-    """Factor k from its generated base graphs, one per QL-bit side."""
+def _factor_matrix(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
+                   bases: list[Graph]) -> tuple[Graph, QLBit | None, np.ndarray]:
+    """Factor k's graph, its QL bit (None for a plain graph) and the matrix to decompose."""
     if desc.deletions:
         bases = [delete_random_edges(g, desc.deletions, sample_seed.derive(_STAGE_DELETE, k, side))
                  for side, g in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
         q = couple(*bases, desc.p, desc.sign, sample_seed.derive(_STAGE_COUPLE, k))
         graph = q.composite
-        emergent_indices = frozenset({0, 1})
     else:
         q = None
         (graph,) = bases
-        emergent_indices = frozenset({0})
     a = adjacency(graph)
     if desc.sigma > 0:
         a = apply_diagonal_disorder(a, desc.sigma, sample_seed.derive(_STAGE_DISORDER, k))
-    spectrum = eigendecompose(a, want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
-    return FactorResult(graph, spectrum, emergent_indices, is_connected(graph), qlbit=q,
-                        emergent=None if q is None else emergent_pair(q, spectrum))
+    return graph, q, a
+
+
+def _distinct_factors(desc: ExperimentDescriptor) -> int:
+    """Factors built and decomposed per sample: one when they are identical."""
+    return 1 if desc.identical_factors else desc.n_factors
+
+
+def _sample_matrices(desc: ExperimentDescriptor, sample_seed: RngSeed,
+                     ) -> list[tuple[Graph, QLBit | None, np.ndarray]]:
+    """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
+    ``identical_factors``. With ``shared_base`` every factor starts from the
+    bases generated for factor 0, which are generated once; deletions stay per
+    factor."""
+    sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
+    first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
+    return [_factor_matrix(desc, sample_seed, k, first_bases if k == 0 or desc.shared_base else
+                           [_generate_base(desc, sample_seed, k, side) for side in sides])
+            for k in range(_distinct_factors(desc))]
+
+
+def _finish_factor(graph: Graph, q: QLBit | None, spectrum: Spectrum) -> FactorResult:
+    """The factor's result from its spectrum: connectivity, and a QL bit's emergent pair."""
+    if q is None:
+        return FactorResult(graph, spectrum, frozenset({0}), is_connected(graph))
+    return FactorResult(graph, spectrum, frozenset({0, 1}), is_connected(graph), qlbit=q,
+                        emergent=emergent_pair(q, spectrum))
+
+
+def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
+    """Samples `indices`, stage by stage: every sample's factor matrices, then
+    one stacked eigendecomposition per distinct factor, then each sample's
+    results, yielded one at a time."""
+    root = RngSeed(desc.master_seed)
+    seeds = [root.derive(i) for i in indices]
+    built = []
+    for i, seed in zip(indices, seeds):
+        try:
+            built.append(_sample_matrices(desc, seed))
+        except GenerationFailureError as exc:
+            raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
+    try:
+        spectra = [eigendecompose(np.stack([factors[k][2] for factors in built]),
+                                  want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
+                   for k in range(len(built[0]))]
+    except NumericalFailureError as exc:
+        named = (f"sample {indices.start}" if len(indices) == 1
+                 else f"samples {indices.start}..{indices.stop - 1}")
+        raise NumericalFailureError(f"{named}: {exc}") from exc
+    for j, (i, seed, factors) in enumerate(zip(indices, seeds, built)):
+        results = [_finish_factor(graph, q, slot[j]) for (graph, q, _), slot in zip(factors, spectra)]
+        if desc.identical_factors:
+            results *= desc.n_factors
+        composed = compose_spectra([f.spectrum for f in results])
+        yield SampleResult(i, seed.seed, tuple(results), composed)
 
 
 def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
@@ -271,32 +336,26 @@ def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
 def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     """Run the full pipeline for one sample, deterministic in the master seed.
 
-    Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. With
-    ``shared_base`` every factor starts from the bases generated for factor
-    0, which are generated once; deletions stay per factor.
+    Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
+    is a chunk of one: `iter_samples` gives bitwise the same result.
     """
     require_valid(desc)
-    sample_seed = RngSeed(desc.master_seed).derive(sample_index)
-    sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
-    factors = []
-    for k in range(desc.n_factors):
-        if desc.identical_factors and k > 0:
-            factors.append(factors[0])
-            continue
-        bases = first_bases if k == 0 or desc.shared_base else [
-            _generate_base(desc, sample_seed, k, side) for side in sides]
-        factors.append(_build_factor(desc, sample_seed, k, bases))
-    composed = compose_spectra([f.spectrum for f in factors])
-    return SampleResult(sample_index, sample_seed.seed, tuple(factors), composed)
+    (sample,) = _run_chunk(desc, range(sample_index, sample_index + 1))
+    return sample
+
+
+def _samples_from(desc: ExperimentDescriptor, start: int) -> Iterator[SampleResult]:
+    """Samples start..n_samples-1, in chunks of at most `_CHUNK_VALUES` matrix
+    entries across their distinct factors, and of at least one sample."""
+    step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
+    for first in range(start, desc.n_samples, step):
+        yield from _run_chunk(desc, range(first, min(first + step, desc.n_samples)))
 
 
 def iter_samples(desc: ExperimentDescriptor) -> Iterator[SampleResult]:
-    for i in range(desc.n_samples):
-        try:
-            yield run_sample(desc, i)
-        except GenerationFailureError as exc:
-            raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
+    """Every sample in index order, each equal to `run_sample` on its index."""
+    require_valid(desc)
+    yield from _samples_from(desc, 0)
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor,
@@ -304,17 +363,16 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     """Sample 0, the histogram of every eigenvalue of every sample, and the sample seeds.
 
     Counts sum to n_samples * product_dim: every eigenvalue of every sample
-    lands in a bin. Each sample is run once. Pass 1 keeps sample 0 whole and
-    only the factor eigenvalues of every sample; the bin edges follow from
-    their extremes. Pass 2 recomposes the samples `_CHUNK_VALUES` values at
-    a time, with the additions of `compose_spectra`, and adds up the counts.
+    lands in a bin. Each sample is run once. Pass 1 runs sample 0 alone and
+    keeps it whole, then runs the others in chunks and keeps only their
+    factor eigenvalues; the bin edges follow from their extremes. Pass 2
+    recomposes the samples `_CHUNK_VALUES` values at a time, with the
+    additions of `compose_spectra`, and adds up the counts.
     """
-    require_valid(desc)  # also guarantees n_samples >= 1, so sample 0 exists
-    first, kept, seeds = None, [], []
-    for sample in iter_samples(desc):
-        if first is None:
-            first = sample
-            kept = [np.empty((desc.n_samples, f.spectrum.dim)) for f in sample.factors]
+    first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
+    kept = [np.empty((desc.n_samples, f.spectrum.dim)) for f in first.factors]
+    seeds = []
+    for sample in itertools.chain([first], _samples_from(desc, 1)):
         for rows, f in zip(kept, sample.factors):
             rows[sample.index] = f.spectrum.eigenvalues
         seeds.append(sample.seed)

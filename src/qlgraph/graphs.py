@@ -7,6 +7,7 @@ downstream random draw over edges deterministic.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -29,8 +30,9 @@ class Graph:
     sorted; ``weights`` is the matching (m,) float64 array, all +1 when
     omitted. Endpoints may be given in either order and rows in any order.
     Invariants enforced at construction: an integer vertex count in
-    [1, MAX_VERTICES], no self-loops, all endpoints in range, no duplicate
-    edges, finite weights; a refusal names the smallest offending (u, v).
+    [1, MAX_VERTICES], endpoints of an integer dtype, no self-loops, all
+    endpoints in range, no duplicate edges, finite weights; a refusal names
+    the smallest offending (u, v).
     Instances and their arrays are immutable.
     """
 
@@ -42,9 +44,12 @@ class Graph:
         n = require_int("n_vertices", self.n_vertices)
         if not 0 < n <= MAX_VERTICES:
             raise InvalidParameterError(f"n_vertices must be in [1, {MAX_VERTICES}], got {n}")
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = np.asarray(self.edges)
         if e.size == 0:
             e = e.reshape(0, 2)
+        elif not np.issubdtype(e.dtype, np.integer):
+            raise InvalidParameterError(f"edge endpoints must be integers, got dtype {e.dtype}")
+        e = e.astype(np.int64, copy=False)
         w = np.ones(len(e)) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
         if e.ndim != 2 or e.shape[1] != 2 or w.shape != (len(e),):
             raise InvalidParameterError(
@@ -131,6 +136,7 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     and keeps degrees close to n-1 feasible. Gives up with
     GenerationFailureError after DEFAULT_MAX_RESTARTS failed passes.
     """
+    n, d = require_int("n", n), require_int("d", d)
     if d < 1:
         raise InvalidParameterError(f"degree must be positive, got {d}")
     if n <= d:
@@ -187,8 +193,8 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     m = np.array(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be non-negative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
     m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
     return m
 

@@ -50,27 +50,32 @@ class AlonBoppanaReport:
     satisfied: bool
 
 
-def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum:
+def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[Spectrum]:
     """Full eigendecomposition of a square, exactly symmetric matrix.
 
     Eigenvalues come back descending; eigenvectors (optional) are the
-    matching orthonormal columns.
+    matching orthonormal columns. An (S, n, n) stack gives a list of S
+    spectra from one solver call, each bitwise equal to decomposing its
+    matrix alone; every matrix of the stack must be symmetric.
     """
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.swapaxes(-1, -2)):
         raise InvalidParameterError("matrix must be exactly symmetric")
+    stack = m if m.ndim == 3 else m[np.newaxis]
     try:
         if want_vectors:
-            vals, vecs = np.linalg.eigh(m)
-            return Spectrum(vals[::-1].copy(), np.ascontiguousarray(vecs[:, ::-1]))
-        vals = np.linalg.eigvalsh(m)
-        return Spectrum(vals[::-1].copy(), None)
+            vals, vecs = np.linalg.eigh(stack)
+        else:
+            vals, vecs = np.linalg.eigvalsh(stack), None
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"eigendecomposition failed for dim={len(m)}, max|entry|={np.max(np.abs(m)):.3g}: {exc}"
-        ) from exc
+        raise NumericalFailureError(f"eigendecomposition failed for dim={m.shape[-1]}, "
+                                    f"max|entry|={np.max(np.abs(m)):.3g}: {exc}") from exc
+    spectra = [Spectrum(vals[s, ::-1].copy(),
+                        None if vecs is None else np.ascontiguousarray(vecs[s, :, ::-1]))
+               for s in range(len(stack))]
+    return spectra[0] if m.ndim == 2 else spectra
 
 
 def spectral_gap(s: Spectrum) -> float:

@@ -254,6 +254,38 @@ class TestEnsembleSpectrum:
         assert h.counts.sum() == 100 * 24**3
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("name,stacks", [
+        ("fig3", [1] * 3 + [37] * 6 + [25] * 3),   # 3 distinct 12x12 factors a sample
+        ("fig4a", [1] + [10] * 9 + [9]),           # one 40x40 composite a sample
+        ("fig4b", [1]),                             # identical factors: one to decompose
+    ])
+    def test_one_stacked_eigensolve_per_chunk_and_distinct_factor(self, name, stacks,
+                                                                 monkeypatch):
+        # Sample 0 runs alone; the others in chunks of at most 2**14 matrix entries.
+        sizes = []
+        decompose = ql.experiments.eigendecompose
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(len(a))
+            return decompose(a, *args, **kwargs)
+
+        monkeypatch.setattr(ql.experiments, "eigendecompose", recorded)
+        ql.ensemble_spectrum(ql.BUNDLED_EXPERIMENTS[name])
+        assert sizes == stacks
+
+    def test_numerical_failure_names_the_samples(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        desc = ql.BUNDLED_EXPERIMENTS["fig3"]
+        with pytest.raises(ql.NumericalFailureError, match=r"^sample 5: eigendecomposition failed"):
+            ql.run_sample(desc, 5)
+        with pytest.raises(ql.NumericalFailureError, match=r"^samples 0\.\.36: eigendecomposition"):
+            next(ql.iter_samples(desc))
+        with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: "):
+            ql.ensemble_spectrum(desc)
+
     def test_zero_samples_refused(self):
         with pytest.raises(InvalidParameterError, match="n_samples"):
             ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=0))
@@ -263,6 +295,8 @@ class TestEnsembleSpectrum:
         monkeypatch.setattr(graphs, "_pairing_attempt", lambda *a: None)
         with pytest.raises(ql.GenerationFailureError, match="sample 0"):
             ql.ensemble_spectrum(small_qlbit_descriptor(d=3))
+        with pytest.raises(ql.GenerationFailureError, match="^sample 2: "):
+            ql.run_sample(small_qlbit_descriptor(d=3), 2)
 
 
 class TestFig3BandStructure:

@@ -1,5 +1,7 @@
 """Golden digests: every bundled figure, run through the CLI at its bundled
-seed and size, writes artifacts whose sha256 equals the recorded one.
+seed and size, writes artifacts whose sha256 equals the recorded one. So do
+a few ensembles at another seed and size, whose samples span several chunks
+of the stacked eigensolve and end in a partial chunk.
 
 The bytes depend on repr(float), numpy and BLAS/LAPACK, so the comparison
 is skipped when any of their versions differs from the recorded ones.
@@ -21,6 +23,11 @@ from qlgraph.experiments import BUNDLED_EXPERIMENTS
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
+# `qlgraph run` arguments past the bundled seed and size. Chunks hold 37 fig3
+# samples or 10 fig4a samples; `ensemble_spectrum` runs sample 0 alone first.
+RUNS = ("fig3 --seed 777 --samples 37", "fig3 --seed 777 --samples 80",
+        "fig4a --seed 777 --samples 37")
+
 
 def toolchain() -> dict[str, str]:
     """Versions the artifact bytes depend on."""
@@ -29,10 +36,10 @@ def toolchain() -> dict[str, str]:
             "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
-def figure_digests(name: str, out_dir: Path) -> dict[str, str]:
-    """Run one bundled figure into an empty directory; sha256 of each artifact."""
+def figure_digests(args: str, out_dir: Path) -> dict[str, str]:
+    """`qlgraph run <args>` into an empty directory; sha256 of each artifact."""
     out_dir.mkdir()
-    assert cli.main(["run", name, "--out", str(out_dir)]) == cli.EXIT_OK
+    assert cli.main(["run", *args.split(), "--out", str(out_dir)]) == cli.EXIT_OK
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out_dir.iterdir())}
 
@@ -41,21 +48,35 @@ def _recorded() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED_EXPERIMENTS))
-def test_bundled_figure_matches_golden_digests(name, tmp_path):
+def _recorded_or_skip() -> dict:
     recorded = _recorded()
     if recorded["toolchain"] != toolchain():
         pytest.skip(f"digests recorded with {recorded['toolchain']}, running {toolchain()}")
-    assert figure_digests(name, tmp_path / name) == recorded["figures"][name]
+    return recorded
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_EXPERIMENTS))
+def test_bundled_figure_matches_golden_digests(name, tmp_path):
+    assert figure_digests(name, tmp_path / name) == _recorded_or_skip()["figures"][name]
+
+
+@pytest.mark.parametrize("args", RUNS)
+def test_chunk_crossing_run_matches_golden_digests(args, tmp_path):
+    assert figure_digests(args, tmp_path / "out") == _recorded_or_skip()["runs"][args]
 
 
 def test_every_bundled_figure_is_recorded():
     assert sorted(_recorded()["figures"]) == sorted(BUNDLED_EXPERIMENTS)
 
 
+def test_every_run_is_recorded():
+    assert sorted(_recorded()["runs"]) == sorted(RUNS)
+
+
 def record(scratch: Path) -> None:
     figures = {name: figure_digests(name, scratch / name) for name in sorted(BUNDLED_EXPERIMENTS)}
-    GOLDEN.write_text(json.dumps({"toolchain": toolchain(), "figures": figures},
+    runs = {args: figure_digests(args, scratch / f"run{i}") for i, args in enumerate(RUNS)}
+    GOLDEN.write_text(json.dumps({"toolchain": toolchain(), "figures": figures, "runs": runs},
                                  indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 

@@ -37,6 +37,26 @@ class TestGraphType:
         with pytest.raises(InvalidParameterError):
             ql.Graph(3, pairs, weights)
 
+    @pytest.mark.parametrize("edges", [
+        [[0.5, 1.7], [1.2, 2.9]],          # truncated to [[0, 1], [1, 2]] once
+        np.array([[0.0, 1.0]]),            # integral values of a float dtype
+        [[True, False]],
+        [["0", "1"]],
+    ])
+    def test_non_integer_endpoints_rejected(self, edges):
+        with pytest.raises(InvalidParameterError, match="edge endpoints must be integers"):
+            ql.Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty((0, 2), dtype=np.uint8)])
+    def test_empty_edge_list_accepted(self, edges):
+        g = ql.Graph(3, edges)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+
+    def test_any_integer_dtype_accepted(self):
+        g = ql.Graph(3, np.array([[2, 1], [0, 1]], dtype=np.uint8))
+        assert g.edges.dtype == np.int64
+        assert np.array_equal(g.edges, [[0, 1], [1, 2]])
+
     def test_nonpositive_vertex_count_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.Graph(0, [])
@@ -114,6 +134,16 @@ class TestDRegularRandom:
     def test_odd_nd_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.d_regular_random(7, 3, ql.RngSeed(0))
+
+    @pytest.mark.parametrize("n,d", [(20.0, 15), (4, True), (np.float64(12), 8), (12, "8"),
+                                     (12, 8.0)])
+    def test_non_integer_n_or_d_rejected(self, n, d):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            ql.d_regular_random(n, d, ql.RngSeed(0))
+
+    def test_numpy_integer_n_and_d_accepted(self):
+        g = ql.d_regular_random(np.int64(12), np.uint8(8), ql.RngSeed(5))
+        assert np.array_equal(g.edges, ql.d_regular_random(12, 8, ql.RngSeed(5)).edges)
 
     def test_n_not_greater_than_d_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -247,6 +277,11 @@ class TestDiagonalDisorder:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), -1.0, ql.RngSeed(0))
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf, np.float64(math.inf)])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
+            ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))
 
     def test_non_square_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -2,9 +2,11 @@
 composition, and the histogram range found without the composed grid, each
 held against an explicit oracle. Graph's canonical arrays and refusals, and
 the seed streams, are held the same way against a two-column lexsort and
-against numpy's own SeedSequence."""
+against numpy's own SeedSequence. Samples run in chunks are held bitwise
+against the same samples run one at a time."""
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
-from oracles import dense_project_alphas, kronecker_sum_adjacency, reference_graph_arrays
+from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
+                     reference_graph_arrays)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -163,3 +166,70 @@ def test_graph_arrays_and_refusals_equal_lexsort_oracle(case):
         return g.edges, g.weights
 
     assert _outcome(graph) == _outcome(lambda: reference_graph_arrays(n, edges, weights))
+
+
+@st.composite
+def small_descriptors(draw):
+    """A small valid descriptor of any kind and graph family, with or without
+    deletions, disorder, identical factors and shared bases."""
+    kind = draw(st.sampled_from(ql.experiments.KINDS))
+    if draw(st.booleans()):
+        graph, n, d = "cycle", draw(st.integers(3, 6)), None
+        edges = n
+    else:
+        n = 2 * draw(st.integers(2, 4))  # even n: every degree below n is feasible
+        d = draw(st.integers(1, n - 1))
+        graph, edges = "d-regular", n * d // 2
+    qlbit = kind == "qlbit-product"
+    return ql.ExperimentDescriptor(
+        name="prop", kind=kind, n=n, graph=graph, d=d,
+        deletions=draw(st.integers(0, min(2, edges))),
+        p=draw(st.floats(0.0, 1.0)) if qlbit else 0.0, sign=draw(st.sampled_from([1, -1])),
+        n_factors=1 if kind == "single-graph" else draw(st.integers(1, 3)),
+        identical_factors=draw(st.booleans()), shared_base=draw(st.booleans()),
+        sigma=draw(st.sampled_from([0.0, 0.5, 2.0])), n_samples=draw(st.integers(1, 9)),
+        bins=draw(st.integers(1, 20)), master_seed=draw(SEEDS))
+
+
+def sample_bytes(sample: ql.SampleResult) -> tuple:
+    """Everything a sample holds, arrays as bytes, to compare two samples bitwise."""
+    def array(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    factors = []
+    for f in sample.factors:
+        parts = [f.graph.n_vertices, array(f.graph.edges), array(f.graph.weights),
+                 array(f.spectrum.eigenvalues), array(f.spectrum.eigenvectors),
+                 f.emergent_indices, f.connected]
+        if f.qlbit is not None:
+            q, e = f.qlbit, f.emergent
+            parts += [array(q.basis_1.edges), array(q.basis_2.edges),
+                      array(q.coupling_edges), q.sign, e.degraded_isolation,
+                      array(np.array([e.isolation_gap, e.isolation_threshold]))]
+            parts += [(array(np.array(st.eigenvalue)), array(st.eigenvector), st.phase)
+                      for st in e.states]
+        else:
+            assert f.emergent is None
+        factors.append(tuple(parts))
+    shared = [next(j for j, g in enumerate(sample.factors) if g is f) for f in sample.factors]
+    return (sample.index, sample.seed, tuple(factors), shared,
+            array(sample.composed.values))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(desc=small_descriptors(), per_chunk=st.integers(1, 4))
+def test_chunked_samples_equal_samples_run_alone(desc, per_chunk):
+    # Chunks of per_chunk samples, so up to 9 samples cross several chunk
+    # boundaries, and ensemble_spectrum's chunks (from sample 1) others still.
+    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
+    entries = (1 if desc.identical_factors else desc.n_factors) * dim * dim
+    alone = [sample_bytes(ql.run_sample(desc, i)) for i in range(desc.n_samples)]
+    with mock.patch.object(ql.experiments, "_CHUNK_VALUES", per_chunk * entries):
+        chunked = [sample_bytes(sample) for sample in ql.iter_samples(desc)]
+        first, histogram, seeds = ql.ensemble_spectrum(desc)
+    assert chunked == alone
+    assert sample_bytes(first) == alone[0]
+    assert seeds == [ql.RngSeed(desc.master_seed).derive(i).seed for i in range(desc.n_samples)]
+    expected = one_shot_histogram(desc)
+    assert histogram.bin_edges.tobytes() == expected.bin_edges.tobytes()
+    assert np.array_equal(histogram.counts, expected.counts)

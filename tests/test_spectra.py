@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qlgraph as ql
-from qlgraph.errors import InvalidParameterError
+from qlgraph.errors import InvalidParameterError, NumericalFailureError
 
 from conftest import assert_valid_spectrum
 from oracles import complete_graph
@@ -51,6 +51,72 @@ class TestEigendecompose:
         a = ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(8)), 2.0, ql.RngSeed(41))
         s = ql.eigendecompose(a)
         assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
+
+
+def qlbit_composites(count, seed=401):
+    """fig4a-sized QL-bit composites: n=20, d=15, p=0.2, 40x40 each."""
+    root = ql.RngSeed(seed)
+    return [ql.adjacency(ql.couple(ql.d_regular_random(20, 15, root.derive(i, 0)),
+                                   ql.d_regular_random(20, 15, root.derive(i, 1)),
+                                   0.2, 1, root.derive(i, 2)).composite)
+            for i in range(count)]
+
+
+def disordered_factors(count, seed=300):
+    """fig3-sized factors: 8-regular on 12 vertices, 4 edges deleted, sigma=2 disorder."""
+    root = ql.RngSeed(seed)
+    return [ql.apply_diagonal_disorder(
+        ql.adjacency(ql.delete_random_edges(ql.d_regular_random(12, 8, root.derive(i, 0)),
+                                            4, root.derive(i, 1))), 2.0, root.derive(i, 2))
+            for i in range(count)]
+
+
+class TestStackedEigendecompose:
+    @pytest.mark.parametrize("matrices,want_vectors", [
+        (qlbit_composites(12), True),
+        (qlbit_composites(12), False),
+        (disordered_factors(40), False),
+        (disordered_factors(40), True),
+    ], ids=["qlbit-vectors", "qlbit-values", "disordered-values", "disordered-vectors"])
+    def test_bitwise_equal_to_one_call_per_matrix(self, matrices, want_vectors):
+        stacked = ql.eigendecompose(np.stack(matrices), want_vectors=want_vectors)
+        assert isinstance(stacked, list) and len(stacked) == len(matrices)
+        for a, s in zip(matrices, stacked):
+            alone = ql.eigendecompose(a, want_vectors=want_vectors)
+            assert s.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            if want_vectors:
+                assert s.eigenvectors.flags.c_contiguous
+                assert s.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+            else:
+                assert s.eigenvectors is None and alone.eigenvectors is None
+
+    def test_stack_of_one_matches_the_matrix(self, c5):
+        a = ql.adjacency(c5)
+        (s,) = ql.eigendecompose(a[np.newaxis])
+        alone = ql.eigendecompose(a)
+        assert isinstance(alone, ql.Spectrum)
+        assert s.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert s.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 5, 11])
+    def test_one_asymmetric_matrix_refuses_the_stack(self, bad):
+        stack = np.stack(disordered_factors(12))
+        stack[bad, 3, 7] += 1e-12
+        with pytest.raises(InvalidParameterError, match="exactly symmetric"):
+            ql.eigendecompose(stack, want_vectors=False)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (2, 2, 3, 3), ()])
+    def test_non_square_stack_refused(self, shape):
+        with pytest.raises(InvalidParameterError, match="must be square"):
+            ql.eigendecompose(np.zeros(shape))
+
+    def test_solver_failure_is_a_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError, match="failed for dim=40"):
+            ql.eigendecompose(np.stack(qlbit_composites(3)))
 
 
 class TestSpectrumType:
