@@ -31,18 +31,6 @@ class EnsembleHistogram:
     bin_edges: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or counts.ndim != 1 or edges.shape[0] != counts.shape[0] + 1:
-            raise InvalidParameterError("need len(bin_edges) == len(counts) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise InvalidParameterError("bin edges must be strictly increasing")
-        if np.any(counts < 0):
-            raise InvalidParameterError("counts must be non-negative")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
-
 
 def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     """``bins + 1`` uniform edges spanning [lo - 0.5, hi + 0.5]: every value

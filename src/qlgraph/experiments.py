@@ -235,11 +235,15 @@ class SampleResult:
     index: int
     seed: int  # derived from the master seed; RngSeed(seed) roots every stream of the sample
     factors: tuple[FactorResult, ...]
-    composed: ComposedSpectrum
 
     @property
     def emergent_index_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(f.emergent_indices for f in self.factors)
+
+    @cached_property
+    def composed(self) -> ComposedSpectrum:
+        """The composed spectrum of the factors, built on first use."""
+        return compose_spectra([f.spectrum for f in self.factors])
 
     @cached_property
     def emergent_counts(self) -> np.ndarray:
@@ -321,8 +325,7 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
         results = [_finish_factor(graph, q, slot[j]) for (graph, q, _), slot in zip(factors, spectra)]
         if desc.identical_factors:
             results *= desc.n_factors
-        composed = compose_spectra([f.spectrum for f in results])
-        yield SampleResult(i, seed.seed, tuple(results), composed)
+        yield SampleResult(i, seed.seed, tuple(results))
 
 
 def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:

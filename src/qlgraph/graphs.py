@@ -73,9 +73,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
-
 
 def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, problem: str) -> None:
     """InvalidParameterError naming the smallest (u, v) among the rows flagged bad, if any."""

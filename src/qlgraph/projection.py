@@ -15,9 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import adjacency
-from .qlbits import IN_PHASE, OUT_OF_PHASE, QLBit, emergent_pair
-from .spectra import eigendecompose
+from .qlbits import QLBit
 
 
 @dataclass(frozen=True)
@@ -79,61 +77,3 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     residual_sq = max(0.0, sq_norm - float(flat @ flat))
     return ProjectionReport(alphas, math.sqrt(residual_sq), eigenvalue,
                             tuple(labels) if labels is not None else None)
-
-
-@dataclass(frozen=True)
-class BellCombination:
-    """Projection of one emergent-pair product choice onto the qubit basis."""
-
-    choices: tuple[int, ...]
-    eigenvalue: float
-    report: ProjectionReport
-    sign_pattern: tuple[int, ...]
-    expected_pattern: tuple[int, ...]
-    matches_expected: bool
-    max_magnitude_deviation: float
-
-
-@dataclass(frozen=True)
-class BellStateReport:
-    combinations: tuple[BellCombination, ...]
-    degraded_isolation: tuple[bool, bool]
-    all_match: bool
-
-
-def bell_state_check(qlbit_a: QLBit, qlbit_b: QLBit) -> BellStateReport:
-    """Project all four emergent-pair product combinations of two QL bits.
-
-    For each choice (s_a, s_b) with s = +1 (in-phase) or -1 (out-of-phase),
-    the alpha sign pattern over (00, 01, 10, 11) is compared, up to a global
-    sign, against the tensor product of per-bit patterns (+,+) and (+,-).
-    Magnitudes are reported against the uniform |alpha| = 1/2.
-    """
-    qlbits = (qlbit_a, qlbit_b)
-    pairs = tuple(emergent_pair(q, eigendecompose(adjacency(q.composite))) for q in qlbits)
-    combos = []
-    all_match = True
-    for sa in (1, -1):
-        for sb in (1, -1):
-            vectors = []
-            value = 0.0
-            for choice, pair in zip((sa, sb), pairs):
-                phase = IN_PHASE if choice == 1 else OUT_OF_PHASE
-                state = pair.by_phase(phase)
-                if state is None:
-                    # Phase classification failed; fall back positionally.
-                    state = pair.states[0 if choice == 1 else 1]
-                vectors.append(state.eigenvector)
-                value += state.eigenvalue
-            report = project_alphas(qlbits, vectors, eigenvalue=value)
-            keys = _bit_strings(2)
-            pattern = tuple(int(np.sign(report.alphas[k])) for k in keys)
-            expected = tuple(np.kron([1, sa], [1, sb]).tolist())
-            neg = tuple(-x for x in expected)
-            matches = pattern in (expected, neg) and 0 not in pattern
-            deviation = max(abs(abs(report.alphas[k]) - 0.5) for k in keys)
-            combos.append(BellCombination((sa, sb), value, report, pattern, expected,
-                                          matches, deviation))
-            all_match = all_match and matches
-    degraded = (pairs[0].degraded_isolation, pairs[1].degraded_isolation)
-    return BellStateReport(tuple(combos), degraded, all_match)

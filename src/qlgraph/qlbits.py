@@ -8,7 +8,6 @@ combinations of the basis graphs' principal states, split by roughly
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,15 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .graphs import Graph, adjacency
 from .rng import RngSeed
-from .spectra import Spectrum, fix_sign
-
-IN_PHASE = "in_phase"
-OUT_OF_PHASE = "out_of_phase"
-INDETERMINATE = "indeterminate"
-
-# Relative tolerance below which the top pair counts as degenerate and is
-# resolved explicitly against block-uniform vectors.
-DEGENERACY_RTOL = 1e-9
+from .spectra import Spectrum
 
 # Least gap between the second and third eigenvalues of an isolated pair.
 MIN_ISOLATION_GAP = 0.5
@@ -88,32 +79,19 @@ class SplittingPrediction:
     predicted_pair: tuple[float, float]
 
 
-@dataclass(frozen=True, eq=False)
-class EmergentState:
-    eigenvalue: float
-    eigenvector: np.ndarray
-    phase: str
-
-
 @dataclass(frozen=True)
 class EmergentPair:
-    """The QL bit's two emergent eigenpairs plus an isolation diagnostic.
+    """The QL bit's two emergent eigenvalues plus an isolation diagnostic.
 
     ``degraded_isolation`` is a warning, not an error: it fires when the
     second eigenvalue is not separated from the third by the detection
     threshold.
     """
 
-    states: tuple[EmergentState, EmergentState]
+    eigenvalues: tuple[float, float]
     degraded_isolation: bool
     isolation_gap: float
     isolation_threshold: float
-
-    def by_phase(self, phase: str) -> EmergentState | None:
-        for st in self.states:
-            if st.phase == phase:
-                return st
-        return None
 
 
 def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
@@ -133,81 +111,33 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
     """Splitting prediction Delta = n_c / n from the coupling edge count.
 
     d_eff is the measured top eigenvalue of basis_1 (exact d for an intact
-    d-regular basis, slightly below after edge deletions). Unequal basis
-    sizes are permitted but flagged; n = |basis_1| is used.
+    d-regular basis, slightly below after edge deletions), and n = |basis_1|.
     """
-    n1, n2 = q.basis_1.n_vertices, q.basis_2.n_vertices
-    if n1 != n2:
-        warnings.warn(
-            f"basis sizes differ ({n1} vs {n2}); splitting uses n = |basis_1| = {n1}",
-            stacklevel=2,
-        )
+    n1 = q.basis_1.n_vertices
     delta = q.n_coupling / n1
     d_eff = float(np.linalg.eigvalsh(adjacency(q.basis_1))[-1])
     return SplittingPrediction(d_eff, delta, (d_eff + delta, d_eff - delta))
 
 
-def _phase_of(v: np.ndarray, n1: int) -> str:
-    prod = np.sign(v[:n1].mean()) * np.sign(v[n1:].mean())
-    if prod > 0:
-        return IN_PHASE
-    if prod < 0:
-        return OUT_OF_PHASE
-    return INDETERMINATE
-
-
 def emergent_pair(q: QLBit, s: Spectrum) -> EmergentPair:
-    """The two emergent eigenpairs of the composite, phase-classified.
+    """The two emergent eigenvalues of the composite and their isolation.
 
-    ``s`` is the spectrum, with eigenvectors, of the composite's adjacency,
-    including any diagonal disorder applied to it. Returns its two largest
-    eigenvalues with eigenvectors; each vector is
-    classified in-phase or out-of-phase from the relative sign of its block
-    means. Cross-coupling sign does not move the pair (the sign=-1
-    composite is similar to the sign=+1 one), it swaps which phase sits on
-    top. An exactly degenerate pair (p=0) is resolved into in/out-of-phase
-    combinations against the block-uniform vectors.
+    ``s`` is the spectrum, with or without eigenvectors, of the composite's
+    adjacency, including any diagonal disorder applied to it. Cross-coupling
+    sign does not move the pair: the sign=-1 composite is similar to the
+    sign=+1 one.
 
     Isolation: the second eigenvalue must clear the third by
     max(MIN_ISOLATION_GAP, 2*sqrt(d_mean - 1) - lambda_2); otherwise
     ``degraded_isolation`` is set on the result.
     """
-    n1 = q.basis_1.n_vertices
-    if s.eigenvectors is None or s.dim != q.composite.n_vertices:
-        raise InvalidParameterError("need the composite's spectrum with eigenvectors")
+    if s.dim != q.composite.n_vertices:
+        raise InvalidParameterError("need the composite's spectrum")
     if s.dim < 3:
         raise InvalidParameterError("composite too small to isolate an emergent pair")
     lam = s.eigenvalues
-    vecs = s.eigenvectors
-
-    degenerate = abs(lam[0] - lam[1]) <= DEGENERACY_RTOL * max(1.0, abs(lam[0]))
-    if degenerate:
-        basis = vecs[:, :2]
-        j0, j1 = q.block_uniform()
-        proj = basis @ basis.T
-        resolved = []
-        for combo, phase in ((j0 + j1, IN_PHASE), (j0 - j1, OUT_OF_PHASE)):
-            w = proj @ combo
-            norm = np.linalg.norm(w)
-            if norm < 1e-8:
-                # Span does not contain the combination; keep the raw vector.
-                w = vecs[:, len(resolved)]
-                phase = _phase_of(w, n1)
-            else:
-                w = w / norm
-            resolved.append((fix_sign(w), phase))
-        states = (
-            EmergentState(float(lam[0]), resolved[0][0], resolved[0][1]),
-            EmergentState(float(lam[1]), resolved[1][0], resolved[1][1]),
-        )
-    else:
-        states = tuple(
-            EmergentState(float(lam[k]), fix_sign(vecs[:, k]), _phase_of(vecs[:, k], n1))
-            for k in (0, 1)
-        )
-
     gap = float(lam[1] - lam[2])
-    d_mean = 2.0 * q.basis_1.n_edges / n1
+    d_mean = 2.0 * q.basis_1.n_edges / q.basis_1.n_vertices
     band = 2.0 * math.sqrt(max(d_mean - 1.0, 0.0))
     threshold = max(MIN_ISOLATION_GAP, band - float(lam[2]))
-    return EmergentPair(states, gap < threshold, gap, threshold)
+    return EmergentPair((float(lam[0]), float(lam[1])), gap < threshold, gap, threshold)

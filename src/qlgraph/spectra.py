@@ -51,7 +51,7 @@ class AlonBoppanaReport:
 
 
 def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[Spectrum]:
-    """Full eigendecomposition of a square, exactly symmetric matrix.
+    """Full eigendecomposition of a square, finite, exactly symmetric matrix.
 
     Eigenvalues come back descending; eigenvectors (optional) are the
     matching orthonormal columns. An (S, n, n) stack gives a list of S
@@ -61,6 +61,8 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
     m = np.asarray(a, dtype=np.float64)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidParameterError("matrix entries must be finite")
     if not np.array_equal(m, m.swapaxes(-1, -2)):
         raise InvalidParameterError("matrix must be exactly symmetric")
     stack = m if m.ndim == 3 else m[np.newaxis]
@@ -76,13 +78,6 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
                         None if vecs is None else np.ascontiguousarray(vecs[s, :, ::-1]))
                for s in range(len(stack))]
     return spectra[0] if m.ndim == 2 else spectra
-
-
-def spectral_gap(s: Spectrum) -> float:
-    """Gap between the two largest eigenvalues, lambda_0 - lambda_1."""
-    if s.dim < 2:
-        raise InvalidParameterError("spectral gap needs dim >= 2")
-    return float(s.eigenvalues[0] - s.eigenvalues[1])
 
 
 def alon_boppana_check(s: Spectrum, d: int) -> AlonBoppanaReport:
@@ -115,13 +110,3 @@ def orthonormality_defect(s: Spectrum) -> float:
         raise InvalidParameterError("spectrum carries no eigenvectors")
     gram = s.eigenvectors.T @ s.eigenvectors
     return float(np.max(np.abs(gram - np.eye(s.dim))))
-
-
-def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip the vector so its largest-magnitude component is positive.
-
-    Eigensolvers return arbitrary signs; sign patterns downstream need a
-    fixed convention. Ties break on the first maximal index.
-    """
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v

@@ -7,12 +7,17 @@ The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a
 two-column lexsort, the way the package once did them.
+
+The paper's Bell-like check lives here too, since no artifact reads it: a QL
+bit's emergent eigenvectors, sign-fixed and phase-classified, and the alpha
+sign patterns of the four in/out-of-phase products of two bits.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -179,3 +184,62 @@ def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:
     edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return ql.EnsembleHistogram(edges, counts)
+
+
+def fix_sign(v: np.ndarray) -> np.ndarray:
+    """Flip the vector so its largest-magnitude component is positive; ties
+    break on the first maximal index."""
+    i = int(np.argmax(np.abs(v)))
+    return -v if v[i] < 0 else v
+
+
+def spectral_gap(s: ql.Spectrum) -> float:
+    """Gap between the two largest eigenvalues, lambda_0 - lambda_1."""
+    if s.dim < 2:
+        raise InvalidParameterError("spectral gap needs dim >= 2")
+    return float(s.eigenvalues[0] - s.eigenvalues[1])
+
+
+def degrees(g: ql.Graph) -> np.ndarray:
+    """Each vertex's edge count."""
+    return np.bincount(g.edges.ravel(), minlength=g.n_vertices)
+
+
+def emergent_states(q: ql.QLBit, s: ql.Spectrum) -> list[tuple[float, np.ndarray, int]]:
+    """The top two eigenpairs of the composite's spectrum ``s`` as (eigenvalue,
+    sign-fixed vector, phase). The phase is the sign of the product of the
+    vector's block means: +1 in phase, -1 out of phase, 0 indeterminate. An
+    exactly degenerate pair (p=0) is resolved onto J_0 + J_1 and J_0 - J_1
+    where its span holds them."""
+    n1, lam, top = q.basis_1.n_vertices, s.eigenvalues, s.eigenvectors[:, :2]
+    # Strided column views: a contiguous copy can change `w @ j0` in the last ulp.
+    states = [(float(lam[k]), fix_sign(v), int(np.sign(v[:n1].mean()) * np.sign(v[n1:].mean())))
+              for k, v in enumerate(top.T)]
+    if abs(lam[0] - lam[1]) <= 1e-9 * max(1.0, abs(lam[0])):
+        j0, j1 = q.block_uniform()
+        proj = top @ top.T
+        for k, (combo, phase) in enumerate(((j0 + j1, 1), (j0 - j1, -1))):
+            w = proj @ combo
+            norm = np.linalg.norm(w)
+            if norm >= 1e-8:
+                states[k] = (float(lam[k]), fix_sign(w / norm), phase)
+    return states
+
+
+def bell_patterns(qa: ql.QLBit, qb: ql.QLBit,
+                  ) -> dict[tuple[int, int], tuple[float, ql.ProjectionReport]]:
+    """For each choice (s_a, s_b), +1 the in-phase and -1 the out-of-phase
+    state of each bit, the summed eigenvalue and the `project_alphas` report
+    of the product state. A bit whose phases do not split one each way gives
+    its states by position."""
+    chosen = []
+    for q in (qa, qb):
+        states = emergent_states(q, ql.eigendecompose(ql.adjacency(q.composite)))
+        if sorted(phase for _, _, phase in states) == [-1, 1]:
+            states.sort(key=lambda st: -st[2])
+        chosen.append(states)
+    out = {}
+    for sa, sb in itertools.product((1, -1), repeat=2):
+        (la, va, _), (lb, vb, _) = chosen[0][(1 - sa) // 2], chosen[1][(1 - sb) // 2]
+        out[(sa, sb)] = (la + lb, ql.project_alphas((qa, qb), (va, vb), eigenvalue=la + lb))
+    return out

@@ -11,7 +11,8 @@ import numpy as np
 import qlgraph as ql
 import qlgraph.cli as cli
 
-from oracles import cartesian_product, product_graph
+from conftest import composite_spectrum
+from oracles import bell_patterns, cartesian_product, fix_sign, product_graph, spectral_gap
 
 
 class criterion:
@@ -37,7 +38,7 @@ def test_criterion_1_c5_spectrum(c5):
         assert np.max(np.abs(s.eigenvalues - analytic)) <= 1e-6
         assert np.allclose(s.eigenvalues, [2.0, 0.618034, 0.618034, -1.618034, -1.618034],
                            atol=1e-6)
-        assert abs(ql.spectral_gap(s) - 1.382) <= 1e-3
+        assert abs(spectral_gap(s) - 1.382) <= 1e-3
 
 
 def _random_factor(rng, max_n):
@@ -77,7 +78,7 @@ def test_criterion_2_product_oracle_equivalence():
 def test_criterion_3_gap_preservation(c5):
     with criterion(3, "C5 product gaps equal the C5 gap within 1e-9"):
         s = ql.eigendecompose(ql.adjacency(c5))
-        gap = ql.spectral_gap(s)
+        gap = spectral_gap(s)
         for n_factors in (2, 3):
             composed = np.sort(ql.compose_spectra([s] * n_factors).values)[::-1]
             assert abs((composed[0] - composed[1]) - gap) <= 1e-9
@@ -95,7 +96,7 @@ def test_criterion_4_d_regular_emergent_state():
             g = ql.d_regular_random(20, 15, ql.RngSeed(8800, s))
             spectrum = ql.eigendecompose(ql.adjacency(g))
             assert abs(spectrum.eigenvalues[0] - 15.0) <= 1e-9
-            v = ql.fix_sign(spectrum.eigenvectors[:, 0])
+            v = fix_sign(spectrum.eigenvectors[:, 0])
             assert np.max(np.abs(v - uniform)) <= 1e-9
             report = ql.alon_boppana_check(spectrum, 15)
             if not report.satisfied:
@@ -181,6 +182,15 @@ def test_criterion_9_projection_sign_patterns():
             (1, -1): (1, -1, 1, -1),
             (-1, -1): (1, -1, -1, 1),
         }
+
+        def assert_patterns(qa, qb):
+            """Every choice's alpha signs match, up to a global sign; the reports."""
+            combos = bell_patterns(qa, qb)
+            for choices, (_, report) in combos.items():
+                pattern = tuple(int(np.sign(a)) for a in report.alphas.values())
+                assert pattern in (expected[choices], tuple(-x for x in expected[choices]))
+            return [report for _, report in combos.values()]
+
         root = ql.RngSeed(9900)
         for trial in range(3):
             bits = []
@@ -188,22 +198,17 @@ def test_criterion_9_projection_sign_patterns():
                 g1 = ql.d_regular_random(20, 15, root.derive(trial, b, 0))
                 g2 = ql.d_regular_random(20, 15, root.derive(trial, b, 1))
                 bits.append(ql.couple(g1, g2, 0.1, 1, root.derive(trial, b, 2)))
-            report = ql.bell_state_check(*bits)
-            assert report.degraded_isolation == (False, False)
-            for combo in report.combinations:
-                exp = expected[combo.choices]
-                assert combo.sign_pattern in (exp, tuple(-x for x in exp))
-                assert combo.report.residual_norm >= 0.0
-            assert report.all_match
+            assert not any(ql.emergent_pair(q, composite_spectrum(q)).degraded_isolation
+                           for q in bits)
+            for report in assert_patterns(*bits):
+                assert report.residual_norm >= 0.0
         # p=0: degenerate pairs resolve to exactly uniform magnitudes.
         b1 = ql.d_regular_random(12, 8, root.derive(9, 0))
         b2 = ql.d_regular_random(12, 8, root.derive(9, 1))
         qa = ql.couple(b1, b1, 0.0, 1, root.derive(9, 2))
         qb = ql.couple(b2, b2, 0.0, 1, root.derive(9, 3))
-        report = ql.bell_state_check(qa, qb)
-        assert report.all_match
-        for combo in report.combinations:
-            for alpha in combo.report.alphas.values():
+        for report in assert_patterns(qa, qb):
+            for alpha in report.alphas.values():
                 assert abs(abs(alpha) - 0.5) <= 1e-9
 
 

@@ -328,7 +328,7 @@ class TestComputeOnce:
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
-                                          "predict_splitting"),
+                                          "compose_spectra", "predict_splitting"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
         derive = ql.RngSeed.derive
 
@@ -341,7 +341,8 @@ class TestComputeOnce:
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
-        assert calls == Counter(run_sample=1, eigendecompose=samples * factors,
+        # Only sample 0's grid is composed; the histogram composes values in chunks.
+        assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
                                 d_regular_random=samples * bases_per_sample,
                                 derive=samples * self.DERIVES_PER_SAMPLE[descriptor["name"]])
         assert calls["predict_splitting"] == 0  # no artifact reads the prediction

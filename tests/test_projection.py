@@ -3,10 +3,9 @@ import pytest
 
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
-from qlgraph.qlbits import IN_PHASE, OUT_OF_PHASE
 
 from conftest import composite_spectrum, make_qlbit
-from oracles import dense_project_alphas
+from oracles import bell_patterns, dense_project_alphas, emergent_states
 
 EXPECTED_PATTERNS = {
     (1, 1): (1, 1, 1, 1),
@@ -19,6 +18,23 @@ EXPECTED_PATTERNS = {
 def uncoupled_bit(n=12, d=8, seed=1):
     b = ql.d_regular_random(n, d, ql.RngSeed(seed))
     return ql.couple(b, b, 0.0, 1, ql.RngSeed(seed + 1))
+
+
+def state_vector(q, phase):
+    """The oracle's emergent vector of ``q`` with the given phase."""
+    return next(v for _, v, p in emergent_states(q, composite_spectrum(q)) if p == phase)
+
+
+def sign_pattern(report):
+    return tuple(int(np.sign(a)) for a in report.alphas.values())
+
+
+def magnitude_deviation(report):
+    return max(abs(abs(a) - 0.5) for a in report.alphas.values())
+
+
+def isolation_degraded(*bits):
+    return tuple(ql.emergent_pair(q, composite_spectrum(q)).degraded_isolation for q in bits)
 
 
 class TestJBasis:
@@ -41,8 +57,7 @@ class TestBlockSplit:
 
     def test_in_phase_vector_aligns_with_both_j(self):
         q = make_qlbit(seed=7)
-        pair = ql.emergent_pair(q, composite_spectrum(q))
-        v = pair.by_phase(IN_PHASE).eigenvector
+        v = state_vector(q, 1)
         j0, j1 = q.block_uniform()
         assert (v @ j0) * (v @ j1) > 0
 
@@ -60,24 +75,22 @@ class TestProjectAlphas:
 
     def test_in_phase_product_alphas_uniform(self):
         qa, qb = uncoupled_bit(seed=13), uncoupled_bit(seed=15)
-        va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(IN_PHASE).eigenvector
-        vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
+        va, vb = state_vector(qa, 1), state_vector(qb, 1)
         report = ql.project_alphas([qa, qb], [va, vb])
         for key in ("00", "01", "10", "11"):
             assert abs(report.alphas[key] - 0.5) <= 1e-9
 
     def test_out_in_sign_pattern(self):
         qa, qb = uncoupled_bit(seed=17), uncoupled_bit(seed=19)
-        va = ql.emergent_pair(qa, composite_spectrum(qa)).by_phase(OUT_OF_PHASE).eigenvector
-        vb = ql.emergent_pair(qb, composite_spectrum(qb)).by_phase(IN_PHASE).eigenvector
+        va, vb = state_vector(qa, -1), state_vector(qb, 1)
         report = ql.project_alphas([qa, qb], [va, vb])
         pattern = tuple(int(np.sign(report.alphas[k])) for k in ("00", "01", "10", "11"))
         assert pattern in ((1, 1, -1, -1), (-1, -1, 1, 1))
 
     def test_paths_agree(self):
         qa, qb = make_qlbit(seed=21), make_qlbit(seed=23)
-        va = ql.emergent_pair(qa, composite_spectrum(qa)).states[0].eigenvector
-        vb = ql.emergent_pair(qb, composite_spectrum(qb)).states[1].eigenvector
+        va = emergent_states(qa, composite_spectrum(qa))[0][1]
+        vb = emergent_states(qb, composite_spectrum(qb))[1][1]
         v = np.kron(va, vb)
         factored = ql.project_alphas([qa, qb], [va, vb])
         general = dense_project_alphas(v, [qa, qb])
@@ -124,7 +137,7 @@ class TestProjectAlphas:
 
     def test_three_factor_keys(self):
         bits = [make_qlbit(n=6, d=3, p=0.3, seed=35 + 2 * k) for k in range(3)]
-        vectors = [ql.emergent_pair(q, composite_spectrum(q)).states[0].eigenvector for q in bits]
+        vectors = [emergent_states(q, composite_spectrum(q))[0][1] for q in bits]
         report = ql.project_alphas(bits, vectors)
         assert sorted(report.alphas) == [format(i, "03b") for i in range(8)]
 
@@ -138,56 +151,54 @@ class TestProjectAlphas:
             ql.project_alphas([], [])
 
 
-class TestBellStateCheck:
+class TestBellPatterns:
     def test_p_zero_exact(self):
-        report = ql.bell_state_check(uncoupled_bit(seed=43), uncoupled_bit(seed=45))
-        assert report.all_match
-        assert report.degraded_isolation == (False, False)
-        for combo in report.combinations:
-            assert combo.max_magnitude_deviation <= 1e-9
-            assert combo.report.residual_norm <= 1e-9
-        patterns = {c.choices: c.sign_pattern for c in report.combinations}
-        for choices, pattern in patterns.items():
+        qa, qb = uncoupled_bit(seed=43), uncoupled_bit(seed=45)
+        combos = bell_patterns(qa, qb)
+        assert isolation_degraded(qa, qb) == (False, False)
+        for choices, (_, report) in combos.items():
+            assert magnitude_deviation(report) <= 1e-9
+            assert report.residual_norm <= 1e-9
             expected = EXPECTED_PATTERNS[choices]
-            assert pattern in (expected, tuple(-x for x in expected))
+            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
 
     @pytest.mark.parametrize("seed", [47, 53, 59])
     def test_intact_bases_small_p(self, seed):
-        report = ql.bell_state_check(make_qlbit(p=0.1, seed=seed),
-                                     make_qlbit(p=0.1, seed=seed + 100))
-        assert report.all_match
-        assert report.degraded_isolation == (False, False)
+        qa, qb = make_qlbit(p=0.1, seed=seed), make_qlbit(p=0.1, seed=seed + 100)
+        for choices, (_, report) in bell_patterns(qa, qb).items():
+            expected = EXPECTED_PATTERNS[choices]
+            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
+        assert isolation_degraded(qa, qb) == (False, False)
 
     def test_deleted_bases_report_deviation(self):
         # No closed-form value exists here: run and record. Deleted edges
         # make the block restrictions non-uniform, so magnitudes drift off
         # 1/2 and residual mass appears.
-        report = ql.bell_state_check(make_qlbit(p=0.1, seed=61, deletions=4),
-                                     make_qlbit(p=0.1, seed=63, deletions=4))
-        assert max(c.max_magnitude_deviation for c in report.combinations) > 1e-4
-        assert all(c.report.residual_norm > 1e-4 for c in report.combinations)
+        reports = [r for _, r in bell_patterns(make_qlbit(p=0.1, seed=61, deletions=4),
+                                               make_qlbit(p=0.1, seed=63, deletions=4)).values()]
+        assert max(magnitude_deviation(r) for r in reports) > 1e-4
+        assert all(r.residual_norm > 1e-4 for r in reports)
 
-    def test_degraded_isolation_carried(self):
+    def test_degraded_isolation_for_cycle_bases(self):
         # Cycle bases are not expanders: neither pair is isolated.
         qa, qb = (ql.couple(ql.cycle_graph(20), ql.cycle_graph(20), 0.05, 1, ql.RngSeed(s))
                   for s in (65, 67))
-        report = ql.bell_state_check(qa, qb)
-        assert report.degraded_isolation == (True, True)
+        assert isolation_degraded(qa, qb) == (True, True)
 
     def test_sign_pattern_tensor_map(self):
         # The combination patterns are tensor products of per-factor
         # patterns (+,+) and (+,-), up to a global sign.
-        report = ql.bell_state_check(make_qlbit(seed=69), make_qlbit(seed=71))
-        for combo in report.combinations:
-            expected = EXPECTED_PATTERNS[combo.choices]
-            assert combo.expected_pattern == expected
-            assert combo.sign_pattern in (expected, tuple(-x for x in expected))
+        combos = bell_patterns(make_qlbit(seed=69), make_qlbit(seed=71))
+        for (sa, sb), (_, report) in combos.items():
+            expected = EXPECTED_PATTERNS[(sa, sb)]
+            assert tuple(np.kron([1, sa], [1, sb]).tolist()) == expected
+            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
 
     def test_eigenvalues_reported(self):
         qa, qb = make_qlbit(seed=73), make_qlbit(seed=75)
-        report = ql.bell_state_check(qa, qb)
-        top = report.combinations[0]
-        assert top.choices == (1, 1)
+        (choices, (value, report)), *_ = bell_patterns(qa, qb).items()
+        assert choices == (1, 1)
+        assert report.eigenvalue == value
         sa = ql.eigendecompose(ql.adjacency(qa.composite), want_vectors=False)
         sb = ql.eigendecompose(ql.adjacency(qb.composite), want_vectors=False)
-        assert abs(top.eigenvalue - (sa.eigenvalues[0] + sb.eigenvalues[0])) <= 1e-9
+        assert abs(value - (sa.eigenvalues[0] + sb.eigenvalues[0])) <= 1e-9

@@ -205,9 +205,7 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
             q, e = f.qlbit, f.emergent
             parts += [array(q.basis_1.edges), array(q.basis_2.edges),
                       array(q.coupling_edges), q.sign, e.degraded_isolation,
-                      array(np.array([e.isolation_gap, e.isolation_threshold]))]
-            parts += [(array(np.array(st.eigenvalue)), array(st.eigenvector), st.phase)
-                      for st in e.states]
+                      array(np.array([*e.eigenvalues, e.isolation_gap, e.isolation_threshold]))]
         else:
             assert f.emergent is None
         factors.append(tuple(parts))

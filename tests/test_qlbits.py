@@ -3,9 +3,11 @@ import pytest
 
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
-from qlgraph.qlbits import IN_PHASE, OUT_OF_PHASE
 
 from conftest import composite_spectrum, make_qlbit
+from oracles import emergent_states
+
+IN_PHASE, OUT_OF_PHASE = 1, -1
 
 
 class TestCouple:
@@ -101,59 +103,59 @@ class TestPredictSplitting:
         assert abs(s.eigenvalues[0] - pred.predicted_pair[0]) <= 0.15 * pred.predicted_pair[0]
         assert abs(s.eigenvalues[1] - pred.predicted_pair[1]) <= 0.15 * pred.predicted_pair[1]
 
-    def test_unequal_sizes_warn(self):
+    def test_unequal_sizes_use_first_basis(self):
         b1 = ql.d_regular_random(10, 3, ql.RngSeed(13))
         b2 = ql.d_regular_random(12, 3, ql.RngSeed(14))
         q = ql.couple(b1, b2, 0.2, 1, ql.RngSeed(15))
-        with pytest.warns(UserWarning):
-            pred = ql.predict_splitting(q)
+        pred = ql.predict_splitting(q)
         assert pred.delta == q.n_coupling / 10
 
 
 class TestEmergentPair:
     def test_in_and_out_of_phase(self):
         q = make_qlbit(seed=16)
-        pair = ql.emergent_pair(q, composite_spectrum(q))
-        assert not pair.degraded_isolation
-        phases = {st.phase for st in pair.states}
-        assert phases == {IN_PHASE, OUT_OF_PHASE}
-        assert pair.states[0].phase == IN_PHASE  # sign=+1: in-phase on top
+        s = composite_spectrum(q)
+        assert not ql.emergent_pair(q, s).degraded_isolation
+        states = emergent_states(q, s)
+        assert {phase for _, _, phase in states} == {IN_PHASE, OUT_OF_PHASE}
+        assert states[0][2] == IN_PHASE  # sign=+1: in-phase on top
 
     def test_one_of_each_phase_whenever_isolated(self):
         # Property over seeds and coupling strengths: an isolated pair always
         # classifies into one in-phase and one out-of-phase state.
         for s in range(20):
             q = make_qlbit(p=0.1 if s % 2 else 0.2, seed=5000 + s)
-            pair = ql.emergent_pair(q, composite_spectrum(q))
-            if not pair.degraded_isolation:
-                assert {st.phase for st in pair.states} == {IN_PHASE, OUT_OF_PHASE}
+            spectrum = composite_spectrum(q)
+            if not ql.emergent_pair(q, spectrum).degraded_isolation:
+                assert ({phase for _, _, phase in emergent_states(q, spectrum)}
+                        == {IN_PHASE, OUT_OF_PHASE})
 
     def test_in_phase_block_means_share_sign(self):
         # Perturbation oracle: two coupled uniform modes mix symmetrically,
         # so the top eigenvector's block means carry the same sign.
         q = make_qlbit(seed=17)
-        top = ql.emergent_pair(q, composite_spectrum(q)).states[0]
-        assert top.eigenvector[:20].mean() * top.eigenvector[20:].mean() > 0
+        _, top, _ = emergent_states(q, composite_spectrum(q))[0]
+        assert top[:20].mean() * top[20:].mean() > 0
 
     def test_negative_sign_flips_ordering(self):
         q = make_qlbit(seed=18, sign=-1)
-        pair = ql.emergent_pair(q, composite_spectrum(q))
-        assert pair.states[0].phase == OUT_OF_PHASE
-        assert pair.states[1].phase == IN_PHASE
+        states = emergent_states(q, composite_spectrum(q))
+        assert states[0][2] == OUT_OF_PHASE
+        assert states[1][2] == IN_PHASE
 
     def test_p_zero_degenerate_resolved(self):
         b = ql.d_regular_random(12, 8, ql.RngSeed(19))
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(20))
-        pair = ql.emergent_pair(q, composite_spectrum(q))
-        assert abs(pair.states[0].eigenvalue - pair.states[1].eigenvalue) <= 1e-12
-        assert pair.states[0].phase == IN_PHASE
-        assert pair.states[1].phase == OUT_OF_PHASE
+        (lam0, v0, phase0), (lam1, v1, phase1) = emergent_states(q, composite_spectrum(q))
+        assert abs(lam0 - lam1) <= 1e-12
+        assert phase0 == IN_PHASE
+        assert phase1 == OUT_OF_PHASE
         # Resolved vectors are the block-uniform combinations.
         n = 12
         j0 = np.zeros(24); j0[:n] = 1 / np.sqrt(n)
         j1 = np.zeros(24); j1[n:] = 1 / np.sqrt(n)
-        assert np.allclose(pair.states[0].eigenvector, (j0 + j1) / np.sqrt(2), atol=1e-9)
-        assert np.allclose(np.abs(pair.states[1].eigenvector), np.abs(j0 - j1) / np.sqrt(2), atol=1e-9)
+        assert np.allclose(v0, (j0 + j1) / np.sqrt(2), atol=1e-9)
+        assert np.allclose(np.abs(v1), np.abs(j0 - j1) / np.sqrt(2), atol=1e-9)
 
     def test_degraded_isolation_for_cycle_bases(self):
         # Cycle bases are not expanders: the pair is not isolated.
@@ -163,8 +165,34 @@ class TestEmergentPair:
     def test_residuals_are_eigenpairs(self):
         q = make_qlbit(seed=22)
         a = ql.adjacency(q.composite)
-        for st in ql.emergent_pair(q, composite_spectrum(q)).states:
-            assert np.max(np.abs(a @ st.eigenvector - st.eigenvalue * st.eigenvector)) <= 1e-8
+        for lam, v, _ in emergent_states(q, composite_spectrum(q)):
+            assert np.max(np.abs(a @ v - lam * v)) <= 1e-8
+
+    @pytest.mark.parametrize("q", [make_qlbit(seed=26), make_qlbit(seed=27, sign=-1),
+                                   make_qlbit(p=0.1, seed=28, deletions=4),
+                                   ql.couple(ql.cycle_graph(20), ql.cycle_graph(20), 0.05, 1,
+                                             ql.RngSeed(29))])
+    def test_eigenvalues_alone_suffice(self, q):
+        a = ql.adjacency(q.composite)
+        s = ql.eigendecompose(a)
+        with_vectors = ql.emergent_pair(q, s)
+        assert ql.emergent_pair(q, ql.Spectrum(s.eigenvalues, None)) == with_vectors
+        assert with_vectors.eigenvalues == tuple(s.eigenvalues[:2].tolist())
+        # The solver without vectors may differ from it in the last ulp.
+        alone = ql.emergent_pair(q, ql.eigendecompose(a, want_vectors=False))
+        assert alone.degraded_isolation == with_vectors.degraded_isolation
+        assert np.allclose(alone.eigenvalues, with_vectors.eigenvalues, rtol=0, atol=1e-12)
+        assert abs(alone.isolation_gap - with_vectors.isolation_gap) <= 1e-12
+        assert abs(alone.isolation_threshold - with_vectors.isolation_threshold) <= 1e-12
+
+    def test_wrong_or_tiny_spectrum_refused(self):
+        q = make_qlbit(n=6, d=3, p=0.3, seed=30)
+        with pytest.raises(InvalidParameterError):
+            ql.emergent_pair(q, ql.Spectrum(np.arange(11.0)[::-1], None))
+        k1 = ql.Graph(1, np.empty((0, 2), dtype=np.int64))
+        tiny = ql.couple(k1, k1, 1.0, 1, ql.RngSeed(31))
+        with pytest.raises(InvalidParameterError):
+            ql.emergent_pair(tiny, ql.eigendecompose(ql.adjacency(tiny.composite)))
 
 
 class TestInvariants:

@@ -7,7 +7,7 @@ import qlgraph as ql
 from qlgraph.errors import InvalidParameterError, NumericalFailureError
 
 from conftest import assert_valid_spectrum
-from oracles import complete_graph
+from oracles import complete_graph, fix_sign, spectral_gap
 
 
 class TestEigendecompose:
@@ -27,7 +27,7 @@ class TestEigendecompose:
         a = ql.adjacency(g)
         s = ql.eigendecompose(a)
         assert abs(s.eigenvalues[0] - 8.0) <= 1e-9
-        v = ql.fix_sign(s.eigenvectors[:, 0])
+        v = fix_sign(s.eigenvectors[:, 0])
         assert np.max(np.abs(v - 1 / math.sqrt(12))) <= 1e-9
         assert_valid_spectrum(a, s)
 
@@ -40,6 +40,17 @@ class TestEigendecompose:
     def test_non_square_or_asymmetric_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
             ql.eigendecompose(bad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_entry_rejected(self, bad, stacked):
+        a = np.eye(3)
+        a[0, 0] = bad
+        if stacked:
+            a = np.stack([np.eye(3), a])
+        for want_vectors in (True, False):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ql.eigendecompose(a, want_vectors=want_vectors)
 
     def test_asymmetry_rejected(self, c5):
         a = ql.adjacency(c5)
@@ -133,24 +144,24 @@ class TestSpectrumType:
 
 class TestSpectralGap:
     def test_c5_gap(self, c5):
-        gap = ql.spectral_gap(ql.eigendecompose(ql.adjacency(c5)))
+        gap = spectral_gap(ql.eigendecompose(ql.adjacency(c5)))
         assert abs(gap - 1.382) <= 1e-3
         assert abs(gap - (2 - 2 * math.cos(2 * math.pi / 5))) <= 1e-12
 
     def test_complete_graph_gap(self):
         # K_n spectrum is {n-1, -1 x (n-1)}: gap n.
         s = ql.eigendecompose(ql.adjacency(complete_graph(4)))
-        assert abs(ql.spectral_gap(s) - 4.0) <= 1e-9
+        assert abs(spectral_gap(s) - 4.0) <= 1e-9
 
     def test_uncoupled_qlbit_degenerate(self):
         b = ql.d_regular_random(10, 3, ql.RngSeed(42))
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(43))
         s = ql.eigendecompose(ql.adjacency(q.composite))
-        assert ql.spectral_gap(s) <= 1e-12
+        assert spectral_gap(s) <= 1e-12
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
-            ql.spectral_gap(ql.Spectrum(np.array([1.0]), None))
+            spectral_gap(ql.Spectrum(np.array([1.0]), None))
 
 
 class TestAlonBoppana:
@@ -194,8 +205,8 @@ class TestAlonBoppana:
 class TestFixSign:
     def test_flips_negative_peak(self):
         v = np.array([0.1, -0.9, 0.2])
-        assert np.array_equal(ql.fix_sign(v), -v)
+        assert np.array_equal(fix_sign(v), -v)
 
     def test_keeps_positive_peak(self):
         v = np.array([0.1, 0.9, -0.2])
-        assert ql.fix_sign(v) is v
+        assert fix_sign(v) is v
