@@ -65,10 +65,9 @@ def _spectrum_csv_text(sample, kind: str) -> str:
 
 def _projection_json_text(sample) -> str:
     vectors = [f.spectrum.eigenvectors[:, 0] for f in sample.factors]
-    report = project_alphas([f.qlbit for f in sample.factors], vectors,
-                            eigenvalue=float(sample.composed.values[0]),
-                            labels=(0,) * len(sample.factors))
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    out = project_alphas([f.qlbit for f in sample.factors], vectors).to_json_dict()
+    out.update(eigenvalue=float(sample.composed.values[0]), labels=[0] * len(sample.factors))
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def _metadata_json_text(desc: ExperimentDescriptor, sample_seeds: list[int],
@@ -98,20 +97,19 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
                 raise InvalidParameterError(f"{path} exists and is not a regular file")
     first, histogram, sample_seeds = ensemble_spectrum(desc)
 
-    artifacts: dict[str, str] = {}
-    artifacts[f"{desc.name}_spectrum.csv"] = _spectrum_csv_text(first, desc.kind)
     buf = io.StringIO()
     write_histogram_csv(histogram, buf)
-    artifacts[f"{desc.name}_histogram.csv"] = buf.getvalue()
+    # One text per name, in the order of `suffixes`.
+    texts = [_spectrum_csv_text(first, desc.kind), buf.getvalue(),
+             _metadata_json_text(desc, sample_seeds, names)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        artifacts[f"{desc.name}_projection.json"] = _projection_json_text(first)
-    artifacts[f"{desc.name}_metadata.json"] = _metadata_json_text(desc, sample_seeds, names)
+        texts.append(_projection_json_text(first))
 
     # Stage everything, then rename: no partial outputs on failure.
     staged = []
     written = []
     try:
-        for name, text in sorted(artifacts.items()):
+        for name, text in sorted(zip(names, texts)):
             tmp = out_dir / f".{name}.tmp"
             tmp.write_text(text)
             staged.append((tmp, out_dir / name))

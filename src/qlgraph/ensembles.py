@@ -10,7 +10,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 
 EMERGENT = "emergent"
 HYBRID = "hybrid"
@@ -35,7 +35,7 @@ class EnsembleHistogram:
 def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     """``bins + 1`` uniform edges spanning [lo - 0.5, hi + 0.5]: every value
     in [lo, hi] lands in a bin."""
-    if bins < 1:
+    if require_int("bins", bins) < 1:
         raise InvalidParameterError(f"bins must be positive, got {bins}")
     return np.linspace(lo - _PAD, hi + _PAD, bins + 1)
 

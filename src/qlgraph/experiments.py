@@ -213,14 +213,25 @@ class ExperimentDescriptor:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """One realized factor: its graph, spectrum, and diagnostics."""
+    """One realized factor: its graph, spectrum and QL bit; diagnostics derived on read."""
 
     graph: Graph
     spectrum: Spectrum
-    emergent_indices: frozenset[int]
-    connected: bool
     qlbit: QLBit | None = None
-    emergent: EmergentPair | None = None
+
+    @property
+    def emergent_indices(self) -> frozenset[int]:
+        """Eigen-indices of the emergent states: a QL bit's top two, else the top one."""
+        return frozenset({0} if self.qlbit is None else {0, 1})
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @cached_property
+    def emergent(self) -> EmergentPair | None:
+        """A QL bit's emergent pair, computed on first use."""
+        return None if self.qlbit is None else emergent_pair(self.qlbit, self.spectrum)
 
     @cached_property
     def splitting(self) -> SplittingPrediction | None:
@@ -293,14 +304,6 @@ def _sample_matrices(desc: ExperimentDescriptor, sample_seed: RngSeed,
             for k in range(_distinct_factors(desc))]
 
 
-def _finish_factor(graph: Graph, q: QLBit | None, spectrum: Spectrum) -> FactorResult:
-    """The factor's result from its spectrum: connectivity, and a QL bit's emergent pair."""
-    if q is None:
-        return FactorResult(graph, spectrum, frozenset({0}), is_connected(graph))
-    return FactorResult(graph, spectrum, frozenset({0, 1}), is_connected(graph), qlbit=q,
-                        emergent=emergent_pair(q, spectrum))
-
-
 def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
     """Samples `indices`, stage by stage: every sample's factor matrices, then
     one stacked eigendecomposition per distinct factor, then each sample's
@@ -322,7 +325,7 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
     for j, (i, seed, factors) in enumerate(zip(indices, seeds, built)):
-        results = [_finish_factor(graph, q, slot[j]) for (graph, q, _), slot in zip(factors, spectra)]
+        results = [FactorResult(graph, slot[j], q) for (graph, q, _), slot in zip(factors, spectra)]
         if desc.identical_factors:
             results *= desc.n_factors
         yield SampleResult(i, seed.seed, tuple(results))
@@ -388,33 +391,29 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     return first, EnsembleHistogram(edges, counts), seeds
 
 
-def _fig(name: str, **kwargs) -> ExperimentDescriptor:
-    return ExperimentDescriptor(name=name, **kwargs)
-
-
 BUNDLED_EXPERIMENTS: dict[str, ExperimentDescriptor] = {
     d.name: d for d in (
-        _fig("fig2a", kind=KIND_REGULAR_PRODUCT, graph=GRAPH_CYCLE, n=5,
-             n_factors=2, n_samples=1, master_seed=101),
-        _fig("fig2b", kind=KIND_REGULAR_PRODUCT, graph=GRAPH_CYCLE, n=5,
-             n_factors=3, n_samples=1, master_seed=102),
-        _fig("fig2c", kind=KIND_REGULAR_PRODUCT, graph=GRAPH_CYCLE, n=5,
-             n_factors=4, n_samples=1, master_seed=103),
-        _fig("fig3", kind=KIND_REGULAR_PRODUCT, n=12, d=8, deletions=4,
-             sigma=2.0, n_factors=3, shared_base=True, n_samples=100,
-             master_seed=300),
-        _fig("fig4a", kind=KIND_QLBIT_PRODUCT, n=20, d=15, p=0.2,
-             n_factors=1, n_samples=100, master_seed=401),
-        _fig("fig4b", kind=KIND_QLBIT_PRODUCT, n=20, d=15, p=0.2,
-             n_factors=2, identical_factors=True, n_samples=1, master_seed=402),
-        _fig("fig4c", kind=KIND_QLBIT_PRODUCT, n=20, d=15, p=0.2,
-             n_factors=2, n_samples=50, master_seed=403),
-        _fig("fig4d", kind=KIND_QLBIT_PRODUCT, n=10, d=9, p=0.1,
-             n_factors=3, identical_factors=True, n_samples=1, master_seed=404),
-        _fig("fig4e", kind=KIND_QLBIT_PRODUCT, n=12, d=11, p=0.1,
-             n_factors=3, n_samples=50, master_seed=405),
-        _fig("fig4f", kind=KIND_QLBIT_PRODUCT, n=7, d=6, p=0.1,
-             n_factors=4, identical_factors=True, n_samples=1, master_seed=406),
+        ExperimentDescriptor("fig2a", KIND_REGULAR_PRODUCT, 5, graph=GRAPH_CYCLE,
+                             n_factors=2, n_samples=1, master_seed=101),
+        ExperimentDescriptor("fig2b", KIND_REGULAR_PRODUCT, 5, graph=GRAPH_CYCLE,
+                             n_factors=3, n_samples=1, master_seed=102),
+        ExperimentDescriptor("fig2c", KIND_REGULAR_PRODUCT, 5, graph=GRAPH_CYCLE,
+                             n_factors=4, n_samples=1, master_seed=103),
+        ExperimentDescriptor("fig3", KIND_REGULAR_PRODUCT, 12, d=8, deletions=4,
+                             sigma=2.0, n_factors=3, shared_base=True, n_samples=100,
+                             master_seed=300),
+        ExperimentDescriptor("fig4a", KIND_QLBIT_PRODUCT, 20, d=15, p=0.2,
+                             n_factors=1, n_samples=100, master_seed=401),
+        ExperimentDescriptor("fig4b", KIND_QLBIT_PRODUCT, 20, d=15, p=0.2, n_factors=2,
+                             identical_factors=True, n_samples=1, master_seed=402),
+        ExperimentDescriptor("fig4c", KIND_QLBIT_PRODUCT, 20, d=15, p=0.2,
+                             n_factors=2, n_samples=50, master_seed=403),
+        ExperimentDescriptor("fig4d", KIND_QLBIT_PRODUCT, 10, d=9, p=0.1, n_factors=3,
+                             identical_factors=True, n_samples=1, master_seed=404),
+        ExperimentDescriptor("fig4e", KIND_QLBIT_PRODUCT, 12, d=11, p=0.1,
+                             n_factors=3, n_samples=50, master_seed=405),
+        ExperimentDescriptor("fig4f", KIND_QLBIT_PRODUCT, 7, d=6, p=0.1, n_factors=4,
+                             identical_factors=True, n_samples=1, master_seed=406),
     )
 }
 

@@ -84,7 +84,7 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, problem: str) -
 
 def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
-    if n < 3:
+    if require_int("n", n) < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
     i = np.arange(n)
     return Graph(n, np.stack([i, (i + 1) % n], axis=1))

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .spectra import Spectrum
 
 # Spectrum CSV rows formatted per block: bounds the text held at once.
@@ -36,12 +36,8 @@ class ComposedSpectrum:
     the factors directly and never build it.
     """
 
-    factor_spectra: tuple[Spectrum, ...]
+    dims: tuple[int, ...]
     values: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.factor_spectra)
 
     @property
     def size(self) -> int:
@@ -49,7 +45,7 @@ class ComposedSpectrum:
 
     @property
     def n_factors(self) -> int:
-        return len(self.factor_spectra)
+        return len(self.dims)
 
     def descending_order(self) -> np.ndarray:
         """Flat indices sorted by descending value; ties keep flat order."""
@@ -65,7 +61,7 @@ def compose_spectra(factor_spectra: Sequence[Spectrum]) -> ComposedSpectrum:
     if len(factor_spectra) == 0:
         raise InvalidParameterError("need at least one factor spectrum")
     values = compose_values([s.eigenvalues[None, :] for s in factor_spectra])
-    return ComposedSpectrum(tuple(factor_spectra), values[0])
+    return ComposedSpectrum(tuple(s.dim for s in factor_spectra), values[0])
 
 
 def compose_values(factor_values: Sequence[np.ndarray]) -> np.ndarray:
@@ -100,7 +96,7 @@ def emergent_component_counts(c: ComposedSpectrum,
     for dim, indices in zip(c.dims, factor_emergent_indices):
         member = np.zeros(dim, dtype=np.int64)
         for i in indices:
-            if not 0 <= i < dim:
+            if not 0 <= require_int("emergent index", i) < dim:
                 raise InvalidParameterError(f"emergent index {i} out of range [0,{dim})")
             member[i] = 1
         counts = np.add.outer(counts, member).ravel()
@@ -128,17 +124,16 @@ def _label_texts(dims: Sequence[int]) -> np.ndarray:
 
 
 def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
-                                emergent_indices: Sequence[frozenset[int]] | None = None) -> None:
+                                emergent_indices: Sequence[frozenset[int]]) -> None:
     """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending.
 
-    ``n_emergent_factors`` is `emergent_component_counts` (0 everywhere when
-    no sets are given). Values are written as ``repr`` of Python floats.
+    ``n_emergent_factors`` is `emergent_component_counts` of
+    ``emergent_indices``. Values are written as ``repr`` of Python floats.
     Each piece of row text is built once and picked by index: labels from two
     tables, for the first N//2 factors and for the rest, by splitting the
     flat index in two, and the count text from a table indexed by k.
     """
-    counts = (np.zeros(c.size, dtype=np.int64) if emergent_indices is None
-              else emergent_component_counts(c, emergent_indices))
+    counts = emergent_component_counts(c, emergent_indices)
     labels = [f"label_{k + 1}" for k in range(c.n_factors)]
     fh.write(",".join(["value", *labels, "n_emergent_factors"]) + "\n")
     half = c.n_factors // 2

@@ -28,25 +28,16 @@ class ProjectionReport:
 
     alphas: dict[str, float]
     residual_norm: float
-    eigenvalue: float | None = None
-    labels: tuple[int, ...] | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"alphas": dict(sorted(self.alphas.items())), "residual": self.residual_norm}
-        if self.eigenvalue is not None:
-            out["eigenvalue"] = self.eigenvalue
-        if self.labels is not None:
-            out["labels"] = list(self.labels)
-        return out
+        return {"alphas": dict(sorted(self.alphas.items())), "residual": self.residual_norm}
 
 
 def _bit_strings(n: int) -> list[str]:
     return [format(i, f"0{n}b") for i in range(2**n)]
 
 
-def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray],
-                   eigenvalue: float | None = None,
-                   labels: Sequence[int] | None = None) -> ProjectionReport:
+def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]) -> ProjectionReport:
     """Alpha coefficients of a product vector on the qubit basis.
 
     The vector is the tensor product of ``factor_vectors``, one per QL bit
@@ -75,5 +66,4 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     flat = tensor.reshape(-1)
     alphas = {b: float(a) for b, a in zip(_bit_strings(len(qlbits)), flat)}
     residual_sq = max(0.0, sq_norm - float(flat @ flat))
-    return ProjectionReport(alphas, math.sqrt(residual_sq), eigenvalue,
-                            tuple(labels) if labels is not None else None)
+    return ProjectionReport(alphas, math.sqrt(residual_sq))

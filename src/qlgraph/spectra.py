@@ -27,6 +27,8 @@ class Spectrum:
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
         if vals.ndim != 1:
             raise InvalidParameterError("eigenvalues must be a 1-D array")
+        if not np.isfinite(vals).all():
+            raise InvalidParameterError("eigenvalues must be finite")
         if np.any(np.diff(vals) > 0):
             raise InvalidParameterError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", vals)

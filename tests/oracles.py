@@ -157,8 +157,7 @@ def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit]) -> ql.Projec
 
 
 def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
-                                    emergent_indices: Sequence[frozenset[int]] | None = None,
-                                    ) -> str:
+                                    emergent_indices: Sequence[frozenset[int]]) -> str:
     """The composed spectrum CSV written row by row, with Python's stable sort
     and a mixed-radix decode of each flat index (first factor slowest)."""
     buf = io.StringIO()
@@ -171,8 +170,7 @@ def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
         for n in reversed(c.dims):
             rest, i = divmod(rest, n)
             labels.insert(0, i)
-        n_em = 0 if emergent_indices is None else sum(
-            1 for i, s in zip(labels, emergent_indices) if i in s)
+        n_em = sum(1 for i, s in zip(labels, emergent_indices) if i in s)
         writer.writerow([repr(values[flat]), *labels, n_em])
     return buf.getvalue()
 
@@ -241,5 +239,5 @@ def bell_patterns(qa: ql.QLBit, qb: ql.QLBit,
     out = {}
     for sa, sb in itertools.product((1, -1), repeat=2):
         (la, va, _), (lb, vb, _) = chosen[0][(1 - sa) // 2], chosen[1][(1 - sb) // 2]
-        out[(sa, sb)] = (la + lb, ql.project_alphas((qa, qb), (va, vb), eigenvalue=la + lb))
+        out[(sa, sb)] = (la + lb, ql.project_alphas((qa, qb), (va, vb)))
     return out

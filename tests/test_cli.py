@@ -328,7 +328,8 @@ class TestComputeOnce:
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
-                                          "compose_spectra", "predict_splitting"),
+                                          "compose_spectra", "predict_splitting",
+                                          "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
         derive = ql.RngSeed.derive
 
@@ -345,7 +346,8 @@ class TestComputeOnce:
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
                                 d_regular_random=samples * bases_per_sample,
                                 derive=samples * self.DERIVES_PER_SAMPLE[descriptor["name"]])
-        assert calls["predict_splitting"] == 0  # no artifact reads the prediction
+        # No artifact reads the prediction or the diagnostics.
+        assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
 
     def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):
         type_errors = ql.ExperimentDescriptor._type_errors

@@ -59,6 +59,11 @@ class TestClassifyStates:
         with pytest.raises(InvalidParameterError):
             ql.emergent_component_counts(self.composed, [{0}, {0}])
 
+    @pytest.mark.parametrize("index", [0.5, 1.0, "1"])
+    def test_non_integer_index_rejected(self, index):
+        with pytest.raises(InvalidParameterError, match="emergent index must be an integer"):
+            ql.emergent_component_counts(self.composed, [{0}, {index}, {0}])
+
 
 class TestHistogram:
     def test_counts_cover_all_values(self):
@@ -74,6 +79,11 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             ql.histogram_edges(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("bins", [2.5, 2.0, "2"])
+    def test_non_integer_bins_rejected(self, bins):
+        with pytest.raises(InvalidParameterError, match="bins must be an integer"):
+            ql.histogram_edges(0.0, 1.0, bins)
 
 
 class TestDescriptor:
@@ -171,6 +181,19 @@ class TestRunSample:
         assert f.emergent is not None
         assert f.emergent_indices == frozenset({0, 1})
         assert f.spectrum.eigenvectors is not None
+
+    @pytest.mark.parametrize("name", ["fig4a", "fig3"])
+    def test_diagnostics_derived_on_read(self, name):
+        desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=4)
+        for sample in ql.iter_samples(desc):
+            for f in sample.factors:
+                assert f.connected == ql.is_connected(f.graph)
+                if f.qlbit is None:
+                    assert f.emergent is None
+                    assert f.emergent_indices == frozenset({0})
+                else:
+                    assert f.emergent == ql.emergent_pair(f.qlbit, f.spectrum)
+                    assert f.emergent_indices == frozenset({0, 1})
 
     def test_disordered_qlbit_emergent_pair_uses_factor_spectrum(self):
         # The emergent pair is read off the factor's own (disordered) spectrum.

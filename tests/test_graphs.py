@@ -104,6 +104,11 @@ class TestCycleGraph:
         with pytest.raises(InvalidParameterError):
             ql.cycle_graph(2)
 
+    @pytest.mark.parametrize("n", ["5", 5.0, True])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            ql.cycle_graph(n)
+
     def test_c5_spectrum_matches_analytic(self, c5):
         vals = np.linalg.eigvalsh(ql.adjacency(c5))[::-1]
         assert np.allclose(vals, cycle_eigenvalues(5), atol=1e-9)

@@ -204,10 +204,10 @@ class TestComposedCsv:
         values = [float(row.split(",")[0]) for row in lines[1:]]
         assert values == sorted(values, reverse=True)
 
-    def test_counts_default_zero(self, c5):
+    def test_counts_zero_for_empty_sets(self, c5):
         s = ql.eigendecompose(ql.adjacency(c5))
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(ql.compose_spectra([s, s]), buf)
+        ql.write_composed_spectrum_csv(ql.compose_spectra([s, s]), buf, [frozenset()] * 2)
         rows = buf.getvalue().splitlines()[1:]
         assert len(rows) == 25
         assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
@@ -227,7 +227,7 @@ class TestComposedCsv:
         # factor count splits the labels into unequal halves.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))] * n_factors)
-        sets = [frozenset({0})] * n_factors if with_sets else None
+        sets = [frozenset({0} if with_sets else ())] * n_factors
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
         assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
@@ -264,7 +264,7 @@ class TestComposedCsv:
         # 0.0 == -0.0, but their text differs: equal values must not share text.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         c = ql.compose_spectra([ql.Spectrum(np.array(v), None) for v in factors])
-        sets = [frozenset({0})] * len(factors) if with_sets else None
+        sets = [frozenset({0} if with_sets else ())] * len(factors)
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
         text = buf.getvalue()

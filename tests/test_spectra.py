@@ -141,6 +141,13 @@ class TestSpectrumType:
         with pytest.raises(InvalidParameterError):
             ql.Spectrum(np.zeros((2, 2)), None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        # NaN passes the descending check; inf would compose into inf sums.
+        for values in ([1.0, bad, 0.0], [bad, 0.0], [1.0, bad]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                ql.Spectrum(np.array(values), None)
+
 
 class TestSpectralGap:
     def test_c5_gap(self, c5):
