@@ -5,6 +5,7 @@ A composed state's class follows from its emergent component count k
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -37,6 +38,8 @@ def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     in [lo, hi] lands in a bin."""
     if require_int("bins", bins) < 1:
         raise InvalidParameterError(f"bins must be positive, got {bins}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidParameterError(f"histogram range must be finite with lo <= hi, got [{lo}, {hi}]")
     return np.linspace(lo - _PAD, hi + _PAD, bins + 1)
 
 

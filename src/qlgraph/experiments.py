@@ -24,7 +24,7 @@ from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
 from .qlbits import EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair, predict_splitting
-from .rng import RngSeed
+from .rng import RngSeed, derive_streams
 from .spectra import Spectrum, eigendecompose
 
 KIND_SINGLE = "single-graph"
@@ -262,27 +262,50 @@ class SampleResult:
         return emergent_component_counts(self.composed, self.emergent_index_sets)
 
 
-def _generate_base(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int, side: int) -> Graph:
+# A sample's stage streams, keyed by stage path: (stage, factor, side) or (stage, factor).
+Streams = dict[tuple[int, ...], RngSeed]
+
+
+def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
+    """The path of every stage stream one sample consumes, in the order
+    `_sample_matrices` consumes them: per distinct factor, its d-regular
+    bases (factor 0's alone with ``shared_base``), its deletions, its
+    coupling and its disorder, each per side where it has sides."""
+    sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
+    paths = []
+    for k in range(_distinct_factors(desc)):
+        if desc.graph == GRAPH_REGULAR and (k == 0 or not desc.shared_base):
+            paths += [(_STAGE_BASE, k, side) for side in sides]
+        if desc.deletions:
+            paths += [(_STAGE_DELETE, k, side) for side in sides]
+        if desc.kind == KIND_QLBIT_PRODUCT:
+            paths.append((_STAGE_COUPLE, k))
+        if desc.sigma > 0:
+            paths.append((_STAGE_DISORDER, k))
+    return paths
+
+
+def _generate_base(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> Graph:
     if desc.graph == GRAPH_CYCLE:
         return cycle_graph(desc.n)
-    return d_regular_random(desc.n, desc.d, sample_seed.derive(_STAGE_BASE, k, side))
+    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side])
 
 
-def _factor_matrix(desc: ExperimentDescriptor, sample_seed: RngSeed, k: int,
+def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
                    bases: list[Graph]) -> tuple[Graph, QLBit | None, np.ndarray]:
     """Factor k's graph, its QL bit (None for a plain graph) and the matrix to decompose."""
     if desc.deletions:
-        bases = [delete_random_edges(g, desc.deletions, sample_seed.derive(_STAGE_DELETE, k, side))
+        bases = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
                  for side, g in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        q = couple(*bases, desc.p, desc.sign, sample_seed.derive(_STAGE_COUPLE, k))
+        q = couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
         graph = q.composite
     else:
         q = None
         (graph,) = bases
     a = adjacency(graph)
     if desc.sigma > 0:
-        a = apply_diagonal_disorder(a, desc.sigma, sample_seed.derive(_STAGE_DISORDER, k))
+        a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
     return graph, q, a
 
 
@@ -291,29 +314,30 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
     return 1 if desc.identical_factors else desc.n_factors
 
 
-def _sample_matrices(desc: ExperimentDescriptor, sample_seed: RngSeed,
+def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
                      ) -> list[tuple[Graph, QLBit | None, np.ndarray]]:
     """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
     ``identical_factors``. With ``shared_base`` every factor starts from the
     bases generated for factor 0, which are generated once; deletions stay per
     factor."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_generate_base(desc, sample_seed, 0, side) for side in sides]
-    return [_factor_matrix(desc, sample_seed, k, first_bases if k == 0 or desc.shared_base else
-                           [_generate_base(desc, sample_seed, k, side) for side in sides])
+    first_bases = [_generate_base(desc, streams, 0, side) for side in sides]
+    return [_factor_matrix(desc, streams, k, first_bases if k == 0 or desc.shared_base else
+                           [_generate_base(desc, streams, k, side) for side in sides])
             for k in range(_distinct_factors(desc))]
 
 
 def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
-    """Samples `indices`, stage by stage: every sample's factor matrices, then
-    one stacked eigendecomposition per distinct factor, then each sample's
+    """Samples `indices`, stage by stage: the sample seeds in one hash pass and
+    every stage stream in another, every sample's factor matrices, then one
+    stacked eigendecomposition per distinct factor, then each sample's
     results, yielded one at a time."""
-    root = RngSeed(desc.master_seed)
-    seeds = [root.derive(i) for i in indices]
+    (seeds,) = derive_streams([RngSeed(desc.master_seed)], [(i,) for i in indices])
+    paths = _stage_paths(desc)
     built = []
-    for i, seed in zip(indices, seeds):
+    for i, streams in zip(indices, derive_streams(seeds, paths)):
         try:
-            built.append(_sample_matrices(desc, seed))
+            built.append(_sample_matrices(desc, dict(zip(paths, streams))))
         except GenerationFailureError as exc:
             raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
     try:

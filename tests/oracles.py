@@ -6,7 +6,9 @@ helpers form them anyway so tests can compare against the dense result.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a
-two-column lexsort, the way the package once did them.
+two-column lexsort, the way the package once did them. Each sample's stage
+streams are rebuilt from nested plain ``np.random.SeedSequence`` spawn keys,
+which the package's own batched hash must equal.
 
 The paper's Bell-like check lives here too, since no artifact reads it: a QL
 bit's emergent eigenvectors, sign-fixed and phase-classified, and the alpha
@@ -63,6 +65,21 @@ def reference_d_regular_random(n: int, d: int, seed: ql.RngSeed) -> ql.Graph:
         return found
 
     return ql.Graph(n, np.array(list(edges(n, d, seed.generator())), dtype=np.int64).reshape(-1, 2))
+
+
+def spawned_seed(seed: int, *key: int) -> int:
+    """``RngSeed(seed).derive(*key).seed`` by plain SeedSequence: the first
+    uint64 that ``SeedSequence(seed, spawn_key=(0, *key))`` generates."""
+    return int(np.random.SeedSequence(seed, spawn_key=(0, *key)).generate_state(1, np.uint64)[0])
+
+
+def stage_stream(master_seed: int, sample: int, path: Sequence[int]) -> tuple[int, dict]:
+    """The seed of sample ``sample``'s stage stream ``path`` and its generator's
+    PCG64 state, by nested plain SeedSequence spawn keys: the sample seed is
+    spawned from the master seed, the stage seed from the sample seed, and the
+    generator is keyed by ``SeedSequence(stage seed, spawn_key=(0,))``."""
+    seed = spawned_seed(spawned_seed(master_seed, sample), *path)
+    return seed, np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
 
 
 def complete_graph(n: int) -> ql.Graph:

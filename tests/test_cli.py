@@ -312,9 +312,12 @@ def count_calls(monkeypatch, names, weights=None):
 
 
 class TestComputeOnce:
-    # Seeds each sample derives: its own seed, one per generated base, then one
+    # Streams each sample hashes: its own seed, one per generated base, then one
     # per factor for coupling (QL bits) or per factor and side for deletion.
-    DERIVES_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
+    STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
+    # Sample 0 runs alone and samples 1..2 in one chunk; each chunk hashes its
+    # sample seeds in one pass and then its stage streams in another.
+    HASH_PASSES = 2 * 2
 
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
@@ -331,21 +334,26 @@ class TestComputeOnce:
                                           "compose_spectra", "predict_splitting",
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
-        derive = ql.RngSeed.derive
+        # Every stream is hashed through derive_streams, RngSeed.derive's included.
+        hashed = Counter()
+        derive_streams = ql.rng.derive_streams
 
-        def counted_derive(*args, **kwargs):
-            calls["derive"] += 1
-            return derive(*args, **kwargs)
+        def counted_derive_streams(parents, paths):
+            hashed["passes"] += 1
+            hashed["streams"] += len(parents) * len(paths)
+            return derive_streams(parents, paths)
 
-        monkeypatch.setattr(ql.RngSeed, "derive", counted_derive)
+        for module in (ql.rng, ql.experiments):
+            monkeypatch.setattr(module, "derive_streams", counted_derive_streams)
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
         # Only sample 0's grid is composed; the histogram composes values in chunks.
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
-                                d_regular_random=samples * bases_per_sample,
-                                derive=samples * self.DERIVES_PER_SAMPLE[descriptor["name"]])
+                                d_regular_random=samples * bases_per_sample)
+        assert hashed == Counter(passes=self.HASH_PASSES,
+                                 streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,12 @@ class TestHistogram:
     def test_non_integer_bins_rejected(self, bins):
         with pytest.raises(InvalidParameterError, match="bins must be an integer"):
             ql.histogram_edges(0.0, 1.0, bins)
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0),
+                                       (0.0, math.inf), (1.0, 0.0), (np.float64(2.0), 1.5)])
+    def test_non_finite_or_reversed_range_rejected(self, lo, hi):
+        with pytest.raises(InvalidParameterError, match="histogram range"):
+            ql.histogram_edges(lo, hi, 2)
 
 
 class TestDescriptor:

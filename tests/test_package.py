@@ -1,6 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import qlgraph as ql
 
@@ -14,3 +19,18 @@ def test_readme_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random loads on the first draw, not on import: every CLI run pays
+    # its import time before the first sample, and perfbench's setup_s holds it.
+    code = ("import sys, numpy; alone = 'numpy.random' in sys.modules; import qlgraph.cli; "
+            "print(alone, 'numpy.random' in sys.modules)")
+    src = str(Path(ql.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    alone, with_cli = done.stdout.split()
+    if alone == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert with_cli == "False"

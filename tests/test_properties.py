@@ -2,21 +2,23 @@
 composition, and the histogram range found without the composed grid, each
 held against an explicit oracle. Graph's canonical arrays and refusals, and
 the seed streams, are held the same way against a two-column lexsort and
-against numpy's own SeedSequence. Samples run in chunks are held bitwise
-against the same samples run one at a time."""
+against numpy's own SeedSequence: one stream at a time, in batches, and
+as each stage function of the pipeline receives it. Samples run in chunks
+are held bitwise against the same samples run one at a time."""
 import functools
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
+from qlgraph.rng import derive_streams
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     reference_graph_arrays)
+                     reference_graph_arrays, spawned_seed, stage_stream)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -125,6 +127,38 @@ def test_rng_streams_equal_plain_seed_sequence(seed, stream_id, path):
     assert root.generator().bit_generator.state == plain.state
 
 
+def _plain_child(parent: ql.RngSeed, path) -> tuple[int, dict]:
+    """A child seed by plain SeedSequence, and the PCG64 state of its stream 0."""
+    spawned = np.random.SeedSequence(parent.seed, spawn_key=(parent.stream_id, *path))
+    seed = int(spawned.generate_state(1, np.uint64)[0])
+    return seed, np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
+
+
+_PARENTS = st.builds(ql.RngSeed, _WORDS, _KEY_ENTRIES)
+# Entries at and past 2^32 and 2^64 take two and three words, so rows of
+# different lengths hash in one batch.
+_PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
+
+
+@PROPERTY_SETTINGS
+@given(parents=st.lists(_PARENTS, max_size=4), paths=_PATHS)
+@example(parents=[ql.RngSeed(7)], paths=[(3,)])  # a batch of one
+@example(parents=[ql.RngSeed(7), ql.RngSeed(8, 2**40)], paths=[])  # no paths
+@example(parents=[ql.RngSeed(2**64 - 1, 5)], paths=[()])  # the empty path
+@example(parents=[ql.RngSeed(1), ql.RngSeed(2**63, 2**64)],
+         paths=[(2**32 - 1,), (2**32, 0), (2**64 - 1, 1, 2), (2**64,), (2**64 + 5, 2**32), ()])
+def test_derive_streams_equal_plain_seed_sequence(parents, paths):
+    batch = derive_streams(parents, paths)
+    assert len(batch) == len(parents)
+    for parent, children in zip(parents, batch):
+        assert len(children) == len(paths)
+        for path, child in zip(paths, children):
+            seed, state = _plain_child(parent, path)
+            assert (child.seed, child.stream_id) == (seed, 0)
+            assert child.generator().bit_generator.state == state
+            assert child == parent.derive(*path)
+
+
 @st.composite
 def edge_lists(draw):
     """A vertex count and a valid edge list in any row and endpoint order, maybe with one fault:
@@ -231,3 +265,55 @@ def test_chunked_samples_equal_samples_run_alone(desc, per_chunk):
     expected = one_shot_histogram(desc)
     assert histogram.bin_edges.tobytes() == expected.bin_edges.tobytes()
     assert np.array_equal(histogram.counts, expected.counts)
+
+
+def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple[int, ...]]]:
+    """Each stage function one sample calls, with the stage path of its stream,
+    in call order: per distinct factor, its d-regular bases (factor 0's alone
+    with shared bases), deletions, coupling and disorder."""
+    sides = (0, 1) if desc.kind == "qlbit-product" else (0,)
+    calls = []
+    for k in range(1 if desc.identical_factors else desc.n_factors):
+        if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
+            calls += [("d_regular_random", (0, k, side)) for side in sides]
+        if desc.deletions:
+            calls += [("delete_random_edges", (1, k, side)) for side in sides]
+        if desc.kind == "qlbit-product":
+            calls.append(("couple", (2, k)))
+        if desc.sigma:
+            calls.append(("apply_diagonal_disorder", (3, k)))
+    return calls
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(desc=small_descriptors())
+def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
+    # Record the seed (the last argument) each stage function receives, and
+    # count the streams hashed; each sample hashes its own seed and its stages'.
+    received, hashed = [], []
+    originals = {name: getattr(ql.experiments, name) for name in
+                 ("d_regular_random", "delete_random_edges", "couple", "apply_diagonal_disorder")}
+
+    def recorder(name):
+        def record(*args):
+            received.append((name, args[-1]))
+            return originals[name](*args)
+        return record
+
+    def counted(parents, paths):
+        hashed.append(len(parents) * len(paths))
+        return derive_streams(parents, paths)
+
+    with mock.patch.multiple(ql.experiments, derive_streams=counted,
+                             **{name: recorder(name) for name in originals}):
+        samples = list(ql.iter_samples(desc))
+    expected = expected_stage_calls(desc)
+    assert sum(hashed) == desc.n_samples * (1 + len(expected))
+    assert len(received) == desc.n_samples * len(expected)
+    calls = iter(received)
+    for sample in samples:
+        assert sample.seed == spawned_seed(desc.master_seed, sample.index)
+        for (name, path), (got_name, seed) in zip(expected, calls):
+            oracle_seed, oracle_state = stage_stream(desc.master_seed, sample.index, path)
+            assert (got_name, seed.seed, seed.stream_id) == (name, oracle_seed, 0)
+            assert seed.generator().bit_generator.state == oracle_state
