@@ -213,9 +213,9 @@ class ExperimentDescriptor:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """One realized factor: its graph, spectrum and QL bit; diagnostics derived on read."""
+    """One realized factor: its graph or else its QL bit, and its spectrum; diagnostics on read."""
 
-    graph: Graph
+    graph: Graph | None
     spectrum: Spectrum
     qlbit: QLBit | None = None
 
@@ -226,7 +226,13 @@ class FactorResult:
 
     @cached_property
     def connected(self) -> bool:
-        return is_connected(self.graph)
+        """Whether the graph, or the QL bit's blocks and cross edges, are connected."""
+        q = self.qlbit
+        if q is None:
+            return is_connected(self.graph)
+        n1 = q.basis_1.n_vertices
+        return is_connected(Graph(q.n_vertices, np.concatenate(
+            [q.basis_1.edges, q.basis_2.edges + n1, q.coupling_edges + (0, n1)])))
 
     @cached_property
     def emergent(self) -> EmergentPair | None:
@@ -292,18 +298,17 @@ def _generate_base(desc: ExperimentDescriptor, streams: Streams, k: int, side: i
 
 
 def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
-                   bases: list[Graph]) -> tuple[Graph, QLBit | None, np.ndarray]:
-    """Factor k's graph, its QL bit (None for a plain graph) and the matrix to decompose."""
+                   bases: list[Graph]) -> tuple[Graph | None, QLBit | None, np.ndarray]:
+    """Factor k's graph or QL bit (the other None) and the matrix to decompose."""
     if desc.deletions:
         bases = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
                  for side, g in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        q = couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
-        graph = q.composite
+        graph, q = None, couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
+        a = q.adjacency()
     else:
-        q = None
-        (graph,) = bases
-    a = adjacency(graph)
+        (graph,), q = bases, None
+        a = adjacency(graph)
     if desc.sigma > 0:
         a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
     return graph, q, a
@@ -315,7 +320,7 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
 
 
 def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
-                     ) -> list[tuple[Graph, QLBit | None, np.ndarray]]:
+                     ) -> list[tuple[Graph | None, QLBit | None, np.ndarray]]:
     """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
     ``identical_factors``. With ``shared_base`` every factor starts from the
     bases generated for factor 0, which are generated once; deletions stay per
@@ -328,11 +333,11 @@ def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
 
 
 def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
-    """Samples `indices`, stage by stage: the sample seeds in one hash pass and
-    every stage stream in another, every sample's factor matrices, then one
-    stacked eigendecomposition per distinct factor, then each sample's
-    results, yielded one at a time."""
-    (seeds,) = derive_streams([RngSeed(desc.master_seed)], [(i,) for i in indices])
+    """Samples `indices`, stage by stage: the sample seeds, unprimed, in one
+    hash pass and every stage stream in another, every sample's factor
+    matrices, then one stacked eigendecomposition per distinct factor, then
+    each sample's results, yielded one at a time."""
+    (seeds,) = derive_streams([RngSeed(desc.master_seed)], [(i,) for i in indices], primed=False)
     paths = _stage_paths(desc)
     built = []
     for i, streams in zip(indices, derive_streams(seeds, paths)):

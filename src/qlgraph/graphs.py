@@ -1,9 +1,8 @@
 """Basis graphs: construction, validation and dense adjacency matrices.
 
-Graphs are simple, undirected and weighted (default weight +1). Edges are
-held as an (m, 2) int64 array of (u, v) with u < v, sorted by (u, v), with
-the weights in a parallel float64 array. The canonical order makes every
-downstream random draw over edges deterministic.
+Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
+int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
+makes every downstream random draw over edges deterministic.
 """
 from __future__ import annotations
 
@@ -24,62 +23,65 @@ MAX_VERTICES = 2**31
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected weighted graph on vertices 0..n_vertices-1.
+    """Simple undirected graph on vertices 0..n_vertices-1.
 
-    ``edges`` is an (m, 2) int64 array, each row (u, v) with u < v, rows
-    sorted; ``weights`` is the matching (m,) float64 array, all +1 when
-    omitted. Endpoints may be given in either order and rows in any order.
-    Invariants enforced at construction: an integer vertex count in
-    [1, MAX_VERTICES], endpoints of an integer dtype, no self-loops, all
-    endpoints in range, no duplicate edges, finite weights; a refusal names
-    the smallest offending (u, v).
-    Instances and their arrays are immutable.
+    ``n_vertices`` is an integer in [1, MAX_VERTICES]; ``edges`` is the
+    `canonical_edges` of the rows given, in any order and with endpoints in
+    either order. Instances and their arrays are immutable.
     """
 
     n_vertices: int
     edges: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         n = require_int("n_vertices", self.n_vertices)
         if not 0 < n <= MAX_VERTICES:
             raise InvalidParameterError(f"n_vertices must be in [1, {MAX_VERTICES}], got {n}")
-        e = np.asarray(self.edges)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        elif not np.issubdtype(e.dtype, np.integer):
-            raise InvalidParameterError(f"edge endpoints must be integers, got dtype {e.dtype}")
-        e = e.astype(np.int64, copy=False)
-        w = np.ones(len(e)) if self.weights is None else np.asarray(self.weights, dtype=np.float64)
-        if e.ndim != 2 or e.shape[1] != 2 or w.shape != (len(e),):
-            raise InvalidParameterError(
-                f"need (m, 2) edges and (m,) weights, got shapes {e.shape} and {w.shape}")
-        u, v = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
-        _refuse_first(u == v, u, v, "is a self-loop")
-        _refuse_first((u < 0) | (v >= n), u, v, f"is out of range for n={n}")
-        # One flat key orders rows by (u, v); the stable sort keeps equal rows in input order.
-        key = u * n + v
-        order = np.argsort(key, kind="stable")
-        key, u, v, w = key[order], u[order], v[order], w[order]
-        _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, "is a duplicate")
-        _refuse_first(~np.isfinite(w), u, v, "has a non-finite weight")
-        e = np.stack((u, v), axis=1)
-        e.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "edges", e)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "edges", canonical_edges(self.edges, n))
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
 
-def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, problem: str) -> None:
+def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
+    """Read-only (m, 2) int64 rows (u, v), sorted: a graph's edges on n
+    vertices, each row ordered to u < v, or with ``cols`` a QL bit's cross
+    edges from vertex u of n to v of cols. Refuses endpoints that are not an
+    (m, 2) integer array (empty is fine), then, naming the smallest offending
+    (u, v), a self-loop, an endpoint out of range and a duplicate."""
+    undirected = cols is None
+    what, cols, outside = (("edge", n, f"is out of range for n={n}") if undirected
+                           else ("coupling edge", cols, "does not bridge the blocks"))
+    e = np.asarray(edges)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    elif not np.issubdtype(e.dtype, np.integer):
+        raise InvalidParameterError(f"{what} endpoints must be integers, got dtype {e.dtype}")
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise InvalidParameterError(f"need (m, 2) {what}s, got shape {e.shape}")
+    u, v = e.astype(np.int64, copy=False).T
+    if undirected:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        _refuse_first(u == v, u, v, what, "is a self-loop")
+    _refuse_first((u < 0) | (u >= n) | (v < 0) | (v >= cols), u, v, what, outside)
+    # One flat key orders rows by (u, v).
+    key = u * cols + v
+    order = np.argsort(key)
+    key, u, v = key[order], u[order], v[order]
+    _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what, "is a duplicate")
+    e = np.stack((u, v), axis=1)
+    e.flags.writeable = False
+    return e
+
+
+def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, problem: str) -> None:
     """InvalidParameterError naming the smallest (u, v) among the rows flagged bad, if any."""
     if bad.any():
         rows = np.flatnonzero(bad)
         i = rows[np.lexsort((v[rows], u[rows]))[0]]
-        raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
+        raise InvalidParameterError(f"{what} ({u[i]},{v[i]}) {problem}")
 
 
 def cycle_graph(n: int) -> Graph:
@@ -173,15 +175,14 @@ def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
         return g
     kept = np.ones(g.n_edges, dtype=bool)
     kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
-    return Graph(g.n_vertices, g.edges[kept], g.weights[kept])
+    return Graph(g.n_vertices, g.edges[kept])
 
 
 def adjacency(g: Graph) -> np.ndarray:
-    """Dense symmetric float64 adjacency matrix; entries equal edge weights."""
+    """Dense symmetric float64 adjacency matrix: 1.0 at each edge, 0.0 elsewhere."""
     m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.float64)
     u, v = g.edges.T
-    m[u, v] = g.weights
-    m[v, u] = g.weights
+    m[u, v] = m[v, u] = 1.0
     return m
 
 

@@ -33,10 +33,6 @@ class ProjectionReport:
         return {"alphas": dict(sorted(self.alphas.items())), "residual": self.residual_norm}
 
 
-def _bit_strings(n: int) -> list[str]:
-    return [format(i, f"0{n}b") for i in range(2**n)]
-
-
 def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]) -> ProjectionReport:
     """Alpha coefficients of a product vector on the qubit basis.
 
@@ -53,9 +49,9 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     sq_norm = 1.0
     for w, q in zip(factor_vectors, qlbits):
         w = np.asarray(w, dtype=np.float64)
-        d = q.composite.n_vertices
-        if w.shape != (d,):
-            raise InvalidParameterError(f"factor vector length {w.shape} != composite dim {d}")
+        if w.shape != (q.n_vertices,):
+            raise InvalidParameterError(
+                f"factor vector length {w.shape} != QL bit dim {q.n_vertices}")
         j0, j1 = q.block_uniform()
         per_factor.append(np.array([w @ j0, w @ j1]))
         sq_norm *= float(w @ w)
@@ -64,6 +60,6 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
         tensor = np.multiply.outer(tensor, comp)
 
     flat = tensor.reshape(-1)
-    alphas = {b: float(a) for b, a in zip(_bit_strings(len(qlbits)), flat)}
+    alphas = {format(i, f"0{len(qlbits)}b"): float(a) for i, a in enumerate(flat)}
     residual_sq = max(0.0, sq_norm - float(flat @ flat))
     return ProjectionReport(alphas, math.sqrt(residual_sq))

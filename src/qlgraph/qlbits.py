@@ -1,6 +1,6 @@
 """QL bits: two basis graphs coupled by random cross edges.
 
-The composite graph stacks basis_1's vertices first, then basis_2's. With
+A QL bit's matrix stacks basis_1's vertices first, then basis_2's. With
 positive unit coupling the top two eigenvalues are the in- and out-of-phase
 combinations of the basis graphs' principal states, split by roughly
 2*Delta with Delta = n_c / n.
@@ -8,12 +8,12 @@ combinations of the basis graphs' principal states, split by roughly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
-from .graphs import Graph, adjacency
+from .errors import InvalidParameterError, require_int
+from .graphs import Graph, adjacency, canonical_edges
 from .rng import RngSeed
 from .spectra import Spectrum
 
@@ -23,42 +23,39 @@ MIN_ISOLATION_GAP = 0.5
 
 @dataclass(frozen=True, eq=False)
 class QLBit:
-    """Two coupled basis graphs and their block-structured composite.
+    """Two basis graphs joined by cross edges of weight ``sign``.
 
-    ``coupling_edges`` is an (n_c, 2) int64 array of (u, v) cross edges, u a
-    vertex of basis_1 and v of basis_2, each of weight ``sign``. The
-    composite is derived from the other fields: basis_1's vertices first,
-    then basis_2's, plus the cross edges.
+    ``coupling_edges`` is an (n_c, 2) int64 array of distinct (u, v) cross
+    edges, u a vertex of basis_1 and v of basis_2, rows sorted. The
+    adjacency is the block matrix [[A_1, sign*C], [sign*C^T, A_2]].
     """
 
     basis_1: Graph
     basis_2: Graph
     coupling_edges: np.ndarray
     sign: int
-    composite: Graph = field(init=False)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InvalidParameterError(f"sign must be +1 or -1, got {self.sign}")
-        n1, n2 = self.basis_1.n_vertices, self.basis_2.n_vertices
-        c = np.asarray(self.coupling_edges, dtype=np.int64).reshape(-1, 2)
-        outside = ((c < 0) | (c >= (n1, n2))).any(axis=1)
-        if outside.any():
-            u, v = c[outside.argmax()]
-            raise InvalidParameterError(f"coupling edge ({u},{v}) does not bridge the blocks")
-        c.flags.writeable = False
-        # Duplicate cross edges are duplicate composite edges, refused by Graph.
-        composite = Graph(
-            n1 + n2,
-            np.concatenate([self.basis_1.edges, self.basis_2.edges + n1, c + (0, n1)]),
-            np.concatenate([self.basis_1.weights, self.basis_2.weights,
-                            np.full(len(c), float(self.sign))]))
-        object.__setattr__(self, "coupling_edges", c)
-        object.__setattr__(self, "composite", composite)
+        sign = require_int("sign", self.sign)
+        if sign not in (1, -1):
+            raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "coupling_edges", canonical_edges(
+            self.coupling_edges, self.basis_1.n_vertices, self.basis_2.n_vertices))
+        object.__setattr__(self, "sign", sign)
+
+    @property
+    def n_vertices(self) -> int:
+        return self.basis_1.n_vertices + self.basis_2.n_vertices
 
     @property
     def n_coupling(self) -> int:
         return len(self.coupling_edges)
+
+    def adjacency(self) -> np.ndarray:
+        """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]."""
+        c = np.zeros((self.basis_1.n_vertices, self.basis_2.n_vertices))
+        c[tuple(self.coupling_edges.T)] = self.sign
+        return np.block([[adjacency(self.basis_1), c], [c.T, adjacency(self.basis_2)]])
 
     def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors J_0, J_1, uniform on basis_1's and basis_2's block."""
@@ -98,8 +95,7 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     """Couple two basis graphs with independent Bernoulli(p) cross edges.
 
     Every (u in basis_1) x (v in basis_2) pair receives an edge with
-    probability p; edge weight is sign * 1. The composite lays out basis_1
-    vertices first.
+    probability p, of weight sign; the edges come in (u, v) order.
     """
     if not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be in [0,1], got {p}")
@@ -120,21 +116,20 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
 
 
 def emergent_pair(q: QLBit, s: Spectrum) -> EmergentPair:
-    """The two emergent eigenvalues of the composite and their isolation.
+    """The two emergent eigenvalues of the QL bit and their isolation.
 
-    ``s`` is the spectrum, with or without eigenvectors, of the composite's
-    adjacency, including any diagonal disorder applied to it. Cross-coupling
-    sign does not move the pair: the sign=-1 composite is similar to the
-    sign=+1 one.
+    ``s`` is the spectrum, with or without eigenvectors, of ``q.adjacency()``,
+    including any diagonal disorder applied to it. Cross-coupling sign does
+    not move the pair: the sign=-1 matrix is similar to the sign=+1 one.
 
     Isolation: the second eigenvalue must clear the third by
     max(MIN_ISOLATION_GAP, 2*sqrt(d_mean - 1) - lambda_2); otherwise
     ``degraded_isolation`` is set on the result.
     """
-    if s.dim != q.composite.n_vertices:
-        raise InvalidParameterError("need the composite's spectrum")
+    if s.dim != q.n_vertices:
+        raise InvalidParameterError("need the QL bit's spectrum")
     if s.dim < 3:
-        raise InvalidParameterError("composite too small to isolate an emergent pair")
+        raise InvalidParameterError("QL bit too small to isolate an emergent pair")
     lam = s.eigenvalues
     gap = float(lam[1] - lam[2])
     d_mean = 2.0 * q.basis_1.n_edges / q.basis_1.n_vertices

@@ -182,10 +182,11 @@ class RngSeed:
         return child
 
 
-def derive_streams(parents: Sequence[RngSeed],
-                   paths: Sequence[Sequence[int]]) -> list[list[RngSeed]]:
+def derive_streams(parents: Sequence[RngSeed], paths: Sequence[Sequence[int]],
+                   primed: bool = True) -> list[list[RngSeed]]:
     """``[[parent.derive(*path) for path in paths] for parent in parents]``,
-    hashed in one pass, each child carrying its generator's state.
+    hashed in one pass. A ``primed`` child also carries its generator's
+    state, hashed in a second pass; an unprimed one hashes it if asked.
 
     Child (parent, path) has seed ``SeedSequence(parent.seed, spawn_key=
     (parent.stream_id, *path)).generate_state(1, np.uint64)`` and stream id
@@ -204,7 +205,8 @@ def derive_streams(parents: Sequence[RngSeed],
     # Each child's stream 0: its seed's two words, zero-padded, then stream id 0.
     rows = np.zeros((len(pairs), _POOL + 1), dtype=np.uint32)
     rows[:, :2] = pairs
-    states = _as_uint64(_generate_state(rows, np.full(len(rows), _POOL + 1), 8))
+    states = (_as_uint64(_generate_state(rows, np.full(len(rows), _POOL + 1), 8)) if primed
+              else [None] * len(rows))
     # Children are valid by construction: skip __post_init__'s checks.
     children = []
     for seed, state in zip(_as_uint64(pairs).ravel().tolist(), states):

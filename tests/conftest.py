@@ -28,8 +28,8 @@ def make_qlbit(n=20, d=15, p=0.2, seed=1234, sign=1, deletions=0) -> ql.QLBit:
 
 
 def composite_spectrum(q: ql.QLBit) -> ql.Spectrum:
-    """Full spectrum, with eigenvectors, of the QL bit's composite."""
-    return ql.eigendecompose(ql.adjacency(q.composite))
+    """Full spectrum, with eigenvectors, of the QL bit's adjacency."""
+    return ql.eigendecompose(q.adjacency())
 
 
 @pytest.fixture

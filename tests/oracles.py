@@ -3,6 +3,8 @@
 The pipeline composes product spectra without forming product graphs or
 matrices, and projects product eigenvectors without forming them; these
 helpers form them anyway so tests can compare against the dense result.
+A QL bit's matrix is rebuilt from one signed edge list over both blocks,
+entry by entry, the way the package once built it as a weighted graph.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a
@@ -30,27 +32,23 @@ import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
 
-def reference_graph_arrays(n: int, edges, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Graph's canonical (edges, weights) by row-wise sort and a two-column lexsort.
+def reference_graph_edges(n: int, edges) -> np.ndarray:
+    """Graph's canonical edges by row-wise sort and a two-column lexsort.
 
     Refuses as Graph does, checking in the same order and naming the first
     offending edge in (u, v) order.
     """
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    w = np.ones(len(e)) if weights is None else np.asarray(weights, dtype=np.float64)
-    e = np.sort(e, axis=1)
-    order = np.lexsort((e[:, 1], e[:, 0]))
-    e, w = e[order], w[order]
+    e = np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
     u, v = e.T
     repeat = np.concatenate([[False], (e[1:] == e[:-1]).all(axis=1)])
     for bad, problem in ((u == v, "is a self-loop"),
                          ((u < 0) | (v >= n), f"is out of range for n={n}"),
-                         (repeat, "is a duplicate"),
-                         (~np.isfinite(w), "has a non-finite weight")):
+                         (repeat, "is a duplicate")):
         if bad.any():
             i = bad.argmax()
             raise InvalidParameterError(f"edge ({u[i]},{v[i]}) {problem}")
-    return e, w
+    return e
 
 
 def reference_d_regular_random(n: int, d: int, seed: ql.RngSeed) -> ql.Graph:
@@ -92,7 +90,41 @@ def complete_graph(n: int) -> ql.Graph:
 def graph_from_adjacency(a: np.ndarray) -> ql.Graph:
     """Recover the graph whose edges are the nonzero off-diagonal entries."""
     u, v = np.nonzero(np.triu(a, 1))
-    return ql.Graph(len(a), np.column_stack([u, v]), a[u, v])
+    return ql.Graph(len(a), np.column_stack([u, v]))
+
+
+def reference_composite(q: ql.QLBit) -> tuple[int, np.ndarray, np.ndarray]:
+    """A QL bit as one graph on both blocks: its vertex count, edges and
+    weights. basis_1's edges, then basis_2's and the cross edges shifted past
+    basis_1's vertices; weight 1 within a block and ``sign`` across."""
+    n1 = q.basis_1.n_vertices
+    edges = np.concatenate([q.basis_1.edges, q.basis_2.edges + n1, q.coupling_edges + (0, n1)])
+    weights = np.concatenate([np.ones(q.basis_1.n_edges + q.basis_2.n_edges),
+                              np.full(q.n_coupling, float(q.sign))])
+    return n1 + q.basis_2.n_vertices, edges, weights
+
+
+def weighted_adjacency(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The n x n matrix with each edge's weight at (u, v) and (v, u), written entry by entry."""
+    m = np.zeros((n, n))
+    for (u, v), w in zip(edges.tolist(), weights.tolist()):
+        m[u, v] = m[v, u] = w
+    return m
+
+
+def reference_is_connected(n: int, edges: np.ndarray) -> bool:
+    """Depth-first search from vertex 0 over Python neighbour lists."""
+    neighbours = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +154,14 @@ class ProductGraph:
 
 def cartesian_product(g: ql.Graph, h: ql.Graph) -> ProductGraph:
     """Explicit Cartesian product: an edge wherever one factor steps and the
-    other stands still. Weights are inherited from the contributing edge."""
+    other stands still."""
     dim = g.n_vertices * h.n_vertices
     nh = h.n_vertices
     # (u, v) in g with h standing at x, then (x, y) in h with g standing at u.
     g_steps = g.edges[:, None, :] * nh + np.arange(nh)[None, :, None]
     h_steps = np.arange(g.n_vertices)[:, None, None] * nh + h.edges[None, :, :]
     edges = np.concatenate([g_steps.reshape(-1, 2), h_steps.reshape(-1, 2)])
-    weights = np.concatenate([np.repeat(g.weights, nh), np.tile(h.weights, g.n_vertices)])
-    return ProductGraph((g, h), ql.Graph(dim, edges, weights))
+    return ProductGraph((g, h), ql.Graph(dim, edges))
 
 
 def product_graph(factors: Sequence[ql.Graph]) -> ProductGraph:
@@ -156,6 +187,21 @@ def kronecker_sum_adjacency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, np.eye(len(b))) + np.kron(np.eye(len(a)), b)
 
 
+def cartesian_product_adjacency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cartesian product of two weighted matrices, entry by entry: a[i, j]
+    where the first factor steps i -> j and the second stands at x, b[x, y]
+    where the second steps and the first stands at i; flat index i*len(b) + x."""
+    nb = len(b)
+    m = np.zeros((len(a) * nb, len(a) * nb))
+    for i, j in zip(*np.nonzero(a)):
+        for x in range(nb):
+            m[i * nb + x, j * nb + x] += a[i, j]
+    for i in range(len(a)):
+        for x, y in zip(*np.nonzero(b)):
+            m[i * nb + x, i * nb + y] += b[x, y]
+    return m
+
+
 def product_eigenvector(spectra: Sequence[ql.Spectrum], labels: Sequence[int]) -> np.ndarray:
     """Tensor product of the labeled factor eigenvectors (first factor slowest)."""
     return functools.reduce(np.kron, [s.eigenvectors[:, i] for s, i in zip(spectra, labels)])
@@ -165,7 +211,7 @@ def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit]) -> ql.Projec
     """Alphas of any product-space vector, product or not: contract each
     factor axis of ``v`` with that bit's [J_0, J_1]."""
     v = np.asarray(v, dtype=np.float64)
-    tensor = v.reshape([q.composite.n_vertices for q in qlbits])
+    tensor = v.reshape([q.n_vertices for q in qlbits])
     for q in qlbits:
         tensor = np.tensordot(tensor, np.stack(q.block_uniform(), axis=1), axes=([0], [0]))
     flat = tensor.reshape(-1)
@@ -221,7 +267,7 @@ def degrees(g: ql.Graph) -> np.ndarray:
 
 
 def emergent_states(q: ql.QLBit, s: ql.Spectrum) -> list[tuple[float, np.ndarray, int]]:
-    """The top two eigenpairs of the composite's spectrum ``s`` as (eigenvalue,
+    """The top two eigenpairs of the QL bit's spectrum ``s`` as (eigenvalue,
     sign-fixed vector, phase). The phase is the sign of the product of the
     vector's block means: +1 in phase, -1 out of phase, 0 indeterminate. An
     exactly degenerate pair (p=0) is resolved onto J_0 + J_1 and J_0 - J_1
@@ -249,7 +295,7 @@ def bell_patterns(qa: ql.QLBit, qb: ql.QLBit,
     its states by position."""
     chosen = []
     for q in (qa, qb):
-        states = emergent_states(q, ql.eigendecompose(ql.adjacency(q.composite)))
+        states = emergent_states(q, ql.eigendecompose(q.adjacency()))
         if sorted(phase for _, _, phase in states) == [-1, 1]:
             states.sort(key=lambda st: -st[2])
         chosen.append(states)

@@ -12,7 +12,8 @@ import qlgraph as ql
 import qlgraph.cli as cli
 
 from conftest import composite_spectrum
-from oracles import bell_patterns, cartesian_product, fix_sign, product_graph, spectral_gap
+from oracles import (bell_patterns, fix_sign, kronecker_sum_adjacency, product_graph,
+                     spectral_gap)
 
 
 class criterion:
@@ -42,20 +43,21 @@ def test_criterion_1_c5_spectrum(c5):
 
 
 def _random_factor(rng, max_n):
+    """A random factor's adjacency matrix."""
     kind = rng.integers(4)
     seed = ql.RngSeed(int(rng.integers(2**32)))
     if kind == 0:
-        return ql.cycle_graph(int(rng.integers(3, 11)))
+        return ql.adjacency(ql.cycle_graph(int(rng.integers(3, 11))))
     if kind == 1:
         n, d = [(8, 3), (10, 4), (12, 8), (7, 6), (14, 3)][int(rng.integers(5))]
-        return ql.d_regular_random(n, d, seed)
+        return ql.adjacency(ql.d_regular_random(n, d, seed))
     if kind == 2:
         g = ql.d_regular_random(12, 8, seed)
-        return ql.delete_random_edges(g, 4, ql.RngSeed(int(rng.integers(2**32))))
+        return ql.adjacency(ql.delete_random_edges(g, 4, ql.RngSeed(int(rng.integers(2**32)))))
     bit = ql.couple(ql.d_regular_random(6, 3, seed),
                     ql.d_regular_random(6, 3, ql.RngSeed(int(rng.integers(2**32)))),
                     0.3, -1, ql.RngSeed(int(rng.integers(2**32))))
-    return bit.composite  # weighted: negative coupling entries
+    return bit.adjacency()  # signed: negative coupling entries
 
 
 def test_criterion_2_product_oracle_equivalence():
@@ -63,14 +65,13 @@ def test_criterion_2_product_oracle_equivalence():
         rng = ql.RngSeed(20250101).generator()
         checked = 0
         while checked < 20:
-            g, h = _random_factor(rng, 20), _random_factor(rng, 20)
-            if g.n_vertices * h.n_vertices > 400:
+            a, b = _random_factor(rng, 20), _random_factor(rng, 20)
+            if len(a) * len(b) > 400:
                 continue
-            explicit = np.linalg.eigvalsh(
-                ql.adjacency(cartesian_product(g, h).composite))
+            explicit = np.linalg.eigvalsh(kronecker_sum_adjacency(a, b))
             composed = ql.compose_spectra([
-                ql.eigendecompose(ql.adjacency(g), want_vectors=False),
-                ql.eigendecompose(ql.adjacency(h), want_vectors=False)]).values
+                ql.eigendecompose(a, want_vectors=False),
+                ql.eigendecompose(b, want_vectors=False)]).values
             assert np.max(np.abs(np.sort(explicit) - np.sort(composed))) <= 1e-8
             checked += 1
 

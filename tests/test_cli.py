@@ -311,13 +311,52 @@ def count_calls(monkeypatch, names, weights=None):
     return calls
 
 
+def count_hashing(monkeypatch) -> Counter:
+    """Count `derive_streams` calls and the streams they derive, whoever calls
+    it, and the hash passes (`_generate_state` calls) under them."""
+    hashed = Counter()
+    derive_streams, generate_state = ql.rng.derive_streams, ql.rng._generate_state
+
+    def counted_derive_streams(parents, paths, **kwargs):
+        hashed["passes"] += 1
+        hashed["streams"] += len(parents) * len(paths)
+        return derive_streams(parents, paths, **kwargs)
+
+    def counted_generate_state(*args):
+        hashed["hashes"] += 1
+        return generate_state(*args)
+
+    for module in (ql.rng, ql.experiments):
+        monkeypatch.setattr(module, "derive_streams", counted_derive_streams)
+    monkeypatch.setattr(ql.rng, "_generate_state", counted_generate_state)
+    return hashed
+
+
+def count_graphs(monkeypatch) -> Counter:
+    """Count `Graph` constructions."""
+    built = Counter()
+    post_init = ql.Graph.__post_init__
+
+    def counted(self):
+        built["Graph"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ql.Graph, "__post_init__", counted)
+    return built
+
+
 class TestComputeOnce:
     # Streams each sample hashes: its own seed, one per generated base, then one
     # per factor for coupling (QL bits) or per factor and side for deletion.
     STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
-    # Sample 0 runs alone and samples 1..2 in one chunk; each chunk hashes its
-    # sample seeds in one pass and then its stage streams in another.
-    HASH_PASSES = 2 * 2
+    # Sample 0 runs alone and samples 1..2 in one chunk; each chunk derives its
+    # sample seeds in one call and then its stage streams in another.
+    DERIVE_CALLS = 2 * 2
+    # Per chunk, one hash pass for the sample seeds, which parent streams and
+    # build no generator, and two for the stage streams and their states.
+    HASH_PASSES = 2 * 3
+    # Graphs each sample builds: its generated bases and edge-deleted copies.
+    GRAPHS_PER_SAMPLE = {"once-qlbit": 4, "once-shared": 1 + 3}
 
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
@@ -335,16 +374,8 @@ class TestComputeOnce:
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
         # Every stream is hashed through derive_streams, RngSeed.derive's included.
-        hashed = Counter()
-        derive_streams = ql.rng.derive_streams
-
-        def counted_derive_streams(parents, paths):
-            hashed["passes"] += 1
-            hashed["streams"] += len(parents) * len(paths)
-            return derive_streams(parents, paths)
-
-        for module in (ql.rng, ql.experiments):
-            monkeypatch.setattr(module, "derive_streams", counted_derive_streams)
+        hashed = count_hashing(monkeypatch)
+        built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
@@ -352,10 +383,22 @@ class TestComputeOnce:
         # Only sample 0's grid is composed; the histogram composes values in chunks.
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
                                 d_regular_random=samples * bases_per_sample)
-        assert hashed == Counter(passes=self.HASH_PASSES,
+        assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
+        # A QL bit is assembled from its blocks: no graph spans both.
+        assert built == Counter(Graph=samples * self.GRAPHS_PER_SAMPLE[descriptor["name"]])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
+
+    def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
+        # 100 samples of one QL bit: two generated bases each. Sample 0 runs
+        # alone, then 99 in chunks of 10 (16,384 entries / 40^2): 11 chunks.
+        hashed = count_hashing(monkeypatch)
+        built = count_graphs(monkeypatch)
+        code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert built["Graph"] == 100 * 2
+        assert hashed["hashes"] == 11 * 3
 
     def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):
         type_errors = ql.ExperimentDescriptor._type_errors

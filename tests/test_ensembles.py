@@ -8,7 +8,7 @@ import qlgraph as ql
 from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
-from oracles import one_shot_histogram
+from oracles import one_shot_histogram, reference_composite, reference_is_connected
 
 
 def small_qlbit_descriptor(**overrides):
@@ -151,7 +151,7 @@ class TestRunSample:
         a = ql.run_sample(desc, 0)
         b = ql.run_sample(desc, 0)
         assert np.array_equal(a.composed.values, b.composed.values)
-        assert np.array_equal(a.factors[0].graph.edges, b.factors[0].graph.edges)
+        assert np.array_equal(a.factors[0].qlbit.adjacency(), b.factors[0].qlbit.adjacency())
 
     def test_samples_differ(self):
         desc = small_qlbit_descriptor()
@@ -166,7 +166,8 @@ class TestRunSample:
 
     def test_independent_factors_differ(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        assert not np.array_equal(sample.factors[0].graph.edges, sample.factors[1].graph.edges)
+        assert not np.array_equal(sample.factors[0].qlbit.adjacency(),
+                                  sample.factors[1].qlbit.adjacency())
 
     def test_shared_base_shares_generation(self):
         desc = ql.ExperimentDescriptor(name="t", kind="d-regular-product", n=12, d=8,
@@ -194,11 +195,12 @@ class TestRunSample:
         desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=4)
         for sample in ql.iter_samples(desc):
             for f in sample.factors:
-                assert f.connected == ql.is_connected(f.graph)
                 if f.qlbit is None:
+                    assert f.connected == ql.is_connected(f.graph)
                     assert f.emergent is None
                     assert f.emergent_indices == frozenset({0})
                 else:
+                    assert f.connected == reference_is_connected(*reference_composite(f.qlbit)[:2])
                     assert f.emergent == ql.emergent_pair(f.qlbit, f.spectrum)
                     assert f.emergent_indices == frozenset({0, 1})
 

@@ -17,26 +17,28 @@ def cycle_eigenvalues(n):
 
 class TestGraphType:
     def test_normalizes_and_sorts_edges(self):
-        g = ql.Graph(4, [[3, 1], [0, 2]], [2.0, 5.0])
+        g = ql.Graph(4, [[3, 1], [0, 2]])
         assert g.edges.dtype == np.int64
         assert np.array_equal(g.edges, [[0, 2], [1, 3]])
-        assert np.array_equal(g.weights, [5.0, 2.0])  # weights follow their edges
 
     def test_default_weight_is_one(self):
         g = ql.Graph(3, [[0, 1], [1, 2]])
-        assert g.weights.dtype == np.float64
-        assert np.array_equal(g.weights, [1.0, 1.0])
+        assert not hasattr(g, "weights")
+        assert np.array_equal(ql.adjacency(g), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     @pytest.mark.parametrize("edges", [
-        ([[0, 0]], None),                  # self-loop
-        ([[0, 1], [1, 0]], [1.0, 2.0]),    # duplicate after normalization
-        ([[0, 5]], None),                  # out of range
-        ([[0, 1]], [float("nan")]),        # non-finite weight
+        [[0, 0]],                          # self-loop
+        [[0, 1], [1, 0]],                  # duplicate after normalization
+        [[0, 5]],                          # out of range
     ])
     def test_invalid_edges_rejected(self, edges):
-        pairs, weights = edges
         with pytest.raises(InvalidParameterError):
-            ql.Graph(3, pairs, weights)
+            ql.Graph(3, edges)
+
+    @pytest.mark.parametrize("edges", [[0, 1], [[0, 1, 2]], [[[0, 1]]], np.zeros((2, 3), int)])
+    def test_edges_not_in_pairs_rejected(self, edges):
+        with pytest.raises(InvalidParameterError, match=r"need \(m, 2\) edges"):
+            ql.Graph(3, edges)
 
     @pytest.mark.parametrize("edges", [
         [[0.5, 1.7], [1.2, 2.9]],          # truncated to [[0, 1], [1, 2]] once
@@ -77,17 +79,16 @@ class TestGraphType:
         assert type(g.n_vertices) is int and g.n_vertices == 3
         assert np.array_equal(g.edges, [[0, 1], [1, 2]])
 
-    @pytest.mark.parametrize("n,edges,weights,message", [
-        (5, [[4, 4], [3, 1], [2, 2], [0, 1]], None, "edge (2,2) is a self-loop"),
-        (3, [[5, 0], [1, 7], [0, 4], [0, 1]], None, "edge (0,4) is out of range for n=3"),
-        (3, [[2, 1], [-1, 2], [-2, 0]], None, "edge (-2,0) is out of range for n=3"),
-        (3, [[0, 5], [2, 2]], None, "edge (2,2) is a self-loop"),  # self-loops are checked first
-        (4, [[3, 2], [1, 0], [2, 3], [0, 1]], None, "edge (0,1) is a duplicate"),
-        (4, [[2, 3], [0, 1], [1, 2]], [math.nan, 1.0, math.inf], "edge (1,2) has a non-finite weight"),
-    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "non-finite"])
-    def test_refusal_names_the_smallest_offending_edge(self, n, edges, weights, message):
+    @pytest.mark.parametrize("n,edges,message", [
+        (5, [[4, 4], [3, 1], [2, 2], [0, 1]], "edge (2,2) is a self-loop"),
+        (3, [[5, 0], [1, 7], [0, 4], [0, 1]], "edge (0,4) is out of range for n=3"),
+        (3, [[2, 1], [-1, 2], [-2, 0]], "edge (-2,0) is out of range for n=3"),
+        (3, [[0, 5], [2, 2]], "edge (2,2) is a self-loop"),  # self-loops are checked first
+        (4, [[3, 2], [1, 0], [2, 3], [0, 1]], "edge (0,1) is a duplicate"),
+    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate"])
+    def test_refusal_names_the_smallest_offending_edge(self, n, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
-            ql.Graph(n, edges, weights)
+            ql.Graph(n, edges)
         assert str(exc.value) == message
 
 
@@ -175,7 +176,6 @@ class TestDRegularRandom:
             seed = root.derive(n, d, s)
             g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
             assert np.array_equal(g.edges, ref.edges)
-            assert np.array_equal(g.weights, ref.weights)
 
     def test_generation_failure_carries_retry_count(self, monkeypatch):
         import qlgraph.graphs as graphs
@@ -240,20 +240,22 @@ class TestAdjacency:
                 assert m[i, j] == expected
 
     def test_negative_weight_symmetric(self):
-        m = ql.adjacency(ql.Graph(3, [[0, 2]], [-1.0]))
-        assert m[0, 2] == m[2, 0] == -1.0
+        k2 = ql.Graph(2, [[0, 1]])
+        m = ql.QLBit(k2, k2, [[0, 1]], -1).adjacency()
+        assert m[0, 3] == m[3, 0] == -1.0
+        assert np.array_equal(m, m.T)
 
     def test_round_trip(self):
         g = ql.d_regular_random(10, 3, ql.RngSeed(20))
         back = graph_from_adjacency(ql.adjacency(g))
         assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.weights, g.weights)
 
     def test_round_trip_with_weights(self):
-        g = ql.Graph(4, [[0, 1], [2, 3]], [-1.0, 0.5])
-        back = graph_from_adjacency(ql.adjacency(g))
-        assert np.array_equal(back.edges, g.edges)
-        assert np.array_equal(back.weights, g.weights)
+        # A signed QL-bit matrix gives back its block topology.
+        k2, c3 = ql.Graph(2, [[0, 1]]), ql.cycle_graph(3)
+        q = ql.QLBit(k2, c3, [[1, 2], [0, 0]], -1)
+        back = graph_from_adjacency(q.adjacency())
+        assert np.array_equal(back.edges, [[0, 1], [0, 2], [1, 4], [2, 3], [2, 4], [3, 4]])
 
 
 class TestDiagonalDisorder:

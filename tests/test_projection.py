@@ -52,7 +52,7 @@ class TestBlockSplit:
         q = uncoupled_bit(seed=6)
         v = np.zeros(24)
         v[:12] = 1 / np.sqrt(12)
-        a = ql.adjacency(q.composite)
+        a = q.adjacency()
         assert np.allclose(a @ v, 8.0 * v, atol=1e-12)
 
     def test_in_phase_vector_aligns_with_both_j(self):
@@ -198,6 +198,6 @@ class TestBellPatterns:
         qa, qb = make_qlbit(seed=73), make_qlbit(seed=75)
         (choices, (value, _)), *_ = bell_patterns(qa, qb).items()
         assert choices == (1, 1)
-        sa = ql.eigendecompose(ql.adjacency(qa.composite), want_vectors=False)
-        sb = ql.eigendecompose(ql.adjacency(qb.composite), want_vectors=False)
+        sa = ql.eigendecompose(qa.adjacency(), want_vectors=False)
+        sb = ql.eigendecompose(qb.adjacency(), want_vectors=False)
         assert abs(value - (sa.eigenvalues[0] + sb.eigenvalues[0])) <= 1e-9

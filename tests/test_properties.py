@@ -6,7 +6,6 @@ against numpy's own SeedSequence: one stream at a time, in batches, and
 as each stage function of the pipeline receives it. Samples run in chunks
 are held bitwise against the same samples run one at a time."""
 import functools
-import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +17,8 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_streams
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     reference_graph_arrays, spawned_seed, stage_stream)
+                     reference_composite, reference_graph_edges, reference_is_connected,
+                     spawned_seed, stage_stream, weighted_adjacency)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -149,57 +149,80 @@ _PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
          paths=[(2**32 - 1,), (2**32, 0), (2**64 - 1, 1, 2), (2**64,), (2**64 + 5, 2**32), ()])
 def test_derive_streams_equal_plain_seed_sequence(parents, paths):
     batch = derive_streams(parents, paths)
-    assert len(batch) == len(parents)
-    for parent, children in zip(parents, batch):
-        assert len(children) == len(paths)
-        for path, child in zip(paths, children):
+    unprimed = derive_streams(parents, paths, primed=False)
+    assert len(batch) == len(unprimed) == len(parents)
+    for parent, children, bare in zip(parents, batch, unprimed):
+        assert len(children) == len(bare) == len(paths)
+        for path, child, bare_child in zip(paths, children, bare):
             seed, state = _plain_child(parent, path)
             assert (child.seed, child.stream_id) == (seed, 0)
             assert child.generator().bit_generator.state == state
-            assert child == parent.derive(*path)
+            assert child == parent.derive(*path) == bare_child
+            assert bare_child._state is None
+            assert bare_child.generator().bit_generator.state == state
+
+
+@st.composite
+def qlbits(draw):
+    """A QL bit of either sign on bases of unequal sizes, cycles or d-regular,
+    with or without deleted edges, coupled with p = 0, p = 1 or in between."""
+    root = ql.RngSeed(draw(SEEDS))
+    bases = []
+    for side in range(2):
+        if draw(st.booleans()):
+            g = ql.cycle_graph(draw(st.integers(3, 7)))
+        else:
+            n = 2 * draw(st.integers(1, 4))  # even n: every degree below n is feasible
+            g = ql.d_regular_random(n, draw(st.integers(1, n - 1)), root.derive(side))
+        bases.append(ql.delete_random_edges(g, draw(st.integers(0, min(3, g.n_edges))),
+                                            root.derive(2 + side)))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return ql.couple(*bases, p, draw(st.sampled_from([1, -1])), root.derive(4))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(q=qlbits())
+def test_qlbit_matrix_and_connectivity_equal_reference_composite(q):
+    n, edges, weights = reference_composite(q)
+    a = q.adjacency()
+    assert q.n_vertices == n
+    assert (a.dtype, a.shape) == (np.float64, (n, n))
+    assert a.tobytes() == weighted_adjacency(n, edges, weights).tobytes()
+    factor = ql.FactorResult(None, ql.eigendecompose(a, want_vectors=False), q)
+    assert factor.connected == reference_is_connected(n, edges)
 
 
 @st.composite
 def edge_lists(draw):
     """A vertex count and a valid edge list in any row and endpoint order, maybe with one fault:
-    a repeated edge, arbitrary extra endpoints, or a non-finite weight."""
+    a repeated edge or arbitrary extra endpoints."""
     n = draw(st.integers(2, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
-    fault = draw(st.sampled_from([None, "repeat", "endpoints", "weight"]))
+    fault = draw(st.sampled_from([None, "repeat", "endpoints"]))
     if fault == "repeat" and edges:
         edges.append(draw(st.sampled_from(edges))[::-1])
     if fault == "endpoints":
         end = st.integers(-2, n + 1)
         edges += draw(st.lists(st.tuples(end, end), min_size=1, max_size=4))
-    weights = draw(st.none() | st.lists(st.floats(-5.0, 5.0), min_size=len(edges),
-                                         max_size=len(edges)))
-    if fault == "weight" and edges:
-        weights = weights or [1.0] * len(edges)
-        weights[draw(st.integers(0, len(edges) - 1))] = draw(
-            st.sampled_from([math.nan, math.inf, -math.inf]))
-    return n, edges, weights
+    return n, edges
 
 
 def _outcome(build):
     try:
-        edges, weights = build()
+        edges = build()
     except InvalidParameterError as exc:
         return "refused", str(exc)
-    return edges.dtype, edges.tolist(), weights.dtype, weights.tobytes()
+    return edges.dtype, edges.tolist()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(case=edge_lists())
 def test_graph_arrays_and_refusals_equal_lexsort_oracle(case):
-    n, edges, weights = case
-
-    def graph():
-        g = ql.Graph(n, edges, weights)
-        return g.edges, g.weights
-
-    assert _outcome(graph) == _outcome(lambda: reference_graph_arrays(n, edges, weights))
+    n, edges = case
+    assert _outcome(lambda: ql.Graph(n, edges).edges) == _outcome(
+        lambda: reference_graph_edges(n, edges))
 
 
 @st.composite
@@ -232,15 +255,15 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
 
     factors = []
     for f in sample.factors:
-        parts = [f.graph.n_vertices, array(f.graph.edges), array(f.graph.weights),
-                 array(f.spectrum.eigenvalues), array(f.spectrum.eigenvectors),
-                 f.emergent_indices, f.connected]
+        parts = [array(f.spectrum.eigenvalues),
+                 array(f.spectrum.eigenvectors), f.emergent_indices, f.connected]
         if f.qlbit is not None:
             q, e = f.qlbit, f.emergent
             parts += [array(q.basis_1.edges), array(q.basis_2.edges),
                       array(q.coupling_edges), q.sign, e.degraded_isolation,
                       array(np.array([*e.eigenvalues, e.isolation_gap, e.isolation_threshold]))]
         else:
+            parts += [f.graph.n_vertices, array(f.graph.edges)]
             assert f.emergent is None
         factors.append(tuple(parts))
     shared = [next(j for j, g in enumerate(sample.factors) if g is f) for f in sample.factors]
@@ -300,9 +323,9 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
             return originals[name](*args)
         return record
 
-    def counted(parents, paths):
+    def counted(parents, paths, **kwargs):
         hashed.append(len(parents) * len(paths))
-        return derive_streams(parents, paths)
+        return derive_streams(parents, paths, **kwargs)
 
     with mock.patch.multiple(ql.experiments, derive_streams=counted,
                              **{name: recorder(name) for name in originals}):

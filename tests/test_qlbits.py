@@ -16,7 +16,7 @@ class TestCouple:
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(2))
         assert q.n_coupling == 0
         # Spectrum of the composite is the union of the basis spectra.
-        comp = np.linalg.eigvalsh(ql.adjacency(q.composite))
+        comp = np.linalg.eigvalsh(q.adjacency())
         basis = np.linalg.eigvalsh(ql.adjacency(b))
         assert np.allclose(np.sort(comp), np.sort(np.concatenate([basis, basis])), atol=1e-9)
 
@@ -27,7 +27,7 @@ class TestCouple:
         # Oracle: dense eigendecomposition of the explicit 4x4 complete graph.
         k4 = np.ones((4, 4)) - np.eye(4)
         expected = np.linalg.eigvalsh(k4)
-        got = np.linalg.eigvalsh(ql.adjacency(q.composite))
+        got = np.linalg.eigvalsh(q.adjacency())
         assert np.allclose(got, expected, atol=1e-12)
         assert abs(got[-1] - 3.0) <= 1e-12
 
@@ -38,16 +38,19 @@ class TestCouple:
 
     def test_composite_block_layout(self):
         q = make_qlbit(n=10, d=3, p=0.3, seed=5)
-        a = ql.adjacency(q.composite)
+        a = q.adjacency()
         b1 = ql.adjacency(q.basis_1)
         b2 = ql.adjacency(q.basis_2)
+        assert q.n_vertices == len(a) == 20
         assert np.array_equal(a[:10, :10], b1)
         assert np.array_equal(a[10:, 10:], b2)
         assert (a[:10, 10:] != 0).sum() == q.n_coupling
+        assert np.array_equal(np.argwhere(a[:10, 10:]), q.coupling_edges)
+        assert np.array_equal(a, a.T)
 
     def test_negative_sign_weights(self):
         q = make_qlbit(n=10, d=3, p=0.5, seed=6, sign=-1)
-        a = ql.adjacency(q.composite)
+        a = q.adjacency()
         assert q.n_coupling > 0
         assert np.all(a[:10, 10:][a[:10, 10:] != 0] == -1.0)
 
@@ -72,6 +75,68 @@ class TestCouple:
             ql.QLBit(k2, k2, [[0, 5]], 1)  # not bridging
         with pytest.raises(InvalidParameterError):
             ql.QLBit(k2, k2, [[0, 0], [0, 0]], 1)  # duplicate
+
+
+class TestQLBitValidation:
+    K2 = ql.Graph(2, [[0, 1]])
+    C3 = ql.cycle_graph(3)
+
+    @pytest.mark.parametrize("edges", [[[0.5, 1.7]], np.array([[0.0, 1.0]]), [[True, False]],
+                                       [["0", "1"]]])
+    def test_non_integer_endpoints_refused(self, edges):
+        with pytest.raises(InvalidParameterError,
+                           match="coupling edge endpoints must be integers"):
+            ql.QLBit(self.K2, self.K2, edges, 1)
+
+    @pytest.mark.parametrize("edges", [np.zeros((2, 3), dtype=np.int64), [[0, 1, 1]], [0, 1],
+                                       np.zeros((1, 1, 2), dtype=np.int64)])
+    def test_edges_not_in_pairs_refused(self, edges):
+        with pytest.raises(InvalidParameterError, match=r"need \(m, 2\) coupling edges"):
+            ql.QLBit(self.K2, self.K2, edges, 1)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, "1", None])
+    def test_non_integer_sign_refused(self, sign):
+        with pytest.raises(InvalidParameterError, match="sign must be an integer"):
+            ql.QLBit(self.K2, self.K2, [[0, 1]], sign)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_plus_or_minus_one_refused(self, sign):
+        with pytest.raises(InvalidParameterError, match=f"sign must be \\+1 or -1, got {sign}"):
+            ql.QLBit(self.K2, self.K2, [[0, 1]], sign)
+
+    def test_numpy_integer_sign_accepted(self):
+        q = ql.QLBit(self.K2, self.K2, [[0, 1]], np.int8(-1))
+        assert type(q.sign) is int and q.sign == -1
+
+    @pytest.mark.parametrize("edges,message", [
+        ([[1, 0], [0, 2], [1, 0], [0, 2]], "coupling edge (0,2) is a duplicate"),
+        ([[1, 2], [1, 2]], "coupling edge (1,2) is a duplicate"),
+        ([[1, 0], [2, 0], [0, 3], [1, -1]], "coupling edge (0,3) does not bridge the blocks"),
+        ([[1, 0], [-1, 5]], "coupling edge (-1,5) does not bridge the blocks"),
+    ], ids=["duplicate", "duplicate-last", "outside", "negative"])
+    def test_refusal_names_the_smallest_offending_edge(self, edges, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            ql.QLBit(self.K2, self.C3, edges, 1)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2)), np.empty((0, 2), dtype=np.uint8)])
+    def test_no_coupling_accepted(self, edges):
+        q = ql.QLBit(self.K2, self.C3, edges, 1)
+        assert q.coupling_edges.shape == (0, 2) and q.coupling_edges.dtype == np.int64
+        assert q.n_vertices == 5
+
+    def test_edges_are_a_sorted_read_only_copy(self):
+        given = np.array([[1, 2], [0, 1]])
+        q = ql.QLBit(self.K2, self.C3, given, -1)
+        assert given.flags.writeable and not q.coupling_edges.flags.writeable
+        given[1] = (0, 0)
+        assert q.coupling_edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_graph_adjacency_refuses_a_qlbit(self):
+        # A QL bit has no edge list: the graph adjacency cannot drop its sign.
+        q = ql.QLBit(self.K2, self.K2, [[0, 1]], -1)
+        with pytest.raises(AttributeError):
+            ql.adjacency(q)
 
 
 class TestPredictSplitting:
@@ -99,7 +164,7 @@ class TestPredictSplitting:
         # Random couplings follow the first-order d +- Delta prediction.
         q = make_qlbit(seed=12)
         pred = ql.predict_splitting(q)
-        s = ql.eigendecompose(ql.adjacency(q.composite), want_vectors=False)
+        s = ql.eigendecompose(q.adjacency(), want_vectors=False)
         assert abs(s.eigenvalues[0] - pred.predicted_pair[0]) <= 0.15 * pred.predicted_pair[0]
         assert abs(s.eigenvalues[1] - pred.predicted_pair[1]) <= 0.15 * pred.predicted_pair[1]
 
@@ -164,7 +229,7 @@ class TestEmergentPair:
 
     def test_residuals_are_eigenpairs(self):
         q = make_qlbit(seed=22)
-        a = ql.adjacency(q.composite)
+        a = q.adjacency()
         for lam, v, _ in emergent_states(q, composite_spectrum(q)):
             assert np.max(np.abs(a @ v - lam * v)) <= 1e-8
 
@@ -173,7 +238,7 @@ class TestEmergentPair:
                                    ql.couple(ql.cycle_graph(20), ql.cycle_graph(20), 0.05, 1,
                                              ql.RngSeed(29))])
     def test_eigenvalues_alone_suffice(self, q):
-        a = ql.adjacency(q.composite)
+        a = q.adjacency()
         s = ql.eigendecompose(a)
         with_vectors = ql.emergent_pair(q, s)
         assert ql.emergent_pair(q, ql.Spectrum(s.eigenvalues, None)) == with_vectors
@@ -192,13 +257,13 @@ class TestEmergentPair:
         k1 = ql.Graph(1, np.empty((0, 2), dtype=np.int64))
         tiny = ql.couple(k1, k1, 1.0, 1, ql.RngSeed(31))
         with pytest.raises(InvalidParameterError):
-            ql.emergent_pair(tiny, ql.eigendecompose(ql.adjacency(tiny.composite)))
+            ql.emergent_pair(tiny, ql.eigendecompose(tiny.adjacency()))
 
 
 class TestInvariants:
     def test_block_test_recovers_basis_spectra(self):
         q = make_qlbit(seed=23)
-        a = ql.adjacency(q.composite).copy()
+        a = q.adjacency()
         a[:20, 20:] = 0.0
         a[20:, :20] = 0.0
         got = np.sort(np.linalg.eigvalsh(a))
@@ -214,7 +279,7 @@ class TestInvariants:
             splits = []
             for s in range(50):
                 q = make_qlbit(p=p, seed=3000 + s)
-                vals = np.linalg.eigvalsh(ql.adjacency(q.composite))
+                vals = np.linalg.eigvalsh(q.adjacency())
                 splits.append(vals[-1] - vals[-2])
             means.append(np.mean(splits))
         assert means[0] <= means[1] <= means[2]
@@ -224,8 +289,8 @@ class TestInvariants:
         # one exactly, so the eigenvalue multisets coincide.
         qp = make_qlbit(seed=24, sign=1)
         qm = make_qlbit(seed=24, sign=-1)
-        mp = ql.adjacency(qp.composite)
-        mm = ql.adjacency(qm.composite)
+        mp = qp.adjacency()
+        mm = qm.adjacency()
         s = np.diag([1.0] * 20 + [-1.0] * 20)
         assert np.array_equal(s @ mm @ s, mp)
         assert np.allclose(np.linalg.eigvalsh(mm), np.linalg.eigvalsh(mp), atol=1e-9)

@@ -64,12 +64,12 @@ class TestEigendecompose:
         assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
 
 
-def qlbit_composites(count, seed=401):
-    """fig4a-sized QL-bit composites: n=20, d=15, p=0.2, 40x40 each."""
+def qlbit_matrices(count, seed=401):
+    """fig4a-sized QL-bit matrices: n=20, d=15, p=0.2, 40x40 each."""
     root = ql.RngSeed(seed)
-    return [ql.adjacency(ql.couple(ql.d_regular_random(20, 15, root.derive(i, 0)),
-                                   ql.d_regular_random(20, 15, root.derive(i, 1)),
-                                   0.2, 1, root.derive(i, 2)).composite)
+    return [ql.couple(ql.d_regular_random(20, 15, root.derive(i, 0)),
+                      ql.d_regular_random(20, 15, root.derive(i, 1)),
+                      0.2, 1, root.derive(i, 2)).adjacency()
             for i in range(count)]
 
 
@@ -84,8 +84,8 @@ def disordered_factors(count, seed=300):
 
 class TestStackedEigendecompose:
     @pytest.mark.parametrize("matrices,want_vectors", [
-        (qlbit_composites(12), True),
-        (qlbit_composites(12), False),
+        (qlbit_matrices(12), True),
+        (qlbit_matrices(12), False),
         (disordered_factors(40), False),
         (disordered_factors(40), True),
     ], ids=["qlbit-vectors", "qlbit-values", "disordered-values", "disordered-vectors"])
@@ -127,7 +127,7 @@ class TestStackedEigendecompose:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalFailureError, match="failed for dim=40"):
-            ql.eigendecompose(np.stack(qlbit_composites(3)))
+            ql.eigendecompose(np.stack(qlbit_matrices(3)))
 
 
 class TestSpectrumType:
@@ -163,7 +163,7 @@ class TestSpectralGap:
     def test_uncoupled_qlbit_degenerate(self):
         b = ql.d_regular_random(10, 3, ql.RngSeed(42))
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(43))
-        s = ql.eigendecompose(ql.adjacency(q.composite))
+        s = ql.eigendecompose(q.adjacency())
         assert spectral_gap(s) <= 1e-12
 
     def test_too_small(self):
