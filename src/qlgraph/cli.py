@@ -28,10 +28,14 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+def _json_text(obj) -> str:
+    """The one JSON form of every artifact and report: indented, keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _refuse(kind: str, exc: Exception, code: int) -> int:
     """Print the error report, one entry per exception argument, and return the exit code."""
-    print(json.dumps({"status": "error", "kind": kind, "errors": list(exc.args)},
-                     indent=2, sort_keys=True))
+    print(_json_text({"status": "error", "kind": kind, "errors": list(exc.args)}), end="")
     return code
 
 
@@ -63,23 +67,6 @@ def _spectrum_csv_text(sample, kind: str) -> str:
     return buf.getvalue()
 
 
-def _projection_json_text(sample) -> str:
-    vectors = [f.spectrum.eigenvectors[:, 0] for f in sample.factors]
-    out = project_alphas([f.qlbit for f in sample.factors], vectors).to_json_dict()
-    out.update(eigenvalue=float(sample.composed.values[0]), labels=[0] * len(sample.factors))
-    return json.dumps(out, indent=2, sort_keys=True) + "\n"
-
-
-def _metadata_json_text(desc: ExperimentDescriptor, sample_seeds: list[int],
-                        artifacts: list[str]) -> str:
-    meta = {
-        "descriptor": desc.to_json_dict(),
-        "sample_seeds": sample_seeds,
-        "artifacts": sorted(artifacts),
-    }
-    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
-
-
 def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -88,10 +75,10 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     suffixes = ["spectrum.csv", "histogram.csv", "metadata.json"]
     if desc.kind == KIND_QLBIT_PRODUCT:
         suffixes.append("projection.json")
-    names = [f"{desc.name}_{suffix}" for suffix in suffixes]
+    names = {suffix: f"{desc.name}_{suffix}" for suffix in suffixes}
     # A write or rename onto a directory (or similar) would fail midway: refuse
     # before any work.
-    for name in names:
+    for name in names.values():
         for path in (out_dir / f".{name}.tmp", out_dir / name):
             if path.exists() and not path.is_file():
                 raise InvalidParameterError(f"{path} exists and is not a regular file")
@@ -99,28 +86,33 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
 
     buf = io.StringIO()
     write_histogram_csv(histogram, buf)
-    # One text per name, in the order of `suffixes`.
-    texts = [_spectrum_csv_text(first, desc.kind), buf.getvalue(),
-             _metadata_json_text(desc, sample_seeds, names)]
+    texts = {"spectrum.csv": _spectrum_csv_text(first, desc.kind),
+             "histogram.csv": buf.getvalue(),
+             "metadata.json": _json_text({"descriptor": desc.to_json_dict(),
+                                          "sample_seeds": sample_seeds,
+                                          "artifacts": sorted(names.values())})}
     if desc.kind == KIND_QLBIT_PRODUCT:
-        texts.append(_projection_json_text(first))
+        report = project_alphas([f.qlbit for f in first.factors],
+                                [f.spectrum.eigenvectors[:, 0] for f in first.factors])
+        texts["projection.json"] = _json_text({
+            "alphas": report.alphas, "residual": report.residual_norm,
+            "eigenvalue": float(first.composed.values[0]), "labels": [0] * len(first.factors)})
 
-    # Stage everything, then rename: no partial outputs on failure.
+    # Stage everything, then rename: no partial outputs on failure. The names
+    # share one stem, so suffix order is file-name order.
     staged = []
-    written = []
     try:
-        for name, text in sorted(zip(names, texts)):
+        for suffix, name in sorted(names.items()):
             tmp = out_dir / f".{name}.tmp"
-            tmp.write_text(text)
+            tmp.write_text(texts[suffix])
             staged.append((tmp, out_dir / name))
         for tmp, final in staged:
             os.replace(tmp, final)
-            written.append(final)
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    return written
+    return [final for _, final in staged]
 
 
 def cmd_run(args) -> int:
@@ -130,15 +122,14 @@ def cmd_run(args) -> int:
     if args.samples is not None:
         desc = desc.with_overrides(n_samples=args.samples)
     written = _run(require_valid(desc), Path(args.out))
-    print(json.dumps({"status": "ok", "name": desc.name,
-                      "artifacts": [str(p) for p in written]},
-                     indent=2, sort_keys=True))
+    print(_json_text({"status": "ok", "name": desc.name,
+                      "artifacts": [str(p) for p in written]}), end="")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     desc = require_valid(_load_descriptor(args.descriptor))
-    print(json.dumps({"status": "ok", "name": desc.name}, indent=2, sort_keys=True))
+    print(_json_text({"status": "ok", "name": desc.name}), end="")
     return EXIT_OK
 
 

@@ -44,6 +44,10 @@ _STAGE_DISORDER = 3
 
 # Histogram edges are float64: 10^6 bins take 8 MB.
 MAX_BINS = 1_000_000
+# Diagonal disorder past this is refused: about 200 orders of magnitude below
+# float64 overflow, so the draws, their sums over factors and the histogram
+# range stay finite.
+MAX_SIGMA = 1e100
 
 # `ensemble_spectrum` recomposes and bins this many values at a time, or one
 # whole sample when that is larger: its memory does not grow with n_samples.
@@ -148,6 +152,8 @@ class ExperimentDescriptor:
             errors.append(f"{KIND_SINGLE} requires n_factors == 1")
         if self.sigma < 0:
             errors.append(f"sigma must be non-negative, got {self.sigma}")
+        elif self.sigma > MAX_SIGMA:
+            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {self.sigma}")
         if self.n_samples < 1:
             errors.append(f"n_samples must be positive, got {self.n_samples}")
         if not 1 <= self.bins <= MAX_BINS:
@@ -401,8 +407,9 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     lands in a bin. Each sample is run once. Pass 1 runs sample 0 alone and
     keeps it whole, then runs the others in chunks and keeps only their
     factor eigenvalues; the bin edges follow from their extremes. Pass 2
-    recomposes the samples `_CHUNK_VALUES` values at a time, with the
-    additions of `compose_spectra`, and adds up the counts.
+    bins sample 0's composed grid, then recomposes samples 1 on
+    `_CHUNK_VALUES` values at a time, with the additions of
+    `compose_spectra`, and adds up the counts.
     """
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
     kept = [np.empty((desc.n_samples, f.spectrum.dim)) for f in first.factors]
@@ -412,9 +419,9 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
             rows[sample.index] = f.spectrum.eigenvalues
         seeds.append(sample.seed)
     edges = histogram_edges(*composed_range(kept), desc.bins)
-    counts = np.zeros(desc.bins, dtype=np.int64)
+    counts = histogram_from_values(first.composed.values, edges)
     step = max(1, _CHUNK_VALUES // first.composed.size)
-    for start in range(0, desc.n_samples, step):
+    for start in range(1, desc.n_samples, step):
         chunk = compose_values([rows[start:start + step] for rows in kept])
         counts += histogram_from_values(chunk.ravel(), edges)
     return first, EnsembleHistogram(edges, counts), seeds

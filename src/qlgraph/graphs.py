@@ -6,7 +6,7 @@ makes every downstream random draw over edges deterministic.
 """
 from __future__ import annotations
 
-import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -191,7 +191,8 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     m = np.array(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    if not 0 <= sigma < math.inf:
+    # An int past float range would overflow in the draw; a bool is no real.
+    if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
     m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
     return m

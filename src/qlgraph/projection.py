@@ -29,9 +29,6 @@ class ProjectionReport:
     alphas: dict[str, float]
     residual_norm: float
 
-    def to_json_dict(self) -> dict:
-        return {"alphas": dict(sorted(self.alphas.items())), "residual": self.residual_norm}
-
 
 def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]) -> ProjectionReport:
     """Alpha coefficients of a product vector on the qubit basis.

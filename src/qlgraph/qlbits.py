@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InvalidParameterError, require_int
 from .graphs import Graph, adjacency, canonical_edges
 from .rng import RngSeed
-from .spectra import Spectrum
+from .spectra import Spectrum, eigendecompose
 
 # Least gap between the second and third eigenvalues of an isolated pair.
 MIN_ISOLATION_GAP = 0.5
@@ -97,8 +97,8 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     Every (u in basis_1) x (v in basis_2) pair receives an edge with
     probability p, of weight sign; the edges come in (u, v) order.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"coupling probability must be in [0,1], got {p}")
+    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
     mask = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
     return QLBit(basis_1, basis_2, np.argwhere(mask), sign)
 
@@ -111,7 +111,7 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
     """
     n1 = q.basis_1.n_vertices
     delta = q.n_coupling / n1
-    d_eff = float(np.linalg.eigvalsh(adjacency(q.basis_1))[-1])
+    d_eff = float(eigendecompose(adjacency(q.basis_1), want_vectors=False).eigenvalues[0])
     return SplittingPrediction(d_eff, delta, (d_eff + delta, d_eff - delta))
 
 

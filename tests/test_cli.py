@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qlgraph as ql
@@ -112,6 +112,48 @@ class TestListAndValidate:
             assert report["errors"][0].startswith("modelled memory exceeds")
         assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])
         assert not list(out_dir.iterdir())
+
+    # Without a bound on sigma these validated, then ended `run` in an
+    # OverflowError traceback, or in an exit 2 once samples were built.
+    @pytest.mark.parametrize("sigma,n_factors", [(10**400, 1), (1e308, 1), (5e307, 3)],
+                             ids=["10**400", "1e308", "5e307-3-factors"])
+    def test_sigma_past_bound_refused_before_any_work(self, sigma, n_factors, tmp_path, capsys,
+                                                       monkeypatch):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "loud", "kind": "d-regular-product", "n": 12, "d": 8,
+                                    "sigma": sigma, "n_factors": n_factors}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        calls = count_calls(monkeypatch, ("d_regular_random",))
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
+            code, out = run_cli(args, capsys)
+            assert code == 2
+            report = json.loads(out)
+            assert report["kind"] == "validation"
+            assert report["errors"] == [
+                f"sigma must be at most {ql.experiments.MAX_SIGMA:g}, got {sigma}"]
+        assert calls == Counter()
+        assert sorted(tmp_path.iterdir()) == sorted([path, out_dir])
+        assert not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("descriptor", [
+        {"kind": "d-regular-product", "n": 12, "d": 8, "deletions": 4, "n_factors": 3,
+         "shared_base": True, "n_samples": 3},
+        {"kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2, "n_factors": 2, "n_samples": 3},
+    ], ids=["fig3-shaped", "qlbit-product"])
+    def test_sigma_at_bound_runs(self, descriptor, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "edge", "sigma": ql.experiments.MAX_SIGMA,
+                                    **descriptor}))
+        code, out = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert code == 0
+        rows = (tmp_path / "out" / "edge_spectrum.csv").read_text().splitlines()[1:]
+        values = [float(row.split(",")[0]) for row in rows]
+        assert all(math.isfinite(v) for v in values)
+        assert max(map(abs, values)) > 1e90  # the disorder is there, at full scale
+        counts = [int(row.rsplit(",", 1)[1]) for row in
+                  (tmp_path / "out" / "edge_histogram.csv").read_text().splitlines()[1:]]
+        assert sum(counts) == descriptor["n_samples"] * len(values)
 
     def test_every_error_reported_alike_by_validate_and_run(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -390,6 +432,34 @@ class TestComputeOnce:
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
 
+    @pytest.mark.parametrize("descriptor,n_samples,states", [
+        ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
+          "n_factors": 2, "n_samples": 3}, 3, 16**2),
+        ({"name": "once-shared", "kind": "d-regular-product", "n": 12, "d": 8,
+          "deletions": 4, "n_factors": 3, "shared_base": True, "n_samples": 3}, 3, 12**3),
+        ("fig4f", 1, 14**4),
+    ], ids=["once-qlbit", "once-shared", "fig4f"])
+    def test_each_grid_value_composed_once(self, descriptor, n_samples, states, tmp_path,
+                                           capsys, monkeypatch):
+        if isinstance(descriptor, dict):
+            path = tmp_path / "exp.json"
+            path.write_text(json.dumps(descriptor))
+            descriptor = str(path)
+        # Rows composed, by their width: whole grids, or composed_range's extremes.
+        rows = Counter()
+        compose_values = ql.products.compose_values
+
+        def counted(factor_values):
+            grid = compose_values(factor_values)
+            rows[grid.shape[1]] += grid.shape[0]
+            return grid
+
+        for module in (ql.products, ql.experiments):
+            monkeypatch.setattr(module, "compose_values", counted)
+        code, _ = run_cli(["run", descriptor, "--out", str(tmp_path / "out")], capsys)
+        assert code == 0
+        assert rows == Counter({states: n_samples, 1: 2 * n_samples})
+
     def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
         # 100 samples of one QL bit: two generated bases each. Sample 0 runs
         # alone, then 99 in chunks of 10 (16,384 entries / 40^2): 11 chunks.
@@ -420,7 +490,7 @@ _ODD_VALUES = st.one_of(
     st.integers(min_value=-3, max_value=30),
     st.integers(min_value=-2**80, max_value=2**80),
     st.booleans(),
-    st.sampled_from([math.inf, -math.inf, math.nan, 0.5, -0.0, 1e308]),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.5, -0.0, 1e308, 5e307, 10**400, -10**400]),
     st.sampled_from(["../x", "", ".hidden", "a/b", "20", "cycle", "qlbit-product"]),
     st.none(),
     st.lists(st.integers(min_value=-1, max_value=1), max_size=2),
@@ -445,10 +515,16 @@ _OVER_BUDGET = st.one_of(
 
 
 class TestHostileDescriptors:
+    # Every descriptor `validate` accepts runs; every other one is refused
+    # before any work. Each pinned sigma once validated and then failed in `run`.
     @settings(derandomize=True, database=None, max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.one_of(_DESCRIPTORS, _OVER_BUDGET))
-    def test_refusals_exit_2_and_write_nothing(self, data, capsys):
+    @example(data={"name": "prop", "kind": "d-regular-product", "n": 12, "d": 8, "sigma": 1e308})
+    @example(data={"name": "prop", "kind": "d-regular-product", "n": 12, "d": 8, "sigma": 5e307,
+                   "n_factors": 3})
+    @example(data={"name": "prop", "kind": "d-regular-product", "n": 12, "d": 8, "sigma": 10**400})
+    def test_validated_runs_and_refusals_write_nothing(self, data, capsys):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             path = root / "exp.json"
@@ -459,12 +535,17 @@ class TestHostileDescriptors:
             if data["name"] == "big":
                 assert [e.split(":")[0] for e in json.loads(out)["errors"]] == [
                     f"modelled memory exceeds {ql.experiments.MAX_BYTES} bytes"]
-            if code == 0:
-                return
+            validated = code == 0
             out_dir = root / "out"
             out_dir.mkdir()
             code, out = run_cli(["run", str(path), "--out", str(out_dir)], capsys)
-            assert code == 2
-            assert json.loads(out)["kind"] == "validation"
+            written = sorted(p.name for p in out_dir.iterdir())
+            if validated and code == 0:
+                meta = json.loads((out_dir / f"{data['name']}_metadata.json").read_text())
+                assert written == meta["artifacts"]
+            else:
+                # A validated descriptor may only fail to generate its graphs.
+                assert (code, json.loads(out)["kind"]) == (
+                    (3, "numerical") if validated else (2, "validation"))
+                assert written == []
             assert sorted(root.iterdir()) == sorted([path, out_dir])
-            assert not list(out_dir.iterdir())

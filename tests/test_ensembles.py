@@ -116,6 +116,7 @@ class TestDescriptor:
         (dict(sign=0), "sign"),
         (dict(n_factors=0), "n_factors"),
         (dict(sigma=-1.0), "sigma"),
+        (dict(sigma=ql.experiments.MAX_SIGMA * 10), "sigma must be at most"),
         (dict(n_samples=0), "n_samples"),
         (dict(bins=0), "bins"),
         (dict(deletions=1000), "deletions"),

@@ -291,6 +291,18 @@ class TestDiagonalDisorder:
         with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))
 
+    # An int past float range overflowed in the draw, and a bool passed as 1 or 0.
+    @pytest.mark.parametrize("sigma", [10**400, -10**400, True, False, np.True_],
+                             ids=["10**400", "-10**400", "True", "False", "np.True_"])
+    def test_sigma_that_is_no_real_float_rejected(self, sigma):
+        with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
+            ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))
+
+    def test_int_sigma_draws_as_its_float(self):
+        a = ql.adjacency(ql.cycle_graph(5))
+        assert np.array_equal(ql.apply_diagonal_disorder(a, 2, ql.RngSeed(35)),
+                              ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(35)))
+
     def test_non_square_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.apply_diagonal_disorder(np.zeros((2, 3)), 1.0, ql.RngSeed(0))

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -19,6 +20,14 @@ def test_readme_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_readme_schema_table_lists_every_descriptor_field_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Descriptor schema\n", 1)[1]
+    table = re.search(r"^\|.*?(?=^[^|])", section, re.S | re.M).group(0)
+    listed = re.findall(r"^\| `(\w+)`", table, re.M)
+    assert listed == [f.name for f in dataclasses.fields(ql.ExperimentDescriptor)]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -59,6 +59,12 @@ class TestCouple:
         with pytest.raises(InvalidParameterError):
             ql.couple(k2, k2, 1.5, 1, ql.RngSeed(0))
 
+    @pytest.mark.parametrize("p", [True, False, np.True_])
+    def test_bool_p_rejected(self, p):
+        k2 = ql.Graph(2, [[0, 1]])
+        with pytest.raises(InvalidParameterError, match="coupling probability"):
+            ql.couple(k2, k2, p, 1, ql.RngSeed(0))
+
     def test_invalid_sign(self):
         k2 = ql.Graph(2, [[0, 1]])
         with pytest.raises(InvalidParameterError):
@@ -167,6 +173,24 @@ class TestPredictSplitting:
         s = ql.eigendecompose(q.adjacency(), want_vectors=False)
         assert abs(s.eigenvalues[0] - pred.predicted_pair[0]) <= 0.15 * pred.predicted_pair[0]
         assert abs(s.eigenvalues[1] - pred.predicted_pair[1]) <= 0.15 * pred.predicted_pair[1]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("deletions", [0, 7])
+    def test_d_eff_through_the_eigensolver_gate(self, sign, deletions, monkeypatch):
+        q = make_qlbit(sign=sign, deletions=deletions, seed=16)
+        calls = []
+        gate = ql.qlbits.eigendecompose
+
+        def counted(a, **kwargs):
+            calls.append(a.shape)
+            return gate(a, **kwargs)
+
+        monkeypatch.setattr(ql.qlbits, "eigendecompose", counted)
+        pred = ql.predict_splitting(q)
+        assert calls == [(20, 20)]
+        # Bitwise the top eigenvalue of a direct solve of basis_1 alone.
+        assert pred.d_eff == float(np.linalg.eigvalsh(ql.adjacency(q.basis_1))[-1])
+        assert (pred.d_eff < 15.0 - 1e-6) == (deletions > 0)
 
     def test_unequal_sizes_use_first_basis(self):
         b1 = ql.d_regular_random(10, 3, ql.RngSeed(13))
