@@ -19,11 +19,13 @@ import numpy as np
 
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
-from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
-                     d_regular_random, delete_random_edges, is_connected)
+# d_regular_random is no pipeline stage, but perfbench looks it up here.
+from .graphs import (Graph, add_diagonal_disorder, clear_random_edges, cycle_mask, d_regular_mask,
+                     d_regular_random, graph_of, is_connected, mask_adjacency)  # noqa: F401
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
-from .qlbits import EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair, predict_splitting
+from .qlbits import (EmergentPair, QLBit, SplittingPrediction, coupling_mask, emergent_pair,
+                     predict_splitting, qlbit_matrix)
 from .rng import RngSeed, derive_streams
 from .spectra import Spectrum, eigendecompose
 
@@ -61,11 +63,13 @@ _CHUNK_VALUES = 2**14
 # max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
 # factor matrices and their stacked copy and, for QL bits, which keep
 # eigenvectors, for the solver's vectors, each sample's copy of them and
-# sample 0's kept copy; sample 0, kept whole, with its composed values,
-# sort and label arrays, 72*states; one chunk of at most
-# max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
-# bytes a value; and per sample its factor eigenvalues, 8*n_factors*dim, and
-# its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
+# sample 0's kept copy, plus at most a byte an entry for the edge masks (n^2
+# per base and for a coupling, against (2n)^2 entries of a QL bit); sample 0,
+# kept whole, with its composed values, sort and label arrays, 72*states; one
+# chunk of at most max(_CHUNK_VALUES, states) values and np.histogram's sorted
+# copy of it, 16 bytes a value; and per sample its factor eigenvalues,
+# 8*n_factors*dim, and its seed as an int and a line of metadata JSON, at most
+# _SEED_BYTES.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -76,6 +80,18 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,199}")
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _shown(value) -> str:
+    """repr(value), or the digit count of an int too long for repr
+    (sys.get_int_max_str_digits), so that a refusal can name it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not _is_int(value):
+            return f"a {type(value).__name__} holding an int too long to print"
+        digits = int(math.log10(abs(value))) + 1
+        return f"an int of {digits - (10 ** (digits - 1) > abs(value))} digits"
 
 
 # Descriptor field annotation -> (value check, expectation in the error message).
@@ -126,43 +142,46 @@ class ExperimentDescriptor:
             errors.append(f"graph must be one of {GRAPH_FAMILIES}, got {self.graph!r}")
         if self.graph == GRAPH_CYCLE:
             if self.n < 3:
-                errors.append(f"cycle graphs need n >= 3, got {self.n}")
+                errors.append(f"cycle graphs need n >= 3, got {_shown(self.n)}")
             if self.d is not None:
                 errors.append("d does not apply to cycle graphs")
         else:
             if self.d is None:
                 errors.append("d is required for d-regular graphs")
             elif self.d < 1 or self.n <= self.d:
-                errors.append(f"need n > d >= 1, got n={self.n}, d={self.d}")
+                errors.append(f"need n > d >= 1, got n={_shown(self.n)}, d={_shown(self.d)}")
             elif (self.n * self.d) % 2 != 0:
-                errors.append(f"n*d must be even, got n={self.n}, d={self.d}")
+                errors.append(f"n*d must be even, got n={_shown(self.n)}, d={_shown(self.d)}")
         max_edges = self.n if self.graph == GRAPH_CYCLE else (
             self.n * self.d // 2 if self.d else 0)
         if self.deletions < 0 or (not errors and self.deletions > max_edges):
-            errors.append(f"deletions must be in [0, {max_edges}], got {self.deletions}")
+            errors.append(f"deletions must be in [0, {_shown(max_edges)}], "
+                          f"got {_shown(self.deletions)}")
         if not 0.0 <= self.p <= 1.0:
-            errors.append(f"p must be in [0,1], got {self.p}")
+            errors.append(f"p must be in [0,1], got {_shown(self.p)}")
         if self.kind != KIND_QLBIT_PRODUCT and self.p != 0.0:
             errors.append(f"p applies only to {KIND_QLBIT_PRODUCT}")
         if self.sign not in (1, -1):
-            errors.append(f"sign must be +1 or -1, got {self.sign}")
+            errors.append(f"sign must be +1 or -1, got {_shown(self.sign)}")
         if self.n_factors < 1:
-            errors.append(f"n_factors must be positive, got {self.n_factors}")
+            errors.append(f"n_factors must be positive, got {_shown(self.n_factors)}")
         if self.kind == KIND_SINGLE and self.n_factors != 1:
             errors.append(f"{KIND_SINGLE} requires n_factors == 1")
         if self.sigma < 0:
-            errors.append(f"sigma must be non-negative, got {self.sigma}")
+            errors.append(f"sigma must be non-negative, got {_shown(self.sigma)}")
         elif self.sigma > MAX_SIGMA:
-            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {self.sigma}")
+            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {_shown(self.sigma)}")
         if self.n_samples < 1:
-            errors.append(f"n_samples must be positive, got {self.n_samples}")
+            errors.append(f"n_samples must be positive, got {_shown(self.n_samples)}")
         if not 1 <= self.bins <= MAX_BINS:
-            errors.append(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
+            errors.append(f"bins must be in [1, {MAX_BINS}], got {_shown(self.bins)}")
         if not 0 <= self.master_seed < 2**64:
-            errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+            errors.append(f"master_seed must be a 64-bit unsigned integer, "
+                          f"got {_shown(self.master_seed)}")
         if not errors and self._over_budget():
-            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={self.n}, "
-                          f"n_factors={self.n_factors}, n_samples={self.n_samples}")
+            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={_shown(self.n)}, "
+                          f"n_factors={_shown(self.n_factors)}, "
+                          f"n_samples={_shown(self.n_samples)}")
         return tuple(errors)
 
     @property
@@ -173,7 +192,7 @@ class ExperimentDescriptor:
     def _over_budget(self) -> bool:
         """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
         dim = self._dim
-        entry_bytes = 40 if self.kind == KIND_QLBIT_PRODUCT else 16
+        entry_bytes = 41 if self.kind == KIND_QLBIT_PRODUCT else 17
         states = 1
         for k in range(1, self.n_factors + 1):  # dim >= 2: past the budget within ~30 steps
             states *= dim
@@ -194,7 +213,7 @@ class ExperimentDescriptor:
                 continue
             check, expectation = _FIELD_CHECKS[expected]
             if not check(value):
-                errors.append(f"{f.name} must be {expectation}, got {value!r}")
+                errors.append(f"{f.name} must be {expectation}, got {_shown(value)}")
         return errors
 
     def to_json_dict(self) -> dict:
@@ -219,16 +238,32 @@ class ExperimentDescriptor:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """One realized factor: its graph or else its QL bit, and its spectrum; diagnostics on read."""
+    """One realized factor: its edge masks and its spectrum. The masks are a
+    graph's, or a QL bit's two bases' and its coupling mask, whose cross
+    edges weigh ``sign``. The graph or QL bit and the diagnostics are built
+    on first read."""
 
-    graph: Graph | None
+    masks: tuple[np.ndarray, ...]
     spectrum: Spectrum
-    qlbit: QLBit | None = None
+    sign: int = 1
 
     @property
     def emergent_indices(self) -> frozenset[int]:
         """Eigen-indices of the emergent states: a QL bit's top two, else the top one."""
-        return frozenset({0} if self.qlbit is None else {0, 1})
+        return frozenset({0} if len(self.masks) == 1 else {0, 1})
+
+    @cached_property
+    def graph(self) -> Graph | None:
+        """The graph of a factor that is no QL bit."""
+        return graph_of(self.masks[0]) if len(self.masks) == 1 else None
+
+    @cached_property
+    def qlbit(self) -> QLBit | None:
+        """The QL bit of a factor that is one."""
+        if len(self.masks) == 1:
+            return None
+        basis_1, basis_2, coupling = self.masks
+        return QLBit(graph_of(basis_1), graph_of(basis_2), np.argwhere(coupling), self.sign)
 
     @cached_property
     def connected(self) -> bool:
@@ -297,27 +332,27 @@ def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
     return paths
 
 
-def _generate_base(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> Graph:
+def _base_mask(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> np.ndarray:
     if desc.graph == GRAPH_CYCLE:
-        return cycle_graph(desc.n)
-    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side])
+        return cycle_mask(desc.n)
+    return d_regular_mask(desc.n, desc.d, streams[_STAGE_BASE, k, side])
 
 
 def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
-                   bases: list[Graph]) -> tuple[Graph | None, QLBit | None, np.ndarray]:
-    """Factor k's graph or QL bit (the other None) and the matrix to decompose."""
-    if desc.deletions:
-        bases = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
-                 for side, g in enumerate(bases)]
+                   bases: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Factor k's `FactorResult.masks`, its bases' edges deleted in place, and
+    the matrix to decompose."""
+    for side, mask in enumerate(bases if desc.deletions else []):
+        clear_random_edges(mask, desc.deletions, streams[_STAGE_DELETE, k, side])
     if desc.kind == KIND_QLBIT_PRODUCT:
-        graph, q = None, couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
-        a = q.adjacency()
+        masks = (*bases, coupling_mask(desc.n, desc.n, desc.p, streams[_STAGE_COUPLE, k]))
+        a = qlbit_matrix(*masks, desc.sign)
     else:
-        (graph,), q = bases, None
-        a = adjacency(graph)
+        masks = tuple(bases)
+        a = mask_adjacency(*masks)
     if desc.sigma > 0:
-        a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
-    return graph, q, a
+        add_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
+    return masks, a
 
 
 def _distinct_factors(desc: ExperimentDescriptor) -> int:
@@ -326,15 +361,16 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
 
 
 def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
-                     ) -> list[tuple[Graph | None, QLBit | None, np.ndarray]]:
+                     ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
-    ``identical_factors``. With ``shared_base`` every factor starts from the
-    bases generated for factor 0, which are generated once; deletions stay per
-    factor."""
+    ``identical_factors``. With ``shared_base`` every factor starts from a copy
+    of the bases generated for factor 0, which are generated once; deletions
+    stay per factor."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_generate_base(desc, streams, 0, side) for side in sides]
-    return [_factor_matrix(desc, streams, k, first_bases if k == 0 or desc.shared_base else
-                           [_generate_base(desc, streams, k, side) for side in sides])
+    first_bases = [_base_mask(desc, streams, 0, side) for side in sides]
+    return [_factor_matrix(desc, streams, k, [m.copy() for m in first_bases] if desc.shared_base
+                           else first_bases if k == 0
+                           else [_base_mask(desc, streams, k, side) for side in sides])
             for k in range(_distinct_factors(desc))]
 
 
@@ -352,7 +388,7 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
         except GenerationFailureError as exc:
             raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
     try:
-        spectra = [eigendecompose(np.stack([factors[k][2] for factors in built]),
+        spectra = [eigendecompose(np.stack([factors[k][1] for factors in built]),
                                   want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
                    for k in range(len(built[0]))]
     except NumericalFailureError as exc:
@@ -360,7 +396,8 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
     for j, (i, seed, factors) in enumerate(zip(indices, seeds, built)):
-        results = [FactorResult(graph, slot[j], q) for (graph, q, _), slot in zip(factors, spectra)]
+        results = [FactorResult(masks, slot[j], desc.sign)
+                   for (masks, _), slot in zip(factors, spectra)]
         if desc.identical_factors:
             results *= desc.n_factors
         yield SampleResult(i, seed.seed, tuple(results))

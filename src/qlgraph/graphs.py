@@ -1,15 +1,17 @@
 """Basis graphs: construction, validation and dense adjacency matrices.
 
-Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
-int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
-makes every downstream random draw over edges deterministic.
+Graphs are simple, undirected and unweighted. A `Graph` holds its edges as
+an (m, 2) int64 array of (u, v) with u < v, sorted by (u, v). The canonical
+order makes every downstream random draw over edges deterministic. Each
+stage (generation, deletion, adjacency, disorder) works on an edge mask, a
+strict-upper (n, n) boolean matrix whose row-major True cells are those
+edges in that order; the `Graph` functions are wrappers over the stages.
 """
 from __future__ import annotations
 
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -43,6 +45,12 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    def mask(self) -> np.ndarray:
+        """The (n, n) strict-upper boolean mask of the edges."""
+        mask = np.zeros((self.n_vertices,) * 2, dtype=bool)
+        mask[tuple(self.edges.T)] = True
+        return mask
 
 
 def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
@@ -84,12 +92,21 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
         raise InvalidParameterError(f"{what} ({u[i]},{v[i]}) {problem}")
 
 
-def cycle_graph(n: int) -> Graph:
-    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
+def graph_of(mask: np.ndarray) -> Graph:
+    """The graph of a strict-upper edge mask: its True cells in row-major order are the edges."""
+    return Graph(len(mask), np.argwhere(mask))
+
+
+def cycle_mask(n: int) -> np.ndarray:
+    """Edge mask of the n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
     if require_int("n", n) < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
-    i = np.arange(n)
-    return Graph(n, np.stack([i, (i + 1) % n], axis=1))
+    return np.eye(n, k=1, dtype=bool) | np.eye(n, k=n - 1, dtype=bool)
+
+
+def cycle_graph(n: int) -> Graph:
+    """The graph of `cycle_mask`."""
+    return graph_of(cycle_mask(n))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
@@ -126,8 +143,8 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
-    """Sample a simple d-regular graph on n vertices, deterministic in seed.
+def d_regular_mask(n: int, d: int, seed: RngSeed) -> np.ndarray:
+    """Edge mask of a simple d-regular graph on n vertices, deterministic in seed.
 
     Uses the configuration (stub-pairing) model with repair of clashing
     stubs. Dense degrees (2d > n-1) are reduced to the sparse complement:
@@ -142,59 +159,75 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    return Graph(n, _d_regular_edges(n, d, seed.generator()))
+    return _d_regular_mask(n, d, seed.generator())
 
 
-def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, 2) int64 edges (u, v), u < v, of a d-regular graph; canonical order when dense."""
+def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
+    """The graph of `d_regular_mask`."""
+    return graph_of(d_regular_mask(n, d, seed))
+
+
+def _d_regular_mask(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     if 2 * d > n - 1:
-        taken = np.tri(n, dtype=bool)  # the diagonal and below hold no edge (u, v) with u < v
-        comp = _d_regular_edges(n, n - 1 - d, rng)
-        taken[comp[:, 0], comp[:, 1]] = True
-        return np.argwhere(~taken)
+        return np.triu(~_d_regular_mask(n, n - 1 - d, rng), 1)
     restarts = 0
     while restarts < DEFAULT_MAX_RESTARTS:
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            return np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                               count=2 * len(edges)).reshape(-1, 2)
+            mask = np.zeros((n, n), dtype=bool)
+            np.put(mask, [u * n + v for u, v in edges], True)
+            return mask
         restarts += 1
     raise GenerationFailureError(
         f"d-regular generation failed for n={n}, d={d} after {restarts} restarts", restarts
     )
 
 
-def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
-    """A copy of g with `count` uniformly chosen distinct edges removed."""
+def clear_random_edges(mask: np.ndarray, count: int, seed: RngSeed) -> None:
+    """Clear `count` uniformly chosen distinct edges of an edge mask in place,
+    drawn by their index in row-major, i.e. canonical, order."""
     count = require_int("count", count)
     if count < 0:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
-    if count > g.n_edges:
-        raise InvalidParameterError(f"cannot delete {count} of {g.n_edges} edges")
-    if count == 0:
-        return g
-    kept = np.ones(g.n_edges, dtype=bool)
-    kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
-    return Graph(g.n_vertices, g.edges[kept])
+    flat = np.flatnonzero(mask)
+    if count > len(flat):
+        raise InvalidParameterError(f"cannot delete {count} of {len(flat)} edges")
+    mask.flat[flat[seed.generator().choice(len(flat), size=count, replace=False)]] = False
+
+
+def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
+    """A copy of g with `count` uniformly chosen distinct edges removed."""
+    mask = g.mask()
+    clear_random_edges(mask, count, seed)
+    return graph_of(mask)
+
+
+def mask_adjacency(mask: np.ndarray) -> np.ndarray:
+    """Dense symmetric float64 adjacency matrix of an edge mask."""
+    m = np.zeros(mask.shape)
+    m[mask] = m.T[mask] = 1.0
+    return m
 
 
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric float64 adjacency matrix: 1.0 at each edge, 0.0 elsewhere."""
-    m = np.zeros((g.n_vertices, g.n_vertices), dtype=np.float64)
-    u, v = g.edges.T
-    m[u, v] = m[v, u] = 1.0
-    return m
+    return mask_adjacency(g.mask())
 
 
-def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
-    """A copy of square matrix a with independent N(0, sigma^2) draws added to its diagonal."""
-    m = np.array(a, dtype=np.float64)
+def add_diagonal_disorder(m: np.ndarray, sigma: float, seed: RngSeed) -> None:
+    """Add independent N(0, sigma^2) draws to the diagonal of square float64 matrix m, in place."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
     # An int past float range would overflow in the draw; a bool is no real.
     if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
     m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
+
+
+def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
+    """A copy of square matrix a with `add_diagonal_disorder` applied."""
+    m = np.array(a, dtype=np.float64)
+    add_diagonal_disorder(m, sigma, seed)
     return m
 
 

@@ -53,9 +53,9 @@ class QLBit:
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]."""
-        c = np.zeros((self.basis_1.n_vertices, self.basis_2.n_vertices))
-        c[tuple(self.coupling_edges.T)] = self.sign
-        return np.block([[adjacency(self.basis_1), c], [c.T, adjacency(self.basis_2)]])
+        coupling = np.zeros((self.basis_1.n_vertices, self.basis_2.n_vertices), dtype=bool)
+        coupling[tuple(self.coupling_edges.T)] = True
+        return qlbit_matrix(self.basis_1.mask(), self.basis_2.mask(), coupling, self.sign)
 
     def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors J_0, J_1, uniform on basis_1's and basis_2's block."""
@@ -91,16 +91,33 @@ class EmergentPair:
     isolation_threshold: float
 
 
-def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
-    """Couple two basis graphs with independent Bernoulli(p) cross edges.
-
-    Every (u in basis_1) x (v in basis_2) pair receives an edge with
-    probability p, of weight sign; the edges come in (u, v) order.
-    """
+def coupling_mask(n1: int, n2: int, p: float, seed: RngSeed) -> np.ndarray:
+    """(n1, n2) boolean mask of cross edges: each (u, v) pair independently
+    with probability p."""
     if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
-    mask = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
+    return seed.generator().random((n1, n2)) < p
+
+
+def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
+    """The QL bit of two basis graphs and the `coupling_mask` between them,
+    cross edges of weight sign in (u, v) order."""
+    mask = coupling_mask(basis_1.n_vertices, basis_2.n_vertices, p, seed)
     return QLBit(basis_1, basis_2, np.argwhere(mask), sign)
+
+
+def qlbit_matrix(mask_1: np.ndarray, mask_2: np.ndarray, coupling: np.ndarray,
+                 sign: int) -> np.ndarray:
+    """The QL bit's matrix [[A_1, sign*C], [sign*C^T, A_2]] from its bases'
+    strict-upper edge masks and its (n1, n2) coupling mask. Only True cells
+    and their mirrors are written, so every other entry stays +0.0."""
+    n1 = len(mask_1)
+    m = np.zeros((n1 + len(mask_2),) * 2)
+    head, tail = slice(None, n1), slice(n1, None)
+    for rows, cols, mask, value in ((head, head, mask_1, 1.0), (tail, tail, mask_2, 1.0),
+                                    (head, tail, coupling, sign)):
+        m[rows, cols][mask] = m.T[rows, cols][mask] = value
+    return m
 
 
 def predict_splitting(q: QLBit) -> SplittingPrediction:

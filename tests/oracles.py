@@ -4,7 +4,10 @@ The pipeline composes product spectra without forming product graphs or
 matrices, and projects product eigenvectors without forming them; these
 helpers form them anyway so tests can compare against the dense result.
 A QL bit's matrix is rebuilt from one signed edge list over both blocks,
-entry by entry, the way the package once built it as a weighted graph.
+entry by entry, the way the package once built it as a weighted graph, and
+by np.block from dense blocks. Each sample's factor matrices are rebuilt
+from `Graph` and `QLBit` objects stage by stage, the way the pipeline built
+them before it held edge masks.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a
@@ -63,6 +66,70 @@ def reference_d_regular_random(n: int, d: int, seed: ql.RngSeed) -> ql.Graph:
         return found
 
     return ql.Graph(n, np.array(list(edges(n, d, seed.generator())), dtype=np.int64).reshape(-1, 2))
+
+
+def reference_adjacency(g: ql.Graph) -> np.ndarray:
+    """The adjacency matrix written at the edge rows: 1.0 at (u, v) and (v, u)."""
+    m = np.zeros((g.n_vertices, g.n_vertices))
+    u, v = g.edges.T
+    m[u, v] = m[v, u] = 1.0
+    return m
+
+
+def reference_qlbit_adjacency(q: ql.QLBit) -> np.ndarray:
+    """[[A_1, sign*C], [sign*C^T, A_2]] assembled by np.block from dense blocks."""
+    c = np.zeros((q.basis_1.n_vertices, q.basis_2.n_vertices))
+    c[tuple(q.coupling_edges.T)] = q.sign
+    return np.block([[reference_adjacency(q.basis_1), c], [c.T, reference_adjacency(q.basis_2)]])
+
+
+def qlbit_masks(q: ql.QLBit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A QL bit's `FactorResult.masks`: its bases' edge masks and its coupling mask."""
+    coupling = np.zeros((q.basis_1.n_vertices, q.basis_2.n_vertices), dtype=bool)
+    coupling[tuple(q.coupling_edges.T)] = True
+    return q.basis_1.mask(), q.basis_2.mask(), coupling
+
+
+def reference_sample_matrices(desc: ql.ExperimentDescriptor, streams: dict,
+                              ) -> list[tuple[ql.Graph | None, ql.QLBit | None, np.ndarray]]:
+    """Each distinct factor's graph or QL bit (the other None) and the matrix
+    to decompose, from one sample's stage streams keyed by stage path. Every
+    stage goes through a `Graph` or `QLBit`: cycle edges (i, i+1 mod n), the
+    set-based d-regular sampler, deletions drawn over the canonical edge rows,
+    cross edges in (u, v) order, dense matrices written at the edge rows, and
+    disorder added to a copy's diagonal."""
+    sides = range(2 if desc.kind == "qlbit-product" else 1)
+
+    def base(k: int, side: int) -> ql.Graph:
+        if desc.graph == "cycle":
+            i = np.arange(desc.n)
+            return ql.Graph(desc.n, np.stack([i, (i + 1) % desc.n], axis=1))
+        return reference_d_regular_random(desc.n, desc.d, streams[0, k, side])
+
+    def delete(g: ql.Graph, seed: ql.RngSeed) -> ql.Graph:
+        kept = np.ones(g.n_edges, dtype=bool)
+        kept[seed.generator().choice(g.n_edges, size=desc.deletions, replace=False)] = False
+        return ql.Graph(g.n_vertices, g.edges[kept])
+
+    def factor(k: int, bases: list[ql.Graph]):
+        if desc.deletions:
+            bases = [delete(g, streams[1, k, side]) for side, g in enumerate(bases)]
+        if desc.kind == "qlbit-product":
+            cross = streams[2, k].generator().random((desc.n, desc.n)) < desc.p
+            graph, q = None, ql.QLBit(*bases, np.argwhere(cross), desc.sign)
+            a = reference_qlbit_adjacency(q)
+        else:
+            (graph,), q = bases, None
+            a = reference_adjacency(graph)
+        if desc.sigma > 0:
+            a = a.copy()
+            a[np.diag_indices(len(a))] += streams[3, k].generator().normal(0.0, desc.sigma,
+                                                                           size=len(a))
+        return graph, q, a
+
+    first = [base(0, side) for side in sides]
+    return [factor(k, first if k == 0 or desc.shared_base else [base(k, side) for side in sides])
+            for k in range(1 if desc.identical_factors else desc.n_factors)]
 
 
 def spawned_seed(seed: int, *key: int) -> int:

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import qlgraph as ql
@@ -124,7 +124,7 @@ class TestListAndValidate:
                                     "sigma": sigma, "n_factors": n_factors}))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        calls = count_calls(monkeypatch, ("d_regular_random",))
+        calls = count_calls(monkeypatch, ("d_regular_mask",))
         for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
             code, out = run_cli(args, capsys)
             assert code == 2
@@ -397,8 +397,9 @@ class TestComputeOnce:
     # Per chunk, one hash pass for the sample seeds, which parent streams and
     # build no generator, and two for the stage streams and their states.
     HASH_PASSES = 2 * 3
-    # Graphs each sample builds: its generated bases and edge-deleted copies.
-    GRAPHS_PER_SAMPLE = {"once-qlbit": 4, "once-shared": 1 + 3}
+    # Graphs a run builds: only sample 0's QL bits build theirs, two bases
+    # each, for the projection; a d-regular product builds none.
+    GRAPHS_PER_RUN = {"once-qlbit": 2 * 2, "once-shared": 0}
 
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
@@ -411,7 +412,7 @@ class TestComputeOnce:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
-        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
+        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_mask",
                                           "compose_spectra", "predict_splitting",
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
@@ -424,11 +425,12 @@ class TestComputeOnce:
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
         # Only sample 0's grid is composed; the histogram composes values in chunks.
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
-                                d_regular_random=samples * bases_per_sample)
+                                d_regular_mask=samples * bases_per_sample)
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
-        # A QL bit is assembled from its blocks: no graph spans both.
-        assert built == Counter(Graph=samples * self.GRAPHS_PER_SAMPLE[descriptor["name"]])
+        # Factors are built from edge masks; a graph only when read, and no graph spans both
+        # blocks of a QL bit.
+        assert built == Counter(Graph=self.GRAPHS_PER_RUN[descriptor["name"]])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
 
@@ -461,13 +463,14 @@ class TestComputeOnce:
         assert rows == Counter({states: n_samples, 1: 2 * n_samples})
 
     def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
-        # 100 samples of one QL bit: two generated bases each. Sample 0 runs
-        # alone, then 99 in chunks of 10 (16,384 entries / 40^2): 11 chunks.
+        # 100 samples of one QL bit: only sample 0's two bases become graphs,
+        # for the projection. Sample 0 runs alone, then 99 in chunks of 10
+        # (16,384 entries / 40^2): 11 chunks.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
         assert code == 0
-        assert built["Graph"] == 100 * 2
+        assert built["Graph"] == 2
         assert hashed["hashes"] == 11 * 3
 
     def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):
@@ -514,12 +517,35 @@ _OVER_BUDGET = st.one_of(
 ).map(lambda sizes: {"name": "big", **sizes})
 
 
+@st.composite
+def _near_valid(draw):
+    """A valid small descriptor of any kind and graph family with at most one
+    field, or an unknown one, set to an odd value: most validate and run."""
+    kind = draw(st.sampled_from(ql.experiments.KINDS))
+    data = {"name": "prop", "kind": kind, "n": 6, "deletions": draw(st.integers(0, 2)),
+            "sign": draw(st.sampled_from([1, -1])), "sigma": draw(st.sampled_from([0.0, 1.5])),
+            "identical_factors": draw(st.booleans()), "shared_base": draw(st.booleans()),
+            "n_samples": draw(st.integers(1, 3))}
+    if draw(st.booleans()):
+        data["graph"] = "cycle"
+    else:
+        data["d"] = draw(st.integers(1, 5))  # n = 6: every degree below n is feasible
+    if kind != "single-graph":
+        data["n_factors"] = draw(st.integers(1, 3))
+    if kind == "qlbit-product":
+        data["p"] = draw(st.floats(0.0, 1.0))
+    odd = draw(st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(ql.ExperimentDescriptor)] + ["extra"]),
+        _ODD_VALUES, max_size=1))
+    return {**data, **odd}
+
+
 class TestHostileDescriptors:
     # Every descriptor `validate` accepts runs; every other one is refused
     # before any work. Each pinned sigma once validated and then failed in `run`.
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None,
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.one_of(_DESCRIPTORS, _OVER_BUDGET))
+    @given(data=st.one_of(_DESCRIPTORS, _OVER_BUDGET, _near_valid()))
     @example(data={"name": "prop", "kind": "d-regular-product", "n": 12, "d": 8, "sigma": 1e308})
     @example(data={"name": "prop", "kind": "d-regular-product", "n": 12, "d": 8, "sigma": 5e307,
                    "n_factors": 3})
@@ -536,10 +562,12 @@ class TestHostileDescriptors:
                 assert [e.split(":")[0] for e in json.loads(out)["errors"]] == [
                     f"modelled memory exceeds {ql.experiments.MAX_BYTES} bytes"]
             validated = code == 0
+            event(f"validated: {validated}")
             out_dir = root / "out"
             out_dir.mkdir()
             code, out = run_cli(["run", str(path), "--out", str(out_dir)], capsys)
             written = sorted(p.name for p in out_dir.iterdir())
+            event(f"ran: {validated and code == 0}")
             if validated and code == 0:
                 meta = json.loads((out_dir / f"{data['name']}_metadata.json").read_text())
                 assert written == meta["artifacts"]

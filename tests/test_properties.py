@@ -17,8 +17,9 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_streams
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     reference_composite, reference_graph_edges, reference_is_connected,
-                     spawned_seed, stage_stream, weighted_adjacency)
+                     qlbit_masks, reference_composite, reference_graph_edges,
+                     reference_is_connected, reference_qlbit_adjacency,
+                     reference_sample_matrices, spawned_seed, stage_stream, weighted_adjacency)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -188,7 +189,10 @@ def test_qlbit_matrix_and_connectivity_equal_reference_composite(q):
     assert q.n_vertices == n
     assert (a.dtype, a.shape) == (np.float64, (n, n))
     assert a.tobytes() == weighted_adjacency(n, edges, weights).tobytes()
-    factor = ql.FactorResult(None, ql.eigendecompose(a, want_vectors=False), q)
+    # The in-place fill equals np.block's assembly bit for bit at both signs:
+    # with sign -1 every zero still stays +0.0.
+    assert a.tobytes() == reference_qlbit_adjacency(q).tobytes()
+    factor = ql.FactorResult(qlbit_masks(q), ql.eigendecompose(a, want_vectors=False), q.sign)
     assert factor.connected == reference_is_connected(n, edges)
 
 
@@ -298,13 +302,13 @@ def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple
     calls = []
     for k in range(1 if desc.identical_factors else desc.n_factors):
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
-            calls += [("d_regular_random", (0, k, side)) for side in sides]
+            calls += [("d_regular_mask", (0, k, side)) for side in sides]
         if desc.deletions:
-            calls += [("delete_random_edges", (1, k, side)) for side in sides]
+            calls += [("clear_random_edges", (1, k, side)) for side in sides]
         if desc.kind == "qlbit-product":
-            calls.append(("couple", (2, k)))
+            calls.append(("coupling_mask", (2, k)))
         if desc.sigma:
-            calls.append(("apply_diagonal_disorder", (3, k)))
+            calls.append(("add_diagonal_disorder", (3, k)))
     return calls
 
 
@@ -315,7 +319,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
     # count the streams hashed; each sample hashes its own seed and its stages'.
     received, hashed = [], []
     originals = {name: getattr(ql.experiments, name) for name in
-                 ("d_regular_random", "delete_random_edges", "couple", "apply_diagonal_disorder")}
+                 ("d_regular_mask", "clear_random_edges", "coupling_mask", "add_diagonal_disorder")}
 
     def recorder(name):
         def record(*args):
@@ -340,3 +344,32 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
             oracle_seed, oracle_state = stage_stream(desc.master_seed, sample.index, path)
             assert (got_name, seed.seed, seed.stream_id) == (name, oracle_seed, 0)
             assert seed.generator().bit_generator.state == oracle_state
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(desc=small_descriptors(), index=st.integers(0, 3))
+def test_mask_built_factors_equal_graph_built_reference(desc, index):
+    paths = ql.experiments._stage_paths(desc)
+
+    def streams():
+        (row,) = derive_streams([ql.RngSeed(desc.master_seed).derive(index)], paths)
+        return dict(zip(paths, row))
+
+    reference = reference_sample_matrices(desc, streams())
+    built = ql.experiments._sample_matrices(desc, streams())
+    assert len(built) == len(reference)
+    for (_, a), (_, _, expected) in zip(built, reference):
+        assert (a.dtype, a.shape, a.tobytes()) == (np.float64, expected.shape, expected.tobytes())
+    # The pipeline's factors build the reference's graphs and QL bits on read.
+    factors = ql.run_sample(desc, index).factors
+    for f, (graph, q, _) in zip(factors, reference):
+        if q is None:
+            assert f.qlbit is None
+            assert (f.graph.n_vertices, f.graph.edges.tolist()) == (
+                graph.n_vertices, graph.edges.tolist())
+        else:
+            assert f.graph is None
+            got = f.qlbit
+            assert [(b.n_vertices, b.edges.tolist()) for b in (got.basis_1, got.basis_2)] == [
+                (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
+            assert (got.coupling_edges.tolist(), got.sign) == (q.coupling_edges.tolist(), q.sign)
