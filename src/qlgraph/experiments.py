@@ -19,9 +19,8 @@ import numpy as np
 
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
-# d_regular_random is no pipeline stage, but perfbench looks it up here.
-from .graphs import (Graph, add_diagonal_disorder, clear_random_edges, cycle_mask, d_regular_mask,
-                     d_regular_random, graph_of, is_connected, mask_adjacency)  # noqa: F401
+from .graphs import (Graph, add_diagonal_disorder, clear_random_edges, cycle_mask,
+                     d_regular_random, graph_of, is_connected, mask_adjacency)
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
 from .qlbits import (EmergentPair, QLBit, SplittingPrediction, coupling_mask, emergent_pair,
@@ -335,7 +334,7 @@ def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
 def _base_mask(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> np.ndarray:
     if desc.graph == GRAPH_CYCLE:
         return cycle_mask(desc.n)
-    return d_regular_mask(desc.n, desc.d, streams[_STAGE_BASE, k, side])
+    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side], as_mask=True)
 
 
 def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,

@@ -143,8 +143,10 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def d_regular_mask(n: int, d: int, seed: RngSeed) -> np.ndarray:
-    """Edge mask of a simple d-regular graph on n vertices, deterministic in seed.
+def d_regular_random(n: int, d: int, seed: RngSeed, *,
+                     as_mask: bool = False) -> Graph | np.ndarray:
+    """A simple d-regular graph on n vertices, deterministic in seed; with
+    ``as_mask`` its edge mask instead, the same draw without the `Graph`.
 
     Uses the configuration (stub-pairing) model with repair of clashing
     stubs. Dense degrees (2d > n-1) are reduced to the sparse complement:
@@ -159,12 +161,8 @@ def d_regular_mask(n: int, d: int, seed: RngSeed) -> np.ndarray:
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    return _d_regular_mask(n, d, seed.generator())
-
-
-def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
-    """The graph of `d_regular_mask`."""
-    return graph_of(d_regular_mask(n, d, seed))
+    mask = _d_regular_mask(n, d, seed.generator())
+    return mask if as_mask else graph_of(mask)
 
 
 def _d_regular_mask(n: int, d: int, rng: np.random.Generator) -> np.ndarray:

@@ -124,7 +124,7 @@ class TestListAndValidate:
                                     "sigma": sigma, "n_factors": n_factors}))
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        calls = count_calls(monkeypatch, ("d_regular_mask",))
+        calls = count_calls(monkeypatch, ("d_regular_random",))
         for args in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
             code, out = run_cli(args, capsys)
             assert code == 2
@@ -412,7 +412,7 @@ class TestComputeOnce:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
-        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_mask",
+        calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
                                           "compose_spectra", "predict_splitting",
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
@@ -425,7 +425,7 @@ class TestComputeOnce:
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
         # Only sample 0's grid is composed; the histogram composes values in chunks.
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
-                                d_regular_mask=samples * bases_per_sample)
+                                d_regular_random=samples * bases_per_sample)
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
         # Factors are built from edge masks; a graph only when read, and no graph spans both

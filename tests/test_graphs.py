@@ -177,6 +177,13 @@ class TestDRegularRandom:
             g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
             assert np.array_equal(g.edges, ref.edges)
 
+    @pytest.mark.parametrize("n,d", [(12, 8), (16, 3), (7, 6)])
+    def test_mask_form_is_the_same_draw(self, n, d):
+        seed = ql.RngSeed(7).derive(n, d)
+        mask = ql.d_regular_random(n, d, seed, as_mask=True)
+        assert mask.dtype == bool and not np.tril(mask).any()
+        assert np.array_equal(mask, ql.d_regular_random(n, d, seed).mask())
+
     def test_generation_failure_carries_retry_count(self, monkeypatch):
         import qlgraph.graphs as graphs
         monkeypatch.setattr(graphs, "_pairing_attempt", lambda *a: None)

@@ -302,7 +302,7 @@ def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple
     calls = []
     for k in range(1 if desc.identical_factors else desc.n_factors):
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
-            calls += [("d_regular_mask", (0, k, side)) for side in sides]
+            calls += [("d_regular_random", (0, k, side)) for side in sides]
         if desc.deletions:
             calls += [("clear_random_edges", (1, k, side)) for side in sides]
         if desc.kind == "qlbit-product":
@@ -315,16 +315,17 @@ def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(desc=small_descriptors())
 def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
-    # Record the seed (the last argument) each stage function receives, and
+    # Record the seed (the last positional argument) each stage function receives, and
     # count the streams hashed; each sample hashes its own seed and its stages'.
     received, hashed = [], []
     originals = {name: getattr(ql.experiments, name) for name in
-                 ("d_regular_mask", "clear_random_edges", "coupling_mask", "add_diagonal_disorder")}
+                 ("d_regular_random", "clear_random_edges", "coupling_mask",
+                  "add_diagonal_disorder")}
 
     def recorder(name):
-        def record(*args):
+        def record(*args, **kwargs):
             received.append((name, args[-1]))
-            return originals[name](*args)
+            return originals[name](*args, **kwargs)
         return record
 
     def counted(parents, paths, **kwargs):
