@@ -19,11 +19,11 @@ import numpy as np
 
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
-from .graphs import (Graph, add_diagonal_disorder, clear_random_edges, cycle_mask,
-                     d_regular_random, graph_of, is_connected, mask_adjacency)
+from .graphs import (Graph, apply_diagonal_disorder, cycle_graph, d_regular_random,
+                     drop_random_edges, edge_adjacency, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
-from .qlbits import (EmergentPair, QLBit, SplittingPrediction, coupling_mask, emergent_pair,
+from .qlbits import (EmergentPair, QLBit, SplittingPrediction, cross_edges, emergent_pair,
                      predict_splitting, qlbit_matrix)
 from .rng import RngSeed, derive_streams
 from .spectra import Spectrum, eigendecompose
@@ -62,13 +62,13 @@ _CHUNK_VALUES = 2**14
 # max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
 # factor matrices and their stacked copy and, for QL bits, which keep
 # eigenvectors, for the solver's vectors, each sample's copy of them and
-# sample 0's kept copy, plus at most a byte an entry for the edge masks (n^2
-# per base and for a coupling, against (2n)^2 entries of a QL bit); sample 0,
-# kept whole, with its composed values, sort and label arrays, 72*states; one
-# chunk of at most max(_CHUNK_VALUES, states) values and np.histogram's sorted
-# copy of it, 16 bytes a value; and per sample its factor eigenvalues,
-# 8*n_factors*dim, and its seed as an int and a line of metadata JSON, at most
-# _SEED_BYTES.
+# sample 0's kept copy, plus at most 8 bytes an entry for the edge rows each
+# factor keeps (16 bytes a row; under n^2/2 rows a base and n^2 for a
+# coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
+# its composed values, sort and label arrays, 72*states; one chunk of at most
+# max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
+# bytes a value; and per sample its factor eigenvalues, 8*n_factors*dim, and
+# its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -81,16 +81,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _shown(value) -> str:
-    """repr(value), or the digit count of an int too long for repr
-    (sys.get_int_max_str_digits), so that a refusal can name it."""
-    try:
-        return repr(value)
-    except ValueError:
-        if not _is_int(value):
-            return f"a {type(value).__name__} holding an int too long to print"
-        digits = int(math.log10(abs(value))) + 1
-        return f"an int of {digits - (10 ** (digits - 1) > abs(value))} digits"
+def _too_long(value) -> str:
+    """Names a value without a repr, an int past sys.get_int_max_str_digits()
+    or one holding such an int: the int by its digit count."""
+    if not _is_int(value):
+        return f"a {type(value).__name__} holding such an int"
+    digits = round(math.log10(abs(value)))  # off by at most one
+    digits += (10**digits <= abs(value)) - (10**(digits - 1) > abs(value))
+    return f"an int of {digits} digits"
 
 
 # Descriptor field annotation -> (value check, expectation in the error message).
@@ -141,46 +139,43 @@ class ExperimentDescriptor:
             errors.append(f"graph must be one of {GRAPH_FAMILIES}, got {self.graph!r}")
         if self.graph == GRAPH_CYCLE:
             if self.n < 3:
-                errors.append(f"cycle graphs need n >= 3, got {_shown(self.n)}")
+                errors.append(f"cycle graphs need n >= 3, got {self.n}")
             if self.d is not None:
                 errors.append("d does not apply to cycle graphs")
         else:
             if self.d is None:
                 errors.append("d is required for d-regular graphs")
             elif self.d < 1 or self.n <= self.d:
-                errors.append(f"need n > d >= 1, got n={_shown(self.n)}, d={_shown(self.d)}")
+                errors.append(f"need n > d >= 1, got n={self.n}, d={self.d}")
             elif (self.n * self.d) % 2 != 0:
-                errors.append(f"n*d must be even, got n={_shown(self.n)}, d={_shown(self.d)}")
+                errors.append(f"n*d must be even, got n={self.n}, d={self.d}")
         max_edges = self.n if self.graph == GRAPH_CYCLE else (
             self.n * self.d // 2 if self.d else 0)
         if self.deletions < 0 or (not errors and self.deletions > max_edges):
-            errors.append(f"deletions must be in [0, {_shown(max_edges)}], "
-                          f"got {_shown(self.deletions)}")
+            errors.append(f"deletions must be in [0, {max_edges}], got {self.deletions}")
         if not 0.0 <= self.p <= 1.0:
-            errors.append(f"p must be in [0,1], got {_shown(self.p)}")
+            errors.append(f"p must be in [0,1], got {self.p}")
         if self.kind != KIND_QLBIT_PRODUCT and self.p != 0.0:
             errors.append(f"p applies only to {KIND_QLBIT_PRODUCT}")
         if self.sign not in (1, -1):
-            errors.append(f"sign must be +1 or -1, got {_shown(self.sign)}")
+            errors.append(f"sign must be +1 or -1, got {self.sign}")
         if self.n_factors < 1:
-            errors.append(f"n_factors must be positive, got {_shown(self.n_factors)}")
+            errors.append(f"n_factors must be positive, got {self.n_factors}")
         if self.kind == KIND_SINGLE and self.n_factors != 1:
             errors.append(f"{KIND_SINGLE} requires n_factors == 1")
         if self.sigma < 0:
-            errors.append(f"sigma must be non-negative, got {_shown(self.sigma)}")
+            errors.append(f"sigma must be non-negative, got {self.sigma}")
         elif self.sigma > MAX_SIGMA:
-            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {_shown(self.sigma)}")
+            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {self.sigma}")
         if self.n_samples < 1:
-            errors.append(f"n_samples must be positive, got {_shown(self.n_samples)}")
+            errors.append(f"n_samples must be positive, got {self.n_samples}")
         if not 1 <= self.bins <= MAX_BINS:
-            errors.append(f"bins must be in [1, {MAX_BINS}], got {_shown(self.bins)}")
+            errors.append(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
         if not 0 <= self.master_seed < 2**64:
-            errors.append(f"master_seed must be a 64-bit unsigned integer, "
-                          f"got {_shown(self.master_seed)}")
+            errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
         if not errors and self._over_budget():
-            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={_shown(self.n)}, "
-                          f"n_factors={_shown(self.n_factors)}, "
-                          f"n_samples={_shown(self.n_samples)}")
+            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={self.n}, "
+                          f"n_factors={self.n_factors}, n_samples={self.n_samples}")
         return tuple(errors)
 
     @property
@@ -191,7 +186,7 @@ class ExperimentDescriptor:
     def _over_budget(self) -> bool:
         """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
         dim = self._dim
-        entry_bytes = 41 if self.kind == KIND_QLBIT_PRODUCT else 17
+        entry_bytes = 48 if self.kind == KIND_QLBIT_PRODUCT else 24
         states = 1
         for k in range(1, self.n_factors + 1):  # dim >= 2: past the budget within ~30 steps
             states *= dim
@@ -203,7 +198,8 @@ class ExperimentDescriptor:
         return False
 
     def _type_errors(self) -> list[str]:
-        """Fields whose value is not of the annotated type; floats must be finite."""
+        """Fields whose value is not of the annotated type; floats must be finite,
+        and every value printable: the range checks name the values they refuse."""
         errors = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -211,8 +207,14 @@ class ExperimentDescriptor:
             if value is None and expected != f.type:
                 continue
             check, expectation = _FIELD_CHECKS[expected]
+            try:
+                shown = repr(value)
+            except ValueError:
+                errors.append(f"{f.name} must be {expectation} short enough to print, "
+                              f"got {_too_long(value)}")
+                continue
             if not check(value):
-                errors.append(f"{f.name} must be {expectation}, got {_shown(value)}")
+                errors.append(f"{f.name} must be {expectation}, got {shown}")
         return errors
 
     def to_json_dict(self) -> dict:
@@ -237,32 +239,33 @@ class ExperimentDescriptor:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """One realized factor: its edge masks and its spectrum. The masks are a
-    graph's, or a QL bit's two bases' and its coupling mask, whose cross
-    edges weigh ``sign``. The graph or QL bit and the diagnostics are built
-    on first read."""
+    """One realized factor: its spectrum and the read-only edge rows it was
+    built from, a graph's on ``n_vertices = (n,)`` or a QL bit's two bases'
+    on ``(n1, n2)`` and then its cross edges, of weight ``sign``. The graph or
+    QL bit and the diagnostics are built on first read."""
 
-    masks: tuple[np.ndarray, ...]
+    n_vertices: tuple[int, ...]
+    edges: tuple[np.ndarray, ...]
     spectrum: Spectrum
     sign: int = 1
 
     @property
     def emergent_indices(self) -> frozenset[int]:
         """Eigen-indices of the emergent states: a QL bit's top two, else the top one."""
-        return frozenset({0} if len(self.masks) == 1 else {0, 1})
+        return frozenset({0} if len(self.n_vertices) == 1 else {0, 1})
 
     @cached_property
     def graph(self) -> Graph | None:
         """The graph of a factor that is no QL bit."""
-        return graph_of(self.masks[0]) if len(self.masks) == 1 else None
+        return Graph(self.n_vertices[0], self.edges[0]) if len(self.n_vertices) == 1 else None
 
     @cached_property
     def qlbit(self) -> QLBit | None:
         """The QL bit of a factor that is one."""
-        if len(self.masks) == 1:
+        if len(self.n_vertices) == 1:
             return None
-        basis_1, basis_2, coupling = self.masks
-        return QLBit(graph_of(basis_1), graph_of(basis_2), np.argwhere(coupling), self.sign)
+        (n1, n2), (edges_1, edges_2, cross) = self.n_vertices, self.edges
+        return QLBit(Graph(n1, edges_1), Graph(n2, edges_2), cross, self.sign)
 
     @cached_property
     def connected(self) -> bool:
@@ -331,27 +334,30 @@ def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
     return paths
 
 
-def _base_mask(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> np.ndarray:
+def _base_edges(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> np.ndarray:
     if desc.graph == GRAPH_CYCLE:
-        return cycle_mask(desc.n)
-    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side], as_mask=True)
+        return cycle_graph(desc.n).edges
+    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side]).edges
 
 
 def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
                    bases: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Factor k's `FactorResult.masks`, its bases' edges deleted in place, and
-    the matrix to decompose."""
-    for side, mask in enumerate(bases if desc.deletions else []):
-        clear_random_edges(mask, desc.deletions, streams[_STAGE_DELETE, k, side])
+    """Factor k's `FactorResult.edges`, from its bases' edge rows, and the
+    matrix to decompose."""
+    if desc.deletions:
+        bases = [drop_random_edges(edges, desc.deletions, streams[_STAGE_DELETE, k, side])
+                 for side, edges in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        masks = (*bases, coupling_mask(desc.n, desc.n, desc.p, streams[_STAGE_COUPLE, k]))
-        a = qlbit_matrix(*masks, desc.sign)
+        edges = (*bases, cross_edges(desc.n, desc.n, desc.p, streams[_STAGE_COUPLE, k]))
+        a = qlbit_matrix(desc.n, desc.n, *edges, desc.sign)
     else:
-        masks = tuple(bases)
-        a = mask_adjacency(*masks)
+        edges = tuple(bases)
+        a = edge_adjacency(desc.n, *edges)
+    for rows in edges:
+        rows.flags.writeable = False
     if desc.sigma > 0:
-        add_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
-    return masks, a
+        a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
+    return edges, a
 
 
 def _distinct_factors(desc: ExperimentDescriptor) -> int:
@@ -362,14 +368,13 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
 def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
                      ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
-    ``identical_factors``. With ``shared_base`` every factor starts from a copy
-    of the bases generated for factor 0, which are generated once; deletions
-    stay per factor."""
+    ``identical_factors``. With ``shared_base`` every factor starts from the
+    bases generated for factor 0, which are generated once; deletions stay per
+    factor."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_base_mask(desc, streams, 0, side) for side in sides]
-    return [_factor_matrix(desc, streams, k, [m.copy() for m in first_bases] if desc.shared_base
-                           else first_bases if k == 0
-                           else [_base_mask(desc, streams, k, side) for side in sides])
+    first_bases = [_base_edges(desc, streams, 0, side) for side in sides]
+    return [_factor_matrix(desc, streams, k, first_bases if k == 0 or desc.shared_base else
+                           [_base_edges(desc, streams, k, side) for side in sides])
             for k in range(_distinct_factors(desc))]
 
 
@@ -378,6 +383,7 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
     hash pass and every stage stream in another, every sample's factor
     matrices, then one stacked eigendecomposition per distinct factor, then
     each sample's results, yielded one at a time."""
+    n_vertices = (desc.n,) * (2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
     (seeds,) = derive_streams([RngSeed(desc.master_seed)], [(i,) for i in indices], primed=False)
     paths = _stage_paths(desc)
     built = []
@@ -395,8 +401,8 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
     for j, (i, seed, factors) in enumerate(zip(indices, seeds, built)):
-        results = [FactorResult(masks, slot[j], desc.sign)
-                   for (masks, _), slot in zip(factors, spectra)]
+        results = [FactorResult(n_vertices, edges, slot[j], desc.sign)
+                   for (edges, _), slot in zip(factors, spectra)]
         if desc.identical_factors:
             results *= desc.n_factors
         yield SampleResult(i, seed.seed, tuple(results))

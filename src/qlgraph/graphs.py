@@ -1,11 +1,11 @@
 """Basis graphs: construction, validation and dense adjacency matrices.
 
-Graphs are simple, undirected and unweighted. A `Graph` holds its edges as
-an (m, 2) int64 array of (u, v) with u < v, sorted by (u, v). The canonical
-order makes every downstream random draw over edges deterministic. Each
-stage (generation, deletion, adjacency, disorder) works on an edge mask, a
-strict-upper (n, n) boolean matrix whose row-major True cells are those
-edges in that order; the `Graph` functions are wrappers over the stages.
+Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
+int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
+makes every downstream random draw over edges deterministic. The deletion
+and adjacency stages take such edge rows as they are, unvalidated, so the
+pipeline can run them without building a `Graph`; `delete_random_edges`
+and `adjacency` are their `Graph` wrappers.
 """
 from __future__ import annotations
 
@@ -42,15 +42,18 @@ class Graph:
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", canonical_edges(self.edges, n))
 
+    @classmethod
+    def _of_canonical(cls, n: int, edges: np.ndarray) -> "Graph":
+        """The graph on n vertices of edge rows canonical by construction, made
+        read-only in place: skips __post_init__'s checks."""
+        edges.flags.writeable = False
+        g = object.__new__(cls)
+        vars(g).update(n_vertices=n, edges=edges)
+        return g
+
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def mask(self) -> np.ndarray:
-        """The (n, n) strict-upper boolean mask of the edges."""
-        mask = np.zeros((self.n_vertices,) * 2, dtype=bool)
-        mask[tuple(self.edges.T)] = True
-        return mask
 
 
 def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
@@ -92,21 +95,12 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
         raise InvalidParameterError(f"{what} ({u[i]},{v[i]}) {problem}")
 
 
-def graph_of(mask: np.ndarray) -> Graph:
-    """The graph of a strict-upper edge mask: its True cells in row-major order are the edges."""
-    return Graph(len(mask), np.argwhere(mask))
-
-
-def cycle_mask(n: int) -> np.ndarray:
-    """Edge mask of the n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
+def cycle_graph(n: int) -> Graph:
+    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
     if require_int("n", n) < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
-    return np.eye(n, k=1, dtype=bool) | np.eye(n, k=n - 1, dtype=bool)
-
-
-def cycle_graph(n: int) -> Graph:
-    """The graph of `cycle_mask`."""
-    return graph_of(cycle_mask(n))
+    i = np.arange(n)
+    return Graph(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
@@ -143,10 +137,8 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int,
     return edges
 
 
-def d_regular_random(n: int, d: int, seed: RngSeed, *,
-                     as_mask: bool = False) -> Graph | np.ndarray:
-    """A simple d-regular graph on n vertices, deterministic in seed; with
-    ``as_mask`` its edge mask instead, the same draw without the `Graph`.
+def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
+    """Sample a simple d-regular graph on n vertices, deterministic in seed.
 
     Uses the configuration (stub-pairing) model with repair of clashing
     stubs. Dense degrees (2d > n-1) are reduced to the sparse complement:
@@ -161,71 +153,68 @@ def d_regular_random(n: int, d: int, seed: RngSeed, *,
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    mask = _d_regular_mask(n, d, seed.generator())
-    return mask if as_mask else graph_of(mask)
+    return Graph._of_canonical(n, _d_regular_edges(n, d, seed.generator()))
 
 
-def _d_regular_mask(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """(m, 2) int64 edges (u, v), u < v, of a d-regular graph, in canonical order."""
     if 2 * d > n - 1:
-        return np.triu(~_d_regular_mask(n, n - 1 - d, rng), 1)
+        taken = np.tri(n, dtype=bool)  # the diagonal and below hold no edge (u, v) with u < v
+        comp = _d_regular_edges(n, n - 1 - d, rng)
+        taken[comp[:, 0], comp[:, 1]] = True
+        return np.argwhere(~taken)
     restarts = 0
     while restarts < DEFAULT_MAX_RESTARTS:
         edges = _pairing_attempt(n, d, rng)
         if edges is not None:
-            mask = np.zeros((n, n), dtype=bool)
-            np.put(mask, [u * n + v for u, v in edges], True)
-            return mask
+            key = np.fromiter((u * n + v for u, v in edges), dtype=np.int64, count=len(edges))
+            key.sort()  # (u, v) order
+            return np.stack(np.divmod(key, n), axis=1)
         restarts += 1
     raise GenerationFailureError(
         f"d-regular generation failed for n={n}, d={d} after {restarts} restarts", restarts
     )
 
 
-def clear_random_edges(mask: np.ndarray, count: int, seed: RngSeed) -> None:
-    """Clear `count` uniformly chosen distinct edges of an edge mask in place,
-    drawn by their index in row-major, i.e. canonical, order."""
+def drop_random_edges(edges: np.ndarray, count: int, seed: RngSeed) -> np.ndarray:
+    """The edge rows without `count` uniformly chosen distinct rows, order kept."""
     count = require_int("count", count)
     if count < 0:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
-    flat = np.flatnonzero(mask)
-    if count > len(flat):
-        raise InvalidParameterError(f"cannot delete {count} of {len(flat)} edges")
-    mask.flat[flat[seed.generator().choice(len(flat), size=count, replace=False)]] = False
+    if count > len(edges):
+        raise InvalidParameterError(f"cannot delete {count} of {len(edges)} edges")
+    kept = np.ones(len(edges), dtype=bool)
+    kept[seed.generator().choice(len(edges), size=count, replace=False)] = False
+    return edges[kept]
 
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
     """A copy of g with `count` uniformly chosen distinct edges removed."""
-    mask = g.mask()
-    clear_random_edges(mask, count, seed)
-    return graph_of(mask)
+    return Graph._of_canonical(g.n_vertices, drop_random_edges(g.edges, count, seed))
 
 
-def mask_adjacency(mask: np.ndarray) -> np.ndarray:
-    """Dense symmetric float64 adjacency matrix of an edge mask."""
-    m = np.zeros(mask.shape)
-    m[mask] = m.T[mask] = 1.0
+def edge_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
+    """Dense symmetric float64 n x n matrix: 1.0 at each edge row (u, v) and at (v, u)."""
+    m = np.zeros((n, n))
+    u, v = edges.T
+    m[u, v] = m[v, u] = 1.0
     return m
 
 
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric float64 adjacency matrix: 1.0 at each edge, 0.0 elsewhere."""
-    return mask_adjacency(g.mask())
+    return edge_adjacency(g.n_vertices, g.edges)
 
 
-def add_diagonal_disorder(m: np.ndarray, sigma: float, seed: RngSeed) -> None:
-    """Add independent N(0, sigma^2) draws to the diagonal of square float64 matrix m, in place."""
+def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
+    """A copy of square matrix a with independent N(0, sigma^2) draws added to its diagonal."""
+    m = np.array(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
     # An int past float range would overflow in the draw; a bool is no real.
     if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
     m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
-
-
-def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
-    """A copy of square matrix a with `add_diagonal_disorder` applied."""
-    m = np.array(a, dtype=np.float64)
-    add_diagonal_disorder(m, sigma, seed)
     return m
 
 

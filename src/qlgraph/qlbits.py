@@ -53,9 +53,8 @@ class QLBit:
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]."""
-        coupling = np.zeros((self.basis_1.n_vertices, self.basis_2.n_vertices), dtype=bool)
-        coupling[tuple(self.coupling_edges.T)] = True
-        return qlbit_matrix(self.basis_1.mask(), self.basis_2.mask(), coupling, self.sign)
+        return qlbit_matrix(self.basis_1.n_vertices, self.basis_2.n_vertices, self.basis_1.edges,
+                            self.basis_2.edges, self.coupling_edges, self.sign)
 
     def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors J_0, J_1, uniform on basis_1's and basis_2's block."""
@@ -91,32 +90,30 @@ class EmergentPair:
     isolation_threshold: float
 
 
-def coupling_mask(n1: int, n2: int, p: float, seed: RngSeed) -> np.ndarray:
-    """(n1, n2) boolean mask of cross edges: each (u, v) pair independently
-    with probability p."""
+def cross_edges(n1: int, n2: int, p: float, seed: RngSeed) -> np.ndarray:
+    """(n_c, 2) int64 cross edges (u, v), u of n1 vertices and v of n2, in
+    (u, v) order: each pair independently with probability p."""
     if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
-    return seed.generator().random((n1, n2)) < p
+    return np.argwhere(seed.generator().random((n1, n2)) < p)
 
 
 def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
-    """The QL bit of two basis graphs and the `coupling_mask` between them,
-    cross edges of weight sign in (u, v) order."""
-    mask = coupling_mask(basis_1.n_vertices, basis_2.n_vertices, p, seed)
-    return QLBit(basis_1, basis_2, np.argwhere(mask), sign)
+    """The QL bit of two basis graphs and their `cross_edges`, of weight sign."""
+    return QLBit(basis_1, basis_2, cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, seed),
+                 sign)
 
 
-def qlbit_matrix(mask_1: np.ndarray, mask_2: np.ndarray, coupling: np.ndarray,
-                 sign: int) -> np.ndarray:
-    """The QL bit's matrix [[A_1, sign*C], [sign*C^T, A_2]] from its bases'
-    strict-upper edge masks and its (n1, n2) coupling mask. Only True cells
-    and their mirrors are written, so every other entry stays +0.0."""
-    n1 = len(mask_1)
-    m = np.zeros((n1 + len(mask_2),) * 2)
-    head, tail = slice(None, n1), slice(n1, None)
-    for rows, cols, mask, value in ((head, head, mask_1, 1.0), (tail, tail, mask_2, 1.0),
-                                    (head, tail, coupling, sign)):
-        m[rows, cols][mask] = m.T[rows, cols][mask] = value
+def qlbit_matrix(n1: int, n2: int, edges_1: np.ndarray, edges_2: np.ndarray,
+                 cross: np.ndarray, sign: int) -> np.ndarray:
+    """[[A_1, sign*C], [sign*C^T, A_2]] from the edge rows of a basis on n1
+    vertices, of one on n2 and of the cross edges, taken as they are: each
+    entry and its mirror written into one zero matrix, so every other entry
+    stays +0.0, also at sign -1."""
+    m = np.zeros((n1 + n2,) * 2)
+    for rows, value in ((edges_1, 1.0), (edges_2 + n1, 1.0), (cross + (0, n1), sign)):
+        u, v = rows.T
+        m[u, v] = m[v, u] = value
     return m
 
 

@@ -7,7 +7,7 @@ A QL bit's matrix is rebuilt from one signed edge list over both blocks,
 entry by entry, the way the package once built it as a weighted graph, and
 by np.block from dense blocks. Each sample's factor matrices are rebuilt
 from `Graph` and `QLBit` objects stage by stage, the way the pipeline built
-them before it held edge masks.
+them before it held bare edge rows.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a
@@ -81,13 +81,6 @@ def reference_qlbit_adjacency(q: ql.QLBit) -> np.ndarray:
     c = np.zeros((q.basis_1.n_vertices, q.basis_2.n_vertices))
     c[tuple(q.coupling_edges.T)] = q.sign
     return np.block([[reference_adjacency(q.basis_1), c], [c.T, reference_adjacency(q.basis_2)]])
-
-
-def qlbit_masks(q: ql.QLBit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A QL bit's `FactorResult.masks`: its bases' edge masks and its coupling mask."""
-    coupling = np.zeros((q.basis_1.n_vertices, q.basis_2.n_vertices), dtype=bool)
-    coupling[tuple(q.coupling_edges.T)] = True
-    return q.basis_1.mask(), q.basis_2.mask(), coupling
 
 
 def reference_sample_matrices(desc: ql.ExperimentDescriptor, streams: dict,

@@ -375,7 +375,9 @@ def count_hashing(monkeypatch) -> Counter:
 
 
 def count_graphs(monkeypatch) -> Counter:
-    """Count `Graph` constructions."""
+    """Count the `Graph` constructions that validate their edges: all but
+    those `d_regular_random` and `delete_random_edges` build on edge rows
+    canonical by construction."""
     built = Counter()
     post_init = ql.Graph.__post_init__
 
@@ -397,8 +399,8 @@ class TestComputeOnce:
     # Per chunk, one hash pass for the sample seeds, which parent streams and
     # build no generator, and two for the stage streams and their states.
     HASH_PASSES = 2 * 3
-    # Graphs a run builds: only sample 0's QL bits build theirs, two bases
-    # each, for the projection; a d-regular product builds none.
+    # Graphs a run validates: only sample 0's QL bits build theirs from their
+    # edge rows, two bases each, for the projection; a d-regular product none.
     GRAPHS_PER_RUN = {"once-qlbit": 2 * 2, "once-shared": 0}
 
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
@@ -428,8 +430,8 @@ class TestComputeOnce:
                                 d_regular_random=samples * bases_per_sample)
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
-        # Factors are built from edge masks; a graph only when read, and no graph spans both
-        # blocks of a QL bit.
+        # Deletions and factor matrices work on edge rows: a graph is built from
+        # them only when read, and no graph spans both blocks of a QL bit.
         assert built == Counter(Graph=self.GRAPHS_PER_RUN[descriptor["name"]])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
@@ -463,9 +465,9 @@ class TestComputeOnce:
         assert rows == Counter({states: n_samples, 1: 2 * n_samples})
 
     def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
-        # 100 samples of one QL bit: only sample 0's two bases become graphs,
-        # for the projection. Sample 0 runs alone, then 99 in chunks of 10
-        # (16,384 entries / 40^2): 11 chunks.
+        # 100 samples of one QL bit: only sample 0's two bases are built from
+        # their edge rows, for the projection. Sample 0 runs alone, then 99 in
+        # chunks of 10 (16,384 entries / 40^2): 11 chunks.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)

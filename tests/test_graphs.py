@@ -177,12 +177,14 @@ class TestDRegularRandom:
             g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
             assert np.array_equal(g.edges, ref.edges)
 
-    @pytest.mark.parametrize("n,d", [(12, 8), (16, 3), (7, 6)])
-    def test_mask_form_is_the_same_draw(self, n, d):
-        seed = ql.RngSeed(7).derive(n, d)
-        mask = ql.d_regular_random(n, d, seed, as_mask=True)
-        assert mask.dtype == bool and not np.tril(mask).any()
-        assert np.array_equal(mask, ql.d_regular_random(n, d, seed).mask())
+    @pytest.mark.parametrize("n,d", [(20, 15), (12, 11), (16, 3), (3, 2)])
+    def test_graphs_built_unvalidated_are_canonical(self, n, d):
+        # d_regular_random and delete_random_edges skip the Graph checks:
+        # their edges must be what validation gives, read-only int64 rows.
+        g = ql.d_regular_random(n, d, ql.RngSeed(9).derive(n, d))
+        for h in (g, ql.delete_random_edges(g, 2, ql.RngSeed(9))):
+            assert h.edges.dtype == np.int64 and not h.edges.flags.writeable
+            assert h.edges.tobytes() == ql.Graph(n, h.edges).edges.tobytes()
 
     def test_generation_failure_carries_retry_count(self, monkeypatch):
         import qlgraph.graphs as graphs

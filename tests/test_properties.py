@@ -17,7 +17,7 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_streams
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     qlbit_masks, reference_composite, reference_graph_edges,
+                     reference_composite, reference_graph_edges,
                      reference_is_connected, reference_qlbit_adjacency,
                      reference_sample_matrices, spawned_seed, stage_stream, weighted_adjacency)
 
@@ -192,7 +192,9 @@ def test_qlbit_matrix_and_connectivity_equal_reference_composite(q):
     # The in-place fill equals np.block's assembly bit for bit at both signs:
     # with sign -1 every zero still stays +0.0.
     assert a.tobytes() == reference_qlbit_adjacency(q).tobytes()
-    factor = ql.FactorResult(qlbit_masks(q), ql.eigendecompose(a, want_vectors=False), q.sign)
+    factor = ql.FactorResult((q.basis_1.n_vertices, q.basis_2.n_vertices),
+                             (q.basis_1.edges, q.basis_2.edges, q.coupling_edges),
+                             ql.eigendecompose(a, want_vectors=False), q.sign)
     assert factor.connected == reference_is_connected(n, edges)
 
 
@@ -304,28 +306,28 @@ def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
             calls += [("d_regular_random", (0, k, side)) for side in sides]
         if desc.deletions:
-            calls += [("clear_random_edges", (1, k, side)) for side in sides]
+            calls += [("drop_random_edges", (1, k, side)) for side in sides]
         if desc.kind == "qlbit-product":
-            calls.append(("coupling_mask", (2, k)))
+            calls.append(("cross_edges", (2, k)))
         if desc.sigma:
-            calls.append(("add_diagonal_disorder", (3, k)))
+            calls.append(("apply_diagonal_disorder", (3, k)))
     return calls
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(desc=small_descriptors())
 def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
-    # Record the seed (the last positional argument) each stage function receives, and
+    # Record the seed (the last argument) each stage function receives, and
     # count the streams hashed; each sample hashes its own seed and its stages'.
     received, hashed = [], []
     originals = {name: getattr(ql.experiments, name) for name in
-                 ("d_regular_random", "clear_random_edges", "coupling_mask",
-                  "add_diagonal_disorder")}
+                 ("d_regular_random", "drop_random_edges", "cross_edges",
+                  "apply_diagonal_disorder")}
 
     def recorder(name):
-        def record(*args, **kwargs):
+        def record(*args):
             received.append((name, args[-1]))
-            return originals[name](*args, **kwargs)
+            return originals[name](*args)
         return record
 
     def counted(parents, paths, **kwargs):
@@ -349,7 +351,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(desc=small_descriptors(), index=st.integers(0, 3))
-def test_mask_built_factors_equal_graph_built_reference(desc, index):
+def test_edge_row_factors_equal_graph_built_reference(desc, index):
     paths = ql.experiments._stage_paths(desc)
 
     def streams():
@@ -361,9 +363,11 @@ def test_mask_built_factors_equal_graph_built_reference(desc, index):
     assert len(built) == len(reference)
     for (_, a), (_, _, expected) in zip(built, reference):
         assert (a.dtype, a.shape, a.tobytes()) == (np.float64, expected.shape, expected.tobytes())
-    # The pipeline's factors build the reference's graphs and QL bits on read.
+    # The pipeline's factors keep their edge rows read-only and build the
+    # reference's graphs and QL bits from them on read.
     factors = ql.run_sample(desc, index).factors
     for f, (graph, q, _) in zip(factors, reference):
+        assert not any(rows.flags.writeable for rows in f.edges)
         if q is None:
             assert f.qlbit is None
             assert (f.graph.n_vertices, f.graph.edges.tolist()) == (
