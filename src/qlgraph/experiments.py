@@ -18,14 +18,15 @@ from typing import Iterator
 import numpy as np
 
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
-from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
-from .graphs import (Graph, apply_diagonal_disorder, cycle_graph, d_regular_random,
-                     drop_random_edges, edge_adjacency, is_connected)
+from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
+                     require_int)
+from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph, d_regular_random,
+                     delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
-from .qlbits import (EmergentPair, QLBit, SplittingPrediction, cross_edges, emergent_pair,
-                     predict_splitting, qlbit_matrix)
-from .rng import RngSeed, derive_streams
+from .qlbits import (EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair,
+                     predict_splitting)
+from .rng import RngSeed, derive_seeds, derive_streams
 from .spectra import Spectrum, eigendecompose
 
 KIND_SINGLE = "single-graph"
@@ -239,33 +240,26 @@ class ExperimentDescriptor:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """One realized factor: its spectrum and the read-only edge rows it was
-    built from, a graph's on ``n_vertices = (n,)`` or a QL bit's two bases'
-    on ``(n1, n2)`` and then its cross edges, of weight ``sign``. The graph or
-    QL bit and the diagnostics are built on first read."""
+    """One realized factor, a graph or a QL bit, and its spectrum. The
+    diagnostics are computed on first read."""
 
-    n_vertices: tuple[int, ...]
-    edges: tuple[np.ndarray, ...]
+    factor: Graph | QLBit
     spectrum: Spectrum
-    sign: int = 1
+
+    @property
+    def graph(self) -> Graph | None:
+        """The factor if it is a graph."""
+        return self.factor if isinstance(self.factor, Graph) else None
+
+    @property
+    def qlbit(self) -> QLBit | None:
+        """The factor if it is a QL bit."""
+        return self.factor if isinstance(self.factor, QLBit) else None
 
     @property
     def emergent_indices(self) -> frozenset[int]:
         """Eigen-indices of the emergent states: a QL bit's top two, else the top one."""
-        return frozenset({0} if len(self.n_vertices) == 1 else {0, 1})
-
-    @cached_property
-    def graph(self) -> Graph | None:
-        """The graph of a factor that is no QL bit."""
-        return Graph(self.n_vertices[0], self.edges[0]) if len(self.n_vertices) == 1 else None
-
-    @cached_property
-    def qlbit(self) -> QLBit | None:
-        """The QL bit of a factor that is one."""
-        if len(self.n_vertices) == 1:
-            return None
-        (n1, n2), (edges_1, edges_2, cross) = self.n_vertices, self.edges
-        return QLBit(Graph(n1, edges_1), Graph(n2, edges_2), cross, self.sign)
+        return frozenset({0} if self.qlbit is None else {0, 1})
 
     @cached_property
     def connected(self) -> bool:
@@ -334,30 +328,27 @@ def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
     return paths
 
 
-def _base_edges(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> np.ndarray:
+def _base(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> Graph:
     if desc.graph == GRAPH_CYCLE:
-        return cycle_graph(desc.n).edges
-    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side]).edges
+        return cycle_graph(desc.n)
+    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side])
 
 
 def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
-                   bases: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Factor k's `FactorResult.edges`, from its bases' edge rows, and the
-    matrix to decompose."""
+                   bases: list[Graph]) -> tuple[Graph | QLBit, np.ndarray]:
+    """Factor k, from its bases, and the matrix to decompose."""
     if desc.deletions:
-        bases = [drop_random_edges(edges, desc.deletions, streams[_STAGE_DELETE, k, side])
-                 for side, edges in enumerate(bases)]
+        bases = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
+                 for side, g in enumerate(bases)]
     if desc.kind == KIND_QLBIT_PRODUCT:
-        edges = (*bases, cross_edges(desc.n, desc.n, desc.p, streams[_STAGE_COUPLE, k]))
-        a = qlbit_matrix(desc.n, desc.n, *edges, desc.sign)
+        factor = couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
+        a = factor.adjacency()
     else:
-        edges = tuple(bases)
-        a = edge_adjacency(desc.n, *edges)
-    for rows in edges:
-        rows.flags.writeable = False
+        (factor,) = bases
+        a = adjacency(factor)
     if desc.sigma > 0:
         a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
-    return edges, a
+    return factor, a
 
 
 def _distinct_factors(desc: ExperimentDescriptor) -> int:
@@ -366,28 +357,27 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
 
 
 def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
-                     ) -> list[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+                     ) -> list[tuple[Graph | QLBit, np.ndarray]]:
     """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
     ``identical_factors``. With ``shared_base`` every factor starts from the
     bases generated for factor 0, which are generated once; deletions stay per
     factor."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_base_edges(desc, streams, 0, side) for side in sides]
+    first_bases = [_base(desc, streams, 0, side) for side in sides]
     return [_factor_matrix(desc, streams, k, first_bases if k == 0 or desc.shared_base else
-                           [_base_edges(desc, streams, k, side) for side in sides])
+                           [_base(desc, streams, k, side) for side in sides])
             for k in range(_distinct_factors(desc))]
 
 
 def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
-    """Samples `indices`, stage by stage: the sample seeds, unprimed, in one
-    hash pass and every stage stream in another, every sample's factor
-    matrices, then one stacked eigendecomposition per distinct factor, then
-    each sample's results, yielded one at a time."""
-    n_vertices = (desc.n,) * (2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    (seeds,) = derive_streams([RngSeed(desc.master_seed)], [(i,) for i in indices], primed=False)
+    """Samples `indices`, stage by stage: the sample seeds in one hash pass,
+    every stage stream in another and their generators' states in a third,
+    every sample's factor matrices, then one stacked eigendecomposition per
+    distinct factor, then each sample's results, yielded one at a time."""
+    (seeds,) = derive_seeds([desc.master_seed], [(i,) for i in indices])
     paths = _stage_paths(desc)
     built = []
-    for i, streams in zip(indices, derive_streams(seeds, paths)):
+    for i, streams in zip(indices, derive_streams(derive_seeds(seeds, paths))):
         try:
             built.append(_sample_matrices(desc, dict(zip(paths, streams))))
         except GenerationFailureError as exc:
@@ -400,12 +390,11 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
         named = (f"sample {indices.start}" if len(indices) == 1
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
-    for j, (i, seed, factors) in enumerate(zip(indices, seeds, built)):
-        results = [FactorResult(n_vertices, edges, slot[j], desc.sign)
-                   for (edges, _), slot in zip(factors, spectra)]
+    for j, (i, seed, factors) in enumerate(zip(indices, seeds.tolist(), built)):
+        results = [FactorResult(factor, slot[j]) for (factor, _), slot in zip(factors, spectra)]
         if desc.identical_factors:
             results *= desc.n_factors
-        yield SampleResult(i, seed.seed, tuple(results))
+        yield SampleResult(i, seed, tuple(results))
 
 
 def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
@@ -420,9 +409,12 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     """Run the full pipeline for one sample, deterministic in the master seed.
 
     Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
-    is a chunk of one: `iter_samples` gives bitwise the same result.
+    is a chunk of one: `iter_samples` gives bitwise the same result. An
+    index that is not a non-negative integer is refused.
     """
     require_valid(desc)
+    if require_int("sample_index", sample_index) < 0:
+        raise InvalidParameterError(f"sample_index must be non-negative, got {sample_index}")
     (sample,) = _run_chunk(desc, range(sample_index, sample_index + 1))
     return sample
 

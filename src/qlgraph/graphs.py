@@ -2,10 +2,9 @@
 
 Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
 int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
-makes every downstream random draw over edges deterministic. The deletion
-and adjacency stages take such edge rows as they are, unvalidated, so the
-pipeline can run them without building a `Graph`; `delete_random_edges`
-and `adjacency` are their `Graph` wrappers.
+makes every downstream random draw over edges deterministic. The sampler
+and the deletion build their graphs on rows canonical by construction,
+without validating them again.
 """
 from __future__ import annotations
 
@@ -176,34 +175,24 @@ def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def drop_random_edges(edges: np.ndarray, count: int, seed: RngSeed) -> np.ndarray:
-    """The edge rows without `count` uniformly chosen distinct rows, order kept."""
+def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
+    """A copy of g with `count` uniformly chosen distinct edges removed."""
     count = require_int("count", count)
     if count < 0:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
-    if count > len(edges):
-        raise InvalidParameterError(f"cannot delete {count} of {len(edges)} edges")
-    kept = np.ones(len(edges), dtype=bool)
-    kept[seed.generator().choice(len(edges), size=count, replace=False)] = False
-    return edges[kept]
-
-
-def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
-    """A copy of g with `count` uniformly chosen distinct edges removed."""
-    return Graph._of_canonical(g.n_vertices, drop_random_edges(g.edges, count, seed))
-
-
-def edge_adjacency(n: int, edges: np.ndarray) -> np.ndarray:
-    """Dense symmetric float64 n x n matrix: 1.0 at each edge row (u, v) and at (v, u)."""
-    m = np.zeros((n, n))
-    u, v = edges.T
-    m[u, v] = m[v, u] = 1.0
-    return m
+    if count > g.n_edges:
+        raise InvalidParameterError(f"cannot delete {count} of {g.n_edges} edges")
+    kept = np.ones(g.n_edges, dtype=bool)
+    kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
+    return Graph._of_canonical(g.n_vertices, g.edges[kept])
 
 
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric float64 adjacency matrix: 1.0 at each edge, 0.0 elsewhere."""
-    return edge_adjacency(g.n_vertices, g.edges)
+    m = np.zeros((g.n_vertices, g.n_vertices))
+    u, v = g.edges.T
+    m[u, v] = m[v, u] = 1.0
+    return m
 
 
 def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:

@@ -21,6 +21,14 @@ from .spectra import Spectrum, eigendecompose
 MIN_ISOLATION_GAP = 0.5
 
 
+def _checked_sign(sign) -> int:
+    """A cross-edge sign as an int, +1 or -1."""
+    sign = require_int("sign", sign)
+    if sign not in (1, -1):
+        raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
+    return sign
+
+
 @dataclass(frozen=True, eq=False)
 class QLBit:
     """Two basis graphs joined by cross edges of weight ``sign``.
@@ -36,12 +44,20 @@ class QLBit:
     sign: int
 
     def __post_init__(self):
-        sign = require_int("sign", self.sign)
-        if sign not in (1, -1):
-            raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "sign", _checked_sign(self.sign))
         object.__setattr__(self, "coupling_edges", canonical_edges(
             self.coupling_edges, self.basis_1.n_vertices, self.basis_2.n_vertices))
-        object.__setattr__(self, "sign", sign)
+
+    @classmethod
+    def _of_canonical(cls, basis_1: Graph, basis_2: Graph, coupling_edges: np.ndarray,
+                      sign: int) -> "QLBit":
+        """The QL bit of cross-edge rows canonical by construction, made
+        read-only in place: checks the sign but skips the edge checks."""
+        sign = _checked_sign(sign)
+        coupling_edges.flags.writeable = False
+        q = object.__new__(cls)
+        vars(q).update(basis_1=basis_1, basis_2=basis_2, coupling_edges=coupling_edges, sign=sign)
+        return q
 
     @property
     def n_vertices(self) -> int:
@@ -52,9 +68,16 @@ class QLBit:
         return len(self.coupling_edges)
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]."""
-        return qlbit_matrix(self.basis_1.n_vertices, self.basis_2.n_vertices, self.basis_1.edges,
-                            self.basis_2.edges, self.coupling_edges, self.sign)
+        """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]:
+        each entry and its mirror written into one zero matrix, so every
+        other entry stays +0.0, also at sign -1."""
+        n1 = self.basis_1.n_vertices
+        m = np.zeros((self.n_vertices, self.n_vertices))
+        for rows, value in ((self.basis_1.edges, 1.0), (self.basis_2.edges + n1, 1.0),
+                            (self.coupling_edges + (0, n1), self.sign)):
+            u, v = rows.T
+            m[u, v] = m[v, u] = value
+        return m
 
     def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit vectors J_0, J_1, uniform on basis_1's and basis_2's block."""
@@ -90,31 +113,14 @@ class EmergentPair:
     isolation_threshold: float
 
 
-def cross_edges(n1: int, n2: int, p: float, seed: RngSeed) -> np.ndarray:
-    """(n_c, 2) int64 cross edges (u, v), u of n1 vertices and v of n2, in
-    (u, v) order: each pair independently with probability p."""
+def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
+    """The QL bit of two basis graphs joined by cross edges of weight sign:
+    each (u, v), u of basis_1 and v of basis_2, independently with
+    probability p. The rows come out in (u, v) order."""
     if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
-    return np.argwhere(seed.generator().random((n1, n2)) < p)
-
-
-def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -> QLBit:
-    """The QL bit of two basis graphs and their `cross_edges`, of weight sign."""
-    return QLBit(basis_1, basis_2, cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, seed),
-                 sign)
-
-
-def qlbit_matrix(n1: int, n2: int, edges_1: np.ndarray, edges_2: np.ndarray,
-                 cross: np.ndarray, sign: int) -> np.ndarray:
-    """[[A_1, sign*C], [sign*C^T, A_2]] from the edge rows of a basis on n1
-    vertices, of one on n2 and of the cross edges, taken as they are: each
-    entry and its mirror written into one zero matrix, so every other entry
-    stays +0.0, also at sign -1."""
-    m = np.zeros((n1 + n2,) * 2)
-    for rows, value in ((edges_1, 1.0), (edges_2 + n1, 1.0), (cross + (0, n1), sign)):
-        u, v = rows.T
-        m[u, v] = m[v, u] = value
-    return m
+    drawn = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
+    return QLBit._of_canonical(basis_1, basis_2, np.argwhere(drawn), sign)
 
 
 def predict_splitting(q: QLBit) -> SplittingPrediction:

@@ -3,10 +3,12 @@
 Every random draw in the package flows through an :class:`RngSeed` so that
 identical (seed, stream_id) pairs reproduce identical results bit for bit.
 The bit generator is a named, stable one (PCG64 keyed through numpy's
-SeedSequence hash), never the interpreter's global state. The hash is
-computed here on arrays, one row of entropy words per stream, so that
-`derive_streams` hashes many streams in one pass. NEP 19 keeps its output
-stable; the tests hold it bit for bit to ``np.random.SeedSequence``.
+SeedSequence hash), never the interpreter's global state. One stream at a
+time, `RngSeed` calls ``np.random.SeedSequence`` itself. For the pipeline's
+batches the hash is computed here on arrays, one row of entropy words per
+stream, so that `derive_seeds` and `derive_streams` hash many streams in
+one pass. NEP 19 keeps the hash's output stable; the tests hold the batches
+bit for bit to ``np.random.SeedSequence``.
 """
 from __future__ import annotations
 
@@ -98,26 +100,6 @@ def _words(value: int) -> list[int]:
     return [value >> shift & _WORD for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _padded(word_lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Word lists as the rows of a zero-padded uint32 array, and their lengths."""
-    lengths = np.array([len(w) for w in word_lists], dtype=np.int64)
-    out = np.zeros((len(word_lists), int(lengths.max(initial=0))), dtype=np.uint32)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = list(itertools.chain(*word_lists))
-    return out, lengths
-
-
-def _key_rows(prefixes: list[list[int]], paths: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Each prefix followed by each path's words, as rows for `_generate_state`,
-    and the row lengths: prefix-major, so row p*len(paths)+q joins p and q."""
-    (pre, lp), (suf, lq) = _padded(prefixes), _padded(paths)
-    rows = np.zeros((len(pre), len(suf), max(_POOL, pre.shape[1] + suf.shape[1])), dtype=np.uint32)
-    rows[:, :, :pre.shape[1]] = pre[:, None]
-    # Path word j lands just past its row's prefix; padding past a row's length stays zero.
-    rows[np.arange(len(pre))[:, None, None], np.arange(len(suf))[:, None],
-         lp[:, None, None] + np.arange(suf.shape[1])] = suf
-    return rows.reshape(-1, rows.shape[2]), (lp[:, None] + lq).ravel()
-
-
 @functools.cache
 def _precomputed_state() -> type:
     """An ``ISeedSequence`` that hands PCG64 a state hashed here. Built on
@@ -132,6 +114,14 @@ def _precomputed_state() -> type:
             return self.state  # PCG64 asks for 4 uint64 words: 8 generated words
 
     return PrecomputedState
+
+
+def _checked_path(path: Sequence[int]) -> list[int]:
+    """A derivation path's entries as ints, each a non-negative integer."""
+    path = [require_int("derivation path entry", p) for p in path]
+    if any(p < 0 for p in path):
+        raise InvalidParameterError("derivation path entries must be non-negative")
+    return path
 
 
 @dataclass(frozen=True)
@@ -158,18 +148,12 @@ class RngSeed:
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream_id", stream_id)
 
-    def _prefix(self) -> list[int]:
-        """The entropy words before a path: the seed's two words, zero-padded
-        to the pool size as numpy pads them before a spawn key, then the
-        stream id's."""
-        return [self.seed & _WORD, self.seed >> 32, 0, 0, *_words(self.stream_id)]
-
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        state = self._state
-        if state is None:
-            state = _as_uint64(_generate_state(*_key_rows([self._prefix()], [[]]), 8))[0]
-        return np.random.Generator(np.random.PCG64(_precomputed_state()(state)))
+        if self._state is None:
+            return np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))))
+        return np.random.Generator(np.random.PCG64(_precomputed_state()(self._state)))
 
     def derive(self, *path: int) -> "RngSeed":
         """Derive an independent child seed from an integer path.
@@ -177,40 +161,49 @@ class RngSeed:
         The child is a pure function of (seed, stream_id, path); distinct
         paths give statistically independent streams. Used to split one
         master seed across ensemble samples, factors, and pipeline stages.
+        Its seed is ``SeedSequence(seed, spawn_key=(stream_id, *path))
+        .generate_state(1, np.uint64)[0]`` and its stream id 0.
         """
-        ((child,),) = derive_streams([self], [path])
-        return child
+        key = (self.stream_id, *_checked_path(path))
+        return RngSeed(int(np.random.SeedSequence(self.seed, spawn_key=key)
+                           .generate_state(1, np.uint64)[0]))
 
 
-def derive_streams(parents: Sequence[RngSeed], paths: Sequence[Sequence[int]],
-                   primed: bool = True) -> list[list[RngSeed]]:
-    """``[[parent.derive(*path) for path in paths] for parent in parents]``,
-    hashed in one pass. A ``primed`` child also carries its generator's
-    state, hashed in a second pass; an unprimed one hashes it if asked.
+def _hash_paths(seeds: np.ndarray, paths: Sequence[Sequence[int]], n_words: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(0, *path)).generate_state(n_words)`` of
+    each seed and path, seed-major, as a (K * P, n_words) uint32 array. Path
+    entries of 2^32 and more take several words; paths of different lengths
+    hash together."""
+    words = [[w for p in _checked_path(path) for w in _words(p)] for path in paths]
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    # Each row starts with the seed's two words, zero-padded to the pool size
+    # as numpy pads them before a spawn key, then stream id 0; the path follows.
+    start, width = _POOL + 1, int(lengths.max(initial=0))
+    rows = np.zeros((len(seeds), len(words), start + width), dtype=np.uint32)
+    rows[:, :, 0], rows[:, :, 1] = seeds[:, None] & _WORD, seeds[:, None] >> 32
+    rows[:, :, start:][:, np.arange(width) < lengths[:, None]] = list(itertools.chain(*words))
+    return _generate_state(rows.reshape(-1, start + width), np.tile(start + lengths, len(seeds)),
+                           n_words)
 
-    Child (parent, path) has seed ``SeedSequence(parent.seed, spawn_key=
-    (parent.stream_id, *path)).generate_state(1, np.uint64)`` and stream id
-    0. Path entries of 2^32 and more take several words; rows of different
-    lengths hash together.
-    """
-    words = []
-    for path in paths:
-        path = [require_int("derivation path entry", p) for p in path]
-        if any(p < 0 for p in path):
-            raise InvalidParameterError("derivation path entries must be non-negative")
-        words.append([w for p in path for w in _words(p)])
-    if not parents or not paths:
-        return [[] for _ in parents]
-    pairs = _generate_state(*_key_rows([p._prefix() for p in parents], words), 2)
-    # Each child's stream 0: its seed's two words, zero-padded, then stream id 0.
-    rows = np.zeros((len(pairs), _POOL + 1), dtype=np.uint32)
-    rows[:, :2] = pairs
-    states = (_as_uint64(_generate_state(rows, np.full(len(rows), _POOL + 1), 8)) if primed
-              else [None] * len(rows))
-    # Children are valid by construction: skip __post_init__'s checks.
-    children = []
-    for seed, state in zip(_as_uint64(pairs).ravel().tolist(), states):
-        child = object.__new__(RngSeed)
-        vars(child).update(seed=seed, stream_id=0, _state=state)
-        children.append(child)
-    return [children[i:i + len(paths)] for i in range(0, len(children), len(paths))]
+
+def derive_seeds(seeds: Sequence[int], paths: Sequence[Sequence[int]]) -> np.ndarray:
+    """``[[RngSeed(seed).derive(*path).seed for path in paths] for seed in
+    seeds]`` as a (K, P) uint64 array, hashed in one pass."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    return _as_uint64(_hash_paths(seeds, paths, 2)).reshape(len(seeds), len(paths))
+
+
+def derive_streams(seeds: np.ndarray) -> list[list[RngSeed]]:
+    """``RngSeed(seed)`` of each entry of a (K, P) uint64 array, as K lists of
+    P. Each carries its generator's PCG64 state, hashed here for all of them
+    in one pass, so its `generator()` hashes nothing."""
+    states = iter(_as_uint64(_hash_paths(seeds.ravel(), [()], 8)))
+    return [[_primed(seed, next(states)) for seed in row] for row in seeds.tolist()]
+
+
+def _primed(seed: int, state: np.ndarray) -> RngSeed:
+    """RngSeed(seed) carrying its generator's state. It is valid by
+    construction: __post_init__'s checks are skipped."""
+    child = object.__new__(RngSeed)
+    vars(child).update(seed=seed, stream_id=0, _state=state)
+    return child

@@ -6,8 +6,7 @@ helpers form them anyway so tests can compare against the dense result.
 A QL bit's matrix is rebuilt from one signed edge list over both blocks,
 entry by entry, the way the package once built it as a weighted graph, and
 by np.block from dense blocks. Each sample's factor matrices are rebuilt
-from `Graph` and `QLBit` objects stage by stage, the way the pipeline built
-them before it held bare edge rows.
+stage by stage from validated `Graph` and `QLBit` objects.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
 validation and dense d-regular generation are rebuilt on Python sets and a

@@ -354,21 +354,29 @@ def count_calls(monkeypatch, names, weights=None):
 
 
 def count_hashing(monkeypatch) -> Counter:
-    """Count `derive_streams` calls and the streams they derive, whoever calls
-    it, and the hash passes (`_generate_state` calls) under them."""
+    """Count `derive_seeds` calls and the seeds they derive, `derive_streams`
+    calls and the streams they prime, whoever calls them, and the hash passes
+    (`_generate_state` calls) under them."""
     hashed = Counter()
-    derive_streams, generate_state = ql.rng.derive_streams, ql.rng._generate_state
+    derive_seeds, derive_streams = ql.rng.derive_seeds, ql.rng.derive_streams
+    generate_state = ql.rng._generate_state
 
-    def counted_derive_streams(parents, paths, **kwargs):
+    def counted_derive_seeds(seeds, paths):
         hashed["passes"] += 1
-        hashed["streams"] += len(parents) * len(paths)
-        return derive_streams(parents, paths, **kwargs)
+        hashed["streams"] += len(seeds) * len(paths)
+        return derive_seeds(seeds, paths)
+
+    def counted_derive_streams(seeds):
+        hashed["primings"] += 1
+        hashed["primed"] += seeds.size
+        return derive_streams(seeds)
 
     def counted_generate_state(*args):
         hashed["hashes"] += 1
         return generate_state(*args)
 
     for module in (ql.rng, ql.experiments):
+        monkeypatch.setattr(module, "derive_seeds", counted_derive_seeds)
         monkeypatch.setattr(module, "derive_streams", counted_derive_streams)
     monkeypatch.setattr(ql.rng, "_generate_state", counted_generate_state)
     return hashed
@@ -394,14 +402,17 @@ class TestComputeOnce:
     # per factor for coupling (QL bits) or per factor and side for deletion.
     STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
     # Sample 0 runs alone and samples 1..2 in one chunk; each chunk derives its
-    # sample seeds in one call and then its stage streams in another.
+    # sample seeds in one `derive_seeds` call and then its stage seeds in
+    # another, and primes the stage streams in one `derive_streams` call.
     DERIVE_CALLS = 2 * 2
+    PRIME_CALLS = 2
     # Per chunk, one hash pass for the sample seeds, which parent streams and
-    # build no generator, and two for the stage streams and their states.
+    # build no generator, and two for the stage seeds and their states.
     HASH_PASSES = 2 * 3
-    # Graphs a run validates: only sample 0's QL bits build theirs from their
-    # edge rows, two bases each, for the projection; a d-regular product none.
-    GRAPHS_PER_RUN = {"once-qlbit": 2 * 2, "once-shared": 0}
+    # Graphs a run validates: none. Every base is generated, deleted and
+    # coupled on rows canonical by construction, and a factor keeps the graph
+    # or QL bit it was built as.
+    GRAPHS_PER_RUN = {"once-qlbit": 0, "once-shared": 0}
 
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
@@ -418,7 +429,7 @@ class TestComputeOnce:
                                           "compose_spectra", "predict_splitting",
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
-        # Every stream is hashed through derive_streams, RngSeed.derive's included.
+        # Every stream of the pipeline is hashed through derive_seeds and derive_streams.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
@@ -428,10 +439,12 @@ class TestComputeOnce:
         # Only sample 0's grid is composed; the histogram composes values in chunks.
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
                                 d_regular_random=samples * bases_per_sample)
+        streams = samples * self.STREAMS_PER_SAMPLE[descriptor["name"]]
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
-                                 streams=samples * self.STREAMS_PER_SAMPLE[descriptor["name"]])
-        # Deletions and factor matrices work on edge rows: a graph is built from
-        # them only when read, and no graph spans both blocks of a QL bit.
+                                 streams=streams, primings=self.PRIME_CALLS,
+                                 primed=streams - samples)
+        # Deletions and couplings build on canonical rows, and no graph spans
+        # both blocks of a QL bit.
         assert built == Counter(Graph=self.GRAPHS_PER_RUN[descriptor["name"]])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
@@ -465,14 +478,14 @@ class TestComputeOnce:
         assert rows == Counter({states: n_samples, 1: 2 * n_samples})
 
     def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
-        # 100 samples of one QL bit: only sample 0's two bases are built from
-        # their edge rows, for the projection. Sample 0 runs alone, then 99 in
-        # chunks of 10 (16,384 entries / 40^2): 11 chunks.
+        # 100 samples of one QL bit: no graph is validated, sample 0's two bases
+        # for the projection included. Sample 0 runs alone, then 99 in chunks
+        # of 10 (16,384 entries / 40^2): 11 chunks.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
         assert code == 0
-        assert built["Graph"] == 2
+        assert built["Graph"] == 0
         assert hashed["hashes"] == 11 * 3
 
     def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):

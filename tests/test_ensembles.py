@@ -231,6 +231,17 @@ class TestRunSample:
         with pytest.raises(InvalidParameterError):
             ql.run_sample(small_qlbit_descriptor(p=2.0), 0)
 
+    @pytest.mark.parametrize("index,problem", [
+        (True, "an integer"), (1.5, "an integer"), ("1", "an integer"), (None, "an integer"),
+        (-1, "non-negative")])
+    def test_bad_index_refused(self, index, problem):
+        with pytest.raises(InvalidParameterError, match=f"sample_index must be {problem}"):
+            ql.run_sample(small_qlbit_descriptor(), index)
+
+    def test_numpy_integer_index_accepted(self):
+        desc = small_qlbit_descriptor()
+        assert ql.run_sample(desc, np.int64(1)).seed == ql.run_sample(desc, 1).seed
+
     def test_disorder_applies(self):
         desc = ql.ExperimentDescriptor(name="t", kind="single-graph", n=12, d=8,
                                        sigma=2.0, n_samples=1)

@@ -179,12 +179,26 @@ class TestDRegularRandom:
 
     @pytest.mark.parametrize("n,d", [(20, 15), (12, 11), (16, 3), (3, 2)])
     def test_graphs_built_unvalidated_are_canonical(self, n, d):
-        # d_regular_random and delete_random_edges skip the Graph checks:
-        # their edges must be what validation gives, read-only int64 rows.
+        # d_regular_random, delete_random_edges and couple skip the Graph and
+        # QLBit edge checks: their edges must be what validation gives,
+        # read-only int64 rows. couple still checks its sign.
         g = ql.d_regular_random(n, d, ql.RngSeed(9).derive(n, d))
-        for h in (g, ql.delete_random_edges(g, 2, ql.RngSeed(9))):
+        deleted = ql.delete_random_edges(g, 2, ql.RngSeed(9))
+        for h in (g, deleted):
             assert h.edges.dtype == np.int64 and not h.edges.flags.writeable
             assert h.edges.tobytes() == ql.Graph(n, h.edges).edges.tobytes()
+        for sign in (1, np.int64(-1)):
+            q = ql.couple(g, deleted, 0.5, sign, ql.RngSeed(10))
+            validated = ql.QLBit(g, deleted, q.coupling_edges, sign)
+            cross = q.coupling_edges
+            assert cross.dtype == np.int64 and not cross.flags.writeable
+            assert cross.tobytes() == validated.coupling_edges.tobytes()
+            assert (q.basis_1, q.basis_2, q.sign) == (validated.basis_1, validated.basis_2,
+                                                      validated.sign)
+            assert type(q.sign) is int
+        for sign in (True, 0, 2):
+            with pytest.raises(InvalidParameterError, match="sign must be"):
+                ql.couple(g, deleted, 0.5, sign, ql.RngSeed(10))
 
     def test_generation_failure_carries_retry_count(self, monkeypatch):
         import qlgraph.graphs as graphs

@@ -4,8 +4,16 @@ held against an explicit oracle. Graph's canonical arrays and refusals, and
 the seed streams, are held the same way against a two-column lexsort and
 against numpy's own SeedSequence: one stream at a time, in batches, and
 as each stage function of the pipeline receives it. Samples run in chunks
-are held bitwise against the same samples run one at a time."""
+are held bitwise against the same samples run one at a time, and the
+artifacts of small descriptors run through the CLI against the explicit
+Kronecker sum of factor matrices the oracles rebuild."""
+import contextlib
+import csv
 import functools
+import io
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlgraph as ql
+from qlgraph import cli
 from qlgraph.errors import InvalidParameterError
-from qlgraph.rng import derive_streams
+from qlgraph.rng import derive_seeds, derive_streams
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
                      reference_composite, reference_graph_edges,
@@ -135,32 +144,33 @@ def _plain_child(parent: ql.RngSeed, path) -> tuple[int, dict]:
     return seed, np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
 
 
-_PARENTS = st.builds(ql.RngSeed, _WORDS, _KEY_ENTRIES)
 # Entries at and past 2^32 and 2^64 take two and three words, so rows of
 # different lengths hash in one batch.
 _PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
 
 
 @PROPERTY_SETTINGS
-@given(parents=st.lists(_PARENTS, max_size=4), paths=_PATHS)
-@example(parents=[ql.RngSeed(7)], paths=[(3,)])  # a batch of one
-@example(parents=[ql.RngSeed(7), ql.RngSeed(8, 2**40)], paths=[])  # no paths
-@example(parents=[ql.RngSeed(2**64 - 1, 5)], paths=[()])  # the empty path
-@example(parents=[ql.RngSeed(1), ql.RngSeed(2**63, 2**64)],
+@given(seeds=st.lists(_WORDS, max_size=4), paths=_PATHS)
+@example(seeds=[7], paths=[(3,)])  # a batch of one
+@example(seeds=[7, 2**40], paths=[])  # no paths
+@example(seeds=[2**64 - 1], paths=[()])  # the empty path
+@example(seeds=[1, 2**63],
          paths=[(2**32 - 1,), (2**32, 0), (2**64 - 1, 1, 2), (2**64,), (2**64 + 5, 2**32), ()])
-def test_derive_streams_equal_plain_seed_sequence(parents, paths):
-    batch = derive_streams(parents, paths)
-    unprimed = derive_streams(parents, paths, primed=False)
-    assert len(batch) == len(unprimed) == len(parents)
-    for parent, children, bare in zip(parents, batch, unprimed):
-        assert len(children) == len(bare) == len(paths)
-        for path, child, bare_child in zip(paths, children, bare):
+def test_derive_streams_equal_plain_seed_sequence(seeds, paths):
+    children = derive_seeds(seeds, paths)
+    assert (children.dtype, children.shape) == (np.uint64, (len(seeds), len(paths)))
+    batch = derive_streams(children)
+    assert len(batch) == len(seeds)
+    for parent, row, streams in zip(map(ql.RngSeed, seeds), children.tolist(), batch):
+        assert len(streams) == len(paths)
+        for path, child, stream in zip(paths, row, streams):
             seed, state = _plain_child(parent, path)
-            assert (child.seed, child.stream_id) == (seed, 0)
-            assert child.generator().bit_generator.state == state
-            assert child == parent.derive(*path) == bare_child
-            assert bare_child._state is None
-            assert bare_child.generator().bit_generator.state == state
+            assert child == seed
+            assert (stream.seed, stream.stream_id) == (seed, 0)
+            assert stream.generator().bit_generator.state == state
+            assert stream == parent.derive(*path) == ql.RngSeed(child)
+            # The same stream unprimed hashes its state on its own.
+            assert ql.RngSeed(child).generator().bit_generator.state == state
 
 
 @st.composite
@@ -192,9 +202,7 @@ def test_qlbit_matrix_and_connectivity_equal_reference_composite(q):
     # The in-place fill equals np.block's assembly bit for bit at both signs:
     # with sign -1 every zero still stays +0.0.
     assert a.tobytes() == reference_qlbit_adjacency(q).tobytes()
-    factor = ql.FactorResult((q.basis_1.n_vertices, q.basis_2.n_vertices),
-                             (q.basis_1.edges, q.basis_2.edges, q.coupling_edges),
-                             ql.eigendecompose(a, want_vectors=False), q.sign)
+    factor = ql.FactorResult(q, ql.eigendecompose(a, want_vectors=False))
     assert factor.connected == reference_is_connected(n, edges)
 
 
@@ -306,9 +314,9 @@ def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
             calls += [("d_regular_random", (0, k, side)) for side in sides]
         if desc.deletions:
-            calls += [("drop_random_edges", (1, k, side)) for side in sides]
+            calls += [("delete_random_edges", (1, k, side)) for side in sides]
         if desc.kind == "qlbit-product":
-            calls.append(("cross_edges", (2, k)))
+            calls.append(("couple", (2, k)))
         if desc.sigma:
             calls.append(("apply_diagonal_disorder", (3, k)))
     return calls
@@ -321,7 +329,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
     # count the streams hashed; each sample hashes its own seed and its stages'.
     received, hashed = [], []
     originals = {name: getattr(ql.experiments, name) for name in
-                 ("d_regular_random", "drop_random_edges", "cross_edges",
+                 ("d_regular_random", "delete_random_edges", "couple",
                   "apply_diagonal_disorder")}
 
     def recorder(name):
@@ -330,11 +338,11 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
             return originals[name](*args)
         return record
 
-    def counted(parents, paths, **kwargs):
-        hashed.append(len(parents) * len(paths))
-        return derive_streams(parents, paths, **kwargs)
+    def counted(seeds, paths):
+        hashed.append(len(seeds) * len(paths))
+        return derive_seeds(seeds, paths)
 
-    with mock.patch.multiple(ql.experiments, derive_streams=counted,
+    with mock.patch.multiple(ql.experiments, derive_seeds=counted,
                              **{name: recorder(name) for name in originals}):
         samples = list(ql.iter_samples(desc))
     expected = expected_stage_calls(desc)
@@ -355,7 +363,8 @@ def test_edge_row_factors_equal_graph_built_reference(desc, index):
     paths = ql.experiments._stage_paths(desc)
 
     def streams():
-        (row,) = derive_streams([ql.RngSeed(desc.master_seed).derive(index)], paths)
+        (row,) = derive_streams(derive_seeds([ql.RngSeed(desc.master_seed).derive(index).seed],
+                                             paths))
         return dict(zip(paths, row))
 
     reference = reference_sample_matrices(desc, streams())
@@ -363,18 +372,77 @@ def test_edge_row_factors_equal_graph_built_reference(desc, index):
     assert len(built) == len(reference)
     for (_, a), (_, _, expected) in zip(built, reference):
         assert (a.dtype, a.shape, a.tobytes()) == (np.float64, expected.shape, expected.tobytes())
-    # The pipeline's factors keep their edge rows read-only and build the
-    # reference's graphs and QL bits from them on read.
+    # The pipeline's factors are the reference's graphs and QL bits, with
+    # read-only edge rows.
     factors = ql.run_sample(desc, index).factors
     for f, (graph, q, _) in zip(factors, reference):
-        assert not any(rows.flags.writeable for rows in f.edges)
         if q is None:
-            assert f.qlbit is None
+            assert f.qlbit is None and f.factor is f.graph
+            assert not f.graph.edges.flags.writeable
             assert (f.graph.n_vertices, f.graph.edges.tolist()) == (
                 graph.n_vertices, graph.edges.tolist())
         else:
-            assert f.graph is None
+            assert f.graph is None and f.factor is f.qlbit
             got = f.qlbit
+            assert not any(rows.flags.writeable for rows in (
+                got.basis_1.edges, got.basis_2.edges, got.coupling_edges))
             assert [(b.n_vertices, b.edges.tolist()) for b in (got.basis_1, got.basis_2)] == [
                 (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
             assert (got.coupling_edges.tolist(), got.sign) == (q.coupling_edges.tolist(), q.sign)
+
+
+def explicit_spectrum(desc: ql.ExperimentDescriptor, index: int) -> np.ndarray:
+    """Sample ``index``'s eigenvalues, ascending, by `eigvalsh` of the explicit
+    Kronecker sum of its factor matrices, rebuilt from `Graph` and `QLBit`
+    objects on streams spawned by plain SeedSequence."""
+    streams = {path: ql.RngSeed(stage_stream(desc.master_seed, index, path)[0])
+               for _, path in expected_stage_calls(desc)}
+    matrices = [a for _, _, a in reference_sample_matrices(desc, streams)]
+    if desc.identical_factors:
+        matrices *= desc.n_factors
+    return np.linalg.eigvalsh(functools.reduce(kronecker_sum_adjacency, matrices))
+
+
+def _at_most_512_states(desc: ql.ExperimentDescriptor) -> ql.ExperimentDescriptor:
+    """The descriptor with as many of its factors as keep 512 states or fewer."""
+    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
+    n_factors = desc.n_factors
+    while dim**n_factors > 512:
+        n_factors -= 1
+    return desc.with_overrides(n_factors=n_factors)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(desc=small_descriptors().map(_at_most_512_states))
+def test_cli_artifacts_equal_explicit_construction(desc):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "descriptor.json"
+        path.write_text(json.dumps(desc.to_json_dict()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", str(path), "--out", out]) == 0
+        artifacts = {p.name.removeprefix(f"{desc.name}_"): p.read_text()
+                     for p in Path(out).glob(f"{desc.name}_*")}
+    metadata = json.loads(artifacts["metadata.json"])
+    assert metadata["sample_seeds"] == [spawned_seed(desc.master_seed, i)
+                                        for i in range(desc.n_samples)]
+    # Every sample's composed values, which the histogram bins, and sample
+    # 0's spectrum CSV are the explicit Kronecker sum's eigenvalues.
+    for sample in ql.iter_samples(desc):
+        explicit = explicit_spectrum(desc, sample.index)
+        assert np.max(np.abs(np.sort(sample.composed.values) - explicit)) <= 1e-9
+    rows = list(csv.DictReader(io.StringIO(artifacts["spectrum.csv"])))
+    column = "eigenvalue" if desc.kind == "single-graph" else "value"
+    values = np.sort([float(row[column]) for row in rows])
+    explicit = explicit_spectrum(desc, 0)
+    assert values.shape == explicit.shape
+    assert np.max(np.abs(values - explicit)) <= 1e-9
+    histogram = csv.DictReader(io.StringIO(artifacts["histogram.csv"]))
+    assert [int(row["count"]) for row in histogram] == one_shot_histogram(desc).counts.tolist()
+    # The projection of sample 0's top product state, of unit factor vectors.
+    if desc.kind == "qlbit-product":
+        report = json.loads(artifacts["projection.json"])
+        assert len(report["alphas"]) == 2**desc.n_factors
+        total = sum(a * a for a in report["alphas"].values()) + report["residual"]**2
+        assert abs(total - 1.0) <= 1e-9
+    else:
+        assert "projection.json" not in artifacts
