@@ -10,8 +10,7 @@ from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram, histogram_e
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
-                          FactorResult, SampleResult, ensemble_spectrum,
-                          iter_samples, run_sample)
+                          SampleResult, ensemble_spectrum, iter_samples, run_sample)
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
@@ -28,14 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AlonBoppanaReport", "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT",
     "EXPERIMENT_NOTES", "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor",
-    "FactorResult", "GenerationFailureError", "Graph", "HYBRID",
-    "InvalidParameterError", "NumericalFailureError", "ProjectionReport", "QLBit",
-    "QLGraphError", "RANDOM", "RngSeed", "SampleResult", "Spectrum",
-    "SplittingPrediction", "adjacency", "alon_boppana_check", "apply_diagonal_disorder",
-    "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
-    "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",
-    "histogram_edges", "histogram_from_values", "is_connected", "iter_samples",
-    "max_residual", "orthonormality_defect", "predict_splitting",
-    "project_alphas", "run_sample",
+    "GenerationFailureError", "Graph", "HYBRID", "InvalidParameterError",
+    "NumericalFailureError", "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
+    "RngSeed", "SampleResult", "Spectrum", "SplittingPrediction", "adjacency",
+    "alon_boppana_check", "apply_diagonal_disorder", "compose_spectra", "couple",
+    "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
+    "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "histogram_edges",
+    "histogram_from_values", "is_connected", "iter_samples", "max_residual",
+    "orthonormality_defect", "predict_splitting", "project_alphas", "run_sample",
     "write_composed_spectrum_csv", "write_histogram_csv",
 ]

@@ -21,11 +21,10 @@ from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
                      require_int)
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph, d_regular_random,
-                     delete_random_edges, is_connected)
+                     delete_random_edges)
 from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
                        emergent_component_counts)
-from .qlbits import (EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair,
-                     predict_splitting)
+from .qlbits import QLBit, couple
 from .rng import RngSeed, derive_seeds, derive_streams
 from .spectra import Spectrum, eigendecompose
 
@@ -239,65 +238,24 @@ class ExperimentDescriptor:
 
 
 @dataclass(frozen=True)
-class FactorResult:
-    """One realized factor, a graph or a QL bit, and its spectrum. The
-    diagnostics are computed on first read."""
-
-    factor: Graph | QLBit
-    spectrum: Spectrum
-
-    @property
-    def graph(self) -> Graph | None:
-        """The factor if it is a graph."""
-        return self.factor if isinstance(self.factor, Graph) else None
-
-    @property
-    def qlbit(self) -> QLBit | None:
-        """The factor if it is a QL bit."""
-        return self.factor if isinstance(self.factor, QLBit) else None
-
-    @property
-    def emergent_indices(self) -> frozenset[int]:
-        """Eigen-indices of the emergent states: a QL bit's top two, else the top one."""
-        return frozenset({0} if self.qlbit is None else {0, 1})
-
-    @cached_property
-    def connected(self) -> bool:
-        """Whether the graph, or the QL bit's blocks and cross edges, are connected."""
-        q = self.qlbit
-        if q is None:
-            return is_connected(self.graph)
-        n1 = q.basis_1.n_vertices
-        return is_connected(Graph(q.n_vertices, np.concatenate(
-            [q.basis_1.edges, q.basis_2.edges + n1, q.coupling_edges + (0, n1)])))
-
-    @cached_property
-    def emergent(self) -> EmergentPair | None:
-        """A QL bit's emergent pair, computed on first use."""
-        return None if self.qlbit is None else emergent_pair(self.qlbit, self.spectrum)
-
-    @cached_property
-    def splitting(self) -> SplittingPrediction | None:
-        """The Δ = n_c/n prediction for a QL bit, computed on first use."""
-        return None if self.qlbit is None else predict_splitting(self.qlbit)
-
-
-@dataclass(frozen=True)
 class SampleResult:
-    """One pipeline sample: factors, composed spectrum, and emergent counts."""
+    """One pipeline sample: each factor, a `Graph` or `QLBit` as built, and its
+    spectrum. With ``identical_factors`` both repeat one object n_factors times."""
 
     index: int
     seed: int  # derived from the master seed; RngSeed(seed) roots every stream of the sample
-    factors: tuple[FactorResult, ...]
+    factors: tuple[Graph | QLBit, ...]
+    spectra: tuple[Spectrum, ...]
 
     @property
     def emergent_index_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(f.emergent_indices for f in self.factors)
+        """Eigen-indices of each factor's emergent states: a QL bit's top two, else the top one."""
+        return tuple(frozenset({0, 1} if isinstance(f, QLBit) else {0}) for f in self.factors)
 
     @cached_property
     def composed(self) -> ComposedSpectrum:
         """The composed spectrum of the factors, built on first use."""
-        return compose_spectra([f.spectrum for f in self.factors])
+        return compose_spectra(self.spectra)
 
     @cached_property
     def emergent_counts(self) -> np.ndarray:
@@ -390,11 +348,10 @@ def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleRes
         named = (f"sample {indices.start}" if len(indices) == 1
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
+    copies = desc.n_factors if desc.identical_factors else 1
     for j, (i, seed, factors) in enumerate(zip(indices, seeds.tolist(), built)):
-        results = [FactorResult(factor, slot[j]) for (factor, _), slot in zip(factors, spectra)]
-        if desc.identical_factors:
-            results *= desc.n_factors
-        yield SampleResult(i, seed, tuple(results))
+        yield SampleResult(i, seed, tuple(f for f, _ in factors) * copies,
+                           tuple(slot[j] for slot in spectra) * copies)
 
 
 def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
@@ -446,11 +403,11 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     `compose_spectra`, and adds up the counts.
     """
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
-    kept = [np.empty((desc.n_samples, f.spectrum.dim)) for f in first.factors]
+    kept = [np.empty((desc.n_samples, s.dim)) for s in first.spectra]
     seeds = []
     for sample in itertools.chain([first], _samples_from(desc, 1)):
-        for rows, f in zip(kept, sample.factors):
-            rows[sample.index] = f.spectrum.eigenvalues
+        for rows, s in zip(kept, sample.spectra):
+            rows[sample.index] = s.eigenvalues
         seeds.append(sample.seed)
     edges = histogram_edges(*composed_range(kept), desc.bins)
     counts = histogram_from_values(first.composed.values, edges)

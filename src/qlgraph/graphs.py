@@ -2,9 +2,9 @@
 
 Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
 int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
-makes every downstream random draw over edges deterministic. The sampler
-and the deletion build their graphs on rows canonical by construction,
-without validating them again.
+makes every downstream random draw over edges deterministic. The cycle,
+the sampler and the deletion build their graphs on rows canonical by
+construction, without validating them again.
 """
 from __future__ import annotations
 
@@ -95,11 +95,17 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
 
 
 def cycle_graph(n: int) -> Graph:
-    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
+    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2, built in
+    canonical order (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)."""
     if require_int("n", n) < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
-    i = np.arange(n)
-    return Graph(n, np.stack([i, (i + 1) % n], axis=1))
+    if n > MAX_VERTICES:
+        raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
+    u = np.arange(-1, n - 1, dtype=np.int64)
+    u[:2] = 0
+    v = u + 1
+    v[1] = n - 1
+    return Graph._of_canonical(n, np.stack((u, v), axis=1))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
@@ -152,6 +158,8 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
+    if n > MAX_VERTICES:
+        raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
     return Graph._of_canonical(n, _d_regular_edges(n, d, seed.generator()))
 
 

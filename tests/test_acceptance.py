@@ -113,10 +113,10 @@ def test_criterion_5_qlbit_splitting():
         desc = ql.BUNDLED_EXPERIMENTS["fig4a"]
         splits, two_deltas = [], []
         for sample in ql.iter_samples(desc.with_overrides(n_samples=30)):
-            f = sample.factors[0]
-            splits.append(f.spectrum.eigenvalues[0] - f.spectrum.eigenvalues[1])
-            two_deltas.append(2 * f.qlbit.n_coupling / 20)
-            assert not f.emergent.degraded_isolation
+            (q,), (s,) = sample.factors, sample.spectra
+            splits.append(s.eigenvalues[0] - s.eigenvalues[1])
+            two_deltas.append(2 * q.n_coupling / 20)
+            assert not ql.emergent_pair(q, s).degraded_isolation
         mean_split, mean_2d = np.mean(splits), np.mean(two_deltas)
         assert abs(mean_split - mean_2d) <= 0.15 * mean_2d
 
@@ -131,8 +131,7 @@ def test_criterion_6_two_qlbit_emergent_structure():
             emergent_vals = sample.composed.values[counts == 2]
             assert emergent_vals.shape == (4,)
             actual.append(np.sort(emergent_vals)[::-1])
-            pa = sample.factors[0].splitting
-            pb = sample.factors[1].splitting
+            pa, pb = (ql.predict_splitting(q) for q in sample.factors)
             predicted.append(np.sort([
                 pa.predicted_pair[0] + pb.predicted_pair[0],
                 pa.predicted_pair[0] + pb.predicted_pair[1],
@@ -152,7 +151,7 @@ def test_criterion_7_four_qlbit_composed_scale():
         assert int((counts == 4).sum()) == 16
         assert np.array_equal(sample.emergent_counts, counts)
         # Composition only: the largest object anywhere is the value grid.
-        assert max(f.spectrum.dim for f in sample.factors) == 14
+        assert max(s.dim for s in sample.spectra) == 14
 
 
 def test_criterion_8_scaling_law():
@@ -168,7 +167,7 @@ def test_criterion_8_scaling_law():
                 top2 = np.partition(values, values.size - 2)[-2:]
                 tops.append(top2[1])
                 gaps.append(top2[1] - top2[0])
-                delta = sample.factors[0].splitting.delta
+                delta = ql.predict_splitting(sample.factors[0]).delta
                 pred_tops.append(n_factors * (15.0 + delta))
                 pred_gaps.append(2 * delta)
             assert abs(np.mean(tops) - np.mean(pred_tops)) <= 0.15 * np.mean(pred_tops)

@@ -331,7 +331,8 @@ class TestRun:
 
 
 def count_calls(monkeypatch, names, weights=None):
-    """Count calls of the named functions, wherever a qlgraph module holds them.
+    """Count calls of the named functions, each looked up in the qlgraph module
+    that defines it, wherever a qlgraph module holds them.
 
     ``weights`` maps a name to what one call adds, from its first argument; 1
     otherwise.
@@ -341,7 +342,8 @@ def count_calls(monkeypatch, names, weights=None):
     modules = [m for key, m in list(sys.modules.items())
                if key == "qlgraph" or key.startswith("qlgraph.")]
     for name in names:
-        original = getattr(sys.modules["qlgraph.experiments"], name)
+        original = next(vars(m)[name] for m in modules
+                        if getattr(vars(m).get(name), "__module__", None) == m.__name__)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += weights.get(_name, lambda _: 1)(args[0])
@@ -384,8 +386,8 @@ def count_hashing(monkeypatch) -> Counter:
 
 def count_graphs(monkeypatch) -> Counter:
     """Count the `Graph` constructions that validate their edges: all but
-    those `d_regular_random` and `delete_random_edges` build on edge rows
-    canonical by construction."""
+    those `cycle_graph`, `d_regular_random` and `delete_random_edges` build
+    on edge rows canonical by construction."""
     built = Counter()
     post_init = ql.Graph.__post_init__
 

@@ -164,7 +164,7 @@ class TestRunSample:
         a = ql.run_sample(desc, 0)
         b = ql.run_sample(desc, 0)
         assert np.array_equal(a.composed.values, b.composed.values)
-        assert np.array_equal(a.factors[0].qlbit.adjacency(), b.factors[0].qlbit.adjacency())
+        assert np.array_equal(a.factors[0].adjacency(), b.factors[0].adjacency())
 
     def test_samples_differ(self):
         desc = small_qlbit_descriptor()
@@ -175,53 +175,54 @@ class TestRunSample:
     def test_identical_factors_share_realization(self):
         desc = small_qlbit_descriptor(identical_factors=True)
         sample = ql.run_sample(desc, 0)
-        assert sample.factors[0] is sample.factors[1]
+        # One factor and one spectrum, each repeated n_factors times.
+        f, s = sample.factors[0], sample.spectra[0]
+        assert [len(sample.factors), len(sample.spectra)] == [2, 2]
+        assert all(x is f for x in sample.factors) and all(x is s for x in sample.spectra)
 
     def test_independent_factors_differ(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        assert not np.array_equal(sample.factors[0].qlbit.adjacency(),
-                                  sample.factors[1].qlbit.adjacency())
+        assert not np.array_equal(sample.factors[0].adjacency(), sample.factors[1].adjacency())
 
     def test_shared_base_shares_generation(self):
         desc = ql.ExperimentDescriptor(name="t", kind="d-regular-product", n=12, d=8,
                                        n_factors=3, shared_base=True, n_samples=1)
         sample = ql.run_sample(desc, 0)
-        assert np.array_equal(sample.factors[0].graph.edges, sample.factors[1].graph.edges)
+        assert np.array_equal(sample.factors[0].edges, sample.factors[1].edges)
         # With deletions the bases still agree; the survivors are subsets.
         desc = desc.with_overrides(deletions=4)
         sample = ql.run_sample(desc, 0)
-        e0, e1 = ({tuple(e) for e in f.graph.edges.tolist()} for f in sample.factors[:2])
+        e0, e1 = ({tuple(e) for e in f.edges.tolist()} for f in sample.factors[:2])
         assert e0 != e1
         assert len(e0 | e1) <= 48
 
     def test_qlbit_factor_diagnostics(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        f = sample.factors[0]
-        assert f.qlbit is not None
-        assert f.splitting is not None
-        assert f.emergent is not None
-        assert f.emergent_indices == frozenset({0, 1})
-        assert f.spectrum.eigenvectors is not None
+        q, s = sample.factors[0], sample.spectra[0]
+        assert isinstance(q, ql.QLBit)
+        assert ql.predict_splitting(q) is not None
+        assert ql.emergent_pair(q, s) is not None
+        assert sample.emergent_index_sets[0] == frozenset({0, 1})
+        assert s.eigenvectors is not None
 
     @pytest.mark.parametrize("name", ["fig4a", "fig3"])
-    def test_diagnostics_derived_on_read(self, name):
+    def test_factor_kind_sets_emergent_indices(self, name):
         desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=4)
         for sample in ql.iter_samples(desc):
-            for f in sample.factors:
-                if f.qlbit is None:
-                    assert f.connected == ql.is_connected(f.graph)
-                    assert f.emergent is None
-                    assert f.emergent_indices == frozenset({0})
+            for f, indices in zip(sample.factors, sample.emergent_index_sets):
+                if isinstance(f, ql.Graph):
+                    assert ql.is_connected(f) == reference_is_connected(f.n_vertices, f.edges)
+                    assert indices == frozenset({0})
                 else:
-                    assert f.connected == reference_is_connected(*reference_composite(f.qlbit)[:2])
-                    assert f.emergent == ql.emergent_pair(f.qlbit, f.spectrum)
-                    assert f.emergent_indices == frozenset({0, 1})
+                    n, edges, _ = reference_composite(f)
+                    assert ql.is_connected(ql.Graph(n, edges)) == reference_is_connected(n, edges)
+                    assert indices == frozenset({0, 1})
 
     def test_disordered_qlbit_emergent_pair_uses_factor_spectrum(self):
         # The emergent pair is read off the factor's own (disordered) spectrum.
         sample = ql.run_sample(small_qlbit_descriptor(sigma=1.0), 0)
-        for f in sample.factors:
-            assert list(f.emergent.eigenvalues) == f.spectrum.eigenvalues[:2].tolist()
+        for q, s in zip(sample.factors, sample.spectra):
+            assert list(ql.emergent_pair(q, s).eigenvalues) == s.eigenvalues[:2].tolist()
 
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)

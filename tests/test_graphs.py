@@ -74,6 +74,15 @@ class TestGraphType:
             ql.Graph(ql.graphs.MAX_VERTICES + 1, [[0, 1]])
         assert ql.Graph(ql.graphs.MAX_VERTICES, [[0, ql.graphs.MAX_VERTICES - 1]]).n_edges == 1
 
+    def test_generators_refuse_n_past_max_vertices_before_any_work(self, monkeypatch):
+        # At the real bound either generator would allocate tens of GB first.
+        monkeypatch.setattr(ql.graphs, "MAX_VERTICES", 10)
+        # d_regular_random is given no seed: reading it would raise AttributeError.
+        for build in (ql.cycle_graph, lambda n: ql.d_regular_random(n, 2, None)):
+            with pytest.raises(InvalidParameterError, match=r"^n must be at most 10, got 11$"):
+                build(11)
+        assert ql.cycle_graph(10).n_edges == ql.d_regular_random(10, 2, ql.RngSeed(0)).n_edges
+
     def test_numpy_integer_vertex_count_accepted(self):
         g = ql.Graph(np.uint64(3), [[0, 1], [1, 2]])
         assert type(g.n_vertices) is int and g.n_vertices == 3
@@ -179,14 +188,17 @@ class TestDRegularRandom:
 
     @pytest.mark.parametrize("n,d", [(20, 15), (12, 11), (16, 3), (3, 2)])
     def test_graphs_built_unvalidated_are_canonical(self, n, d):
-        # d_regular_random, delete_random_edges and couple skip the Graph and
-        # QLBit edge checks: their edges must be what validation gives,
-        # read-only int64 rows. couple still checks its sign.
+        # cycle_graph, d_regular_random, delete_random_edges and couple skip
+        # the Graph and QLBit edge checks: their edges must be what validation
+        # gives, read-only int64 rows. couple still checks its sign. A cycle's
+        # rows are validated as the (i, i+1 mod n) list.
         g = ql.d_regular_random(n, d, ql.RngSeed(9).derive(n, d))
         deleted = ql.delete_random_edges(g, 2, ql.RngSeed(9))
-        for h in (g, deleted):
+        built = [(g, g.edges), (deleted, deleted.edges)] + [
+            (ql.cycle_graph(k), [(i, (i + 1) % k) for i in range(k)]) for k in range(3, 65)]
+        for h, rows in built:
             assert h.edges.dtype == np.int64 and not h.edges.flags.writeable
-            assert h.edges.tobytes() == ql.Graph(n, h.edges).edges.tobytes()
+            assert h.edges.tobytes() == ql.Graph(h.n_vertices, rows).edges.tobytes()
         for sign in (1, np.int64(-1)):
             q = ql.couple(g, deleted, 0.5, sign, ql.RngSeed(10))
             validated = ql.QLBit(g, deleted, q.coupling_edges, sign)

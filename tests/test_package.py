@@ -15,6 +15,8 @@ import pytest
 
 import qlgraph as ql
 
+import oracles
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -33,15 +35,35 @@ def test_readme_calls_only_names_that_exist():
     # Every `name(` in an inline code span names an attribute of a qlgraph
     # module or of one of its classes, or of numpy, numpy.random,
     # numpy.linalg, sys or builtins: the README names no deleted code.
-    spaces = [np, np.random, np.linalg, sys, builtins]
-    for info in pkgutil.iter_modules(ql.__path__):
-        module = importlib.import_module(f"qlgraph.{info.name}")
-        spaces += [module, *(v for v in vars(module).values() if inspect.isclass(v))]
-    known = {name for space in spaces for name in dir(space)}
+    modules = {info.name: importlib.import_module(f"qlgraph.{info.name}")
+               for info in pkgutil.iter_modules(ql.__path__)}
+    classes = [v for m in modules.values() for v in vars(m).values() if inspect.isclass(v)]
+    spaces = [np, np.random, np.linalg, *modules.values(), *classes]
+    known = {name for space in [*spaces, sys, builtins] for name in dir(space)}
     prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
-    called = {name for span in re.findall(r"`([^`]+)`", prose)
-              for name in re.findall(r"(\w+)\(", span)}
+    # A span opens and closes with backtick runs of one length.
+    spans = [s for _, s in re.findall(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", prose, re.S)]
+    called = {name for span in spans for name in re.findall(r"(\w+)\(", span)}
     assert called and sorted(called - known) == []
+    # Every span that is a CamelCase name or a dotted path resolves, attribute
+    # by attribute, from qlgraph's modules and classes, tests/oracles, numpy,
+    # numpy.random or numpy.linalg. A dataclass field ends a path.
+    roots = {"qlgraph": ql, "numpy": np, "np": np, "oracles": oracles, **modules}
+    spaces.append(oracles)
+
+    def resolves(path):
+        head, *rest = path.split(".")
+        owner = roots.get(head) or next((getattr(s, head) for s in spaces if hasattr(s, head)),
+                                        None)
+        for i, name in enumerate(rest):
+            if not hasattr(owner, name):
+                return i == len(rest) - 1 and name in getattr(owner, "__dataclass_fields__", {})
+            owner = getattr(owner, name)
+        return owner is not None
+
+    named = {span for span in spans
+             if re.fullmatch(r"[A-Z]\w*[a-z]\w*|[A-Za-z_]\w*(\.\w+)+", span)}
+    assert len(named) >= 40 and sorted(p for p in named if not resolves(p)) == []
 
 
 def test_readme_schema_table_lists_every_descriptor_field_in_order():

@@ -202,8 +202,7 @@ def test_qlbit_matrix_and_connectivity_equal_reference_composite(q):
     # The in-place fill equals np.block's assembly bit for bit at both signs:
     # with sign -1 every zero still stays +0.0.
     assert a.tobytes() == reference_qlbit_adjacency(q).tobytes()
-    factor = ql.FactorResult(q, ql.eigendecompose(a, want_vectors=False))
-    assert factor.connected == reference_is_connected(n, edges)
+    assert ql.is_connected(ql.Graph(n, edges)) == reference_is_connected(n, edges)
 
 
 @st.composite
@@ -267,22 +266,17 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
     def array(a):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
-    factors = []
-    for f in sample.factors:
-        parts = [array(f.spectrum.eigenvalues),
-                 array(f.spectrum.eigenvectors), f.emergent_indices, f.connected]
-        if f.qlbit is not None:
-            q, e = f.qlbit, f.emergent
-            parts += [array(q.basis_1.edges), array(q.basis_2.edges),
-                      array(q.coupling_edges), q.sign, e.degraded_isolation,
-                      array(np.array([*e.eigenvalues, e.isolation_gap, e.isolation_threshold]))]
-        else:
-            parts += [f.graph.n_vertices, array(f.graph.edges)]
-            assert f.emergent is None
-        factors.append(tuple(parts))
-    shared = [next(j for j, g in enumerate(sample.factors) if g is f) for f in sample.factors]
-    return (sample.index, sample.seed, tuple(factors), shared,
-            array(sample.composed.values))
+    def factor(f):
+        if isinstance(f, ql.QLBit):
+            return (array(f.basis_1.edges), array(f.basis_2.edges), array(f.coupling_edges),
+                    f.sign)
+        return f.n_vertices, array(f.edges)
+
+    shared = [[next(j for j, y in enumerate(items) if y is x) for x in items]
+              for items in (sample.factors, sample.spectra)]
+    return (sample.index, sample.seed, [factor(f) for f in sample.factors],
+            [(array(s.eigenvalues), array(s.eigenvectors)) for s in sample.spectra],
+            sample.emergent_index_sets, shared, array(sample.composed.values))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -377,18 +371,16 @@ def test_edge_row_factors_equal_graph_built_reference(desc, index):
     factors = ql.run_sample(desc, index).factors
     for f, (graph, q, _) in zip(factors, reference):
         if q is None:
-            assert f.qlbit is None and f.factor is f.graph
-            assert not f.graph.edges.flags.writeable
-            assert (f.graph.n_vertices, f.graph.edges.tolist()) == (
-                graph.n_vertices, graph.edges.tolist())
+            assert isinstance(f, ql.Graph)
+            assert not f.edges.flags.writeable
+            assert (f.n_vertices, f.edges.tolist()) == (graph.n_vertices, graph.edges.tolist())
         else:
-            assert f.graph is None and f.factor is f.qlbit
-            got = f.qlbit
+            assert isinstance(f, ql.QLBit)
             assert not any(rows.flags.writeable for rows in (
-                got.basis_1.edges, got.basis_2.edges, got.coupling_edges))
-            assert [(b.n_vertices, b.edges.tolist()) for b in (got.basis_1, got.basis_2)] == [
+                f.basis_1.edges, f.basis_2.edges, f.coupling_edges))
+            assert [(b.n_vertices, b.edges.tolist()) for b in (f.basis_1, f.basis_2)] == [
                 (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
-            assert (got.coupling_edges.tolist(), got.sign) == (q.coupling_edges.tolist(), q.sign)
+            assert (f.coupling_edges.tolist(), f.sign) == (q.coupling_edges.tolist(), q.sign)
 
 
 def explicit_spectrum(desc: ql.ExperimentDescriptor, index: int) -> np.ndarray:
