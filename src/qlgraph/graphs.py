@@ -9,7 +9,6 @@ construction, without validating them again.
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +75,14 @@ def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
         u, v = np.minimum(u, v), np.maximum(u, v)
         _refuse_first(u == v, u, v, what, "is a self-loop")
     _refuse_first((u < 0) | (u >= n) | (v < 0) | (v >= cols), u, v, what, outside)
-    # One flat key orders rows by (u, v).
+    # One flat key orders rows by (u, v); rows whose keys already strictly
+    # increase are sorted and hold no duplicate.
     key = u * cols + v
-    order = np.argsort(key)
-    key, u, v = key[order], u[order], v[order]
-    _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what, "is a duplicate")
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key)
+        key, u, v = key[order], u[order], v[order]
+        _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what,
+                      "is a duplicate")
     e = np.stack((u, v), axis=1)
     e.flags.writeable = False
     return e
@@ -108,38 +110,35 @@ def cycle_graph(n: int) -> Graph:
     return Graph._of_canonical(n, np.stack((u, v), axis=1))
 
 
-def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]] | None:
+def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[int] | None:
     """One stub-matching pass of the configuration model.
 
-    Pairs all n*d stubs, keeps valid pairs and re-shuffles the leftovers;
-    returns None when the remaining stubs admit no suitable pair.
+    Pairs all n*d stubs, keeps valid pairs as edge keys u * n + v (u < v) and
+    re-shuffles the leftovers; returns None when the remaining stubs admit no
+    suitable pair.
     """
-    edges: set[tuple[int, int]] = set()
+    keys: set[int] = set()
     stubs = list(range(n)) * d
     while stubs:
-        potential: dict[int, int] = defaultdict(int)
+        clashes = [0] * n
         rng.shuffle(stubs)
         it = iter(stubs)
         for s1, s2 in zip(it, it):
             if s1 > s2:
                 s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
+            key = s1 * n + s2
+            if s1 != s2 and key not in keys:
+                keys.add(key)
             else:
-                potential[s1] += 1
-                potential[s2] += 1
-        if not potential:
-            return edges
-        nodes = sorted(potential)
-        suitable = any(
-            (min(a, b), max(a, b)) not in edges
-            for i, a in enumerate(nodes)
-            for b in nodes[i + 1 :]
-        )
-        if not suitable:
+                clashes[s1] += 1
+                clashes[s2] += 1
+        nodes = [v for v, c in enumerate(clashes) if c]  # ascending, so a < b below
+        if not nodes:
+            return keys
+        if all(a * n + b in keys for i, a in enumerate(nodes) for b in nodes[i + 1 :]):
             return None
-        stubs = [v for v in nodes for _ in range(potential[v])]
-    return edges
+        stubs = [v for v in nodes for _ in range(clashes[v])]
+    return keys
 
 
 def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
@@ -160,23 +159,22 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
     if n > MAX_VERTICES:
         raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
-    return Graph._of_canonical(n, _d_regular_edges(n, d, seed.generator()))
+    keys = _d_regular_keys(n, d, seed.generator())
+    return Graph._of_canonical(n, np.stack(np.divmod(keys, n), axis=1))
 
 
-def _d_regular_edges(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """(m, 2) int64 edges (u, v), u < v, of a d-regular graph, in canonical order."""
+def _d_regular_keys(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending int64 keys u * n + v, u < v, of a d-regular graph's edges:
+    its canonical rows are their divmod by n."""
     if 2 * d > n - 1:
-        taken = np.tri(n, dtype=bool)  # the diagonal and below hold no edge (u, v) with u < v
-        comp = _d_regular_edges(n, n - 1 - d, rng)
-        taken[comp[:, 0], comp[:, 1]] = True
-        return np.argwhere(~taken)
+        taken = np.tri(n, dtype=bool).ravel()  # the diagonal and below hold no key with u < v
+        taken[_d_regular_keys(n, n - 1 - d, rng)] = True
+        return np.flatnonzero(~taken)
     restarts = 0
     while restarts < DEFAULT_MAX_RESTARTS:
-        edges = _pairing_attempt(n, d, rng)
-        if edges is not None:
-            key = np.fromiter((u * n + v for u, v in edges), dtype=np.int64, count=len(edges))
-            key.sort()  # (u, v) order
-            return np.stack(np.divmod(key, n), axis=1)
+        keys = _pairing_attempt(n, d, rng)
+        if keys is not None:
+            return np.array(sorted(keys), dtype=np.int64)
         restarts += 1
     raise GenerationFailureError(
         f"d-regular generation failed for n={n}, d={d} after {restarts} restarts", restarts
@@ -211,7 +209,7 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     # An int past float range would overflow in the draw; a bool is no real.
     if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
-    m[np.diag_indices(len(m))] += seed.generator().normal(0.0, sigma, size=len(m))
+    m.flat[:: len(m) + 1] += seed.generator().normal(0.0, sigma, size=len(m))
     return m
 
 

@@ -27,16 +27,21 @@ class Spectrum:
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
         if vals.ndim != 1:
             raise InvalidParameterError("eigenvalues must be a 1-D array")
-        if not np.isfinite(vals).all():
-            raise InvalidParameterError("eigenvalues must be finite")
-        if np.any(np.diff(vals) > 0):
-            raise InvalidParameterError("eigenvalues must be sorted descending")
+        _check_eigenvalues(vals)
         object.__setattr__(self, "eigenvalues", vals)
         if self.eigenvectors is not None:
             vecs = np.asarray(self.eigenvectors, dtype=np.float64)
             if vecs.shape != (vals.size, vals.size):
                 raise InvalidParameterError("eigenvector matrix must be dim x dim")
             object.__setattr__(self, "eigenvectors", vecs)
+
+    @classmethod
+    def _of_checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None) -> "Spectrum":
+        """The spectrum of float64 eigenvalues that passed `_check_eigenvalues`
+        and their dim x dim float64 eigenvectors or None: skips __post_init__."""
+        s = object.__new__(cls)
+        vars(s).update(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+        return s
 
     @property
     def dim(self) -> int:
@@ -76,10 +81,20 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed for dim={m.shape[-1]}, "
                                     f"max|entry|={np.max(np.abs(m)):.3g}: {exc}") from exc
-    spectra = [Spectrum(vals[s, ::-1].copy(),
-                        None if vecs is None else np.ascontiguousarray(vecs[s, :, ::-1]))
-               for s in range(len(stack))]
+    vals = np.ascontiguousarray(vals[:, ::-1])
+    _check_eigenvalues(vals)
+    vecs = [None] * len(vals) if vecs is None else np.ascontiguousarray(vecs[..., ::-1])
+    spectra = [Spectrum._of_checked(v, w) for v, w in zip(vals, vecs)]
     return spectra[0] if m.ndim == 2 else spectra
+
+
+def _check_eigenvalues(vals: np.ndarray) -> None:
+    """Refuse eigenvalues, one spectrum per row, that are not finite or a row
+    not sorted descending."""
+    if not np.isfinite(vals).all():
+        raise InvalidParameterError("eigenvalues must be finite")
+    if np.any(np.diff(vals) > 0):
+        raise InvalidParameterError("eigenvalues must be sorted descending")
 
 
 def alon_boppana_check(s: Spectrum, d: int) -> AlonBoppanaReport:

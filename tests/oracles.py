@@ -9,10 +9,11 @@ by np.block from dense blocks. Each sample's factor matrices are rebuilt
 stage by stage from validated `Graph` and `QLBit` objects.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
 ensemble histogram from every sample's values held at once. Graph
-validation and dense d-regular generation are rebuilt on Python sets and a
-two-column lexsort, the way the package once did them. Each sample's stage
-streams are rebuilt from nested plain ``np.random.SeedSequence`` spawn keys,
-which the package's own batched hash must equal.
+validation and d-regular generation are rebuilt on Python sets of edge
+tuples and a two-column lexsort, the way the package once did them. Each
+sample's stage streams are rebuilt from nested plain
+``np.random.SeedSequence`` spawn keys, which the package's own batched hash
+must equal.
 
 The paper's Bell-like check lives here too, since no artifact reads it: a QL
 bit's emergent eigenvectors, sign-fixed and phase-classified, and the alpha
@@ -25,6 +26,7 @@ import functools
 import io
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,14 +55,49 @@ def reference_graph_edges(n: int, edges) -> np.ndarray:
     return e
 
 
+def reference_pairing_attempt(n: int, d: int, rng: np.random.Generator,
+                              ) -> set[tuple[int, int]] | None:
+    """One stub-matching pass of the configuration model.
+
+    Pairs all n*d stubs, keeps valid pairs and re-shuffles the leftovers;
+    returns None when the remaining stubs admit no suitable pair.
+    """
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * d
+    while stubs:
+        potential: dict[int, int] = defaultdict(int)
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential[s1] += 1
+                potential[s2] += 1
+        if not potential:
+            return edges
+        nodes = sorted(potential)
+        suitable = any(
+            (min(a, b), max(a, b)) not in edges
+            for i, a in enumerate(nodes)
+            for b in nodes[i + 1 :]
+        )
+        if not suitable:
+            return None
+        stubs = [v for v in nodes for _ in range(potential[v])]
+    return edges
+
+
 def reference_d_regular_random(n: int, d: int, seed: ql.RngSeed) -> ql.Graph:
-    """d_regular_random with the dense complement taken as a set difference of tuples."""
-    from qlgraph.graphs import _pairing_attempt
+    """d_regular_random on `reference_pairing_attempt`'s tuple sets, with the
+    dense complement taken as a set difference of tuples."""
 
     def edges(n: int, d: int, rng: np.random.Generator) -> set[tuple[int, int]]:
         if 2 * d > n - 1:
             return {(i, j) for i in range(n) for j in range(i + 1, n)} - edges(n, n - 1 - d, rng)
-        while (found := _pairing_attempt(n, d, rng)) is None:
+        while (found := reference_pairing_attempt(n, d, rng)) is None:
             pass
         return found
 

@@ -6,8 +6,9 @@ import pytest
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError
 
+import oracles
 from oracles import (complete_graph, degrees, fix_sign, graph_from_adjacency,
-                     reference_d_regular_random)
+                     reference_d_regular_random, reference_pairing_attempt)
 
 
 def cycle_eigenvalues(n):
@@ -100,6 +101,22 @@ class TestGraphType:
             ql.Graph(n, edges)
         assert str(exc.value) == message
 
+    def test_canonical_rows_and_a_shuffled_swapped_copy_give_equal_arrays(self):
+        # Rows whose flat keys strictly increase skip the sort; any other
+        # order of the same rows gives the same read-only array, and the
+        # rows given stay as they were.
+        rows = ql.d_regular_random(20, 15, ql.RngSeed(16)).edges.copy()
+        mixed = np.random.default_rng(16).permutation(rows)
+        mixed[::2] = mixed[::2, ::-1]
+        canonical = ql.graphs.canonical_edges(rows, 20)
+        shuffled = ql.graphs.canonical_edges(mixed, 20)
+        assert not canonical.flags.writeable and not shuffled.flags.writeable
+        assert rows.flags.writeable and canonical.dtype == shuffled.dtype == np.int64
+        assert canonical.tobytes() == shuffled.tobytes() == rows.tobytes()
+        # Sorted rows with a repeat do not strictly increase: still refused.
+        with pytest.raises(InvalidParameterError, match=r"^edge \(0,1\) is a duplicate$"):
+            ql.Graph(3, [[0, 1], [0, 1], [1, 2]])
+
 
 class TestCycleGraph:
     def test_c5_shape(self, c5):
@@ -185,6 +202,26 @@ class TestDRegularRandom:
             seed = root.derive(n, d, s)
             g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
             assert np.array_equal(g.edges, ref.edges)
+
+    @pytest.mark.parametrize("n,d", [(20, 15), (12, 8), (16, 3), (30, 4), (7, 6)])
+    def test_bitwise_equal_to_tuple_set_pairing_on_500_streams(self, n, d, monkeypatch):
+        # The oracle pairs stubs on sets of edge tuples, apart from the
+        # package's int keys. (7, 6) is fig4f's 0-regular complement; in every
+        # other case some streams fail a first attempt and restart.
+        failed = []
+
+        def counted(*args):
+            found = reference_pairing_attempt(*args)
+            failed.append(found is None)
+            return found
+
+        monkeypatch.setattr(oracles, "reference_pairing_attempt", counted)
+        root = ql.RngSeed(19)
+        for s in range(500):
+            seed = root.derive(n, d, s)
+            g, ref = ql.d_regular_random(n, d, seed), reference_d_regular_random(n, d, seed)
+            assert g.edges.dtype == ref.edges.dtype and g.edges.tobytes() == ref.edges.tobytes()
+        assert any(failed) == (n - 1 - d > 0)
 
     @pytest.mark.parametrize("n,d", [(20, 15), (12, 11), (16, 3), (3, 2)])
     def test_graphs_built_unvalidated_are_canonical(self, n, d):

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import dataclasses
 import importlib
@@ -87,3 +88,15 @@ def test_cli_import_leaves_numpy_random_unloaded():
     if alone == "True":
         pytest.skip("this numpy imports numpy.random itself")
     assert with_cli == "False"
+
+
+def test_oracles_import_no_private_qlgraph_name():
+    # An oracle that imports a private helper of the package holds the
+    # package to itself.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    private = [name for name in imported if name.split(".")[0] == "qlgraph"
+               and any(part.startswith("_") for part in name.split("."))]
+    assert "qlgraph" in imported and private == []

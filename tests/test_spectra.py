@@ -129,6 +129,39 @@ class TestStackedEigendecompose:
         with pytest.raises(NumericalFailureError, match="failed for dim=40"):
             ql.eigendecompose(np.stack(qlbit_matrices(3)))
 
+    @pytest.mark.parametrize("want_vectors", [True, False], ids=["vectors", "values"])
+    @pytest.mark.parametrize("count", [None, 6], ids=["2d", "3d"])
+    def test_solver_eigenvalues_checked_once_per_stack(self, monkeypatch, count, want_vectors):
+        # The solver's rows are checked with Spectrum's messages. One NaN
+        # row, or one row the solver gives descending (ascending once
+        # reversed), refuses the whole call.
+        a = np.stack(disordered_factors(count)) if count else disordered_factors(1)[0]
+        bad = 4 if count else 0
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def nan(vals):
+            vals[bad, 3] = math.nan
+
+        def descending(vals):
+            vals[bad] = vals[bad, ::-1].copy()
+
+        for spoil, message in ((nan, "eigenvalues must be finite"),
+                               (descending, "eigenvalues must be sorted descending")):
+            def spoiled_eigh(stack, spoil=spoil):
+                vals, vecs = eigh(stack)
+                spoil(vals)
+                return vals, vecs
+
+            def spoiled_eigvalsh(stack, spoil=spoil):
+                vals = eigvalsh(stack)
+                spoil(vals)
+                return vals
+
+            monkeypatch.setattr(np.linalg, "eigh", spoiled_eigh)
+            monkeypatch.setattr(np.linalg, "eigvalsh", spoiled_eigvalsh)
+            with pytest.raises(InvalidParameterError, match=message):
+                ql.eigendecompose(a, want_vectors=want_vectors)
+
 
 class TestSpectrumType:
     def test_order_enforced(self):
