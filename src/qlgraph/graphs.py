@@ -75,14 +75,11 @@ def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
         u, v = np.minimum(u, v), np.maximum(u, v)
         _refuse_first(u == v, u, v, what, "is a self-loop")
     _refuse_first((u < 0) | (u >= n) | (v < 0) | (v >= cols), u, v, what, outside)
-    # One flat key orders rows by (u, v); rows whose keys already strictly
-    # increase are sorted and hold no duplicate.
+    # One flat key orders rows by (u, v).
     key = u * cols + v
-    if not (key[1:] > key[:-1]).all():
-        order = np.argsort(key)
-        key, u, v = key[order], u[order], v[order]
-        _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what,
-                      "is a duplicate")
+    order = np.argsort(key)
+    key, u, v = key[order], u[order], v[order]
+    _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what, "is a duplicate")
     e = np.stack((u, v), axis=1)
     e.flags.writeable = False
     return e

@@ -63,7 +63,9 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
     Eigenvalues come back descending; eigenvectors (optional) are the
     matching orthonormal columns. An (S, n, n) stack gives a list of S
     spectra from one solver call, each bitwise equal to decomposing its
-    matrix alone; every matrix of the stack must be symmetric.
+    matrix alone; every matrix of the stack must be symmetric. The spectra
+    of a stack are row views into one (S, n) eigenvalue array and one
+    (S, n, n) eigenvector array, so keeping any of them keeps both whole.
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:

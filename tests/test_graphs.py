@@ -102,9 +102,8 @@ class TestGraphType:
         assert str(exc.value) == message
 
     def test_canonical_rows_and_a_shuffled_swapped_copy_give_equal_arrays(self):
-        # Rows whose flat keys strictly increase skip the sort; any other
-        # order of the same rows gives the same read-only array, and the
-        # rows given stay as they were.
+        # Any order and orientation of the same rows gives the same
+        # read-only array, and the rows given stay as they were.
         rows = ql.d_regular_random(20, 15, ql.RngSeed(16)).edges.copy()
         mixed = np.random.default_rng(16).permutation(rows)
         mixed[::2] = mixed[::2, ::-1]
@@ -113,7 +112,7 @@ class TestGraphType:
         assert not canonical.flags.writeable and not shuffled.flags.writeable
         assert rows.flags.writeable and canonical.dtype == shuffled.dtype == np.int64
         assert canonical.tobytes() == shuffled.tobytes() == rows.tobytes()
-        # Sorted rows with a repeat do not strictly increase: still refused.
+        # Sorted rows with a repeat are refused.
         with pytest.raises(InvalidParameterError, match=r"^edge \(0,1\) is a duplicate$"):
             ql.Graph(3, [[0, 1], [0, 1], [1, 2]])
 

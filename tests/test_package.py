@@ -90,13 +90,25 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert with_cli == "False"
 
 
-def test_oracles_import_no_private_qlgraph_name():
-    # An oracle that imports a private helper of the package holds the
-    # package to itself.
+def test_oracles_reach_no_private_qlgraph_name():
+    # An oracle that imports a private helper of the package, or reaches one
+    # by attribute (ql.graphs._pairing_attempt), holds the package to itself.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-    imported = [f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
-                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names]
-    private = [name for name in imported if name.split(".")[0] == "qlgraph"
-               and any(part.startswith("_") for part in name.split("."))]
-    assert "qlgraph" in imported and private == []
+    names, bound = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                        else alias.name)
+                if name.split(".")[0] == "qlgraph":
+                    names.append(name)
+                    bound.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            path, root = [node.attr], node.value
+            while isinstance(root, ast.Attribute):
+                path, root = [root.attr] + path, root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                names.append(".".join([root.id] + path))
+    private = [name for name in names if any(part.startswith("_") for part in name.split("."))]
+    assert bound and private == []
