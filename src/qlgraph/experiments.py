@@ -268,10 +268,10 @@ Streams = dict[tuple[int, ...], RngSeed]
 
 
 def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
-    """The path of every stage stream one sample consumes, in the order
-    `_sample_matrices` consumes them: per distinct factor, its d-regular
-    bases (factor 0's alone with ``shared_base``), its deletions, its
-    coupling and its disorder, each per side where it has sides."""
+    """The stages one sample runs, as the paths of their streams in the order
+    `_sample_matrices` runs them: per distinct factor, its d-regular bases
+    (factor 0's alone with ``shared_base``), its deletions, its coupling
+    and its disorder, each per side where it has sides."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
     paths = []
     for k in range(_distinct_factors(desc)):
@@ -286,29 +286,6 @@ def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
     return paths
 
 
-def _base(desc: ExperimentDescriptor, streams: Streams, k: int, side: int) -> Graph:
-    if desc.graph == GRAPH_CYCLE:
-        return cycle_graph(desc.n)
-    return d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side])
-
-
-def _factor_matrix(desc: ExperimentDescriptor, streams: Streams, k: int,
-                   bases: list[Graph]) -> tuple[Graph | QLBit, np.ndarray]:
-    """Factor k, from its bases, and the matrix to decompose."""
-    if desc.deletions:
-        bases = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
-                 for side, g in enumerate(bases)]
-    if desc.kind == KIND_QLBIT_PRODUCT:
-        factor = couple(*bases, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
-        a = factor.adjacency()
-    else:
-        (factor,) = bases
-        a = adjacency(factor)
-    if desc.sigma > 0:
-        a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
-    return factor, a
-
-
 def _distinct_factors(desc: ExperimentDescriptor) -> int:
     """Factors built and decomposed per sample: one when they are identical."""
     return 1 if desc.identical_factors else desc.n_factors
@@ -316,15 +293,29 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
 
 def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
                      ) -> list[tuple[Graph | QLBit, np.ndarray]]:
-    """`_factor_matrix` of each distinct factor of one sample: only factor 0 when
-    ``identical_factors``. With ``shared_base`` every factor starts from the
-    bases generated for factor 0, which are generated once; deletions stay per
-    factor."""
+    """Each distinct factor of one sample and the matrix to decompose: runs a
+    stage exactly when `_stage_paths` lists its path. A factor without base
+    streams keeps the bases before it: factor 0's with ``shared_base``, or
+    one cycle per side, built once per sample."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    first_bases = [_base(desc, streams, 0, side) for side in sides]
-    return [_factor_matrix(desc, streams, k, first_bases if k == 0 or desc.shared_base else
-                           [_base(desc, streams, k, side) for side in sides])
-            for k in range(_distinct_factors(desc))]
+    built = []
+    for k in range(_distinct_factors(desc)):
+        if (_STAGE_BASE, k, 0) in streams:
+            bases = [d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side]) for side in sides]
+        elif k == 0:
+            bases = [cycle_graph(desc.n) for _ in sides]
+        graphs = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
+                  if (_STAGE_DELETE, k, side) in streams else g for side, g in enumerate(bases)]
+        if (_STAGE_COUPLE, k) in streams:
+            factor = couple(*graphs, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
+            a = factor.adjacency()
+        else:
+            (factor,) = graphs
+            a = adjacency(factor)
+        if (_STAGE_DISORDER, k) in streams:
+            a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
+        built.append((factor, a))
+    return built
 
 
 def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:

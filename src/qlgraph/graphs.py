@@ -70,33 +70,34 @@ def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
         raise InvalidParameterError(f"{what} endpoints must be integers, got dtype {e.dtype}")
     if e.ndim != 2 or e.shape[1] != 2:
         raise InvalidParameterError(f"need (m, 2) {what}s, got shape {e.shape}")
-    u, v = e.astype(np.int64, copy=False).T
+    # Checked in the given dtype, so no endpoint wraps before it is named.
+    u, v = e.T
     if undirected:
         u, v = np.minimum(u, v), np.maximum(u, v)
-        _refuse_first(u == v, u, v, what, "is a self-loop")
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    _refuse_first((u == v) & undirected, u, v, what, "is a self-loop")
     _refuse_first((u < 0) | (u >= n) | (v < 0) | (v >= cols), u, v, what, outside)
-    # One flat key orders rows by (u, v).
-    key = u * cols + v
-    order = np.argsort(key)
-    key, u, v = key[order], u[order], v[order]
-    _refuse_first(np.concatenate([[False], key[1:] == key[:-1]]), u, v, what, "is a duplicate")
-    e = np.stack((u, v), axis=1)
+    repeat = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+    _refuse_first(np.concatenate([[False], repeat]), u, v, what, "is a duplicate")
+    e = np.stack((u, v), axis=1).astype(np.int64, copy=False)
     e.flags.writeable = False
     return e
 
 
 def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, problem: str) -> None:
-    """InvalidParameterError naming the smallest (u, v) among the rows flagged bad, if any."""
+    """InvalidParameterError naming the first (u, v) among the rows flagged bad,
+    if any: the smallest, as the rows are sorted."""
     if bad.any():
-        rows = np.flatnonzero(bad)
-        i = rows[np.lexsort((v[rows], u[rows]))[0]]
+        i = bad.argmax()
         raise InvalidParameterError(f"{what} ({u[i]},{v[i]}) {problem}")
 
 
 def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2, built in
     canonical order (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)."""
-    if require_int("n", n) < 3:
+    n = require_int("n", n)
+    if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
     if n > MAX_VERTICES:
         raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")

@@ -402,7 +402,8 @@ def count_graphs(monkeypatch) -> Counter:
 class TestComputeOnce:
     # Streams each sample hashes: its own seed, one per generated base, then one
     # per factor for coupling (QL bits) or per factor and side for deletion.
-    STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3}
+    STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3,
+                          "once-cycle": 1 + 0 + 3}
     # Sample 0 runs alone and samples 1..2 in one chunk; each chunk derives its
     # sample seeds in one `derive_seeds` call and then its stage seeds in
     # another, and primes the stage streams in one `derive_streams` call.
@@ -414,13 +415,18 @@ class TestComputeOnce:
     # Graphs a run validates: none. Every base is generated, deleted and
     # coupled on rows canonical by construction, and a factor keeps the graph
     # or QL bit it was built as.
-    GRAPHS_PER_RUN = {"once-qlbit": 0, "once-shared": 0}
+    GRAPHS_PER_RUN = {"once-qlbit": 0, "once-shared": 0, "once-cycle": 0}
 
+    # Bases built per sample, by their builder: a cycle base is built once per
+    # side and shared by every factor.
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
-          "n_factors": 2, "n_samples": 3}, 4),
+          "n_factors": 2, "n_samples": 3}, {"d_regular_random": 4}),
         ({"name": "once-shared", "kind": "d-regular-product", "n": 12, "d": 8,
-          "deletions": 4, "n_factors": 3, "shared_base": True, "n_samples": 3}, 1),
+          "deletions": 4, "n_factors": 3, "shared_base": True, "n_samples": 3},
+         {"d_regular_random": 1}),
+        ({"name": "once-cycle", "kind": "d-regular-product", "graph": "cycle", "n": 5,
+          "deletions": 1, "n_factors": 3, "n_samples": 3}, {"cycle_graph": 1}),
     ])
     def test_each_sample_factor_and_base_computed_once(self, descriptor, bases_per_sample,
                                                       tmp_path, capsys, monkeypatch):
@@ -428,7 +434,7 @@ class TestComputeOnce:
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
-                                          "compose_spectra", "predict_splitting",
+                                          "cycle_graph", "compose_spectra", "predict_splitting",
                                           "is_connected", "emergent_pair"),
                             weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
         # Every stream of the pipeline is hashed through derive_seeds and derive_streams.
@@ -439,8 +445,9 @@ class TestComputeOnce:
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
         # Only sample 0's grid is composed; the histogram composes values in chunks.
+        bases = Counter({name: samples * count for name, count in bases_per_sample.items()})
         assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
-                                d_regular_random=samples * bases_per_sample)
+                                **bases)
         streams = samples * self.STREAMS_PER_SAMPLE[descriptor["name"]]
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=streams, primings=self.PRIME_CALLS,

@@ -95,7 +95,10 @@ class TestGraphType:
         (3, [[2, 1], [-1, 2], [-2, 0]], "edge (-2,0) is out of range for n=3"),
         (3, [[0, 5], [2, 2]], "edge (2,2) is a self-loop"),  # self-loops are checked first
         (4, [[3, 2], [1, 0], [2, 3], [0, 1]], "edge (0,1) is a duplicate"),
-    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate"])
+        # Checked before any cast to int64, which would wrap it to (-1,0).
+        (3, np.array([[0, 2**64 - 1]], dtype=np.uint64),
+         "edge (0,18446744073709551615) is out of range for n=3"),
+    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "unsigned"])
     def test_refusal_names_the_smallest_offending_edge(self, n, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
             ql.Graph(n, edges)
@@ -227,12 +230,15 @@ class TestDRegularRandom:
         # cycle_graph, d_regular_random, delete_random_edges and couple skip
         # the Graph and QLBit edge checks: their edges must be what validation
         # gives, read-only int64 rows. couple still checks its sign. A cycle's
-        # rows are validated as the (i, i+1 mod n) list.
+        # rows are validated as the (i, i+1 mod n) list. Each stores an int
+        # vertex count, also when given a numpy integer.
         g = ql.d_regular_random(n, d, ql.RngSeed(9).derive(n, d))
         deleted = ql.delete_random_edges(g, 2, ql.RngSeed(9))
         built = [(g, g.edges), (deleted, deleted.edges)] + [
-            (ql.cycle_graph(k), [(i, (i + 1) % k) for i in range(k)]) for k in range(3, 65)]
+            (ql.cycle_graph(k), [(i, (i + 1) % k) for i in range(k)])
+            for k in [*range(3, 65), np.int64(n)]]
         for h, rows in built:
+            assert type(h.n_vertices) is int
             assert h.edges.dtype == np.int64 and not h.edges.flags.writeable
             assert h.edges.tobytes() == ql.Graph(h.n_vertices, rows).edges.tobytes()
         for sign in (1, np.int64(-1)):

@@ -65,6 +65,16 @@ def test_readme_calls_only_names_that_exist():
     named = {span for span in spans
              if re.fullmatch(r"[A-Z]\w*[a-z]\w*|[A-Za-z_]\w*(\.\w+)+", span)}
     assert len(named) >= 40 and sorted(p for p in named if not resolves(p)) == []
+    # Every span that is an identifier with an underscore is an attribute of
+    # those spaces, a dataclass field or a parameter of one of their functions.
+    owners = [*spaces, *(v for v in vars(oracles).values() if inspect.isclass(v))]
+    names = {name for owner in owners for name in dir(owner)}
+    for value in (v for owner in owners for v in vars(owner).values()):
+        names |= set(getattr(value, "__dataclass_fields__", {}))
+        if inspect.isfunction(value):
+            names |= set(inspect.signature(value).parameters)
+    snake = {span for span in spans if re.fullmatch(r"[A-Za-z_]\w*", span) and "_" in span}
+    assert len(snake) >= 50 and sorted(snake - names) == []
 
 
 def test_readme_schema_table_lists_every_descriptor_field_in_order():

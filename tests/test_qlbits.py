@@ -119,7 +119,9 @@ class TestQLBitValidation:
         ([[1, 2], [1, 2]], "coupling edge (1,2) is a duplicate"),
         ([[1, 0], [2, 0], [0, 3], [1, -1]], "coupling edge (0,3) does not bridge the blocks"),
         ([[1, 0], [-1, 5]], "coupling edge (-1,5) does not bridge the blocks"),
-    ], ids=["duplicate", "duplicate-last", "outside", "negative"])
+        (np.array([[0, 2**63]], dtype=np.uint64),
+         "coupling edge (0,9223372036854775808) does not bridge the blocks"),
+    ], ids=["duplicate", "duplicate-last", "outside", "negative", "unsigned"])
     def test_refusal_names_the_smallest_offending_edge(self, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
             ql.QLBit(self.K2, self.C3, edges, 1)
