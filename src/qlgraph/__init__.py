@@ -19,21 +19,19 @@ from .projection import ProjectionReport, project_alphas
 from .qlbits import (EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair,
                      predict_splitting)
 from .rng import RngSeed
-from .spectra import (AlonBoppanaReport, Spectrum, alon_boppana_check, eigendecompose,
-                      max_residual, orthonormality_defect)
+from .spectra import Spectrum, eigendecompose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlonBoppanaReport", "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT",
-    "EXPERIMENT_NOTES", "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor",
-    "GenerationFailureError", "Graph", "HYBRID", "InvalidParameterError",
-    "NumericalFailureError", "ProjectionReport", "QLBit", "QLGraphError", "RANDOM",
-    "RngSeed", "SampleResult", "Spectrum", "SplittingPrediction", "adjacency",
-    "alon_boppana_check", "apply_diagonal_disorder", "compose_spectra", "couple",
-    "cycle_graph", "d_regular_random", "delete_random_edges", "eigendecompose",
-    "emergent_component_counts", "emergent_pair", "ensemble_spectrum", "histogram_edges",
-    "histogram_from_values", "is_connected", "iter_samples", "max_residual",
-    "orthonormality_defect", "predict_splitting", "project_alphas", "run_sample",
-    "write_composed_spectrum_csv", "write_histogram_csv",
+    "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT", "EXPERIMENT_NOTES",
+    "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor", "GenerationFailureError",
+    "Graph", "HYBRID", "InvalidParameterError", "NumericalFailureError",
+    "ProjectionReport", "QLBit", "QLGraphError", "RANDOM", "RngSeed", "SampleResult",
+    "Spectrum", "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
+    "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
+    "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",
+    "histogram_edges", "histogram_from_values", "is_connected", "iter_samples",
+    "predict_splitting", "project_alphas", "run_sample", "write_composed_spectrum_csv",
+    "write_histogram_csv",
 ]

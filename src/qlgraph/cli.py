@@ -20,7 +20,7 @@ from .ensembles import state_kinds, write_histogram_csv
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
                           KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum, require_valid)
-from .products import repr_texts, write_composed_spectrum_csv
+from .products import emergent_component_counts, repr_texts, write_composed_spectrum_csv
 from .projection import project_alphas
 
 EXIT_OK = 0
@@ -58,7 +58,8 @@ def _spectrum_csv_text(sample, kind: str) -> str:
     buf = io.StringIO()
     if kind == KIND_SINGLE:
         order = sample.composed.descending_order()
-        names = state_kinds(sample.composed.n_factors)[sample.emergent_counts[order]]
+        counts = emergent_component_counts(sample.composed, sample.emergent_index_sets)
+        names = state_kinds(sample.composed.n_factors)[counts[order]]
         buf.write("index,eigenvalue,label\n")
         rows = zip(repr_texts(sample.composed.values[order]).tolist(), names.tolist())
         buf.write("".join([f"{i},{v},{name}\n" for i, (v, name) in enumerate(rows)]))

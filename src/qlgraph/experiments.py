@@ -22,8 +22,7 @@ from .errors import (GenerationFailureError, InvalidParameterError, NumericalFai
                      require_int)
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph, d_regular_random,
                      delete_random_edges)
-from .products import (ComposedSpectrum, compose_spectra, compose_values, composed_range,
-                       emergent_component_counts)
+from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
 from .qlbits import QLBit, couple
 from .rng import RngSeed, derive_seeds, derive_streams
 from .spectra import Spectrum, eigendecompose
@@ -256,11 +255,6 @@ class SampleResult:
     def composed(self) -> ComposedSpectrum:
         """The composed spectrum of the factors, built on first use."""
         return compose_spectra(self.spectra)
-
-    @cached_property
-    def emergent_counts(self) -> np.ndarray:
-        """Per-flat-index emergent component count k, built on first use."""
-        return emergent_component_counts(self.composed, self.emergent_index_sets)
 
 
 # A sample's stage streams, keyed by stage path: (stage, factor, side) or (stage, factor).

@@ -67,7 +67,12 @@ def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
     if e.size == 0:
         e = e.reshape(0, 2)
     elif not np.issubdtype(e.dtype, np.integer):
-        raise InvalidParameterError(f"{what} endpoints must be integers, got dtype {e.dtype}")
+        # numpy holds a list of ints past int64 as float64 or object: check
+        # such a list as its exact ints, so the offending row is named.
+        ints = None if isinstance(edges, np.ndarray) else np.asarray(edges, dtype=object)
+        if ints is None or not all(type(x) is int for x in ints.flat):
+            raise InvalidParameterError(f"{what} endpoints must be integers, got dtype {e.dtype}")
+        e = ints
     if e.ndim != 2 or e.shape[1] != 2:
         raise InvalidParameterError(f"need (m, 2) {what}s, got shape {e.shape}")
     # Checked in the given dtype, so no endpoint wraps before it is named.

@@ -1,15 +1,10 @@
-"""Dense symmetric eigendecomposition and spectrum-level checks."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFailureError
-
-# Finite graphs may exceed the asymptotic Alon-Boppana bound by this much.
-AB_SLACK = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,15 +41,6 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-
-@dataclass(frozen=True)
-class AlonBoppanaReport:
-    """Finite-size check of lambda_1 against the 2*sqrt(d-1) bound."""
-
-    bound: float
-    lambda_1: float
-    satisfied: bool
 
 
 def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[Spectrum]:
@@ -97,35 +83,3 @@ def _check_eigenvalues(vals: np.ndarray) -> None:
         raise InvalidParameterError("eigenvalues must be finite")
     if np.any(np.diff(vals) > 0):
         raise InvalidParameterError("eigenvalues must be sorted descending")
-
-
-def alon_boppana_check(s: Spectrum, d: int) -> AlonBoppanaReport:
-    """Report whether lambda_1 respects 2*sqrt(d-1) up to the finite-size AB_SLACK.
-
-    Report-only: finite graphs occasionally exceed the asymptotic bound, so
-    callers log violations rather than fail on them.
-    """
-    if d < 1:
-        raise InvalidParameterError(f"degree must be positive, got {d}")
-    if s.dim < 2:
-        raise InvalidParameterError("Alon-Boppana check needs dim >= 2")
-    bound = 2.0 * math.sqrt(d - 1)
-    lam1 = float(s.eigenvalues[1])
-    return AlonBoppanaReport(bound, lam1, lam1 <= bound + AB_SLACK)
-
-
-def max_residual(a: np.ndarray, s: Spectrum) -> float:
-    """max over pairs of ||A v - lambda v||_inf / max(1, |lambda|)."""
-    if s.eigenvectors is None:
-        raise InvalidParameterError("spectrum carries no eigenvectors")
-    r = a @ s.eigenvectors - s.eigenvectors * s.eigenvalues[np.newaxis, :]
-    scale = np.maximum(1.0, np.abs(s.eigenvalues))
-    return float(np.max(np.max(np.abs(r), axis=0) / scale))
-
-
-def orthonormality_defect(s: Spectrum) -> float:
-    """max entrywise deviation of V^T V from the identity."""
-    if s.eigenvectors is None:
-        raise InvalidParameterError("spectrum carries no eigenvectors")
-    gram = s.eigenvectors.T @ s.eigenvectors
-    return float(np.max(np.abs(gram - np.eye(s.dim))))

@@ -3,6 +3,8 @@ import pytest
 
 import qlgraph as ql
 
+from oracles import max_residual, orthonormality_defect
+
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-8
 
@@ -13,8 +15,8 @@ def assert_valid_spectrum(a: np.ndarray, s: ql.Spectrum):
     assert np.all(np.diff(s.eigenvalues) <= 0)
     assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
     if s.eigenvectors is not None:
-        assert ql.max_residual(a, s) <= RESIDUAL_TOL
-        assert ql.orthonormality_defect(s) <= ORTHO_TOL
+        assert max_residual(a, s) <= RESIDUAL_TOL
+        assert orthonormality_defect(s) <= ORTHO_TOL
 
 
 def make_qlbit(n=20, d=15, p=0.2, seed=1234, sign=1, deletions=0) -> ql.QLBit:

@@ -17,7 +17,9 @@ must equal.
 
 The paper's Bell-like check lives here too, since no artifact reads it: a QL
 bit's emergent eigenvectors, sign-fixed and phase-classified, and the alpha
-sign patterns of the four in/out-of-phase products of two bits.
+sign patterns of the four in/out-of-phase products of two bits. So do the
+spectrum checks no artifact reads: the eigenpair residual, the
+orthonormality defect and the Alon-Boppana bound report.
 """
 from __future__ import annotations
 
@@ -355,6 +357,43 @@ def spectral_gap(s: ql.Spectrum) -> float:
     if s.dim < 2:
         raise InvalidParameterError("spectral gap needs dim >= 2")
     return float(s.eigenvalues[0] - s.eigenvalues[1])
+
+
+def max_residual(a: np.ndarray, s: ql.Spectrum) -> float:
+    """max over pairs of ||A v - lambda v||_inf / max(1, |lambda|)."""
+    r = a @ s.eigenvectors - s.eigenvectors * s.eigenvalues[np.newaxis, :]
+    scale = np.maximum(1.0, np.abs(s.eigenvalues))
+    return float(np.max(np.max(np.abs(r), axis=0) / scale))
+
+
+def orthonormality_defect(s: ql.Spectrum) -> float:
+    """max entrywise deviation of V^T V from the identity."""
+    gram = s.eigenvectors.T @ s.eigenvectors
+    return float(np.max(np.abs(gram - np.eye(s.dim))))
+
+
+# Finite graphs may exceed the asymptotic Alon-Boppana bound by this much.
+AB_SLACK = 0.5
+
+
+@dataclass(frozen=True)
+class AlonBoppanaReport:
+    """Finite-size check of lambda_1 against the 2*sqrt(d-1) bound."""
+
+    bound: float
+    lambda_1: float
+    satisfied: bool
+
+
+def alon_boppana_check(s: ql.Spectrum, d: int) -> AlonBoppanaReport:
+    """Report whether lambda_1 respects 2*sqrt(d-1) up to the finite-size AB_SLACK.
+
+    Report-only: finite graphs occasionally exceed the asymptotic bound, so
+    callers log violations rather than fail on them.
+    """
+    bound = 2.0 * math.sqrt(d - 1)
+    lam1 = float(s.eigenvalues[1])
+    return AlonBoppanaReport(bound, lam1, lam1 <= bound + AB_SLACK)
 
 
 def degrees(g: ql.Graph) -> np.ndarray:

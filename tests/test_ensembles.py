@@ -226,7 +226,8 @@ class TestRunSample:
 
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        assert np.count_nonzero(state_kinds(2)[sample.emergent_counts] == EMERGENT) == 4
+        counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
+        assert np.count_nonzero(state_kinds(2)[counts] == EMERGENT) == 4
 
     def test_invalid_descriptor_rejected(self):
         with pytest.raises(InvalidParameterError):

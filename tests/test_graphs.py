@@ -98,7 +98,11 @@ class TestGraphType:
         # Checked before any cast to int64, which would wrap it to (-1,0).
         (3, np.array([[0, 2**64 - 1]], dtype=np.uint64),
          "edge (0,18446744073709551615) is out of range for n=3"),
-    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "unsigned"])
+        # Python ints that numpy would hold as float64 or object.
+        (3, [[0, 2**63]], "edge (0,9223372036854775808) is out of range for n=3"),
+        (3, [[2**64, 1], [-1, 2]], "edge (-1,2) is out of range for n=3"),
+    ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "unsigned",
+            "int-list-past-int64", "int-list-past-uint64"])
     def test_refusal_names_the_smallest_offending_edge(self, n, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
             ql.Graph(n, edges)

@@ -6,8 +6,9 @@ import pytest
 import qlgraph as ql
 from qlgraph.errors import InvalidParameterError, NumericalFailureError
 
-from conftest import assert_valid_spectrum
-from oracles import complete_graph, fix_sign, spectral_gap
+from conftest import ORTHO_TOL, RESIDUAL_TOL, assert_valid_spectrum
+from oracles import (alon_boppana_check, complete_graph, fix_sign, max_residual,
+                     orthonormality_defect, spectral_gap)
 
 
 class TestEigendecompose:
@@ -30,6 +31,16 @@ class TestEigendecompose:
         v = fix_sign(s.eigenvectors[:, 0])
         assert np.max(np.abs(v - 1 / math.sqrt(12))) <= 1e-9
         assert_valid_spectrum(a, s)
+
+    def test_oracles_detect_a_broken_eigenbasis(self):
+        # The checks behind assert_valid_spectrum flag a broken spectrum.
+        a = ql.adjacency(ql.d_regular_random(12, 8, ql.RngSeed(40)))
+        s = ql.eigendecompose(a)
+        swapped = s.eigenvectors[:, [1, 0, *range(2, s.dim)]]
+        assert max_residual(a, ql.Spectrum(s.eigenvalues, swapped)) > RESIDUAL_TOL
+        scaled = s.eigenvectors.copy()
+        scaled[:, 0] *= 1.1
+        assert orthonormality_defect(ql.Spectrum(s.eigenvalues, scaled)) > ORTHO_TOL
 
     def test_without_vectors(self, c5):
         s = ql.eigendecompose(ql.adjacency(c5), want_vectors=False)
@@ -206,11 +217,11 @@ class TestSpectralGap:
 
 class TestAlonBoppana:
     def test_bound_value_d8(self, c5):
-        r = ql.alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 8)
+        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 8)
         assert abs(r.bound - 2 * math.sqrt(7)) <= 1e-12
 
     def test_cycle_within_bound(self, c5):
-        r = ql.alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 2)
+        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 2)
         assert r.bound == 2.0
         assert r.lambda_1 <= 2.0
         assert r.satisfied
@@ -219,7 +230,7 @@ class TestAlonBoppana:
         violations = []
         for s in range(50):
             g = ql.d_regular_random(20, 15, ql.RngSeed(44, s))
-            r = ql.alon_boppana_check(ql.eigendecompose(ql.adjacency(g), want_vectors=False), 15)
+            r = alon_boppana_check(ql.eigendecompose(ql.adjacency(g), want_vectors=False), 15)
             if not r.satisfied:
                 violations.append((s, r.lambda_1))
         if violations:
