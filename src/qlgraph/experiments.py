@@ -24,7 +24,7 @@ from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph, d_r
                      delete_random_edges)
 from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
 from .qlbits import QLBit, couple
-from .rng import RngSeed, derive_seeds, derive_streams
+from .rng import RngSeed, derive_seeds, derive_streams, stream_states
 from .spectra import Spectrum, eigendecompose
 
 KIND_SINGLE = "single-graph"
@@ -54,6 +54,7 @@ MAX_SIGMA = 1e100
 # Samples are built and eigendecomposed in chunks of at most this many matrix
 # entries across their distinct factors, or of one sample when that is larger.
 _CHUNK_VALUES = 2**14
+_BATCH_STREAMS = 2**11  # streams hashed per batch of whole chunks, or one chunk if more
 
 # Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
 # and n otherwise, states = dim^n_factors, and entries = dim^2 times the
@@ -66,8 +67,9 @@ _CHUNK_VALUES = 2**14
 # coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
 # its composed values, sort and label arrays, 72*states; one chunk of at most
 # max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
-# bytes a value; and per sample its factor eigenvalues, 8*n_factors*dim, and
-# its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
+# bytes a value; one batch of hashed streams, 320*_CHUNK_VALUES (tracemalloc:
+# 2.4 MB for the largest); per sample its factor eigenvalues, 8*n_factors*dim,
+# and its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -191,7 +193,7 @@ class ExperimentDescriptor:
             states *= dim
             entries = (1 if self.identical_factors else k) * dim * dim
             if (entry_bytes * max(_CHUNK_VALUES, entries) + 72 * states
-                    + 16 * max(_CHUNK_VALUES, states)
+                    + 16 * max(_CHUNK_VALUES, states) + 320 * _CHUNK_VALUES
                     + self.n_samples * (8 * k * dim + _SEED_BYTES) > MAX_BYTES):
                 return True
         return False
@@ -312,15 +314,15 @@ def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
     return built
 
 
-def _run_chunk(desc: ExperimentDescriptor, indices: range) -> Iterator[SampleResult]:
-    """Samples `indices`, stage by stage: the sample seeds in one hash pass,
-    every stage stream in another and their generators' states in a third,
-    every sample's factor matrices, then one stacked eigendecomposition per
-    distinct factor, then each sample's results, yielded one at a time."""
-    (seeds,) = derive_seeds([desc.master_seed], [(i,) for i in indices])
+def _run_chunk(desc: ExperimentDescriptor, indices: range, seeds: np.ndarray,
+               stage_seeds: np.ndarray, states: np.ndarray) -> Iterator[SampleResult]:
+    """Samples `indices` of the given seeds, stage seeds and their generator
+    states, stage by stage: every sample's factor matrices, then one stacked
+    eigendecomposition per distinct factor, then each sample's results,
+    yielded one at a time. It hashes nothing."""
     paths = _stage_paths(desc)
     built = []
-    for i, streams in zip(indices, derive_streams(derive_seeds(seeds, paths))):
+    for i, streams in zip(indices, derive_streams(stage_seeds, states)):
         try:
             built.append(_sample_matrices(desc, dict(zip(paths, streams))))
         except GenerationFailureError as exc:
@@ -351,28 +353,37 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     """Run the full pipeline for one sample, deterministic in the master seed.
 
     Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
-    is a chunk of one: `iter_samples` gives bitwise the same result. An
+    is a batch of one: `iter_samples` gives bitwise the same result. An
     index that is not a non-negative integer is refused.
     """
     require_valid(desc)
     if require_int("sample_index", sample_index) < 0:
         raise InvalidParameterError(f"sample_index must be non-negative, got {sample_index}")
-    (sample,) = _run_chunk(desc, range(sample_index, sample_index + 1))
+    (sample,) = _samples_from(desc, sample_index, sample_index + 1)
     return sample
 
 
-def _samples_from(desc: ExperimentDescriptor, start: int) -> Iterator[SampleResult]:
-    """Samples start..n_samples-1, in chunks of at most `_CHUNK_VALUES` matrix
-    entries across their distinct factors, and of at least one sample."""
+def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator[SampleResult]:
+    """Samples start..stop-1 in chunks of at most `_CHUNK_VALUES` matrix entries
+    across distinct factors, or of one sample. Streams are hashed in three passes
+    per batch of whole chunks (see `_BATCH_STREAMS`); each chunk gets a slice."""
+    paths = _stage_paths(desc)
     step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
-    for first in range(start, desc.n_samples, step):
-        yield from _run_chunk(desc, range(first, min(first + step, desc.n_samples)))
+    batch = step * max(1, _BATCH_STREAMS // (step * (1 + len(paths))))
+    for first in range(start, stop, batch):
+        indices = range(first, min(first + batch, stop))
+        (seeds,) = derive_seeds([desc.master_seed], [(i,) for i in indices])
+        stage_seeds = derive_seeds(seeds, paths)
+        states = stream_states(stage_seeds)
+        for c in range(0, len(indices), step):
+            yield from _run_chunk(desc, indices[c:c + step], seeds[c:c + step],
+                                  stage_seeds[c:c + step], states[c:c + step])
 
 
 def iter_samples(desc: ExperimentDescriptor) -> Iterator[SampleResult]:
     """Every sample in index order, each equal to `run_sample` on its index."""
     require_valid(desc)
-    yield from _samples_from(desc, 0)
+    yield from _samples_from(desc, 0, desc.n_samples)
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor,
@@ -390,7 +401,7 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
     kept = [np.empty((desc.n_samples, s.dim)) for s in first.spectra]
     seeds = []
-    for sample in itertools.chain([first], _samples_from(desc, 1)):
+    for sample in itertools.chain([first], _samples_from(desc, 1, desc.n_samples)):
         for rows, s in zip(kept, sample.spectra):
             rows[sample.index] = s.eigenvalues
         seeds.append(sample.seed)

@@ -63,7 +63,10 @@ def canonical_edges(edges, n: int, cols: int | None = None) -> np.ndarray:
     undirected = cols is None
     what, cols, outside = (("edge", n, f"is out of range for n={n}") if undirected
                            else ("coupling edge", cols, "does not bridge the blocks"))
-    e = np.asarray(edges)
+    try:
+        e = np.asarray(edges)
+    except ValueError:  # rows of different lengths
+        raise InvalidParameterError(f"need (m, 2) {what}s, got ragged rows") from None
     if e.size == 0:
         e = e.reshape(0, 2)
     elif not np.issubdtype(e.dtype, np.integer):
@@ -173,15 +176,12 @@ def _d_regular_keys(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         taken = np.tri(n, dtype=bool).ravel()  # the diagonal and below hold no key with u < v
         taken[_d_regular_keys(n, n - 1 - d, rng)] = True
         return np.flatnonzero(~taken)
-    restarts = 0
-    while restarts < DEFAULT_MAX_RESTARTS:
+    for _ in range(DEFAULT_MAX_RESTARTS):
         keys = _pairing_attempt(n, d, rng)
         if keys is not None:
             return np.array(sorted(keys), dtype=np.int64)
-        restarts += 1
-    raise GenerationFailureError(
-        f"d-regular generation failed for n={n}, d={d} after {restarts} restarts", restarts
-    )
+    raise GenerationFailureError(f"d-regular generation failed for n={n}, d={d} after "
+                                 f"{DEFAULT_MAX_RESTARTS} restarts", DEFAULT_MAX_RESTARTS)
 
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:

@@ -6,7 +6,7 @@ The bit generator is a named, stable one (PCG64 keyed through numpy's
 SeedSequence hash), never the interpreter's global state. One stream at a
 time, `RngSeed` calls ``np.random.SeedSequence`` itself. For the pipeline's
 batches the hash is computed here on arrays, one row of entropy words per
-stream, so that `derive_seeds` and `derive_streams` hash many streams in
+stream, so that `derive_seeds` and `stream_states` hash many streams in
 one pass. NEP 19 keeps the hash's output stable; the tests hold the batches
 bit for bit to ``np.random.SeedSequence``.
 """
@@ -193,12 +193,16 @@ def derive_seeds(seeds: Sequence[int], paths: Sequence[Sequence[int]]) -> np.nda
     return _as_uint64(_hash_paths(seeds, paths, 2)).reshape(len(seeds), len(paths))
 
 
-def derive_streams(seeds: np.ndarray) -> list[list[RngSeed]]:
+def stream_states(seeds: np.ndarray) -> np.ndarray:
+    """Each uint64 seed's PCG64 state, 4 uint64 words on a new last axis, in one pass."""
+    return _as_uint64(_hash_paths(seeds.ravel(), [()], 8)).reshape(*seeds.shape, 4)
+
+
+def derive_streams(seeds: np.ndarray, states: np.ndarray) -> list[list[RngSeed]]:
     """``RngSeed(seed)`` of each entry of a (K, P) uint64 array, as K lists of
-    P. Each carries its generator's PCG64 state, hashed here for all of them
-    in one pass, so its `generator()` hashes nothing."""
-    states = iter(_as_uint64(_hash_paths(seeds.ravel(), [()], 8)))
-    return [[_primed(seed, next(states)) for seed in row] for row in seeds.tolist()]
+    P, each carrying its `stream_states` row, so its `generator()` hashes nothing."""
+    return [[_primed(seed, state) for seed, state in zip(row, rows)]
+            for row, rows in zip(seeds.tolist(), states)]
 
 
 def _primed(seed: int, state: np.ndarray) -> RngSeed:

@@ -356,22 +356,28 @@ def count_calls(monkeypatch, names, weights=None):
 
 
 def count_hashing(monkeypatch) -> Counter:
-    """Count `derive_seeds` calls and the seeds they derive, `derive_streams`
-    calls and the streams they prime, whoever calls them, and the hash passes
+    """Count `derive_seeds` calls and the seeds they derive, `stream_states`
+    calls and the generator states they hash, `derive_streams` calls and the
+    streams they prime, whoever calls them, and the hash passes
     (`_generate_state` calls) under them."""
     hashed = Counter()
     derive_seeds, derive_streams = ql.rng.derive_seeds, ql.rng.derive_streams
-    generate_state = ql.rng._generate_state
+    stream_states, generate_state = ql.rng.stream_states, ql.rng._generate_state
 
     def counted_derive_seeds(seeds, paths):
         hashed["passes"] += 1
         hashed["streams"] += len(seeds) * len(paths)
         return derive_seeds(seeds, paths)
 
-    def counted_derive_streams(seeds):
+    def counted_stream_states(seeds):
+        hashed["state_passes"] += 1
+        hashed["states"] += seeds.size
+        return stream_states(seeds)
+
+    def counted_derive_streams(seeds, states):
         hashed["primings"] += 1
         hashed["primed"] += seeds.size
-        return derive_streams(seeds)
+        return derive_streams(seeds, states)
 
     def counted_generate_state(*args):
         hashed["hashes"] += 1
@@ -380,6 +386,7 @@ def count_hashing(monkeypatch) -> Counter:
     for module in (ql.rng, ql.experiments):
         monkeypatch.setattr(module, "derive_seeds", counted_derive_seeds)
         monkeypatch.setattr(module, "derive_streams", counted_derive_streams)
+        monkeypatch.setattr(module, "stream_states", counted_stream_states)
     monkeypatch.setattr(ql.rng, "_generate_state", counted_generate_state)
     return hashed
 
@@ -404,12 +411,15 @@ class TestComputeOnce:
     # per factor for coupling (QL bits) or per factor and side for deletion.
     STREAMS_PER_SAMPLE = {"once-qlbit": 1 + 4 + 2, "once-shared": 1 + 1 + 3,
                           "once-cycle": 1 + 0 + 3}
-    # Sample 0 runs alone and samples 1..2 in one chunk; each chunk derives its
-    # sample seeds in one `derive_seeds` call and then its stage seeds in
-    # another, and primes the stage streams in one `derive_streams` call.
+    # Sample 0 is a batch of one and samples 1..2 a second batch, of one
+    # chunk. Each batch derives its sample seeds in one `derive_seeds` call,
+    # then its stage seeds in another, and hashes the stage streams' states in
+    # one `stream_states` call; each chunk primes its stage streams in one
+    # `derive_streams` call.
     DERIVE_CALLS = 2 * 2
+    STATE_CALLS = 2
     PRIME_CALLS = 2
-    # Per chunk, one hash pass for the sample seeds, which parent streams and
+    # Per batch, one hash pass for the sample seeds, which parent streams and
     # build no generator, and two for the stage seeds and their states.
     HASH_PASSES = 2 * 3
     # Graphs a run validates: none. Every base is generated, deleted and
@@ -450,7 +460,8 @@ class TestComputeOnce:
                                 **bases)
         streams = samples * self.STREAMS_PER_SAMPLE[descriptor["name"]]
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
-                                 streams=streams, primings=self.PRIME_CALLS,
+                                 streams=streams, state_passes=self.STATE_CALLS,
+                                 states=streams - samples, primings=self.PRIME_CALLS,
                                  primed=streams - samples)
         # Deletions and couplings build on canonical rows, and no graph spans
         # both blocks of a QL bit.
@@ -488,14 +499,24 @@ class TestComputeOnce:
 
     def test_fig4a_graphs_and_hash_passes(self, tmp_path, capsys, monkeypatch):
         # 100 samples of one QL bit: no graph is validated, sample 0's two bases
-        # for the projection included. Sample 0 runs alone, then 99 in chunks
-        # of 10 (16,384 entries / 40^2): 11 chunks.
+        # for the projection included. Sample 0 is a batch of one and samples
+        # 1..99 (4 streams each) a second batch: 2 batches of 3 hash passes.
+        # Each chunk primes its own streams: sample 0, then samples 1..99 in
+        # chunks of 10 (16,384 entries / 40^2).
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
         assert code == 0
         assert built["Graph"] == 0
-        assert hashed["hashes"] == 11 * 3
+        assert (hashed["hashes"], hashed["primings"]) == (2 * 3, 1 + 10)
+
+    def test_fig4a_hash_passes_do_not_depend_on_chunks(self, tmp_path, capsys, monkeypatch):
+        # One sample a chunk: 100 chunks, still 2 batches of 3 hash passes.
+        monkeypatch.setattr(ql.experiments, "_CHUNK_VALUES", 40**2)
+        hashed = count_hashing(monkeypatch)
+        code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert (hashed["hashes"], hashed["primings"]) == (2 * 3, 100)
 
     def test_descriptor_validated_once_per_run(self, tmp_path, capsys, monkeypatch):
         type_errors = ql.ExperimentDescriptor._type_errors

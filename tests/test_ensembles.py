@@ -294,16 +294,19 @@ class TestEnsembleSpectrum:
         assert np.array_equal(h.counts, expected.counts)
 
     def test_many_sample_peak_memory_bounded(self):
-        # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at once.
-        desc = ql.BUNDLED_EXPERIMENTS["fig4e"].with_overrides(n_samples=100)
-        tracemalloc.start()
-        try:
-            _, h, _ = ql.ensemble_spectrum(desc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert h.counts.sum() == 100 * 24**3
-        assert peak < 4 * 2**20
+        # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at
+        # once. 1,000 samples of fig3: samples 1..999 hash their streams in
+        # five batches of at most 222 samples (6 chunks of 37).
+        for name, n_samples, states in [("fig4e", 100, 24**3), ("fig3", 1000, 12**3)]:
+            desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=n_samples)
+            tracemalloc.start()
+            try:
+                _, h, _ = ql.ensemble_spectrum(desc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.counts.sum() == n_samples * states
+            assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name,stacks", [
         ("fig3", [1] * 3 + [37] * 6 + [25] * 3),   # 3 distinct 12x12 factors a sample

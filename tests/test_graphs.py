@@ -101,8 +101,10 @@ class TestGraphType:
         # Python ints that numpy would hold as float64 or object.
         (3, [[0, 2**63]], "edge (0,9223372036854775808) is out of range for n=3"),
         (3, [[2**64, 1], [-1, 2]], "edge (-1,2) is out of range for n=3"),
+        # Rows of different lengths, which numpy refuses with a bare ValueError.
+        (3, [[0, 1], [2]], "need (m, 2) edges, got ragged rows"),
     ], ids=["self-loop", "out-of-range", "negative", "self-loop-first", "duplicate", "unsigned",
-            "int-list-past-int64", "int-list-past-uint64"])
+            "int-list-past-int64", "int-list-past-uint64", "ragged"])
     def test_refusal_names_the_smallest_offending_edge(self, n, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
             ql.Graph(n, edges)

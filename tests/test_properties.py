@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import qlgraph as ql
 from qlgraph import cli
 from qlgraph.errors import InvalidParameterError
-from qlgraph.rng import derive_seeds, derive_streams
+from qlgraph.rng import derive_seeds, derive_streams, stream_states
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
                      reference_composite, reference_graph_edges,
@@ -159,7 +159,9 @@ _PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
 def test_derive_streams_equal_plain_seed_sequence(seeds, paths):
     children = derive_seeds(seeds, paths)
     assert (children.dtype, children.shape) == (np.uint64, (len(seeds), len(paths)))
-    batch = derive_streams(children)
+    states = stream_states(children)
+    assert (states.dtype, states.shape) == (np.uint64, (len(seeds), len(paths), 4))
+    batch = derive_streams(children, states)
     assert len(batch) == len(seeds)
     for parent, row, streams in zip(map(ql.RngSeed, seeds), children.tolist(), batch):
         assert len(streams) == len(paths)
@@ -280,14 +282,16 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(desc=small_descriptors(), per_chunk=st.integers(1, 4))
-def test_chunked_samples_equal_samples_run_alone(desc, per_chunk):
+@given(desc=small_descriptors(), per_chunk=st.integers(1, 4), batch_streams=st.integers(1, 64))
+def test_chunked_samples_equal_samples_run_alone(desc, per_chunk, batch_streams):
     # Chunks of per_chunk samples, so up to 9 samples cross several chunk
     # boundaries, and ensemble_spectrum's chunks (from sample 1) others still.
+    # Batches capped at as few streams as one chunk, so batches end mid-run.
     dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
     entries = (1 if desc.identical_factors else desc.n_factors) * dim * dim
     alone = [sample_bytes(ql.run_sample(desc, i)) for i in range(desc.n_samples)]
-    with mock.patch.object(ql.experiments, "_CHUNK_VALUES", per_chunk * entries):
+    with mock.patch.multiple(ql.experiments, _CHUNK_VALUES=per_chunk * entries,
+                             _BATCH_STREAMS=batch_streams):
         chunked = [sample_bytes(sample) for sample in ql.iter_samples(desc)]
         first, histogram, seeds = ql.ensemble_spectrum(desc)
     assert chunked == alone
@@ -357,8 +361,8 @@ def test_edge_row_factors_equal_graph_built_reference(desc, index):
     paths = ql.experiments._stage_paths(desc)
 
     def streams():
-        (row,) = derive_streams(derive_seeds([ql.RngSeed(desc.master_seed).derive(index).seed],
-                                             paths))
+        seeds = derive_seeds([ql.RngSeed(desc.master_seed).derive(index).seed], paths)
+        (row,) = derive_streams(seeds, stream_states(seeds))
         return dict(zip(paths, row))
 
     reference = reference_sample_matrices(desc, streams())

@@ -124,8 +124,10 @@ class TestQLBitValidation:
         # Python ints that numpy would hold as float64 or object.
         ([[0, 2**63]], "coupling edge (0,9223372036854775808) does not bridge the blocks"),
         ([[1, 2**64], [1, 0]], "coupling edge (1,18446744073709551616) does not bridge the blocks"),
+        # Rows of different lengths, which numpy refuses with a bare ValueError.
+        ([[0, 1], [2]], "need (m, 2) coupling edges, got ragged rows"),
     ], ids=["duplicate", "duplicate-last", "outside", "negative", "unsigned",
-            "int-list-past-int64", "int-list-past-uint64"])
+            "int-list-past-int64", "int-list-past-uint64", "ragged"])
     def test_refusal_names_the_smallest_offending_edge(self, edges, message):
         with pytest.raises(InvalidParameterError) as exc:
             ql.QLBit(self.K2, self.C3, edges, 1)
