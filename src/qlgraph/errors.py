@@ -19,9 +19,9 @@ class InvalidParameterError(QLGraphError, ValueError):
 class GenerationFailureError(QLGraphError, RuntimeError):
     """Random graph generation did not succeed within the retry budget."""
 
-    def __init__(self, message: str, restarts: int):
+    def __init__(self, message: str, restarts: int, item: int = 0):
         super().__init__(message)
-        self.restarts = restarts
+        self.restarts, self.item = restarts, item  # item: the failing seed's position in a batch
 
 
 class NumericalFailureError(QLGraphError, RuntimeError):

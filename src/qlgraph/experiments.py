@@ -20,10 +20,10 @@ import numpy as np
 from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
                      require_int)
-from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph, d_regular_random,
-                     delete_random_edges)
+from .graphs import (Graph, _add_disorder, _cycle_rows, _d_regular_rows, _deleted_rows,
+                     _write_rows, d_regular_random)  # noqa: F401, read here by perfbench's tracer
 from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
-from .qlbits import QLBit, couple
+from .qlbits import QLBit, _cross_edges, _write_qlbits
 from .rng import RngSeed, derive_seeds, derive_streams, stream_states
 from .spectra import Spectrum, eigendecompose
 
@@ -60,15 +60,16 @@ _BATCH_STREAMS = 2**11  # streams hashed per batch of whole chunks, or one chunk
 # and n otherwise, states = dim^n_factors, and entries = dim^2 times the
 # distinct factors of a sample, the model adds up one chunk of at most
 # max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
-# factor matrices and their stacked copy and, for QL bits, which keep
+# factor matrices, decomposed in place, and part of LAPACK's copy of them or,
+# before the solve, a QL bit's coupling draws and, for QL bits, which keep
 # eigenvectors, for the solver's vectors, each sample's copy of them and
 # sample 0's kept copy, plus at most 8 bytes an entry for the edge rows each
 # factor keeps (16 bytes a row; under n^2/2 rows a base and n^2 for a
 # coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
 # its composed values, sort and label arrays, 72*states; one chunk of at most
 # max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
-# bytes a value; one batch of hashed streams, 320*_CHUNK_VALUES (tracemalloc:
-# 2.4 MB for the largest); per sample its factor eigenvalues, 8*n_factors*dim,
+# bytes a value; one batch of hashed streams, 160*_CHUNK_VALUES (tracemalloc:
+# 2.33 MB for the largest); per sample its factor eigenvalues, 8*n_factors*dim,
 # and its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
@@ -193,7 +194,7 @@ class ExperimentDescriptor:
             states *= dim
             entries = (1 if self.identical_factors else k) * dim * dim
             if (entry_bytes * max(_CHUNK_VALUES, entries) + 72 * states
-                    + 16 * max(_CHUNK_VALUES, states) + 320 * _CHUNK_VALUES
+                    + 16 * max(_CHUNK_VALUES, states) + 160 * _CHUNK_VALUES
                     + self.n_samples * (8 * k * dim + _SEED_BYTES) > MAX_BYTES):
                 return True
         return False
@@ -259,13 +260,9 @@ class SampleResult:
         return compose_spectra(self.spectra)
 
 
-# A sample's stage streams, keyed by stage path: (stage, factor, side) or (stage, factor).
-Streams = dict[tuple[int, ...], RngSeed]
-
-
 def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
     """The stages one sample runs, as the paths of their streams in the order
-    `_sample_matrices` runs them: per distinct factor, its d-regular bases
+    `_chunk_matrices` runs them: per distinct factor, its d-regular bases
     (factor 0's alone with ``shared_base``), its deletions, its coupling
     and its disorder, each per side where it has sides."""
     sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
@@ -287,57 +284,56 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
     return 1 if desc.identical_factors else desc.n_factors
 
 
-def _sample_matrices(desc: ExperimentDescriptor, streams: Streams,
-                     ) -> list[tuple[Graph | QLBit, np.ndarray]]:
-    """Each distinct factor of one sample and the matrix to decompose: runs a
-    stage exactly when `_stage_paths` lists its path. A factor without base
-    streams keeps the bases before it: factor 0's with ``shared_base``, or
-    one cycle per side, built once per sample."""
-    sides = range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    built = []
-    for k in range(_distinct_factors(desc)):
+def _chunk_matrices(desc: ExperimentDescriptor, streams: list[list[RngSeed]],
+                    ) -> tuple[list[list[Graph | QLBit]], np.ndarray]:
+    """Per distinct factor, each sample's `Graph` or `QLBit` (row views of the chunk's edge
+    arrays) and the (F, S, dim, dim) matrices to decompose; a stage runs once over the chunk
+    when `_stage_paths` lists it, and a factor without base streams keeps the bases before it."""
+    count, n, sides = len(streams), desc.n, range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
+    streams, factors, last = dict(zip(_stage_paths(desc), zip(*streams))), [], None  # by path
+    mats = np.zeros((_distinct_factors(desc), count, desc._dim, desc._dim))
+    for k, a in enumerate(mats):
         if (_STAGE_BASE, k, 0) in streams:
-            bases = [d_regular_random(desc.n, desc.d, streams[_STAGE_BASE, k, side]) for side in sides]
+            bases = [_d_regular_rows(n, desc.d, streams[_STAGE_BASE, k, side]) for side in sides]
         elif k == 0:
-            bases = [cycle_graph(desc.n) for _ in sides]
-        graphs = [delete_random_edges(g, desc.deletions, streams[_STAGE_DELETE, k, side])
-                  if (_STAGE_DELETE, k, side) in streams else g for side, g in enumerate(bases)]
+            bases = [_cycle_rows(n, count) for _ in sides]
+        rows = bases if (_STAGE_DELETE, k, 0) not in streams else [_deleted_rows(
+            r, desc.deletions, streams[_STAGE_DELETE, k, side]) for side, r in zip(sides, bases)]
+        if rows is not last:  # a factor that keeps the bases before it keeps their graphs
+            last, built = rows, [[Graph._of_canonical(n, r) for r in side] for side in rows]
         if (_STAGE_COUPLE, k) in streams:
-            factor = couple(*graphs, desc.p, desc.sign, streams[_STAGE_COUPLE, k])
-            a = factor.adjacency()
+            s, u, v = _cross_edges(n, n, desc.p, streams[_STAGE_COUPLE, k])
+            _write_qlbits(a, n, *rows, s, u, v, desc.sign)
+            split = np.bincount(s, minlength=count).cumsum()[:-1]
+            factors.append([QLBit._of_canonical(b1, b2, c, desc.sign) for b1, b2, c
+                            in zip(*built, np.split(np.stack((u, v), axis=1), split))])
         else:
-            (factor,) = graphs
-            a = adjacency(factor)
+            _write_rows(a, rows[0])
+            factors.append(built[0])
         if (_STAGE_DISORDER, k) in streams:
-            a = apply_diagonal_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
-        built.append((factor, a))
-    return built
+            _add_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
+    return factors, mats
 
 
 def _run_chunk(desc: ExperimentDescriptor, indices: range, seeds: np.ndarray,
                stage_seeds: np.ndarray, states: np.ndarray) -> Iterator[SampleResult]:
     """Samples `indices` of the given seeds, stage seeds and their generator
-    states, stage by stage: every sample's factor matrices, then one stacked
+    states, stage by stage: the chunk's factor matrices, then one stacked
     eigendecomposition per distinct factor, then each sample's results,
     yielded one at a time. It hashes nothing."""
-    paths = _stage_paths(desc)
-    built = []
-    for i, streams in zip(indices, derive_streams(stage_seeds, states)):
-        try:
-            built.append(_sample_matrices(desc, dict(zip(paths, streams))))
-        except GenerationFailureError as exc:
-            raise GenerationFailureError(f"sample {i}: {exc}", exc.restarts) from exc
     try:
-        spectra = [eigendecompose(np.stack([factors[k][1] for factors in built]),
-                                  want_vectors=desc.kind == KIND_QLBIT_PRODUCT)
-                   for k in range(len(built[0]))]
+        factors, mats = _chunk_matrices(desc, derive_streams(stage_seeds, states))
+    except GenerationFailureError as exc:
+        raise GenerationFailureError(f"sample {indices[exc.item]}: {exc}", exc.restarts) from exc
+    try:
+        spectra = [eigendecompose(a, want_vectors=desc.kind == KIND_QLBIT_PRODUCT) for a in mats]
     except NumericalFailureError as exc:
         named = (f"sample {indices.start}" if len(indices) == 1
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
     copies = desc.n_factors if desc.identical_factors else 1
-    for j, (i, seed, factors) in enumerate(zip(indices, seeds.tolist(), built)):
-        yield SampleResult(i, seed, tuple(f for f, _ in factors) * copies,
+    for j, (i, seed) in enumerate(zip(indices, seeds.tolist())):
+        yield SampleResult(i, seed, tuple(f[j] for f in factors) * copies,
                            tuple(slot[j] for slot in spectra) * copies)
 
 
@@ -372,7 +368,7 @@ def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator
     batch = step * max(1, _BATCH_STREAMS // (step * (1 + len(paths))))
     for first in range(start, stop, batch):
         indices = range(first, min(first + batch, stop))
-        (seeds,) = derive_seeds([desc.master_seed], [(i,) for i in indices])
+        (seeds,) = derive_seeds([desc.master_seed], np.arange(first, indices.stop)[:, None])
         stage_seeds = derive_seeds(seeds, paths)
         states = stream_states(stage_seeds)
         for c in range(0, len(indices), step):

@@ -2,9 +2,9 @@
 
 Graphs are simple, undirected and unweighted. Edges are held as an (m, 2)
 int64 array of (u, v) with u < v, sorted by (u, v). The canonical order
-makes every downstream random draw over edges deterministic. The cycle,
-the sampler and the deletion build their graphs on rows canonical by
-construction, without validating them again.
+makes every downstream random draw over edges deterministic. The stages build
+on rows canonical by construction, without validating them again, for B items
+at once, one seed an item; each public stage function is the batch of one.
 """
 from __future__ import annotations
 
@@ -102,18 +102,20 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
 
 
 def cycle_graph(n: int) -> Graph:
-    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2, built in
-    canonical order (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)."""
+    """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
     n = require_int("n", n)
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
     if n > MAX_VERTICES:
         raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
-    u = np.arange(-1, n - 1, dtype=np.int64)
-    u[:2] = 0
-    v = u + 1
-    v[1] = n - 1
-    return Graph._of_canonical(n, np.stack((u, v), axis=1))
+    return Graph._of_canonical(n, _cycle_rows(n, 1)[0])
+
+
+def _cycle_rows(n: int, count: int) -> np.ndarray:
+    """(count, n, 2) views of C_n's rows (0, 1), (0, n-1), (1, 2), ..., (n-2, n-1)."""
+    rows = np.stack((np.arange(-1, n - 1, dtype=np.int64), np.arange(n, dtype=np.int64)), axis=1)
+    rows[:2] = (0, 1), (0, n - 1)  # (i - 1, i) for i >= 2, in canonical order
+    return np.broadcast_to(rows, (count, n, 2))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[int] | None:
@@ -165,23 +167,34 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
     if n > MAX_VERTICES:
         raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
-    keys = _d_regular_keys(n, d, seed.generator())
-    return Graph._of_canonical(n, np.stack(np.divmod(keys, n), axis=1))
-
-
-def _d_regular_keys(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Ascending int64 keys u * n + v, u < v, of a d-regular graph's edges:
-    its canonical rows are their divmod by n."""
     if 2 * d > n - 1:
-        taken = np.tri(n, dtype=bool).ravel()  # the diagonal and below hold no key with u < v
-        taken[_d_regular_keys(n, n - 1 - d, rng)] = True
-        return np.flatnonzero(~taken)
+        return Graph._of_canonical(n, _d_regular_rows(n, d, (seed,))[0])
+    rng = seed.generator()
     for _ in range(DEFAULT_MAX_RESTARTS):
         keys = _pairing_attempt(n, d, rng)
         if keys is not None:
-            return np.array(sorted(keys), dtype=np.int64)
+            rows = np.divmod(np.array(sorted(keys), dtype=np.int64)[:, None], n)
+            return Graph._of_canonical(n, np.concatenate(rows, axis=1))
     raise GenerationFailureError(f"d-regular generation failed for n={n}, d={d} after "
                                  f"{DEFAULT_MAX_RESTARTS} restarts", DEFAULT_MAX_RESTARTS)
+
+
+def _d_regular_rows(n: int, d: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
+    """(B, n*d/2, 2): `d_regular_random`'s rows for B seeds, called per seed for a
+    sparse degree, complemented at once for a dense one; ``item`` names a failure."""
+    if 2 * d <= n - 1:
+        rows = np.empty((len(seeds), n * d // 2, 2), dtype=np.int64)
+        for item, seed in enumerate(seeds):
+            try:
+                rows[item] = d_regular_random(n, d, seed).edges
+            except GenerationFailureError as exc:
+                exc.item = item
+                raise
+        return rows
+    taken = np.tile(np.tri(n, dtype=bool).ravel(), (len(seeds), 1))  # no key u*n + v, u < v
+    if d < n - 1:  # K_n is the complement of the edgeless graph; keys are rows @ (n, 1)
+        taken[np.arange(len(seeds))[:, None], _d_regular_rows(n, n - 1 - d, seeds) @ [n, 1]] = True
+    return np.stack(np.divmod(np.nonzero(~taken)[1].reshape(len(seeds), -1), n), axis=-1)
 
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
@@ -191,17 +204,28 @@ def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
         raise InvalidParameterError(f"count must be non-negative, got {count}")
     if count > g.n_edges:
         raise InvalidParameterError(f"cannot delete {count} of {g.n_edges} edges")
-    kept = np.ones(g.n_edges, dtype=bool)
-    kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
-    return Graph._of_canonical(g.n_vertices, g.edges[kept])
+    return Graph._of_canonical(g.n_vertices, _deleted_rows(g.edges[None], count, (seed,))[0])
+
+
+def _deleted_rows(rows: np.ndarray, count: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
+    """(B, m - count, 2): each item's rows less `count` its seed draws uniformly."""
+    kept = np.ones(rows.shape[:2], dtype=bool)
+    for row, seed in zip(kept, seeds):
+        row[seed.generator().choice(len(row), size=count, replace=False)] = False
+    return rows[kept].reshape(len(rows), rows.shape[1] - count, 2)
 
 
 def adjacency(g: Graph) -> np.ndarray:
     """Dense symmetric float64 adjacency matrix: 1.0 at each edge, 0.0 elsewhere."""
     m = np.zeros((g.n_vertices, g.n_vertices))
-    u, v = g.edges.T
-    m[u, v] = m[v, u] = 1.0
+    _write_rows(m[None], g.edges[None])
     return m
+
+
+def _write_rows(mats: np.ndarray, rows: np.ndarray, shift: int = 0) -> None:
+    """Writes 1.0 into B matrices at their (m, 2) rows (u, v) + shift and mirrors."""
+    s, u, v = np.arange(len(rows))[:, None], rows[..., 0] + shift, rows[..., 1] + shift
+    mats[s, u, v] = mats[s, v, u] = 1.0
 
 
 def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
@@ -212,8 +236,14 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     # An int past float range would overflow in the draw; a bool is no real.
     if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
-    m.flat[:: len(m) + 1] += seed.generator().normal(0.0, sigma, size=len(m))
+    _add_disorder(m[None], sigma, (seed,))
     return m
+
+
+def _add_disorder(mats: np.ndarray, sigma: float, seeds: tuple[RngSeed, ...]) -> None:
+    """Adds to each of B matrices' diagonal its seed's N(0, sigma^2) draws, in place."""
+    i = np.arange(mats.shape[-1])
+    mats[:, i, i] += [seed.generator().normal(0.0, sigma, size=len(i)) for seed in seeds]
 
 
 def is_connected(g: Graph) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, require_int
-from .graphs import Graph, adjacency, canonical_edges
+from .graphs import Graph, _write_rows, adjacency, canonical_edges
 from .rng import RngSeed
 from .spectra import Spectrum, eigendecompose
 
@@ -71,12 +71,9 @@ class QLBit:
         """Dense symmetric float64 matrix [[A_1, sign*C], [sign*C^T, A_2]]:
         each entry and its mirror written into one zero matrix, so every
         other entry stays +0.0, also at sign -1."""
-        n1 = self.basis_1.n_vertices
         m = np.zeros((self.n_vertices, self.n_vertices))
-        for rows, value in ((self.basis_1.edges, 1.0), (self.basis_2.edges + n1, 1.0),
-                            (self.coupling_edges + (0, n1), self.sign)):
-            u, v = rows.T
-            m[u, v] = m[v, u] = value
+        _write_qlbits(m[None], self.basis_1.n_vertices, self.basis_1.edges[None],
+                      self.basis_2.edges[None], 0, *self.coupling_edges.T, self.sign)
         return m
 
     def block_uniform(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +116,23 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     probability p. The rows come out in (u, v) order."""
     if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
         raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
-    drawn = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
-    return QLBit._of_canonical(basis_1, basis_2, np.argwhere(drawn), sign)
+    _, u, v = _cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, (seed,))
+    return QLBit._of_canonical(basis_1, basis_2, np.stack((u, v), axis=1), sign)
+
+
+def _cross_edges(n1: int, n2: int, p: float, seeds: tuple[RngSeed, ...]) -> tuple[np.ndarray, ...]:
+    """Sorted (s, u, v) of B bits' cross edges u of n1 to v of n2, each drawn with p."""
+    draws = np.empty((len(seeds), n1, n2))
+    for out, seed in zip(draws, seeds):
+        seed.generator().random(out=out)
+    return np.nonzero(draws < p)
+
+
+def _write_qlbits(mats: np.ndarray, n1: int, rows_1, rows_2, s, u, v, sign: int) -> None:
+    """Writes B bits' base rows (n1 vertices first) and `_cross_edges` into B zero matrices."""
+    _write_rows(mats, rows_1)
+    _write_rows(mats, rows_2, n1)
+    mats[s, u, v + n1] = mats[s, v + n1, u] = sign
 
 
 def predict_splitting(q: QLBit) -> SplittingPrediction:

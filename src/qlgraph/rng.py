@@ -95,11 +95,6 @@ def _as_uint64(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def _words(value: int) -> list[int]:
-    """A non-negative integer's little-endian 32-bit words, at least one."""
-    return [value >> shift & _WORD for shift in range(0, max(value.bit_length(), 1), 32)]
-
-
 @functools.cache
 def _precomputed_state() -> type:
     """An ``ISeedSequence`` that hands PCG64 a state hashed here. Built on
@@ -171,24 +166,31 @@ class RngSeed:
 
 def _hash_paths(seeds: np.ndarray, paths: Sequence[Sequence[int]], n_words: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(0, *path)).generate_state(n_words)`` of
-    each seed and path, seed-major, as a (K * P, n_words) uint32 array. Path
-    entries of 2^32 and more take several words; paths of different lengths
-    hash together."""
-    words = [[w for p in _checked_path(path) for w in _words(p)] for path in paths]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    each seed and path, seed-major, as a (K * P, n_words) uint32 array. Entries
+    of 2^32 and more take several words; paths of different lengths hash together."""
+    counts = np.fromiter(map(len, paths), np.int64, len(paths))
+    entries = np.fromiter(itertools.chain.from_iterable(map(_checked_path, paths)), object,
+                          int(counts.sum()))
+    words = entries[:, None] >> np.arange(0, max(max(entries, default=0).bit_length(), 1), 32)
+    taken = words > 0
+    taken[:, 0] = True  # an entry's words up to its highest nonzero one
+    lengths = np.bincount(np.repeat(np.arange(len(paths)), counts), taken.sum(axis=1),
+                          len(paths)).astype(np.int64)  # each path's word count
+    words = (words[taken] & _WORD).astype(np.uint32)
+    del entries, taken  # Python ints, not held while the rows hash
     # Each row starts with the seed's two words, zero-padded to the pool size
     # as numpy pads them before a spawn key, then stream id 0; the path follows.
     start, width = _POOL + 1, int(lengths.max(initial=0))
-    rows = np.zeros((len(seeds), len(words), start + width), dtype=np.uint32)
+    rows = np.zeros((len(seeds), len(paths), start + width), dtype=np.uint32)
     rows[:, :, 0], rows[:, :, 1] = seeds[:, None] & _WORD, seeds[:, None] >> 32
-    rows[:, :, start:][:, np.arange(width) < lengths[:, None]] = list(itertools.chain(*words))
+    rows[:, :, start:][:, np.arange(width) < lengths[:, None]] = words
     return _generate_state(rows.reshape(-1, start + width), np.tile(start + lengths, len(seeds)),
                            n_words)
 
 
 def derive_seeds(seeds: Sequence[int], paths: Sequence[Sequence[int]]) -> np.ndarray:
     """``[[RngSeed(seed).derive(*path).seed for path in paths] for seed in
-    seeds]`` as a (K, P) uint64 array, hashed in one pass."""
+    seeds]`` as a (K, P) uint64 array, hashed in one pass; paths may be an array."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     return _as_uint64(_hash_paths(seeds, paths, 2)).reshape(len(seeds), len(paths))
 

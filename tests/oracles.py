@@ -121,6 +121,28 @@ def reference_qlbit_adjacency(q: ql.QLBit) -> np.ndarray:
     return np.block([[reference_adjacency(q.basis_1), c], [c.T, reference_adjacency(q.basis_2)]])
 
 
+def reference_delete_random_edges(g: ql.Graph, count: int, seed: ql.RngSeed) -> ql.Graph:
+    """The graph less `count` distinct edges drawn over its canonical rows."""
+    kept = np.ones(g.n_edges, dtype=bool)
+    kept[seed.generator().choice(g.n_edges, size=count, replace=False)] = False
+    return ql.Graph(g.n_vertices, g.edges[kept])
+
+
+def reference_couple(basis_1: ql.Graph, basis_2: ql.Graph, p: float, sign: int,
+                     seed: ql.RngSeed) -> ql.QLBit:
+    """The QL bit whose cross edges are the (u, v), in (u, v) order, where the
+    seed's (n_1, n_2) uniform draws fall below p."""
+    cross = seed.generator().random((basis_1.n_vertices, basis_2.n_vertices)) < p
+    return ql.QLBit(basis_1, basis_2, np.argwhere(cross), sign)
+
+
+def reference_diagonal_disorder(a: np.ndarray, sigma: float, seed: ql.RngSeed) -> np.ndarray:
+    """A copy of the matrix with the seed's N(0, sigma^2) draws added to its diagonal."""
+    a = np.array(a, dtype=np.float64)
+    a[np.diag_indices(len(a))] += seed.generator().normal(0.0, sigma, size=len(a))
+    return a
+
+
 def reference_sample_matrices(desc: ql.ExperimentDescriptor, streams: dict,
                               ) -> list[tuple[ql.Graph | None, ql.QLBit | None, np.ndarray]]:
     """Each distinct factor's graph or QL bit (the other None) and the matrix
@@ -137,25 +159,18 @@ def reference_sample_matrices(desc: ql.ExperimentDescriptor, streams: dict,
             return ql.Graph(desc.n, np.stack([i, (i + 1) % desc.n], axis=1))
         return reference_d_regular_random(desc.n, desc.d, streams[0, k, side])
 
-    def delete(g: ql.Graph, seed: ql.RngSeed) -> ql.Graph:
-        kept = np.ones(g.n_edges, dtype=bool)
-        kept[seed.generator().choice(g.n_edges, size=desc.deletions, replace=False)] = False
-        return ql.Graph(g.n_vertices, g.edges[kept])
-
     def factor(k: int, bases: list[ql.Graph]):
         if desc.deletions:
-            bases = [delete(g, streams[1, k, side]) for side, g in enumerate(bases)]
+            bases = [reference_delete_random_edges(g, desc.deletions, streams[1, k, side])
+                     for side, g in enumerate(bases)]
         if desc.kind == "qlbit-product":
-            cross = streams[2, k].generator().random((desc.n, desc.n)) < desc.p
-            graph, q = None, ql.QLBit(*bases, np.argwhere(cross), desc.sign)
+            graph, q = None, reference_couple(*bases, desc.p, desc.sign, streams[2, k])
             a = reference_qlbit_adjacency(q)
         else:
             (graph,), q = bases, None
             a = reference_adjacency(graph)
         if desc.sigma > 0:
-            a = a.copy()
-            a[np.diag_indices(len(a))] += streams[3, k].generator().normal(0.0, desc.sigma,
-                                                                           size=len(a))
+            a = reference_diagonal_disorder(a, desc.sigma, streams[3, k])
         return graph, q, a
 
     first = [base(0, side) for side in sides]

@@ -334,7 +334,7 @@ def count_calls(monkeypatch, names, weights=None):
     """Count calls of the named functions, each looked up in the qlgraph module
     that defines it, wherever a qlgraph module holds them.
 
-    ``weights`` maps a name to what one call adds, from its first argument; 1
+    ``weights`` maps a name to what one call adds, from its arguments; 1
     otherwise.
     """
     calls = Counter()
@@ -346,7 +346,7 @@ def count_calls(monkeypatch, names, weights=None):
                         if getattr(vars(m).get(name), "__module__", None) == m.__name__)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += weights.get(_name, lambda _: 1)(args[0])
+            calls[_name] += weights.get(_name, lambda *_: 1)(*args)
             return _original(*args, **kwargs)
 
         for mod in modules:
@@ -427,8 +427,10 @@ class TestComputeOnce:
     # or QL bit it was built as.
     GRAPHS_PER_RUN = {"once-qlbit": 0, "once-shared": 0, "once-cycle": 0}
 
-    # Bases built per sample, by their builder: a cycle base is built once per
-    # side and shared by every factor.
+    # Bases built per sample, by their builder: a d-regular base is one
+    # `d_regular_random` call of its sparse degree (the dense complement is
+    # taken for a whole chunk at once), and a cycle base one row of a chunk's
+    # `_cycle_rows` array, built once per side and shared by every factor.
     @pytest.mark.parametrize("descriptor,bases_per_sample", [
         ({"name": "once-qlbit", "kind": "qlbit-product", "n": 8, "d": 5, "p": 0.2,
           "n_factors": 2, "n_samples": 3}, {"d_regular_random": 4}),
@@ -436,17 +438,19 @@ class TestComputeOnce:
           "deletions": 4, "n_factors": 3, "shared_base": True, "n_samples": 3},
          {"d_regular_random": 1}),
         ({"name": "once-cycle", "kind": "d-regular-product", "graph": "cycle", "n": 5,
-          "deletions": 1, "n_factors": 3, "n_samples": 3}, {"cycle_graph": 1}),
+          "deletions": 1, "n_factors": 3, "n_samples": 3}, {"_cycle_rows": 1}),
     ])
     def test_each_sample_factor_and_base_computed_once(self, descriptor, bases_per_sample,
                                                       tmp_path, capsys, monkeypatch):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(descriptor))
         # eigendecompose counts matrices: a stack's leading dimension, or one.
+        # _cycle_rows counts rows: the cycles it repeats for a chunk.
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
-                                          "cycle_graph", "compose_spectra", "predict_splitting",
-                                          "is_connected", "emergent_pair"),
-                            weights={"eigendecompose": lambda a: len(a) if a.ndim == 3 else 1})
+                                          "cycle_graph", "_cycle_rows", "compose_spectra",
+                                          "predict_splitting", "is_connected", "emergent_pair"),
+                            weights={"eigendecompose": lambda a, *_: len(a) if a.ndim == 3 else 1,
+                                     "_cycle_rows": lambda n, count: count})
         # Every stream of the pipeline is hashed through derive_seeds and derive_streams.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)

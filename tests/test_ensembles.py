@@ -352,6 +352,28 @@ class TestEnsembleSpectrum:
         with pytest.raises(ql.GenerationFailureError, match="^sample 2: "):
             ql.run_sample(small_qlbit_descriptor(d=3), 2)
 
+    # d=3 pairs each base itself; d=5 pairs its sparse complement, of degree 2,
+    # and complements the chunk's bases at once.
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_generation_failure_names_the_sample_inside_a_chunk(self, d, monkeypatch):
+        # One base a sample: sample 0 runs alone, then samples 1..10 in one
+        # chunk. Only the 8th base's pairing fails, and sample 7 owns it.
+        import qlgraph.graphs as graphs
+        pairing, generators = graphs._pairing_attempt, []
+
+        def fail_eighth(n, d, rng):
+            if rng not in generators:
+                generators.append(rng)
+            return None if generators.index(rng) == 7 else pairing(n, d, rng)
+
+        monkeypatch.setattr(graphs, "_pairing_attempt", fail_eighth)
+        desc = ql.ExperimentDescriptor("mid", "d-regular-product", 8, d=d, n_factors=2,
+                                       shared_base=True, n_samples=11)
+        with pytest.raises(ql.GenerationFailureError, match="^sample 7: d-regular") as exc:
+            ql.ensemble_spectrum(desc)
+        assert exc.value.restarts == graphs.DEFAULT_MAX_RESTARTS
+        assert len(generators) == 8
+
 
 class TestFig3BandStructure:
     def test_emergent_band_isolated(self):

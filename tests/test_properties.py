@@ -26,7 +26,9 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_seeds, derive_streams, stream_states
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     reference_composite, reference_graph_edges,
+                     reference_adjacency, reference_composite, reference_couple,
+                     reference_d_regular_random, reference_delete_random_edges,
+                     reference_diagonal_disorder, reference_graph_edges,
                      reference_is_connected, reference_qlbit_adjacency,
                      reference_sample_matrices, spawned_seed, stage_stream, weighted_adjacency)
 
@@ -303,36 +305,36 @@ def test_chunked_samples_equal_samples_run_alone(desc, per_chunk, batch_streams)
 
 
 def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple[int, ...]]]:
-    """Each stage function one sample calls, with the stage path of its stream,
-    in call order: per distinct factor, its d-regular bases (factor 0's alone
-    with shared bases), deletions, coupling and disorder."""
+    """Each stage helper one chunk calls, with the stage path of the streams
+    it receives, in call order: per distinct factor, its d-regular bases
+    (factor 0's alone with shared bases), deletions, coupling and disorder."""
     sides = (0, 1) if desc.kind == "qlbit-product" else (0,)
     calls = []
     for k in range(1 if desc.identical_factors else desc.n_factors):
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
-            calls += [("d_regular_random", (0, k, side)) for side in sides]
+            calls += [("_d_regular_rows", (0, k, side)) for side in sides]
         if desc.deletions:
-            calls += [("delete_random_edges", (1, k, side)) for side in sides]
+            calls += [("_deleted_rows", (1, k, side)) for side in sides]
         if desc.kind == "qlbit-product":
-            calls.append(("couple", (2, k)))
+            calls.append(("_cross_edges", (2, k)))
         if desc.sigma:
-            calls.append(("apply_diagonal_disorder", (3, k)))
+            calls.append(("_add_disorder", (3, k)))
     return calls
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(desc=small_descriptors())
-def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
-    # Record the seed (the last argument) each stage function receives, and
-    # count the streams hashed; each sample hashes its own seed and its stages'.
+@given(desc=small_descriptors(), per_chunk=st.integers(1, 4))
+def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
+    # Record the seeds (the last argument) each stage helper receives, one a
+    # sample of its chunk, and count the streams hashed; each sample hashes
+    # its own seed and its stages'. Chunks of per_chunk samples.
     received, hashed = [], []
     originals = {name: getattr(ql.experiments, name) for name in
-                 ("d_regular_random", "delete_random_edges", "couple",
-                  "apply_diagonal_disorder")}
+                 ("_d_regular_rows", "_deleted_rows", "_cross_edges", "_add_disorder")}
 
     def recorder(name):
         def record(*args):
-            received.append((name, args[-1]))
+            received.append((name, list(args[-1])))
             return originals[name](*args)
         return record
 
@@ -340,51 +342,116 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc):
         hashed.append(len(seeds) * len(paths))
         return derive_seeds(seeds, paths)
 
+    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
+    entries = (1 if desc.identical_factors else desc.n_factors) * dim * dim
     with mock.patch.multiple(ql.experiments, derive_seeds=counted,
+                             _CHUNK_VALUES=per_chunk * entries,
                              **{name: recorder(name) for name in originals}):
         samples = list(ql.iter_samples(desc))
     expected = expected_stage_calls(desc)
     assert sum(hashed) == desc.n_samples * (1 + len(expected))
-    assert len(received) == desc.n_samples * len(expected)
-    calls = iter(received)
-    for sample in samples:
-        assert sample.seed == spawned_seed(desc.master_seed, sample.index)
-        for (name, path), (got_name, seed) in zip(expected, calls):
-            oracle_seed, oracle_state = stage_stream(desc.master_seed, sample.index, path)
-            assert (got_name, seed.seed, seed.stream_id) == (name, oracle_seed, 0)
-            assert seed.generator().bit_generator.state == oracle_state
+    assert [sample.seed for sample in samples] == [
+        spawned_seed(desc.master_seed, i) for i in range(desc.n_samples)]
+    # Each chunk runs each stage once, in order, on one stream of each of its samples.
+    calls, done = iter(received), 0
+    while expected and done < desc.n_samples:
+        chunk = range(done, min(done + per_chunk, desc.n_samples))
+        for name, path in expected:
+            got_name, seeds = next(calls)
+            assert (got_name, len(seeds)) == (name, len(chunk))
+            for i, seed in zip(chunk, seeds):
+                oracle_seed, oracle_state = stage_stream(desc.master_seed, i, path)
+                assert (seed.seed, seed.stream_id) == (oracle_seed, 0)
+                assert seed.generator().bit_generator.state == oracle_state
+        done = chunk.stop
+    assert next(calls, None) is None
+
+
+def _descriptor(**fields) -> ql.ExperimentDescriptor:
+    return ql.ExperimentDescriptor(name="prop", **fields)
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(desc=small_descriptors(), index=st.integers(0, 3))
-def test_edge_row_factors_equal_graph_built_reference(desc, index):
+@given(desc=small_descriptors(), first=st.integers(0, 3), count=st.integers(1, 5))
+# Sign -1 QL bits with deletions on shared dense bases, with disorder.
+@example(desc=_descriptor(kind="qlbit-product", n=6, d=3, deletions=2, p=0.5, sign=-1,
+                          n_factors=2, shared_base=True, sigma=0.5), first=1, count=5)
+# Cycle bases with deletions, with disorder; sparse d-regular QL bits.
+@example(desc=_descriptor(kind="d-regular-product", n=5, graph="cycle", d=None, deletions=2,
+                          n_factors=3, sigma=2.0), first=0, count=4)
+@example(desc=_descriptor(kind="qlbit-product", n=8, d=2, deletions=1, p=0.3, n_factors=2),
+         first=2, count=3)
+# Identical factors: QL bits of cycles with deletions, and complete graphs.
+@example(desc=_descriptor(kind="qlbit-product", n=4, graph="cycle", d=None, deletions=1,
+                          p=0.7, sign=-1, n_factors=3, identical_factors=True), first=0, count=5)
+@example(desc=_descriptor(kind="d-regular-product", n=4, d=3, deletions=1, n_factors=2,
+                          identical_factors=True, sigma=0.5), first=3, count=2)
+def test_edge_row_factors_equal_graph_built_reference(desc, first, count):
+    # A chunk of samples first..first+count-1: each sample's slice of the
+    # chunk's matrices, and each of its factors, equal to the reference built
+    # from that sample's streams alone.
     paths = ql.experiments._stage_paths(desc)
+    indices = range(first, first + count)
+    seeds = derive_seeds([ql.RngSeed(desc.master_seed).derive(i).seed for i in indices], paths)
+    streams = derive_streams(seeds, stream_states(seeds))
+    factors, mats = ql.experiments._chunk_matrices(desc, streams)
+    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
+    distinct = 1 if desc.identical_factors else desc.n_factors
+    assert (mats.dtype, mats.shape) == (np.float64, (distinct, count, dim, dim))
+    assert [len(slot) for slot in factors] == [count] * distinct
+    for j, (i, row) in enumerate(zip(indices, streams)):
+        reference = reference_sample_matrices(desc, dict(zip(paths, row)))
+        assert len(reference) == distinct
+        for a, slot, (_, _, expected) in zip(mats, factors, reference):
+            assert (a[j].shape, a[j].tobytes()) == (expected.shape, expected.tobytes())
+        # The chunk's factors, and the pipeline's, are the reference's graphs
+        # and QL bits, with read-only edge rows.
+        for built in ([slot[j] for slot in factors], ql.run_sample(desc, i).factors):
+            for f, (graph, q, _) in zip(built, reference):
+                if q is None:
+                    assert isinstance(f, ql.Graph)
+                    assert not f.edges.flags.writeable
+                    assert (f.n_vertices, f.edges.tolist()) == (graph.n_vertices,
+                                                                graph.edges.tolist())
+                else:
+                    assert isinstance(f, ql.QLBit)
+                    assert not any(rows.flags.writeable for rows in (
+                        f.basis_1.edges, f.basis_2.edges, f.coupling_edges))
+                    assert [(b.n_vertices, b.edges.tolist()) for b in (f.basis_1, f.basis_2)] == [
+                        (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
+                    assert (f.coupling_edges.tolist(), f.sign) == (q.coupling_edges.tolist(),
+                                                                   q.sign)
 
-    def streams():
-        seeds = derive_seeds([ql.RngSeed(desc.master_seed).derive(index).seed], paths)
-        (row,) = derive_streams(seeds, stream_states(seeds))
-        return dict(zip(paths, row))
 
-    reference = reference_sample_matrices(desc, streams())
-    built = ql.experiments._sample_matrices(desc, streams())
-    assert len(built) == len(reference)
-    for (_, a), (_, _, expected) in zip(built, reference):
-        assert (a.dtype, a.shape, a.tobytes()) == (np.float64, expected.shape, expected.tobytes())
-    # The pipeline's factors are the reference's graphs and QL bits, with
-    # read-only edge rows.
-    factors = ql.run_sample(desc, index).factors
-    for f, (graph, q, _) in zip(factors, reference):
-        if q is None:
-            assert isinstance(f, ql.Graph)
-            assert not f.edges.flags.writeable
-            assert (f.n_vertices, f.edges.tolist()) == (graph.n_vertices, graph.edges.tolist())
-        else:
-            assert isinstance(f, ql.QLBit)
-            assert not any(rows.flags.writeable for rows in (
-                f.basis_1.edges, f.basis_2.edges, f.coupling_edges))
-            assert [(b.n_vertices, b.edges.tolist()) for b in (f.basis_1, f.basis_2)] == [
-                (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
-            assert (f.coupling_edges.tolist(), f.sign) == (q.coupling_edges.tolist(), q.sign)
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(half=st.integers(1, 5), data=st.data(), seed=SEEDS)
+def test_public_stage_functions_equal_reference_stages(half, data, seed):
+    # Each public stage function, the batch of one of its chunk stage, held
+    # bit for bit to the stage `reference_sample_matrices` runs.
+    n = 2 * half  # even n: every degree below n is feasible
+    d = data.draw(st.integers(1, n - 1), label="d")
+    root = ql.RngSeed(seed)
+
+    def same(a, b):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    g = ql.d_regular_random(n, d, root.derive(0))
+    assert same(g.edges, reference_d_regular_random(n, d, root.derive(0)).edges)
+    count = data.draw(st.integers(0, g.n_edges), label="deletions")
+    h = ql.delete_random_edges(g, count, root.derive(1))
+    assert same(h.edges, reference_delete_random_edges(g, count, root.derive(1)).edges)
+    a = ql.adjacency(h)
+    assert same(a, reference_adjacency(h))
+    sigma = data.draw(st.sampled_from([0.0, 0.5, 2.0]), label="sigma")
+    assert same(ql.apply_diagonal_disorder(a, sigma, root.derive(2)),
+                reference_diagonal_disorder(a, sigma, root.derive(2)))
+    other = ql.cycle_graph(data.draw(st.integers(3, 7), label="cycle"))
+    p = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="p")
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    q = ql.couple(h, other, p, sign, root.derive(3))
+    expected = reference_couple(h, other, p, sign, root.derive(3))
+    assert same(q.coupling_edges, expected.coupling_edges) and q.sign == expected.sign
+    assert same(q.adjacency(), reference_qlbit_adjacency(q))
 
 
 def explicit_spectrum(desc: ql.ExperimentDescriptor, index: int) -> np.ndarray:
