@@ -33,3 +33,8 @@ def require_int(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number: an int, a float or a numpy one, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)

@@ -53,8 +53,7 @@ MAX_SIGMA = 1e100
 # whole sample when that is larger: its memory does not grow with n_samples.
 # Samples are built and eigendecomposed in chunks of at most this many matrix
 # entries across their distinct factors, or of one sample when that is larger.
-_CHUNK_VALUES = 2**14
-_BATCH_STREAMS = 2**11  # streams hashed per batch of whole chunks, or one chunk if more
+_CHUNK_VALUES = 2**14  # also the most streams hashed in one batch of whole chunks
 
 # Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
 # and n otherwise, states = dim^n_factors, and entries = dim^2 times the
@@ -68,9 +67,9 @@ _BATCH_STREAMS = 2**11  # streams hashed per batch of whole chunks, or one chunk
 # coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
 # its composed values, sort and label arrays, 72*states; one chunk of at most
 # max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
-# bytes a value; one batch of hashed streams, 160*_CHUNK_VALUES (tracemalloc:
-# 2.33 MB for the largest); per sample its factor eigenvalues, 8*n_factors*dim,
-# and its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
+# bytes a value; one batch of at most _CHUNK_VALUES hashed streams, 160 bytes a
+# stream (tracemalloc: 2.33 MB for the largest); per sample its factor eigenvalues,
+# 8*n_factors*dim, and its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -350,11 +349,11 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
 
     Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
     is a batch of one: `iter_samples` gives bitwise the same result. An
-    index that is not a non-negative integer is refused.
+    index that is not an integer in [0, 2^32), a derivation path entry, is refused.
     """
     require_valid(desc)
-    if require_int("sample_index", sample_index) < 0:
-        raise InvalidParameterError(f"sample_index must be non-negative, got {sample_index}")
+    if not 0 <= require_int("sample_index", sample_index) < 2**32:
+        raise InvalidParameterError("sample_index must be non-negative and below 2**32")
     (sample,) = _samples_from(desc, sample_index, sample_index + 1)
     return sample
 
@@ -362,10 +361,10 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
 def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator[SampleResult]:
     """Samples start..stop-1 in chunks of at most `_CHUNK_VALUES` matrix entries
     across distinct factors, or of one sample. Streams are hashed in three passes
-    per batch of whole chunks (see `_BATCH_STREAMS`); each chunk gets a slice."""
+    per batch of whole chunks, at most `_CHUNK_VALUES` streams; each chunk gets a slice."""
     paths = _stage_paths(desc)
     step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
-    batch = step * max(1, _BATCH_STREAMS // (step * (1 + len(paths))))
+    batch = step * max(1, _CHUNK_VALUES // (step * (1 + len(paths))))
     for first in range(start, stop, batch):
         indices = range(first, min(first + batch, stop))
         (seeds,) = derive_seeds([desc.master_seed], np.arange(first, indices.stop)[:, None])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailureError, InvalidParameterError, require_int
+from .errors import GenerationFailureError, InvalidParameterError, is_real, require_int
 from .rng import RngSeed
 
 DEFAULT_MAX_RESTARTS = 10_000
@@ -233,9 +233,9 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     m = np.array(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    # An int past float range would overflow in the draw; a bool is no real.
-    if isinstance(sigma, (bool, np.bool_)) or not 0 <= sigma <= sys.float_info.max:
-        raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma}")
+    # An int past float range would overflow in the draw.
+    if not is_real(sigma) or not 0 <= sigma <= sys.float_info.max:
+        raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma!r}")
     _add_disorder(m[None], sigma, (seed,))
     return m
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_int
+from .errors import InvalidParameterError, is_real, require_int
 from .graphs import Graph, _write_rows, adjacency, canonical_edges
 from .rng import RngSeed
 from .spectra import Spectrum, eigendecompose
@@ -114,8 +114,8 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     """The QL bit of two basis graphs joined by cross edges of weight sign:
     each (u, v), u of basis_1 and v of basis_2, independently with
     probability p. The rows come out in (u, v) order."""
-    if isinstance(p, (bool, np.bool_)) or not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p}")
+    if not is_real(p) or not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p!r}")
     _, u, v = _cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, (seed,))
     return QLBit._of_canonical(basis_1, basis_2, np.stack((u, v), axis=1), sign)
 

@@ -112,10 +112,10 @@ def _precomputed_state() -> type:
 
 
 def _checked_path(path: Sequence[int]) -> list[int]:
-    """A derivation path's entries as ints, each a non-negative integer."""
+    """A derivation path's entries as ints, each one 32-bit word: an integer in [0, 2^32)."""
     path = [require_int("derivation path entry", p) for p in path]
-    if any(p < 0 for p in path):
-        raise InvalidParameterError("derivation path entries must be non-negative")
+    if any(not 0 <= p <= _WORD for p in path):
+        raise InvalidParameterError("derivation path entries must be non-negative and below 2**32")
     return path
 
 
@@ -151,7 +151,7 @@ class RngSeed:
         return np.random.Generator(np.random.PCG64(_precomputed_state()(self._state)))
 
     def derive(self, *path: int) -> "RngSeed":
-        """Derive an independent child seed from an integer path.
+        """Derive an independent child seed from a path of integers in [0, 2^32).
 
         The child is a pure function of (seed, stream_id, path); distinct
         paths give statistically independent streams. Used to split one
@@ -166,18 +166,11 @@ class RngSeed:
 
 def _hash_paths(seeds: np.ndarray, paths: Sequence[Sequence[int]], n_words: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(0, *path)).generate_state(n_words)`` of
-    each seed and path, seed-major, as a (K * P, n_words) uint32 array. Entries
-    of 2^32 and more take several words; paths of different lengths hash together."""
-    counts = np.fromiter(map(len, paths), np.int64, len(paths))
-    entries = np.fromiter(itertools.chain.from_iterable(map(_checked_path, paths)), object,
-                          int(counts.sum()))
-    words = entries[:, None] >> np.arange(0, max(max(entries, default=0).bit_length(), 1), 32)
-    taken = words > 0
-    taken[:, 0] = True  # an entry's words up to its highest nonzero one
-    lengths = np.bincount(np.repeat(np.arange(len(paths)), counts), taken.sum(axis=1),
-                          len(paths)).astype(np.int64)  # each path's word count
-    words = (words[taken] & _WORD).astype(np.uint32)
-    del entries, taken  # Python ints, not held while the rows hash
+    each seed and path, seed-major, as a (K * P, n_words) uint32 array. Each
+    path entry is one word; paths of different lengths hash together."""
+    lengths = np.fromiter(map(len, paths), np.int64, len(paths))
+    words = np.fromiter(itertools.chain.from_iterable(map(_checked_path, paths)), np.uint32,
+                        int(lengths.sum()))
     # Each row starts with the seed's two words, zero-padded to the pool size
     # as numpy pads them before a spawn key, then stream id 0; the path follows.
     start, width = _POOL + 1, int(lengths.max(initial=0))

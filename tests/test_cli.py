@@ -515,7 +515,8 @@ class TestComputeOnce:
         assert (hashed["hashes"], hashed["primings"]) == (2 * 3, 1 + 10)
 
     def test_fig4a_hash_passes_do_not_depend_on_chunks(self, tmp_path, capsys, monkeypatch):
-        # One sample a chunk: 100 chunks, still 2 batches of 3 hash passes.
+        # One sample a chunk: 100 chunks. A batch holds at most 40^2 streams,
+        # 400 samples, so still 2 batches of 3 hash passes.
         monkeypatch.setattr(ql.experiments, "_CHUNK_VALUES", 40**2)
         hashed = count_hashing(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)

@@ -235,10 +235,19 @@ class TestRunSample:
 
     @pytest.mark.parametrize("index,problem", [
         (True, "an integer"), (1.5, "an integer"), ("1", "an integer"), (None, "an integer"),
-        (-1, "non-negative")])
+        (-1, "non-negative"), (2**32, r"non-negative and below 2\*\*32"),
+        (2**64, r"non-negative and below 2\*\*32")])
     def test_bad_index_refused(self, index, problem):
         with pytest.raises(InvalidParameterError, match=f"sample_index must be {problem}"):
             ql.run_sample(small_qlbit_descriptor(), index)
+
+    def test_validate_keeps_every_hashed_entry_in_a_word(self):
+        # The cheapest descriptor validate accepts: the memory model refuses
+        # 2**23 samples, so no accepted run hashes a sample index past a word.
+        desc = ql.ExperimentDescriptor(name="t", kind="single-graph", n=2, d=1)
+        assert desc.with_overrides(n_samples=2**22).validate() == []
+        assert [e.split(":")[0] for e in desc.with_overrides(n_samples=2**23).validate()] == [
+            f"modelled memory exceeds {ql.experiments.MAX_BYTES} bytes"]
 
     def test_numpy_integer_index_accepted(self):
         desc = small_qlbit_descriptor()
@@ -296,7 +305,7 @@ class TestEnsembleSpectrum:
     def test_many_sample_peak_memory_bounded(self):
         # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at
         # once. 1,000 samples of fig3: samples 1..999 hash their streams in
-        # five batches of at most 222 samples (6 chunks of 37).
+        # one batch of 27 chunks of 37 samples, 8 streams each (7,992 streams).
         for name, n_samples, states in [("fig4e", 100, 24**3), ("fig3", 1000, 12**3)]:
             desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=n_samples)
             tracemalloc.start()

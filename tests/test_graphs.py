@@ -374,9 +374,11 @@ class TestDiagonalDisorder:
         with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))
 
-    # An int past float range overflowed in the draw, and a bool passed as 1 or 0.
-    @pytest.mark.parametrize("sigma", [10**400, -10**400, True, False, np.True_],
-                             ids=["10**400", "-10**400", "True", "False", "np.True_"])
+    # An int past float range overflowed in the draw, and a bool passed as 1 or 0;
+    # None, a str and a complex raised TypeError comparing with 0.
+    @pytest.mark.parametrize(
+        "sigma", [10**400, -10**400, True, False, np.True_, None, "0.2", 1j],
+        ids=["10**400", "-10**400", "True", "False", "np.True_", "None", "str", "1j"])
     def test_sigma_that_is_no_real_float_rejected(self, sigma):
         with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))

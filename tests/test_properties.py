@@ -17,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -123,14 +124,16 @@ def test_composed_range_is_the_extremes_of_the_explicit_grid(factors):
     assert edges.tobytes() == np.linspace(grid.min() - 0.5, grid.max() + 0.5, 8).tobytes()
 
 
-# 64-bit seeds and spawn-key entries around the 32-bit word boundaries.
+# 64-bit seeds around the 32-bit word boundaries, and stream ids past 2^64
+# too. A derivation path entry is one 32-bit word.
 _WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
                    st.integers(0, 2**64 - 1))
-_KEY_ENTRIES = st.one_of(_WORDS, st.integers(2**64, 2**100))
+_STREAM_IDS = st.one_of(_WORDS, st.integers(2**64, 2**100))
+_PATH_ENTRIES = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 @PROPERTY_SETTINGS
-@given(seed=_WORDS, stream_id=_KEY_ENTRIES, path=st.lists(_KEY_ENTRIES, max_size=4))
+@given(seed=_WORDS, stream_id=_STREAM_IDS, path=st.lists(_PATH_ENTRIES, max_size=4))
 def test_rng_streams_equal_plain_seed_sequence(seed, stream_id, path):
     root = ql.RngSeed(seed, stream_id)
     spawned = np.random.SeedSequence(seed, spawn_key=(stream_id, *path))
@@ -146,9 +149,8 @@ def _plain_child(parent: ql.RngSeed, path) -> tuple[int, dict]:
     return seed, np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
 
 
-# Entries at and past 2^32 and 2^64 take two and three words, so rows of
-# different lengths hash in one batch.
-_PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
+# Paths of different lengths hash in one batch.
+_PATHS = st.lists(st.lists(_PATH_ENTRIES, max_size=4).map(tuple), max_size=5)
 
 
 @PROPERTY_SETTINGS
@@ -157,7 +159,7 @@ _PATHS = st.lists(st.lists(_KEY_ENTRIES, max_size=4).map(tuple), max_size=5)
 @example(seeds=[7, 2**40], paths=[])  # no paths
 @example(seeds=[2**64 - 1], paths=[()])  # the empty path
 @example(seeds=[1, 2**63],
-         paths=[(2**32 - 1,), (2**32, 0), (2**64 - 1, 1, 2), (2**64,), (2**64 + 5, 2**32), ()])
+         paths=[(2**32 - 1,), (0, 0), (2**32 - 1, 1, 2), (1,), (5, 2**32 - 1), ()])
 def test_derive_streams_equal_plain_seed_sequence(seeds, paths):
     children = derive_seeds(seeds, paths)
     assert (children.dtype, children.shape) == (np.uint64, (len(seeds), len(paths)))
@@ -175,6 +177,27 @@ def test_derive_streams_equal_plain_seed_sequence(seeds, paths):
             assert stream == parent.derive(*path) == ql.RngSeed(child)
             # The same stream unprimed hashes its state on its own.
             assert ql.RngSeed(child).generator().bit_generator.state == state
+
+
+# A path with one entry past a word, at any place among entries within one.
+_PATHS_PAST_A_WORD = st.tuples(
+    st.lists(_PATH_ENTRIES, max_size=2),
+    st.one_of(st.sampled_from([2**32, 2**32 + 1, 2**64 - 1, 2**64]), st.integers(2**32, 2**100)),
+    st.lists(_PATH_ENTRIES, max_size=2)).map(lambda t: (*t[0], t[1], *t[2]))
+
+
+@PROPERTY_SETTINGS
+@given(seed=_WORDS, stream_id=_STREAM_IDS, paths=_PATHS, bad=_PATHS_PAST_A_WORD)
+@example(seed=7, stream_id=0, paths=[], bad=(2**32,))
+@example(seed=1, stream_id=0, paths=[(2**32 - 1,)], bad=(2**32, 0))
+@example(seed=1, stream_id=2**64, paths=[], bad=(2**64 - 1, 1, 2))
+@example(seed=2**63, stream_id=0, paths=[()], bad=(2**64,))
+@example(seed=2**63, stream_id=0, paths=[(0, 0)], bad=(2**64 + 5, 2**32))
+def test_path_entries_past_a_word_refused(seed, stream_id, paths, bad):
+    with pytest.raises(InvalidParameterError, match=r"non-negative and below 2\*\*32"):
+        ql.RngSeed(seed, stream_id).derive(*bad)
+    with pytest.raises(InvalidParameterError, match=r"non-negative and below 2\*\*32"):
+        derive_seeds([seed], [*paths, bad])
 
 
 @st.composite
@@ -284,16 +307,13 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(desc=small_descriptors(), per_chunk=st.integers(1, 4), batch_streams=st.integers(1, 64))
-def test_chunked_samples_equal_samples_run_alone(desc, per_chunk, batch_streams):
-    # Chunks of per_chunk samples, so up to 9 samples cross several chunk
-    # boundaries, and ensemble_spectrum's chunks (from sample 1) others still.
-    # Batches capped at as few streams as one chunk, so batches end mid-run.
-    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
-    entries = (1 if desc.identical_factors else desc.n_factors) * dim * dim
+@given(desc=small_descriptors(), chunk_values=st.integers(1, 64))
+def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
+    # A sample has 9 to 768 matrix entries and 1 to 19 streams, so up to 9
+    # samples run in chunks of one or several samples, and batches of one or
+    # several chunks end mid-run; ensemble_spectrum's (from sample 1) elsewhere.
     alone = [sample_bytes(ql.run_sample(desc, i)) for i in range(desc.n_samples)]
-    with mock.patch.multiple(ql.experiments, _CHUNK_VALUES=per_chunk * entries,
-                             _BATCH_STREAMS=batch_streams):
+    with mock.patch.object(ql.experiments, "_CHUNK_VALUES", chunk_values):
         chunked = [sample_bytes(sample) for sample in ql.iter_samples(desc)]
         first, histogram, seeds = ql.ensemble_spectrum(desc)
     assert chunked == alone

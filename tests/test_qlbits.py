@@ -59,7 +59,8 @@ class TestCouple:
         with pytest.raises(InvalidParameterError):
             ql.couple(k2, k2, 1.5, 1, ql.RngSeed(0))
 
-    @pytest.mark.parametrize("p", [True, False, np.True_])
+    # None, a str and a complex raised TypeError comparing with 0.
+    @pytest.mark.parametrize("p", [True, False, np.True_, None, "0.2", 1j])
     def test_bool_p_rejected(self, p):
         k2 = ql.Graph(2, [[0, 1]])
         with pytest.raises(InvalidParameterError, match="coupling probability"):
