@@ -11,13 +11,15 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_int
+from .errors import InvalidParameterError, is_real, require_int, shown
 
 EMERGENT = "emergent"
 HYBRID = "hybrid"
 RANDOM = "random"
 
 _PAD = 0.5
+# Histogram edges are float64: 10^6 bins take 8 MB.
+MAX_BINS = 1_000_000
 
 
 def state_kinds(n_factors: int) -> np.ndarray:
@@ -35,11 +37,15 @@ class EnsembleHistogram:
 
 def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     """``bins + 1`` uniform edges spanning [lo - 0.5, hi + 0.5]: every value
-    in [lo, hi] lands in a bin."""
-    if require_int("bins", bins) < 1:
-        raise InvalidParameterError(f"bins must be positive, got {bins}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise InvalidParameterError(f"histogram range must be finite with lo <= hi, got [{lo}, {hi}]")
+    in [lo, hi], reals whose span is within float range, lands in a bin."""
+    bins = require_int("bins", bins, 1, MAX_BINS)
+    try:  # as Python floats: a numpy float compared to a larger one would warn
+        span = float(hi) - float(lo) if is_real(lo) and is_real(hi) else math.nan
+    except OverflowError:  # an int past float range
+        span = math.nan
+    if not 0 <= span < math.inf:
+        raise InvalidParameterError("histogram range must be finite with lo <= hi, "
+                                    f"got [{shown(lo)}, {shown(hi)}]")
     return np.linspace(lo - _PAD, hi + _PAD, bins + 1)
 
 

@@ -17,9 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import EnsembleHistogram, histogram_edges, histogram_from_values
+from .ensembles import MAX_BINS, EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
-                     require_int)
+                     require_int, shown)
 from .graphs import (Graph, _add_disorder, _cycle_rows, _d_regular_rows, _deleted_rows,
                      _write_rows, d_regular_random)  # noqa: F401, read here by perfbench's tracer
 from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
@@ -42,8 +42,6 @@ _STAGE_DELETE = 1
 _STAGE_COUPLE = 2
 _STAGE_DISORDER = 3
 
-# Histogram edges are float64: 10^6 bins take 8 MB.
-MAX_BINS = 1_000_000
 # Diagonal disorder past this is refused: about 200 orders of magnitude below
 # float64 overflow, so the draws, their sums over factors and the histogram
 # range stay finite.
@@ -80,16 +78,6 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,199}")
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _too_long(value) -> str:
-    """Names a value without a repr, an int past sys.get_int_max_str_digits()
-    or one holding such an int: the int by its digit count."""
-    if not _is_int(value):
-        return f"a {type(value).__name__} holding such an int"
-    digits = round(math.log10(abs(value)))  # off by at most one
-    digits += (10**digits <= abs(value)) - (10**(digits - 1) > abs(value))
-    return f"an int of {digits} digits"
 
 
 # Descriptor field annotation -> (value check, expectation in the error message).
@@ -209,13 +197,11 @@ class ExperimentDescriptor:
                 continue
             check, expectation = _FIELD_CHECKS[expected]
             try:
-                shown = repr(value)
+                fits = repr(value) and check(value)  # repr refuses an int past the digit limit
             except ValueError:
-                errors.append(f"{f.name} must be {expectation} short enough to print, "
-                              f"got {_too_long(value)}")
-                continue
-            if not check(value):
-                errors.append(f"{f.name} must be {expectation}, got {shown}")
+                fits, expectation = False, f"{expectation} short enough to print"
+            if not fits:
+                errors.append(f"{f.name} must be {expectation}, got {shown(value)}")
         return errors
 
     def to_json_dict(self) -> dict:
@@ -352,8 +338,7 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     index that is not an integer in [0, 2^32), a derivation path entry, is refused.
     """
     require_valid(desc)
-    if not 0 <= require_int("sample_index", sample_index) < 2**32:
-        raise InvalidParameterError("sample_index must be non-negative and below 2**32")
+    sample_index = require_int("sample_index", sample_index, 0, 2**32 - 1)
     (sample,) = _samples_from(desc, sample_index, sample_index + 1)
     return sample
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationFailureError, InvalidParameterError, is_real, require_int
+from .errors import (GenerationFailureError, InvalidParameterError, is_real, real_array,
+                     require_int, shown)
 from .rng import RngSeed
 
 DEFAULT_MAX_RESTARTS = 10_000
@@ -34,9 +35,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        n = require_int("n_vertices", self.n_vertices)
-        if not 0 < n <= MAX_VERTICES:
-            raise InvalidParameterError(f"n_vertices must be in [1, {MAX_VERTICES}], got {n}")
+        n = require_int("n_vertices", self.n_vertices, 1, MAX_VERTICES)
         object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", canonical_edges(self.edges, n))
 
@@ -98,16 +97,12 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
     if any: the smallest, as the rows are sorted."""
     if bad.any():
         i = bad.argmax()
-        raise InvalidParameterError(f"{what} ({u[i]},{v[i]}) {problem}")
+        raise InvalidParameterError(f"{what} ({shown(int(u[i]))},{shown(int(v[i]))}) {problem}")
 
 
 def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
-    n = require_int("n", n)
-    if n < 3:
-        raise InvalidParameterError(f"cycle needs n >= 3 vertices, got {n}")
-    if n > MAX_VERTICES:
-        raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
+    n = require_int("n", n, 3, MAX_VERTICES)
     return Graph._of_canonical(n, _cycle_rows(n, 1)[0])
 
 
@@ -158,15 +153,10 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     and keeps degrees close to n-1 feasible. Gives up with
     GenerationFailureError after DEFAULT_MAX_RESTARTS failed passes.
     """
-    n, d = require_int("n", n), require_int("d", d)
-    if d < 1:
-        raise InvalidParameterError(f"degree must be positive, got {d}")
-    if n <= d:
-        raise InvalidParameterError(f"need n > d, got n={n}, d={d}")
+    d = require_int("d", d, 1, MAX_VERTICES - 1)
+    n = require_int("n", n, d + 1, MAX_VERTICES)
     if (n * d) % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
-    if n > MAX_VERTICES:
-        raise InvalidParameterError(f"n must be at most {MAX_VERTICES}, got {n}")
     if 2 * d > n - 1:
         return Graph._of_canonical(n, _d_regular_rows(n, d, (seed,))[0])
     rng = seed.generator()
@@ -199,11 +189,7 @@ def _d_regular_rows(n: int, d: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
     """A copy of g with `count` uniformly chosen distinct edges removed."""
-    count = require_int("count", count)
-    if count < 0:
-        raise InvalidParameterError(f"count must be non-negative, got {count}")
-    if count > g.n_edges:
-        raise InvalidParameterError(f"cannot delete {count} of {g.n_edges} edges")
+    count = require_int("count", count, 0, g.n_edges)
     return Graph._of_canonical(g.n_vertices, _deleted_rows(g.edges[None], count, (seed,))[0])
 
 
@@ -230,12 +216,12 @@ def _write_rows(mats: np.ndarray, rows: np.ndarray, shift: int = 0) -> None:
 
 def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.ndarray:
     """A copy of square matrix a with independent N(0, sigma^2) draws added to its diagonal."""
-    m = np.array(a, dtype=np.float64)
+    m = real_array("matrix", a).copy()
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
     # An int past float range would overflow in the draw.
     if not is_real(sigma) or not 0 <= sigma <= sys.float_info.max:
-        raise InvalidParameterError(f"sigma must be finite and non-negative, got {sigma!r}")
+        raise InvalidParameterError(f"sigma must be finite and non-negative, got {shown(sigma)}")
     _add_disorder(m[None], sigma, (seed,))
     return m
 

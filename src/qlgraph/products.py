@@ -96,9 +96,7 @@ def emergent_component_counts(c: ComposedSpectrum,
     for dim, indices in zip(c.dims, factor_emergent_indices):
         member = np.zeros(dim, dtype=np.int64)
         for i in indices:
-            if not 0 <= require_int("emergent index", i) < dim:
-                raise InvalidParameterError(f"emergent index {i} out of range [0,{dim})")
-            member[i] = 1
+            member[require_int("emergent index", i, 0, dim - 1)] = 1
         counts = np.add.outer(counts, member).ravel()
     return counts
 

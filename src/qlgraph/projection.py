@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, real_array
 from .qlbits import QLBit
 
 
@@ -45,7 +45,7 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     per_factor = []
     sq_norm = 1.0
     for w, q in zip(factor_vectors, qlbits):
-        w = np.asarray(w, dtype=np.float64)
+        w = real_array("factor vector", w)
         if w.shape != (q.n_vertices,):
             raise InvalidParameterError(
                 f"factor vector length {w.shape} != QL bit dim {q.n_vertices}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_real, require_int
+from .errors import InvalidParameterError, is_real, require_int, shown
 from .graphs import Graph, _write_rows, adjacency, canonical_edges
 from .rng import RngSeed
 from .spectra import Spectrum, eigendecompose
@@ -25,7 +25,7 @@ def _checked_sign(sign) -> int:
     """A cross-edge sign as an int, +1 or -1."""
     sign = require_int("sign", sign)
     if sign not in (1, -1):
-        raise InvalidParameterError(f"sign must be +1 or -1, got {sign}")
+        raise InvalidParameterError(f"sign must be +1 or -1, got {shown(sign)}")
     return sign
 
 
@@ -115,7 +115,7 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     each (u, v), u of basis_1 and v of basis_2, independently with
     probability p. The rows come out in (u, v) order."""
     if not is_real(p) or not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {p!r}")
+        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {shown(p)}")
     _, u, v = _cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, (seed,))
     return QLBit._of_canonical(basis_1, basis_2, np.stack((u, v), axis=1), sign)
 

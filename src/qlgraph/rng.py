@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, require_int
+from .errors import require_int
 
 _UINT64_MAX = 2**64 - 1
 _WORD = 0xFFFF_FFFF
@@ -113,10 +113,7 @@ def _precomputed_state() -> type:
 
 def _checked_path(path: Sequence[int]) -> list[int]:
     """A derivation path's entries as ints, each one 32-bit word: an integer in [0, 2^32)."""
-    path = [require_int("derivation path entry", p) for p in path]
-    if any(not 0 <= p <= _WORD for p in path):
-        raise InvalidParameterError("derivation path entries must be non-negative and below 2**32")
-    return path
+    return [require_int("derivation path entry", p, 0, _WORD) for p in path]
 
 
 @dataclass(frozen=True)
@@ -135,13 +132,8 @@ class RngSeed:
     _state: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seed, stream_id = require_int("seed", self.seed), require_int("stream_id", self.stream_id)
-        if not 0 <= seed <= _UINT64_MAX:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if stream_id < 0:
-            raise InvalidParameterError(f"stream_id must be non-negative, got {stream_id}")
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream_id", stream_id)
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0, _UINT64_MAX))
+        object.__setattr__(self, "stream_id", require_int("stream_id", self.stream_id, 0))
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""

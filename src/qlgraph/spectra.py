@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericalFailureError
+from .errors import InvalidParameterError, NumericalFailureError, real_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,13 +19,13 @@ class Spectrum:
     eigenvectors: np.ndarray | None
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
+        vals = real_array("eigenvalues", self.eigenvalues)
         if vals.ndim != 1:
             raise InvalidParameterError("eigenvalues must be a 1-D array")
         _check_eigenvalues(vals)
         object.__setattr__(self, "eigenvalues", vals)
         if self.eigenvectors is not None:
-            vecs = np.asarray(self.eigenvectors, dtype=np.float64)
+            vecs = real_array("eigenvectors", self.eigenvectors)
             if vecs.shape != (vals.size, vals.size):
                 raise InvalidParameterError("eigenvector matrix must be dim x dim")
             object.__setattr__(self, "eigenvectors", vecs)
@@ -53,7 +53,7 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
     of a stack are row views into one (S, n) eigenvalue array and one
     (S, n, n) eigenvector array, so keeping any of them keeps both whole.
     """
-    m = np.asarray(a, dtype=np.float64)
+    m = real_array("matrix", a)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -92,6 +92,31 @@ class TestHistogram:
         with pytest.raises(InvalidParameterError, match="histogram range"):
             ql.histogram_edges(lo, hi, 2)
 
+    def test_bins_past_max_bins_refused(self):
+        # MAX_BINS + 1 is refused before any allocation; numpy alone would try
+        # to allocate every edge of a huge count.
+        with pytest.raises(InvalidParameterError, match=r"^bins must be in \[1, 1000000\], got 1000001$"):
+            ql.histogram_edges(0.0, 1.0, ql.ensembles.MAX_BINS + 1)
+        assert ql.histogram_edges(0.0, 1.0, ql.ensembles.MAX_BINS).shape == (1_000_001,)
+        assert ql.experiments.MAX_BINS is ql.ensembles.MAX_BINS
+
+    @pytest.mark.parametrize("lo,hi,shown", [
+        (10**400, 1.0, "1" + "0" * 400 + ", 1.0"), (0.0, -10**400, "0.0, -1" + "0" * 400),
+        (-10**5000, 0.0, "an int of 5001 digits"), ("0", 1.0, "'0'"), (None, 1.0, "None"),
+        (0.0, 1j, "1j"), (True, 1.0, "True"),
+        (-1.7e308, 1.7e308, "-1.7e+308, 1.7e+308"),  # each bound is a float, their span is not
+    ], ids=["int-past-float", "negative-int-past-float", "int-past-repr", "str", "none",
+            "complex", "bool", "span-past-float"])
+    def test_bounds_that_are_no_float_refused(self, lo, hi, shown):
+        with pytest.raises(InvalidParameterError, match="histogram range") as info:
+            ql.histogram_edges(lo, hi, 2)
+        assert shown in str(info.value)
+
+    def test_bounds_at_float_range_accepted(self):
+        edges = ql.histogram_edges(-1e307, 10**308, 2)  # an int within float range
+        assert np.isfinite(edges).all() and edges[0] == -1e307
+        assert ql.histogram_edges(np.int64(0), np.float32(1), 1).tolist() == [-0.5, 1.5]
+
 
 class TestDescriptor:
     def test_round_trip(self):
@@ -235,8 +260,8 @@ class TestRunSample:
 
     @pytest.mark.parametrize("index,problem", [
         (True, "an integer"), (1.5, "an integer"), ("1", "an integer"), (None, "an integer"),
-        (-1, "non-negative"), (2**32, r"non-negative and below 2\*\*32"),
-        (2**64, r"non-negative and below 2\*\*32")])
+        (-1, r"in \[0, 4294967295\], got -1$"), (2**32, r"in \[0, 4294967295\], got 4294967296$"),
+        (2**64, r"in \[0, 4294967295\], got 18446744073709551616$")])
     def test_bad_index_refused(self, index, problem):
         with pytest.raises(InvalidParameterError, match=f"sample_index must be {problem}"):
             ql.run_sample(small_qlbit_descriptor(), index)

@@ -80,7 +80,7 @@ class TestGraphType:
         monkeypatch.setattr(ql.graphs, "MAX_VERTICES", 10)
         # d_regular_random is given no seed: reading it would raise AttributeError.
         for build in (ql.cycle_graph, lambda n: ql.d_regular_random(n, 2, None)):
-            with pytest.raises(InvalidParameterError, match=r"^n must be at most 10, got 11$"):
+            with pytest.raises(InvalidParameterError, match=r"^n must be in \[3, 10\], got 11$"):
                 build(11)
         assert ql.cycle_graph(10).n_edges == ql.d_regular_random(10, 2, ql.RngSeed(0)).n_edges
 
@@ -450,5 +450,6 @@ class TestRngSeed:
         assert np.array_equal(a.generator().random(4), ql.RngSeed(2**64 - 1, 2).generator().random(4))
 
     def test_negative_path_entry_rejected(self):
-        with pytest.raises(InvalidParameterError, match="non-negative"):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^derivation path entry must be in \[0, 4294967295\], got -1$"):
             ql.RngSeed(7).derive(1, -1)
