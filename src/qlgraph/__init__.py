@@ -10,7 +10,7 @@ from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram, histogram_e
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
-                          SampleResult, ensemble_spectrum, iter_samples, run_sample)
+                          SampleResult, ensemble_spectrum, run_sample)
 from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
@@ -31,7 +31,7 @@ __all__ = [
     "Spectrum", "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
     "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
     "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",
-    "histogram_edges", "histogram_from_values", "is_connected", "iter_samples",
+    "histogram_edges", "histogram_from_values", "is_connected",
     "predict_splitting", "project_alphas", "run_sample", "write_composed_spectrum_csv",
     "write_histogram_csv",
 ]

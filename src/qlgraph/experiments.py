@@ -20,11 +20,12 @@ import numpy as np
 from .ensembles import MAX_BINS, EnsembleHistogram, histogram_edges, histogram_from_values
 from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
                      require_int, shown)
+from .graphs import MAX_VERTICES, MIN_CYCLE, _checked_degree
 from .graphs import (Graph, _add_disorder, _cycle_rows, _d_regular_rows, _deleted_rows,
                      _write_rows, d_regular_random)  # noqa: F401, read here by perfbench's tracer
 from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
-from .qlbits import QLBit, _cross_edges, _write_qlbits
-from .rng import RngSeed, derive_seeds, derive_streams, stream_states
+from .qlbits import QLBit, _checked_p, _checked_sign, _cross_edges, _write_qlbits
+from .rng import MAX_SEED, RngSeed, derive_seeds, derive_streams, stream_states
 from .spectra import Spectrum, eigendecompose
 
 KIND_SINGLE = "single-graph"
@@ -116,7 +117,8 @@ class ExperimentDescriptor:
 
     @cached_property
     def _errors(self) -> tuple[str, ...]:
-        """The violations, found once per descriptor: its fields never change."""
+        """The violations, found once per descriptor: its fields never change. A rule
+        a stage makes is the stage's own check, its refusal named as the field."""
         errors = self._type_errors()
         if errors:
             return tuple(errors)
@@ -126,45 +128,38 @@ class ExperimentDescriptor:
             errors.append(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.graph not in GRAPH_FAMILIES:
             errors.append(f"graph must be one of {GRAPH_FAMILIES}, got {self.graph!r}")
-        if self.graph == GRAPH_CYCLE:
-            if self.n < 3:
-                errors.append(f"cycle graphs need n >= 3, got {self.n}")
-            if self.d is not None:
-                errors.append("d does not apply to cycle graphs")
-        else:
-            if self.d is None:
-                errors.append("d is required for d-regular graphs")
-            elif self.d < 1 or self.n <= self.d:
-                errors.append(f"need n > d >= 1, got n={self.n}, d={self.d}")
-            elif (self.n * self.d) % 2 != 0:
-                errors.append(f"n*d must be even, got n={self.n}, d={self.d}")
-        max_edges = self.n if self.graph == GRAPH_CYCLE else (
-            self.n * self.d // 2 if self.d else 0)
-        if self.deletions < 0 or (not errors and self.deletions > max_edges):
-            errors.append(f"deletions must be in [0, {max_edges}], got {self.deletions}")
-        if not 0.0 <= self.p <= 1.0:
-            errors.append(f"p must be in [0,1], got {self.p}")
+        cycle = self.graph == GRAPH_CYCLE
+        if cycle and self.d is not None:
+            errors.append("d does not apply to cycle graphs")
+        elif not cycle and self.d is None:
+            errors.append("d is required for d-regular graphs")
+        edges = self.n if cycle else self.n * (self.d or 0) // 2  # a valid base's edge count
+        for check in (
+            (lambda: require_int("n", self.n, MIN_CYCLE, MAX_VERTICES)) if cycle
+            else (lambda: self.d is None or _checked_degree(self.n, self.d)),
+            lambda: require_int("deletions", self.deletions, 0, None if errors else edges),
+            lambda: _checked_p(self.p),
+            lambda: _checked_sign(self.sign),
+            lambda: require_int("n_factors", self.n_factors, 1),
+            lambda: require_int("n_samples", self.n_samples, 1),
+            lambda: require_int("bins", self.bins, 1, MAX_BINS),
+            lambda: require_int("master_seed", self.master_seed, 0, MAX_SEED),
+        ):
+            try:
+                check()
+            except InvalidParameterError as exc:
+                errors.extend(exc.args)
         if self.kind != KIND_QLBIT_PRODUCT and self.p != 0.0:
             errors.append(f"p applies only to {KIND_QLBIT_PRODUCT}")
-        if self.sign not in (1, -1):
-            errors.append(f"sign must be +1 or -1, got {self.sign}")
-        if self.n_factors < 1:
-            errors.append(f"n_factors must be positive, got {self.n_factors}")
         if self.kind == KIND_SINGLE and self.n_factors != 1:
             errors.append(f"{KIND_SINGLE} requires n_factors == 1")
         if self.sigma < 0:
-            errors.append(f"sigma must be non-negative, got {self.sigma}")
+            errors.append(f"sigma must be non-negative, got {shown(self.sigma)}")
         elif self.sigma > MAX_SIGMA:
-            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {self.sigma}")
-        if self.n_samples < 1:
-            errors.append(f"n_samples must be positive, got {self.n_samples}")
-        if not 1 <= self.bins <= MAX_BINS:
-            errors.append(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
-        if not 0 <= self.master_seed < 2**64:
-            errors.append(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+            errors.append(f"sigma must be at most {MAX_SIGMA:g}, got {shown(self.sigma)}")
         if not errors and self._over_budget():
-            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={self.n}, "
-                          f"n_factors={self.n_factors}, n_samples={self.n_samples}")
+            errors.append(f"modelled memory exceeds {MAX_BYTES} bytes: n={shown(self.n)}, "
+                          f"n_factors={shown(self.n_factors)}, n_samples={shown(self.n_samples)}")
         return tuple(errors)
 
     @property
@@ -187,20 +182,12 @@ class ExperimentDescriptor:
         return False
 
     def _type_errors(self) -> list[str]:
-        """Fields whose value is not of the annotated type; floats must be finite,
-        and every value printable: the range checks name the values they refuse."""
+        """Fields whose value is not of the annotated type; floats must be finite."""
         errors = []
         for f in fields(self):
             value = getattr(self, f.name)
-            expected = f.type.removesuffix(" | None")
-            if value is None and expected != f.type:
-                continue
-            check, expectation = _FIELD_CHECKS[expected]
-            try:
-                fits = repr(value) and check(value)  # repr refuses an int past the digit limit
-            except ValueError:
-                fits, expectation = False, f"{expectation} short enough to print"
-            if not fits:
+            check, expectation = _FIELD_CHECKS[f.type.removesuffix(" | None")]
+            if not check(value) and not (value is None and f.type.endswith(" | None")):
                 errors.append(f"{f.name} must be {expectation}, got {shown(value)}")
         return errors
 
@@ -334,7 +321,7 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     """Run the full pipeline for one sample, deterministic in the master seed.
 
     Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
-    is a batch of one: `iter_samples` gives bitwise the same result. An
+    is a batch of one, bitwise the same as in a chunk of many. An
     index that is not an integer in [0, 2^32), a derivation path entry, is refused.
     """
     require_valid(desc)
@@ -358,12 +345,6 @@ def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator
         for c in range(0, len(indices), step):
             yield from _run_chunk(desc, indices[c:c + step], seeds[c:c + step],
                                   stage_seeds[c:c + step], states[c:c + step])
-
-
-def iter_samples(desc: ExperimentDescriptor) -> Iterator[SampleResult]:
-    """Every sample in index order, each equal to `run_sample` on its index."""
-    require_valid(desc)
-    yield from _samples_from(desc, 0, desc.n_samples)
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor,

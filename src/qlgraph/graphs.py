@@ -20,6 +20,7 @@ from .rng import RngSeed
 DEFAULT_MAX_RESTARTS = 10_000
 # Edge keys u * n + v stay below n**2, which must fit in int64.
 MAX_VERTICES = 2**31
+MIN_CYCLE = 3  # the shortest cycle of a simple graph
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +103,7 @@ def _refuse_first(bad: np.ndarray, u: np.ndarray, v: np.ndarray, what: str, prob
 
 def cycle_graph(n: int) -> Graph:
     """The n-cycle C_n: edges (i, i+1 mod n), every vertex degree 2."""
-    n = require_int("n", n, 3, MAX_VERTICES)
+    n = require_int("n", n, MIN_CYCLE, MAX_VERTICES)
     return Graph._of_canonical(n, _cycle_rows(n, 1)[0])
 
 
@@ -144,6 +145,15 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[int] | Non
     return keys
 
 
+def _checked_degree(n, d) -> tuple[int, int]:
+    """n and d as ints: d in [1, MAX_VERTICES - 1], then n in [d + 1, MAX_VERTICES], n*d even."""
+    d = require_int("d", d, 1, MAX_VERTICES - 1)
+    n = require_int("n", n, d + 1, MAX_VERTICES)
+    if (n * d) % 2 != 0:
+        raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
+    return n, d
+
+
 def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     """Sample a simple d-regular graph on n vertices, deterministic in seed.
 
@@ -153,10 +163,7 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     and keeps degrees close to n-1 feasible. Gives up with
     GenerationFailureError after DEFAULT_MAX_RESTARTS failed passes.
     """
-    d = require_int("d", d, 1, MAX_VERTICES - 1)
-    n = require_int("n", n, d + 1, MAX_VERTICES)
-    if (n * d) % 2 != 0:
-        raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
+    n, d = _checked_degree(n, d)
     if 2 * d > n - 1:
         return Graph._of_canonical(n, _d_regular_rows(n, d, (seed,))[0])
     rng = seed.generator()

@@ -29,6 +29,13 @@ def _checked_sign(sign) -> int:
     return sign
 
 
+def _checked_p(p) -> float:
+    """A cross-edge probability, a real in [0, 1]."""
+    if not is_real(p) or not 0.0 <= p <= 1.0:
+        raise InvalidParameterError(f"p must be a real in [0, 1], got {shown(p)}")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class QLBit:
     """Two basis graphs joined by cross edges of weight ``sign``.
@@ -114,9 +121,7 @@ def couple(basis_1: Graph, basis_2: Graph, p: float, sign: int, seed: RngSeed) -
     """The QL bit of two basis graphs joined by cross edges of weight sign:
     each (u, v), u of basis_1 and v of basis_2, independently with
     probability p. The rows come out in (u, v) order."""
-    if not is_real(p) or not 0.0 <= p <= 1.0:
-        raise InvalidParameterError(f"coupling probability must be a real in [0,1], got {shown(p)}")
-    _, u, v = _cross_edges(basis_1.n_vertices, basis_2.n_vertices, p, (seed,))
+    _, u, v = _cross_edges(basis_1.n_vertices, basis_2.n_vertices, _checked_p(p), (seed,))
     return QLBit._of_canonical(basis_1, basis_2, np.stack((u, v), axis=1), sign)
 
 

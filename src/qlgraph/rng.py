@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import require_int
+from .errors import require_int, shown
 
-_UINT64_MAX = 2**64 - 1
+MAX_SEED = 2**64 - 1  # a seed is an integer in [0, 2^64)
 _WORD = 0xFFFF_FFFF
 
 # SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx).
@@ -120,7 +120,7 @@ def _checked_path(path: Sequence[int]) -> list[int]:
 class RngSeed:
     """A reproducible random stream identity.
 
-    ``seed`` is a 64-bit unsigned integer; ``stream_id`` separates
+    ``seed`` is an integer in [0, MAX_SEED]; ``stream_id`` separates
     independent draws made from the same seed (graph generation, edge
     deletion, coupling, disorder, ...). The generator is PCG64 keyed by
     ``SeedSequence(seed, spawn_key=(stream_id,))``; a seed from
@@ -129,11 +129,14 @@ class RngSeed:
 
     seed: int
     stream_id: int = 0
-    _state: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _state: np.ndarray | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", require_int("seed", self.seed, 0, _UINT64_MAX))
+        object.__setattr__(self, "seed", require_int("seed", self.seed, 0, MAX_SEED))
         object.__setattr__(self, "stream_id", require_int("stream_id", self.stream_id, 0))
+
+    def __repr__(self) -> str:  # a stream id has no upper bound: it may be too long to print
+        return f"RngSeed(seed={self.seed}, stream_id={shown(self.stream_id)})"
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""

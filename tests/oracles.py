@@ -352,9 +352,10 @@ def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
 
 
 def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:
-    """Every sample's composed values concatenated, then binned at once over
-    uniform edges spanning [min - 0.5, max + 0.5]."""
-    values = np.concatenate([s.composed.values for s in ql.iter_samples(desc)])
+    """Every sample's composed values, each sample run alone, concatenated,
+    then binned at once over uniform edges spanning [min - 0.5, max + 0.5]."""
+    values = np.concatenate([ql.run_sample(desc, i).composed.values
+                             for i in range(desc.n_samples)])
     edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return ql.EnsembleHistogram(edges, counts)

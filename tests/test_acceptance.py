@@ -11,7 +11,7 @@ import numpy as np
 import qlgraph as ql
 import qlgraph.cli as cli
 
-from conftest import composite_spectrum
+from conftest import composite_spectrum, iter_samples
 from oracles import (alon_boppana_check, bell_patterns, fix_sign, kronecker_sum_adjacency,
                      product_graph, spectral_gap)
 
@@ -112,7 +112,7 @@ def test_criterion_5_qlbit_splitting():
                       "pair isolated"):
         desc = ql.BUNDLED_EXPERIMENTS["fig4a"]
         splits, two_deltas = [], []
-        for sample in ql.iter_samples(desc.with_overrides(n_samples=30)):
+        for sample in iter_samples(desc.with_overrides(n_samples=30)):
             (q,), (s,) = sample.factors, sample.spectra
             splits.append(s.eigenvalues[0] - s.eigenvalues[1])
             two_deltas.append(2 * q.n_coupling / 20)
@@ -126,7 +126,7 @@ def test_criterion_6_two_qlbit_emergent_structure():
                       "{d_a+-Delta_a + d_b+-Delta_b} within 15%"):
         desc = ql.BUNDLED_EXPERIMENTS["fig4c"]
         actual, predicted = [], []
-        for sample in ql.iter_samples(desc.with_overrides(n_samples=30)):
+        for sample in iter_samples(desc.with_overrides(n_samples=30)):
             counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
             emergent_vals = sample.composed.values[counts == 2]
             assert emergent_vals.shape == (4,)
@@ -161,7 +161,7 @@ def test_criterion_8_scaling_law():
                 name=f"scaling{n_factors}", n_factors=n_factors,
                 identical_factors=True, master_seed=7100 + n_factors)
             tops, gaps, pred_tops, pred_gaps = [], [], [], []
-            for sample in ql.iter_samples(desc.with_overrides(n_samples=30)):
+            for sample in iter_samples(desc.with_overrides(n_samples=30)):
                 values = sample.composed.values
                 top2 = np.partition(values, values.size - 2)[-2:]
                 tops.append(top2[1])

@@ -554,7 +554,8 @@ _DESCRIPTORS = st.dictionaries(
 ).map(lambda odd: {"name": "prop", "kind": "single-graph", "n": 12, "d": 8, **odd})
 # Valid descriptors past the memory budget by a factor of 8 or more: a dense
 # adjacency of 8n^2 bytes, 3^n_factors composed states, or at least a byte
-# per sample. They are named "big"; the budget is their only error.
+# per sample. They are named "big"; the budget is their only error, but for a
+# single graph past MAX_VERTICES, which the degree rule refuses instead.
 _OVER_BUDGET = st.one_of(
     st.builds(lambda n: {"kind": "single-graph", "n": 2 * n, "d": 8},
               st.integers(2**14, 2**40)),
@@ -608,7 +609,10 @@ class TestHostileDescriptors:
             code, out = run_cli(["validate", str(path)], capsys)
             assert code in (0, 2)
             assert json.loads(out)["status"] == ("ok" if code == 0 else "error")
-            if data["name"] == "big":
+            if data["name"] == "big" and data["n"] > ql.graphs.MAX_VERTICES:
+                assert data["kind"] == "single-graph" and json.loads(out)["errors"] == [
+                    f"n must be in [9, {ql.graphs.MAX_VERTICES}], got {data['n']}"]
+            elif data["name"] == "big":
                 assert [e.split(":")[0] for e in json.loads(out)["errors"]] == [
                     f"modelled memory exceeds {ql.experiments.MAX_BYTES} bytes"]
             validated = code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import qlgraph as ql
 from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
+from conftest import iter_samples
 from oracles import one_shot_histogram, reference_composite, reference_is_connected
 
 
@@ -133,7 +135,7 @@ class TestDescriptor:
     @pytest.mark.parametrize("overrides,fragment", [
         (dict(kind="nope"), "kind"),
         (dict(graph="nope"), "graph"),
-        (dict(d=9), "n > d"),
+        (dict(d=9), "n must be in [10, 2147483648], got 8"),
         (dict(d=None), "required"),
         (dict(n=9, d=5), "even"),
         (dict(p=1.5), "p must"),
@@ -158,13 +160,51 @@ class TestDescriptor:
         # Past sys.get_int_max_str_digits() (4,300 by default) an int has no
         # repr: validate once raised ValueError formatting its messages.
         assert small_qlbit_descriptor(n=10**5000).validate() == [
-            "n must be an int short enough to print, got an int of 5001 digits"]
+            "n must be in [6, 2147483648], got an int of 5001 digits"]
         assert small_qlbit_descriptor(master_seed=1 - 10**5000, bins=-10**6000).validate() == [
-            "bins must be an int short enough to print, got an int of 6001 digits",
-            "master_seed must be an int short enough to print, got an int of 5000 digits"]
+            "bins must be in [1, 1000000], got an int of 6001 digits",
+            "master_seed must be in [0, 18446744073709551615], got an int of 5000 digits"]
         assert small_qlbit_descriptor(name=10**5000, p=[10**5000]).validate() == [
-            "name must be a str short enough to print, got an int of 5001 digits",
-            "p must be a finite float short enough to print, got a list holding such an int"]
+            "name must be a str, got an int of 5001 digits",
+            "p must be a finite float, got a list holding such an int"]
+        # The degree rule checks d first; a refused base bounds deletions below only.
+        assert small_qlbit_descriptor(n=10**4400, d=10**4400 - 2, deletions=-1).validate() == [
+            "d must be in [1, 2147483647], got an int of 4400 digits",
+            "deletions must be at least 0, got -1"]
+
+    # Descriptor override -> the stage call it mirrors (small_qlbit_descriptor's
+    # bases are 5-regular on 8 vertices), and the stage's name for the field.
+    @pytest.mark.parametrize("overrides,stage,name", [
+        (dict(d=20), lambda: ql.d_regular_random(8, 20, ql.RngSeed(0)), None),
+        (dict(n=9, d=5), lambda: ql.d_regular_random(9, 5, ql.RngSeed(0)), None),
+        (dict(graph="cycle", d=None, n=2), lambda: ql.cycle_graph(2), None),
+        (dict(p=1.5), lambda: ql.couple(ql.cycle_graph(3), ql.cycle_graph(3), 1.5, 1,
+                                        ql.RngSeed(0)), None),
+        (dict(sign=0), lambda: ql.couple(ql.cycle_graph(3), ql.cycle_graph(3), 0.2, 0,
+                                         ql.RngSeed(0)), None),
+        (dict(bins=0), lambda: ql.histogram_edges(0.0, 1.0, 0), None),
+        (dict(master_seed=-1), lambda: ql.RngSeed(-1), "seed"),
+        (dict(deletions=21), lambda: ql.delete_random_edges(
+            ql.d_regular_random(8, 5, ql.RngSeed(0)), 21, ql.RngSeed(1)), "count"),
+    ], ids=["degree", "parity", "cycle", "p", "sign", "bins", "master_seed", "deletions"])
+    def test_refusal_is_the_stages_own(self, overrides, stage, name):
+        with pytest.raises(InvalidParameterError) as info:
+            stage()
+        text = str(info.value)
+        if name is not None:
+            field = next(iter(overrides))
+            assert text.startswith(f"{name} must ")
+            text = field + text[len(name):]
+        assert text in small_qlbit_descriptor(**overrides).validate()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ql.ExperimentDescriptor)
+                                       if f.type in ("int", "int | None", "float")])
+    def test_huge_values_are_named_by_digit_count(self, field, sign):
+        # Each int field is refused by its range rule, n_factors and n_samples
+        # past the budget by the memory model, which names them too.
+        errors = small_qlbit_descriptor(**{field: sign * 10**5000}).validate()
+        assert any(field in e and "an int of 5001 digits" in e for e in errors), errors
 
     def test_single_graph_needs_one_factor(self):
         desc = ql.ExperimentDescriptor(name="x", kind="single-graph", n=6, d=3, n_factors=2)
@@ -233,7 +273,7 @@ class TestRunSample:
     @pytest.mark.parametrize("name", ["fig4a", "fig3"])
     def test_factor_kind_sets_emergent_indices(self, name):
         desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=4)
-        for sample in ql.iter_samples(desc):
+        for sample in iter_samples(desc):
             for f, indices in zip(sample.factors, sample.emergent_index_sets):
                 if isinstance(f, ql.Graph):
                     assert ql.is_connected(f) == reference_is_connected(f.n_vertices, f.edges)
@@ -309,7 +349,7 @@ class TestEnsembleSpectrum:
         desc = small_qlbit_descriptor(n_samples=2)
         first, _, seeds = ql.ensemble_spectrum(desc)
         assert seeds == [ql.RngSeed(9000).derive(i).seed for i in range(2)]
-        assert seeds == [s.seed for s in ql.iter_samples(desc)]
+        assert seeds == [s.seed for s in iter_samples(desc)]
         assert (first.index, first.seed) == (0, seeds[0])
 
     # The bundled figures, and one single-graph ensemble (one factor per sample).
@@ -370,7 +410,7 @@ class TestEnsembleSpectrum:
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 5: eigendecomposition failed"):
             ql.run_sample(desc, 5)
         with pytest.raises(ql.NumericalFailureError, match=r"^samples 0\.\.36: eigendecomposition"):
-            next(ql.iter_samples(desc))
+            next(iter_samples(desc))
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: "):
             ql.ensemble_spectrum(desc)
 
@@ -416,7 +456,7 @@ class TestFig3BandStructure:
         # and the top state stays separated from the rest.
         desc = ql.BUNDLED_EXPERIMENTS["fig3"]
         emergent_vals, random_means, separated = [], [], 0
-        for sample in ql.iter_samples(desc.with_overrides(n_samples=100)):
+        for sample in iter_samples(desc.with_overrides(n_samples=100)):
             counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
             vals = sample.composed.values
             emergent_vals.append(float(vals[counts == 3][0]))

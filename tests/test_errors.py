@@ -79,7 +79,7 @@ _ENTRY_POINTS = {
     "histogram_edges bins": ("bins", lambda x: ql.histogram_edges(0.0, 1.0, x)),
     "QLBit sign": ("sign", lambda x: ql.QLBit(_c3(), _c3(), [[0, 1]], x)),
     "couple sign": ("sign", lambda x: ql.couple(_c3(), _c3(), 0.5, x, ql.RngSeed(0))),
-    "couple p": ("coupling probability", lambda x: ql.couple(_c3(), _c3(), x, 1, ql.RngSeed(0))),
+    "couple p": ("p", lambda x: ql.couple(_c3(), _c3(), x, 1, ql.RngSeed(0))),
     "apply_diagonal_disorder sigma": (
         "sigma", lambda x: ql.apply_diagonal_disorder(np.zeros((2, 2)), x, ql.RngSeed(0))),
     "Graph edge": ("edge", lambda x: ql.Graph(3, [[0, x]])),
@@ -98,6 +98,11 @@ def test_ints_too_long_to_print_are_refused_by_digit_count(site, sign):
 
 def test_stream_ids_keep_their_full_range():
     assert ql.RngSeed(0, HUGE).stream_id == HUGE
+
+
+def test_a_seed_names_its_stream_id_through_shown():
+    assert repr(ql.RngSeed(5, 2)) == "RngSeed(seed=5, stream_id=2)"
+    assert repr(ql.RngSeed(0, HUGE)) == "RngSeed(seed=0, stream_id=an int of 5001 digits)"
 
 
 # Public entry point -> (the name its refusal gives the array, a call given it).

@@ -26,6 +26,7 @@ from qlgraph import cli
 from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_seeds, derive_streams, stream_states
 
+from conftest import iter_samples
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
                      reference_adjacency, reference_composite, reference_couple,
                      reference_d_regular_random, reference_delete_random_edges,
@@ -315,7 +316,7 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
     # several chunks end mid-run; ensemble_spectrum's (from sample 1) elsewhere.
     alone = [sample_bytes(ql.run_sample(desc, i)) for i in range(desc.n_samples)]
     with mock.patch.object(ql.experiments, "_CHUNK_VALUES", chunk_values):
-        chunked = [sample_bytes(sample) for sample in ql.iter_samples(desc)]
+        chunked = [sample_bytes(sample) for sample in iter_samples(desc)]
         first, histogram, seeds = ql.ensemble_spectrum(desc)
     assert chunked == alone
     assert sample_bytes(first) == alone[0]
@@ -368,7 +369,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
     with mock.patch.multiple(ql.experiments, derive_seeds=counted,
                              _CHUNK_VALUES=per_chunk * entries,
                              **{name: recorder(name) for name in originals}):
-        samples = list(ql.iter_samples(desc))
+        samples = list(iter_samples(desc))
     expected = expected_stage_calls(desc)
     assert sum(hashed) == desc.n_samples * (1 + len(expected))
     assert [sample.seed for sample in samples] == [
@@ -511,7 +512,7 @@ def test_cli_artifacts_equal_explicit_construction(desc):
                                         for i in range(desc.n_samples)]
     # Every sample's composed values, which the histogram bins, and sample
     # 0's spectrum CSV are the explicit Kronecker sum's eigenvalues.
-    for sample in ql.iter_samples(desc):
+    for sample in iter_samples(desc):
         explicit = explicit_spectrum(desc, sample.index)
         assert np.max(np.abs(np.sort(sample.composed.values) - explicit)) <= 1e-9
     rows = list(csv.DictReader(io.StringIO(artifacts["spectrum.csv"])))

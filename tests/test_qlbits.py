@@ -63,7 +63,7 @@ class TestCouple:
     @pytest.mark.parametrize("p", [True, False, np.True_, None, "0.2", 1j])
     def test_bool_p_rejected(self, p):
         k2 = ql.Graph(2, [[0, 1]])
-        with pytest.raises(InvalidParameterError, match="coupling probability"):
+        with pytest.raises(InvalidParameterError, match=r"^p must be a real in \[0, 1\], got "):
             ql.couple(k2, k2, p, 1, ql.RngSeed(0))
 
     def test_invalid_sign(self):
