@@ -54,14 +54,26 @@ MAX_SIGMA = 1e100
 # entries across their distinct factors, or of one sample when that is larger.
 _CHUNK_VALUES = 2**14  # also the most streams hashed in one batch of whole chunks
 
+# A QL sample solved values-only (`eigvalsh`) is off the bits of `eigh` on the
+# same matrix: both LAPACK paths are backward stable, each eigenvalue within
+# p(n)*eps*||A|| of the exact one, so a composed value moves by a few ulps of
+# the largest |composed extreme|, and tol is this times the larger of it and 1.
+# The worst gap measured over fig4a, fig4c and fig4e at 5 seeds was 3.1e-15 of
+# max|eigenvalue|, about 3e5 below tol. So a sample more than 2*tol below the
+# greatest composed top so far (above the least bottom) holds no extreme of the
+# run, and a value more than tol from every bin edge bins as `eigh`'s would.
+_VALUES_ONLY_TOL = 2.0**-30
+
 # Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
 # and n otherwise, states = dim^n_factors, and entries = dim^2 times the
 # distinct factors of a sample, the model adds up one chunk of at most
 # max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
 # factor matrices, decomposed in place, and part of LAPACK's copy of them or,
-# before the solve, a QL bit's coupling draws and, for QL bits, which keep
-# eigenvectors, for the solver's vectors, each sample's copy of them and
-# sample 0's kept copy, plus at most 8 bytes an entry for the edge rows each
+# before the solve, a QL bit's coupling draws and, for QL bits, for the
+# solver's vectors, each sample's copy of them and sample 0's kept copy (only
+# sample 0 and a chunk's range picks keep vectors now, so these terms
+# over-count the chunks of samples 1 on: kept, so `validate` accepts the same
+# descriptors), plus at most 8 bytes an entry for the edge rows each
 # factor keeps (16 bytes a row; under n^2/2 rows a base and n^2 for a
 # coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
 # its composed values, sort and label arrays, 72*states; one chunk of at most
@@ -287,23 +299,43 @@ def _chunk_matrices(desc: ExperimentDescriptor, streams: list[list[RngSeed]],
     return factors, mats
 
 
+def _range_picks(spectra: list[list[Spectrum]], copies: int, bounds: list[float]) -> np.ndarray:
+    """The chunk's samples whose composed top or bottom lies within 2*tol of
+    the greatest top or least bottom of this chunk and those before it, held
+    in ``bounds`` and updated; ties are all picked."""
+    ends = sum(np.array([s.eigenvalues[[0, -1]] for s in slot]) for slot in spectra) * copies
+    top, bottom = ends.T
+    bounds[:] = max(bounds[0], top.max()), min(bounds[1], bottom.min())
+    tol = _VALUES_ONLY_TOL * max(1.0, abs(bounds[0]), abs(bounds[1]))
+    return np.flatnonzero((top >= bounds[0] - 2 * tol) | (bottom <= bounds[1] + 2 * tol))
+
+
 def _run_chunk(desc: ExperimentDescriptor, indices: range, seeds: np.ndarray,
-               stage_seeds: np.ndarray, states: np.ndarray) -> Iterator[SampleResult]:
+               stage_seeds: np.ndarray, states: np.ndarray,
+               bounds: list[float] | None = None) -> Iterator[SampleResult]:
     """Samples `indices` of the given seeds, stage seeds and their generator
     states, stage by stage: the chunk's factor matrices, then one stacked
     eigendecomposition per distinct factor, then each sample's results,
-    yielded one at a time. It hashes nothing."""
+    yielded one at a time. It hashes nothing. A QL bit keeps eigenvectors
+    unless given the `_range_picks` ``bounds`` of the chunks before: then
+    only the picked samples, which may hold the run's extremes, are re-solved
+    with them, for the bits of `eigh`."""
     try:
         factors, mats = _chunk_matrices(desc, derive_streams(stage_seeds, states))
     except GenerationFailureError as exc:
         raise GenerationFailureError(f"sample {indices[exc.item]}: {exc}", exc.restarts) from exc
+    copies = desc.n_factors if desc.identical_factors else 1
+    vectors = desc.kind == KIND_QLBIT_PRODUCT and bounds is None
     try:
-        spectra = [eigendecompose(a, want_vectors=desc.kind == KIND_QLBIT_PRODUCT) for a in mats]
+        spectra = [eigendecompose(a, want_vectors=vectors) for a in mats]
+        if bounds is not None and (pick := _range_picks(spectra, copies, bounds)).size:
+            for slot, a in zip(spectra, mats):
+                for j, s in zip(pick.tolist(), eigendecompose(a[pick])):
+                    slot[j] = s
     except NumericalFailureError as exc:
         named = (f"sample {indices.start}" if len(indices) == 1
                  else f"samples {indices.start}..{indices.stop - 1}")
         raise NumericalFailureError(f"{named}: {exc}") from exc
-    copies = desc.n_factors if desc.identical_factors else 1
     for j, (i, seed) in enumerate(zip(indices, seeds.tolist())):
         yield SampleResult(i, seed, tuple(f[j] for f in factors) * copies,
                            tuple(slot[j] for slot in spectra) * copies)
@@ -330,11 +362,15 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     return sample
 
 
-def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator[SampleResult]:
+def _samples_from(desc: ExperimentDescriptor, start: int, stop: int,
+                  vectors: bool = True) -> Iterator[SampleResult]:
     """Samples start..stop-1 in chunks of at most `_CHUNK_VALUES` matrix entries
     across distinct factors, or of one sample. Streams are hashed in three passes
-    per batch of whole chunks, at most `_CHUNK_VALUES` streams; each chunk gets a slice."""
+    per batch of whole chunks, at most `_CHUNK_VALUES` streams; each chunk gets a
+    slice. Without ``vectors``, QL samples are solved values-only but for
+    the `_range_picks` of each chunk, over the extremes of the chunks before."""
     paths = _stage_paths(desc)
+    bounds = None if vectors or desc.kind != KIND_QLBIT_PRODUCT else [-math.inf, math.inf]
     step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
     batch = step * max(1, _CHUNK_VALUES // (step * (1 + len(paths))))
     for first in range(start, stop, batch):
@@ -344,7 +380,18 @@ def _samples_from(desc: ExperimentDescriptor, start: int, stop: int) -> Iterator
         states = stream_states(stage_seeds)
         for c in range(0, len(indices), step):
             yield from _run_chunk(desc, indices[c:c + step], seeds[c:c + step],
-                                  stage_seeds[c:c + step], states[c:c + step])
+                                  stage_seeds[c:c + step], states[c:c + step], bounds)
+
+
+def _near_edge_rows(chunk: np.ndarray, edges: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of ``chunk`` with a value within tol of one of the uniform ``edges``:
+    each value's distance to its nearest edge, in bin widths, is found in two
+    arrays of the chunk's size."""
+    width = (edges[-1] - edges[0]) / (len(edges) - 1)
+    off = chunk - edges[0]
+    off /= width
+    off -= np.rint(off)
+    return np.flatnonzero((np.abs(off, out=off) <= tol / width).any(axis=1))
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor,
@@ -352,25 +399,35 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     """Sample 0, the histogram of every eigenvalue of every sample, and the sample seeds.
 
     Counts sum to n_samples * product_dim: every eigenvalue of every sample
-    lands in a bin. Each sample is run once. Pass 1 runs sample 0 alone and
-    keeps it whole, then runs the others in chunks and keeps only their
-    factor eigenvalues; the bin edges follow from their extremes. Pass 2
-    bins sample 0's composed grid, then recomposes samples 1 on
+    lands in a bin, and the histogram is bitwise the one of every sample
+    run alone. Pass 1 runs sample 0 alone and keeps it whole, then runs the
+    others in chunks and keeps only their factor eigenvalues; the bin edges
+    follow from their extremes. QL samples after sample 0 are solved
+    values-only, and each chunk re-solves with `eigh` the samples that may
+    hold its extremes (`_range_picks`), so the edges carry `eigh`'s bits.
+    Pass 2 bins sample 0's composed grid, then recomposes samples 1 on
     `_CHUNK_VALUES` values at a time, with the additions of
-    `compose_spectra`, and adds up the counts.
+    `compose_spectra`, and adds up the counts. Each sample is run once, but
+    a QL sample with a value within tol of a bin edge, where values-only
+    bits may bin apart from `eigh`'s, is run again alone.
     """
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
     kept = [np.empty((desc.n_samples, s.dim)) for s in first.spectra]
     seeds = []
-    for sample in itertools.chain([first], _samples_from(desc, 1, desc.n_samples)):
+    for sample in itertools.chain([first], _samples_from(desc, 1, desc.n_samples, False)):
         for rows, s in zip(kept, sample.spectra):
             rows[sample.index] = s.eigenvalues
         seeds.append(sample.seed)
-    edges = histogram_edges(*composed_range(kept), desc.bins)
+    lo, hi = composed_range(kept)
+    edges = histogram_edges(lo, hi, desc.bins)
     counts = histogram_from_values(first.composed.values, edges)
     step = max(1, _CHUNK_VALUES // first.composed.size)
+    tol = _VALUES_ONLY_TOL * max(1.0, abs(lo), abs(hi))
     for start in range(1, desc.n_samples, step):
         chunk = compose_values([rows[start:start + step] for rows in kept])
+        if desc.kind == KIND_QLBIT_PRODUCT:
+            for j in _near_edge_rows(chunk, edges, tol).tolist():
+                chunk[j] = run_sample(desc, start + j).composed.values
         counts += histogram_from_values(chunk.ravel(), edges)
     return first, EnsembleHistogram(edges, counts), seeds
 

@@ -8,7 +8,8 @@ entry by entry, the way the package once built it as a weighted graph, and
 by np.block from dense blocks. Each sample's factor matrices are rebuilt
 stage by stage from validated `Graph` and `QLBit` objects.
 The composed spectrum CSV is also rebuilt here one row at a time, and the
-ensemble histogram from every sample's values held at once. Graph
+ensemble histogram from every sample's values held at once, and the samples
+whose extremes a values-only chunk re-solves. Graph
 validation and d-regular generation are rebuilt on Python sets of edge
 tuples and a two-column lexsort, the way the package once did them. Each
 sample's stage streams are rebuilt from nested plain
@@ -359,6 +360,24 @@ def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:
     edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
     counts, _ = np.histogram(values, bins=edges)
     return ql.EnsembleHistogram(edges, counts)
+
+
+def range_picks(desc: ql.ExperimentDescriptor, chunks: Sequence[range],
+                rate: float) -> list[list[int]]:
+    """Per chunk of a QL run solved values-only, the samples re-solved with
+    eigenvectors: those whose greatest or least composed value, with every
+    sample run alone, lies within 2*tol of the greatest or least over this
+    chunk and the ones before, tol being ``rate`` times the largest of 1 and
+    both magnitudes."""
+    top, bottom, picks = -math.inf, math.inf, []
+    for chunk in chunks:
+        values = [ql.run_sample(desc, i).composed.values for i in chunk]
+        top = max(top, *(v.max() for v in values))
+        bottom = min(bottom, *(v.min() for v in values))
+        tol = rate * max(1.0, abs(top), abs(bottom))
+        picks.append([i for i, v in zip(chunk, values)
+                      if v.max() >= top - 2 * tol or v.min() <= bottom + 2 * tol])
+    return picks
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import qlgraph as ql
 import qlgraph.cli as cli
 from qlgraph.errors import InvalidParameterError, NumericalFailureError
 
-from oracles import reference_composed_spectrum_csv
+from oracles import range_picks, reference_composed_spectrum_csv
 
 
 def run_cli(args, capsys):
@@ -444,6 +444,10 @@ class TestComputeOnce:
                                                       tmp_path, capsys, monkeypatch):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(descriptor))
+        desc = ql.ExperimentDescriptor(**descriptor)
+        resolved = (len(range_picks(desc, [range(1, desc.n_samples)],
+                                    ql.experiments._VALUES_ONLY_TOL)[0])
+                    if desc.kind == "qlbit-product" else 0)
         # eigendecompose counts matrices: a stack's leading dimension, or one.
         # _cycle_rows counts rows: the cycles it repeats for a chunk.
         calls = count_calls(monkeypatch, ("run_sample", "eigendecompose", "d_regular_random",
@@ -459,9 +463,10 @@ class TestComputeOnce:
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
         # run_sample gives ensemble_spectrum sample 0; the others run in chunks.
         # Only sample 0's grid is composed; the histogram composes values in chunks.
+        # Samples 1..2, a QL chunk solved values-only, re-solve each factor of their range picks.
         bases = Counter({name: samples * count for name, count in bases_per_sample.items()})
-        assert calls == Counter(run_sample=1, eigendecompose=samples * factors, compose_spectra=1,
-                                **bases)
+        assert calls == Counter(run_sample=1, eigendecompose=(samples + resolved) * factors,
+                                compose_spectra=1, **bases)
         streams = samples * self.STREAMS_PER_SAMPLE[descriptor["name"]]
         assert hashed == Counter(passes=self.DERIVE_CALLS, hashes=self.HASH_PASSES,
                                  streams=streams, state_passes=self.STATE_CALLS,

@@ -10,7 +10,7 @@ from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
 from conftest import iter_samples
-from oracles import one_shot_histogram, reference_composite, reference_is_connected
+from oracles import one_shot_histogram, range_picks, reference_composite, reference_is_connected
 
 
 def small_qlbit_descriptor(**overrides):
@@ -353,8 +353,23 @@ class TestEnsembleSpectrum:
         assert (first.index, first.seed) == (0, seeds[0])
 
     # The bundled figures, and one single-graph ensemble (one factor per sample).
-    ORACLE_CASES = {**ql.BUNDLED_EXPERIMENTS, "single": ql.ExperimentDescriptor(
-        name="single", kind="single-graph", n=12, d=8, sigma=2.0, n_samples=30)}
+    # Then QL ensembles whose values-only eigenvalues bin apart from `eigh`'s:
+    # samples tied at the extremes, which set the edges (tied-complete also has
+    # the composed value 6 on its inner edge), and one whose spectra, symmetric
+    # about 0, put values within ulps of the inner edge at 0.
+    ORACLE_CASES = {**ql.BUNDLED_EXPERIMENTS, **{d.name: d for d in (
+        ql.ExperimentDescriptor(name="single", kind="single-graph", n=12, d=8, sigma=2.0,
+                                n_samples=30),
+        ql.ExperimentDescriptor(name="tied-cycle", kind="qlbit-product", graph="cycle", n=3,
+                                p=0.0, n_factors=2, n_samples=5, bins=4),
+        ql.ExperimentDescriptor(name="tied-complete", kind="qlbit-product", n=4, d=3, p=1.0,
+                                n_factors=2, n_samples=5, bins=2),
+        ql.ExperimentDescriptor(name="tied-uncoupled", kind="qlbit-product", n=8, d=3, p=0.0,
+                                n_samples=12),
+        ql.ExperimentDescriptor(name="edge-at-zero", kind="qlbit-product", graph="cycle", n=3,
+                                deletions=1, p=0.1, sign=-1, n_factors=2, shared_base=True,
+                                n_samples=18, bins=4, master_seed=618487638),
+    )}}
 
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("seed", [None, 777, 12345])
@@ -366,6 +381,25 @@ class TestEnsembleSpectrum:
         expected = one_shot_histogram(desc)
         assert h.bin_edges.tobytes() == expected.bin_edges.tobytes()
         assert np.array_equal(h.counts, expected.counts)
+
+    @pytest.mark.parametrize("name", ["fig4a", "fig4c", "fig4e"])
+    def test_values_only_eigenvalues_within_tol_of_eigh(self, name, monkeypatch):
+        # Every factor matrix the run solves: `eigvalsh` is off `eigh` by at most
+        # tol/1000 of the matrix's largest |eigenvalue|, the margin the range picks
+        # and the inner-edge re-runs rest on, held where the golden digests skip.
+        mats = []
+        decompose = ql.experiments.eigendecompose
+
+        def recorded(a, *args, **kwargs):
+            mats.extend(a)
+            return decompose(a, *args, **kwargs)
+
+        monkeypatch.setattr(ql.experiments, "eigendecompose", recorded)
+        ql.ensemble_spectrum(ql.BUNDLED_EXPERIMENTS[name])
+        mats = np.array(mats)
+        exact = np.linalg.eigh(mats)[0]
+        gaps = np.abs(np.linalg.eigvalsh(mats) - exact).max(axis=1) / np.abs(exact).max(axis=1)
+        assert gaps.max() <= ql.experiments._VALUES_ONLY_TOL / 1000
 
     def test_many_sample_peak_memory_bounded(self):
         # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at
@@ -390,6 +424,12 @@ class TestEnsembleSpectrum:
     def test_one_stacked_eigensolve_per_chunk_and_distinct_factor(self, name, stacks,
                                                                  monkeypatch):
         # Sample 0 runs alone; the others in chunks of at most 2**14 matrix entries.
+        desc = ql.BUNDLED_EXPERIMENTS[name]
+        if desc.kind == "qlbit-product":  # one factor: a chunk after sample 0 re-solves its picks
+            chunks = [range(start, start + size)
+                      for start, size in zip(np.cumsum(stacks).tolist(), stacks[1:])]
+            picks = range_picks(desc, chunks, ql.experiments._VALUES_ONLY_TOL)
+            stacks = stacks[:1] + [k for c, p in zip(chunks, picks) for k in (len(c), len(p)) if k]
         sizes = []
         decompose = ql.experiments.eigendecompose
 
@@ -398,7 +438,7 @@ class TestEnsembleSpectrum:
             return decompose(a, *args, **kwargs)
 
         monkeypatch.setattr(ql.experiments, "eigendecompose", recorded)
-        ql.ensemble_spectrum(ql.BUNDLED_EXPERIMENTS[name])
+        ql.ensemble_spectrum(desc)
         assert sizes == stacks
 
     def test_numerical_failure_names_the_samples(self, monkeypatch):
@@ -413,6 +453,9 @@ class TestEnsembleSpectrum:
             next(iter_samples(desc))
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: "):
             ql.ensemble_spectrum(desc)
+        # A QL run solves sample 0 with eigenvectors, then samples 1 on values-only.
+        with pytest.raises(ql.NumericalFailureError, match=r"^samples 1\.\.10: "):
+            ql.ensemble_spectrum(ql.BUNDLED_EXPERIMENTS["fig4a"])
 
     def test_zero_samples_refused(self):
         with pytest.raises(InvalidParameterError, match="n_samples"):

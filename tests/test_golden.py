@@ -26,7 +26,8 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 # `qlgraph run` arguments past the bundled seed and size. Chunks hold 37 fig3
 # samples or 10 fig4a samples; `ensemble_spectrum` runs sample 0 alone first.
 RUNS = ("fig3 --seed 777 --samples 37", "fig3 --seed 777 --samples 80",
-        "fig4a --seed 777 --samples 37")
+        "fig4a --seed 777 --samples 37", "fig4c --seed 777 --samples 23",
+        "fig4e --seed 777 --samples 13")
 
 
 def toolchain() -> dict[str, str]:
