@@ -11,7 +11,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_real, require_int, shown
+from .errors import InvalidParameterError, is_real, real_array, require_int, shown
 
 EMERGENT = "emergent"
 HYBRID = "hybrid"
@@ -50,10 +50,10 @@ def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
 
 
 def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Counts of ``values`` per bin between consecutive ``edges``; the last
-    bin includes its right edge. Counts of parts add up to the counts of
-    the whole."""
-    counts, _ = np.histogram(values, bins=edges)
+    """Counts of ``values`` per bin between consecutive ``edges``, both cast by
+    `real_array`; the last bin includes its right edge. Counts of parts add up
+    to the counts of the whole."""
+    counts, _ = np.histogram(real_array("values", values), bins=real_array("edges", edges))
     return counts
 
 

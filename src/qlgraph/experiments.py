@@ -8,7 +8,6 @@ identical results.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -70,17 +69,18 @@ _VALUES_ONLY_TOL = 2.0**-30
 # max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
 # factor matrices, decomposed in place, and part of LAPACK's copy of them or,
 # before the solve, a QL bit's coupling draws and, for QL bits, for the
-# solver's vectors, each sample's copy of them and sample 0's kept copy (only
-# sample 0 and a chunk's range picks keep vectors now, so these terms
-# over-count the chunks of samples 1 on: kept, so `validate` accepts the same
-# descriptors), plus at most 8 bytes an entry for the edge rows each
-# factor keeps (16 bytes a row; under n^2/2 rows a base and n^2 for a
-# coupling, against (2n)^2 entries of a QL bit); sample 0, kept whole, with
-# its composed values, sort and label arrays, 72*states; one chunk of at most
-# max(_CHUNK_VALUES, states) values and np.histogram's sorted copy of it, 16
-# bytes a value; one batch of at most _CHUNK_VALUES hashed streams, 160 bytes a
-# stream (tracemalloc: 2.33 MB for the largest); per sample its factor eigenvalues,
-# 8*n_factors*dim, and its seed as an int and a line of metadata JSON, at most _SEED_BYTES.
+# solver's vectors, each sample's copy of them and sample 0's kept copy, plus
+# at most 8 bytes an entry for the edge rows of each factor (16 bytes a row;
+# under n^2/2 rows a base and n^2 for a coupling, against (2n)^2 entries of a
+# QL bit); sample 0, kept whole, with its composed values, sort and label
+# arrays, 72*states; one chunk of at most max(_CHUNK_VALUES, states) values
+# and np.histogram's sorted copy of it, 16 bytes a value; one batch of at most
+# _CHUNK_VALUES hashed streams, 160 bytes a stream (tracemalloc: 2.33 MB for
+# the largest); per sample its factor eigenvalues, 8*n_factors*dim, and its
+# seed as an int and a line of metadata JSON, at most _SEED_BYTES. The vector
+# terms over-count chunks that keep no vectors, and 8*n_factors*dim identical
+# factors, which keep one array: both are kept, so `validate` accepts the same
+# descriptors.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -268,77 +268,47 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
     return 1 if desc.identical_factors else desc.n_factors
 
 
-def _chunk_matrices(desc: ExperimentDescriptor, streams: list[list[RngSeed]],
-                    ) -> tuple[list[list[Graph | QLBit]], np.ndarray]:
-    """Per distinct factor, each sample's `Graph` or `QLBit` (row views of the chunk's edge
-    arrays) and the (F, S, dim, dim) matrices to decompose; a stage runs once over the chunk
-    when `_stage_paths` lists it, and a factor without base streams keeps the bases before it."""
+def _chunk_matrices(desc: ExperimentDescriptor, indices: range, streams: list[list[RngSeed]],
+                    ) -> tuple[list[tuple[list[np.ndarray], tuple | None]], np.ndarray]:
+    """Per distinct factor of samples ``indices``, its (S, m, 2) edge rows per side and its
+    `_cross_edges` triple (s, u, v) or None, and the (F, S, dim, dim) matrices to decompose;
+    a stage runs once over the chunk when `_stage_paths` lists it, and a factor without base
+    streams keeps the bases, the same list, before it. A generation failure names its sample."""
     count, n, sides = len(streams), desc.n, range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
-    streams, factors, last = dict(zip(_stage_paths(desc), zip(*streams))), [], None  # by path
+    streams, factors = dict(zip(_stage_paths(desc), zip(*streams))), []  # by path
     mats = np.zeros((_distinct_factors(desc), count, desc._dim, desc._dim))
     for k, a in enumerate(mats):
         if (_STAGE_BASE, k, 0) in streams:
-            bases = [_d_regular_rows(n, desc.d, streams[_STAGE_BASE, k, side]) for side in sides]
+            try:
+                bases = [_d_regular_rows(n, desc.d, streams[_STAGE_BASE, k, side])
+                         for side in sides]
+            except GenerationFailureError as exc:
+                raise GenerationFailureError(f"sample {indices[exc.item]}: {exc}",
+                                             exc.restarts) from exc
         elif k == 0:
             bases = [_cycle_rows(n, count) for _ in sides]
         rows = bases if (_STAGE_DELETE, k, 0) not in streams else [_deleted_rows(
             r, desc.deletions, streams[_STAGE_DELETE, k, side]) for side, r in zip(sides, bases)]
-        if rows is not last:  # a factor that keeps the bases before it keeps their graphs
-            last, built = rows, [[Graph._of_canonical(n, r) for r in side] for side in rows]
         if (_STAGE_COUPLE, k) in streams:
-            s, u, v = _cross_edges(n, n, desc.p, streams[_STAGE_COUPLE, k])
-            _write_qlbits(a, n, *rows, s, u, v, desc.sign)
-            split = np.bincount(s, minlength=count).cumsum()[:-1]
-            factors.append([QLBit._of_canonical(b1, b2, c, desc.sign) for b1, b2, c
-                            in zip(*built, np.split(np.stack((u, v), axis=1), split))])
+            factors.append((rows, _cross_edges(n, n, desc.p, streams[_STAGE_COUPLE, k])))
+            _write_qlbits(a, n, *rows, *factors[-1][1], desc.sign)
         else:
+            factors.append((rows, None))
             _write_rows(a, rows[0])
-            factors.append(built[0])
         if (_STAGE_DISORDER, k) in streams:
             _add_disorder(a, desc.sigma, streams[_STAGE_DISORDER, k])
     return factors, mats
 
 
-def _range_picks(spectra: list[list[Spectrum]], copies: int, bounds: list[float]) -> np.ndarray:
-    """The chunk's samples whose composed top or bottom lies within 2*tol of
-    the greatest top or least bottom of this chunk and those before it, held
-    in ``bounds`` and updated; ties are all picked."""
-    ends = sum(np.array([s.eigenvalues[[0, -1]] for s in slot]) for slot in spectra) * copies
+def _range_picks(values: list[np.ndarray], n_factors: int, bounds: list[float]) -> np.ndarray:
+    """The chunk's samples whose composed top or bottom (the distinct ``values``
+    repeated to n_factors) lies within 2*tol of the greatest top or least bottom
+    of this chunk and those before it, held in ``bounds`` and updated; ties too."""
+    ends = sum(v[:, [0, -1]] for v in values) * (n_factors // len(values))
     top, bottom = ends.T
     bounds[:] = max(bounds[0], top.max()), min(bounds[1], bottom.min())
     tol = _VALUES_ONLY_TOL * max(1.0, abs(bounds[0]), abs(bounds[1]))
     return np.flatnonzero((top >= bounds[0] - 2 * tol) | (bottom <= bounds[1] + 2 * tol))
-
-
-def _run_chunk(desc: ExperimentDescriptor, indices: range, seeds: np.ndarray,
-               stage_seeds: np.ndarray, states: np.ndarray,
-               bounds: list[float] | None = None) -> Iterator[SampleResult]:
-    """Samples `indices` of the given seeds, stage seeds and their generator
-    states, stage by stage: the chunk's factor matrices, then one stacked
-    eigendecomposition per distinct factor, then each sample's results,
-    yielded one at a time. It hashes nothing. A QL bit keeps eigenvectors
-    unless given the `_range_picks` ``bounds`` of the chunks before: then
-    only the picked samples, which may hold the run's extremes, are re-solved
-    with them, for the bits of `eigh`."""
-    try:
-        factors, mats = _chunk_matrices(desc, derive_streams(stage_seeds, states))
-    except GenerationFailureError as exc:
-        raise GenerationFailureError(f"sample {indices[exc.item]}: {exc}", exc.restarts) from exc
-    copies = desc.n_factors if desc.identical_factors else 1
-    vectors = desc.kind == KIND_QLBIT_PRODUCT and bounds is None
-    try:
-        spectra = [eigendecompose(a, want_vectors=vectors) for a in mats]
-        if bounds is not None and (pick := _range_picks(spectra, copies, bounds)).size:
-            for slot, a in zip(spectra, mats):
-                for j, s in zip(pick.tolist(), eigendecompose(a[pick])):
-                    slot[j] = s
-    except NumericalFailureError as exc:
-        named = (f"sample {indices.start}" if len(indices) == 1
-                 else f"samples {indices.start}..{indices.stop - 1}")
-        raise NumericalFailureError(f"{named}: {exc}") from exc
-    for j, (i, seed) in enumerate(zip(indices, seeds.tolist())):
-        yield SampleResult(i, seed, tuple(f[j] for f in factors) * copies,
-                           tuple(slot[j] for slot in spectra) * copies)
 
 
 def require_valid(desc: ExperimentDescriptor) -> ExperimentDescriptor:
@@ -353,24 +323,35 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     """Run the full pipeline for one sample, deterministic in the master seed.
 
     Sample i's seed is ``RngSeed(desc.master_seed).derive(i)``. The sample
-    is a batch of one, bitwise the same as in a chunk of many. An
-    index that is not an integer in [0, 2^32), a derivation path entry, is refused.
+    is a chunk of one, its eigenvalues bitwise those of a chunk of many
+    solved by `eigh`; a QL bit keeps its eigenvectors. An index that is
+    not an integer in [0, 2^32), a derivation path entry, is refused.
     """
     require_valid(desc)
     sample_index = require_int("sample_index", sample_index, 0, 2**32 - 1)
-    (sample,) = _samples_from(desc, sample_index, sample_index + 1)
-    return sample
+    ((indices, seeds, streams),) = _chunk_streams(desc, sample_index, sample_index + 1)
+    factors, mats = _chunk_matrices(desc, indices, streams)
+    try:
+        spectra = tuple(eigendecompose(a[0], desc.kind == KIND_QLBIT_PRODUCT) for a in mats)
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"sample {sample_index}: {exc}") from exc
+    built, last = [], None
+    for rows, cross in factors:
+        if rows is not last:  # a factor that keeps the bases before it keeps their graphs
+            last, graphs = rows, [Graph._of_canonical(desc.n, r[0]) for r in rows]
+        built.append(graphs[0] if cross is None else
+                     QLBit._of_canonical(*graphs, np.stack(cross[1:], axis=1), desc.sign))
+    copies = desc.n_factors // len(built)
+    return SampleResult(sample_index, int(seeds[0]), tuple(built) * copies, spectra * copies)
 
 
-def _samples_from(desc: ExperimentDescriptor, start: int, stop: int,
-                  vectors: bool = True) -> Iterator[SampleResult]:
+def _chunk_streams(desc: ExperimentDescriptor, start: int, stop: int,
+                   ) -> Iterator[tuple[range, np.ndarray, list[list[RngSeed]]]]:
     """Samples start..stop-1 in chunks of at most `_CHUNK_VALUES` matrix entries
-    across distinct factors, or of one sample. Streams are hashed in three passes
-    per batch of whole chunks, at most `_CHUNK_VALUES` streams; each chunk gets a
-    slice. Without ``vectors``, QL samples are solved values-only but for
-    the `_range_picks` of each chunk, over the extremes of the chunks before."""
+    across distinct factors, or of one sample: each chunk's indices, sample seeds
+    and stage streams. Streams are hashed in three passes per batch of whole
+    chunks, at most `_CHUNK_VALUES` streams; each chunk primes a slice."""
     paths = _stage_paths(desc)
-    bounds = None if vectors or desc.kind != KIND_QLBIT_PRODUCT else [-math.inf, math.inf]
     step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
     batch = step * max(1, _CHUNK_VALUES // (step * (1 + len(paths))))
     for first in range(start, stop, batch):
@@ -379,8 +360,29 @@ def _samples_from(desc: ExperimentDescriptor, start: int, stop: int,
         stage_seeds = derive_seeds(seeds, paths)
         states = stream_states(stage_seeds)
         for c in range(0, len(indices), step):
-            yield from _run_chunk(desc, indices[c:c + step], seeds[c:c + step],
-                                  stage_seeds[c:c + step], states[c:c + step], bounds)
+            yield (indices[c:c + step], seeds[c:c + step],
+                   derive_streams(stage_seeds[c:c + step], states[c:c + step]))
+
+
+def _chunk_values(desc: ExperimentDescriptor, start: int, stop: int,
+                  ) -> Iterator[tuple[range, np.ndarray, list[np.ndarray]]]:
+    """Samples start..stop-1 in the chunks of `_chunk_streams`: each chunk's indices,
+    sample seeds and (S, dim) eigenvalues per distinct factor, one stacked solve each.
+    QL samples are solved values-only, then each chunk's `_range_picks`, over the
+    extremes so far, again with `eigh`, for its bits."""
+    bounds = [-math.inf, math.inf] if desc.kind == KIND_QLBIT_PRODUCT else None
+    for indices, seeds, streams in _chunk_streams(desc, start, stop):
+        _, mats = _chunk_matrices(desc, indices, streams)
+        try:
+            values = [eigendecompose(a, want_vectors=False)[0] for a in mats]
+            if bounds and (pick := _range_picks(values, desc.n_factors, bounds)).size:
+                for v, a in zip(values, mats):
+                    v[pick] = eigendecompose(a[pick])[0]
+        except NumericalFailureError as exc:
+            named = (f"sample {indices.start}" if len(indices) == 1
+                     else f"samples {indices.start}..{indices.stop - 1}")
+            raise NumericalFailureError(f"{named}: {exc}") from exc
+        yield indices, seeds, values
 
 
 def _near_edge_rows(chunk: np.ndarray, edges: np.ndarray, tol: float) -> np.ndarray:
@@ -412,12 +414,15 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     bits may bin apart from `eigh`'s, is run again alone.
     """
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
-    kept = [np.empty((desc.n_samples, s.dim)) for s in first.spectra]
-    seeds = []
-    for sample in itertools.chain([first], _samples_from(desc, 1, desc.n_samples, False)):
-        for rows, s in zip(kept, sample.spectra):
-            rows[sample.index] = s.eigenvalues
-        seeds.append(sample.seed)
+    kept = [np.empty((desc.n_samples, desc._dim)) for _ in range(_distinct_factors(desc))]
+    for rows, s in zip(kept, first.spectra):
+        rows[0] = s.eigenvalues
+    seeds = [first.seed]
+    for indices, chunk_seeds, values in _chunk_values(desc, 1, desc.n_samples):
+        for rows, v in zip(kept, values):
+            rows[indices.start:indices.stop] = v
+        seeds += chunk_seeds.tolist()
+    kept *= desc.n_factors // len(kept)  # identical factors: one array, repeated
     lo, hi = composed_range(kept)
     edges = histogram_edges(lo, hi, desc.bins)
     counts = histogram_from_values(first.composed.values, edges)

@@ -30,28 +30,20 @@ class Spectrum:
                 raise InvalidParameterError("eigenvector matrix must be dim x dim")
             object.__setattr__(self, "eigenvectors", vecs)
 
-    @classmethod
-    def _of_checked(cls, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None) -> "Spectrum":
-        """The spectrum of float64 eigenvalues that passed `_check_eigenvalues`
-        and their dim x dim float64 eigenvectors or None: skips __post_init__."""
-        s = object.__new__(cls)
-        vars(s).update(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-        return s
-
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
 
 
-def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[Spectrum]:
+def eigendecompose(a: np.ndarray, want_vectors: bool = True,
+                   ) -> Spectrum | tuple[np.ndarray, np.ndarray | None]:
     """Full eigendecomposition of a square, finite, exactly symmetric matrix.
 
     Eigenvalues come back descending; eigenvectors (optional) are the
-    matching orthonormal columns. An (S, n, n) stack gives a list of S
-    spectra from one solver call, each bitwise equal to decomposing its
-    matrix alone; every matrix of the stack must be symmetric. The spectra
-    of a stack are row views into one (S, n) eigenvalue array and one
-    (S, n, n) eigenvector array, so keeping any of them keeps both whole.
+    matching orthonormal columns. An (S, n, n) stack gives, from one solver
+    call, the (S, n) eigenvalue array and the (S, n, n) eigenvector array
+    (or None), row s bitwise equal to decomposing matrix s alone; every
+    matrix of the stack must be symmetric.
     """
     m = real_array("matrix", a)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -70,10 +62,11 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True) -> Spectrum | list[
         raise NumericalFailureError(f"eigendecomposition failed for dim={m.shape[-1]}, "
                                     f"max|entry|={np.max(np.abs(m)):.3g}: {exc}") from exc
     vals = np.ascontiguousarray(vals[:, ::-1])
+    vecs = vecs if vecs is None else np.ascontiguousarray(vecs[..., ::-1])
+    if m.ndim == 2:
+        return Spectrum(vals[0], vecs if vecs is None else vecs[0])
     _check_eigenvalues(vals)
-    vecs = [None] * len(vals) if vecs is None else np.ascontiguousarray(vecs[..., ::-1])
-    spectra = [Spectrum._of_checked(v, w) for v, w in zip(vals, vecs)]
-    return spectra[0] if m.ndim == 2 else spectra
+    return vals, vecs
 
 
 def _check_eigenvalues(vals: np.ndarray) -> None:

@@ -1,5 +1,3 @@
-from typing import Iterator
-
 import numpy as np
 import pytest
 
@@ -29,13 +27,6 @@ def make_qlbit(n=20, d=15, p=0.2, seed=1234, sign=1, deletions=0) -> ql.QLBit:
         b1 = ql.delete_random_edges(b1, deletions, root.derive(2))
         b2 = ql.delete_random_edges(b2, deletions, root.derive(3))
     return ql.couple(b1, b2, p, sign, root.derive(4))
-
-
-def iter_samples(desc: ql.ExperimentDescriptor) -> Iterator[ql.SampleResult]:
-    """Every sample in index order, run in the pipeline's own chunks, as
-    `ensemble_spectrum` runs samples 1 on; each must equal `run_sample` on its index."""
-    ql.experiments.require_valid(desc)
-    yield from ql.experiments._samples_from(desc, 0, desc.n_samples)
 
 
 def composite_spectrum(q: ql.QLBit) -> ql.Spectrum:

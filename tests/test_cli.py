@@ -406,6 +406,24 @@ def count_graphs(monkeypatch) -> Counter:
     return built
 
 
+def count_objects(monkeypatch) -> Counter:
+    """Count the `Graph._of_canonical`, `QLBit._of_canonical` and `SampleResult`
+    constructions, by class name."""
+    built = Counter()
+    for cls, name in ((ql.Graph, "_of_canonical"), (ql.QLBit, "_of_canonical"),
+                      (ql.SampleResult, "__init__")):
+        original = vars(cls)[name]
+
+        def counted(*args, _name=cls.__name__, _func=getattr(original, "__func__", original),
+                    **kwargs):
+            built[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, classmethod(counted)
+                            if isinstance(original, classmethod) else counted)
+    return built
+
+
 class TestComputeOnce:
     # Streams each sample hashes: its own seed, one per generated base, then one
     # per factor for coupling (QL bits) or per factor and side for deletion.
@@ -426,6 +444,11 @@ class TestComputeOnce:
     # coupled on rows canonical by construction, and a factor keeps the graph
     # or QL bit it was built as.
     GRAPHS_PER_RUN = {"once-qlbit": 0, "once-shared": 0, "once-cycle": 0}
+
+    # Objects sample 0 alone is built as, besides one SampleResult: a graph
+    # for each base of a factor after its deletions, and a QL bit on two.
+    SAMPLE_0_OBJECTS = {"once-qlbit": {"Graph": 4, "QLBit": 2}, "once-shared": {"Graph": 3},
+                        "once-cycle": {"Graph": 3}}
 
     # Bases built per sample, by their builder: a d-regular base is one
     # `d_regular_random` call of its sparse degree (the dense complement is
@@ -458,6 +481,7 @@ class TestComputeOnce:
         # Every stream of the pipeline is hashed through derive_seeds and derive_streams.
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
+        objects = count_objects(monkeypatch)
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         samples, factors = descriptor["n_samples"], descriptor["n_factors"]
@@ -475,6 +499,11 @@ class TestComputeOnce:
         # Deletions and couplings build on canonical rows, and no graph spans
         # both blocks of a QL bit.
         assert built == Counter(Graph=self.GRAPHS_PER_RUN[descriptor["name"]])
+        # Samples 1 on are eigenvalue rows: only sample 0 is built as graphs,
+        # QL bits and a SampleResult, beside the graph each sparse
+        # `d_regular_random` call returns.
+        assert objects == Counter(self.SAMPLE_0_OBJECTS[descriptor["name"]],
+                                  SampleResult=1) + Counter(Graph=calls["d_regular_random"])
         # No artifact reads the prediction or the diagnostics.
         assert calls["predict_splitting"] == calls["is_connected"] == calls["emergent_pair"] == 0
 

@@ -9,7 +9,6 @@ import qlgraph as ql
 from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
-from conftest import iter_samples
 from oracles import one_shot_histogram, range_picks, reference_composite, reference_is_connected
 
 
@@ -82,6 +81,30 @@ class TestHistogram:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             ql.histogram_edges(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("name,values,edges,dtype", [
+        ("values", [0.5 + 5j, 1.5], [0.0, 1.0, 2.0], "complex128"),
+        ("values", ["0.5", "1.5"], [0.0, 1.0, 2.0], "<U3"),
+        ("edges", [0.5, 1.5], [0.0, 1.0 + 1j, 2.0], "complex128"),
+        ("edges", [0.5, 1.5], ["0", "1", "2"], "<U1"),
+    ])
+    def test_non_real_input_refused(self, name, values, edges, dtype):
+        # Binned by the real part or counted as nothing, before the cast.
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must hold real numbers, got dtype {dtype}$"):
+            ql.histogram_from_values(np.array(values), np.array(edges))
+
+    def test_float64_input_binned_without_a_copy(self, monkeypatch):
+        values, edges, seen = np.array([0.5, 1.5, 1.75]), np.array([0.0, 1.0, 2.0]), []
+        histogram = np.histogram
+
+        def recorded(a, bins):
+            seen.extend((a, bins))
+            return histogram(a, bins=bins)
+
+        monkeypatch.setattr(np, "histogram", recorded)
+        assert ql.histogram_from_values(values, edges).tolist() == [1, 2]
+        assert seen[0] is values and seen[1] is edges
 
     @pytest.mark.parametrize("bins", [2.5, 2.0, "2"])
     def test_non_integer_bins_rejected(self, bins):
@@ -273,7 +296,7 @@ class TestRunSample:
     @pytest.mark.parametrize("name", ["fig4a", "fig3"])
     def test_factor_kind_sets_emergent_indices(self, name):
         desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=4)
-        for sample in iter_samples(desc):
+        for sample in (ql.run_sample(desc, i) for i in range(desc.n_samples)):
             for f, indices in zip(sample.factors, sample.emergent_index_sets):
                 if isinstance(f, ql.Graph):
                     assert ql.is_connected(f) == reference_is_connected(f.n_vertices, f.edges)
@@ -349,7 +372,7 @@ class TestEnsembleSpectrum:
         desc = small_qlbit_descriptor(n_samples=2)
         first, _, seeds = ql.ensemble_spectrum(desc)
         assert seeds == [ql.RngSeed(9000).derive(i).seed for i in range(2)]
-        assert seeds == [s.seed for s in iter_samples(desc)]
+        assert seeds == [ql.run_sample(desc, i).seed for i in range(2)]
         assert (first.index, first.seed) == (0, seeds[0])
 
     # The bundled figures, and one single-graph ensemble (one factor per sample).
@@ -391,7 +414,7 @@ class TestEnsembleSpectrum:
         decompose = ql.experiments.eigendecompose
 
         def recorded(a, *args, **kwargs):
-            mats.extend(a)
+            mats.extend(a.reshape(-1, *a.shape[-2:]))  # a stack, or sample 0's one matrix
             return decompose(a, *args, **kwargs)
 
         monkeypatch.setattr(ql.experiments, "eigendecompose", recorded)
@@ -434,7 +457,7 @@ class TestEnsembleSpectrum:
         decompose = ql.experiments.eigendecompose
 
         def recorded(a, *args, **kwargs):
-            sizes.append(len(a))
+            sizes.append(len(a) if a.ndim == 3 else 1)  # sample 0 solves each matrix alone
             return decompose(a, *args, **kwargs)
 
         monkeypatch.setattr(ql.experiments, "eigendecompose", recorded)
@@ -450,7 +473,7 @@ class TestEnsembleSpectrum:
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 5: eigendecomposition failed"):
             ql.run_sample(desc, 5)
         with pytest.raises(ql.NumericalFailureError, match=r"^samples 0\.\.36: eigendecomposition"):
-            next(iter_samples(desc))
+            next(ql.experiments._chunk_values(desc, 0, desc.n_samples))
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: "):
             ql.ensemble_spectrum(desc)
         # A QL run solves sample 0 with eigenvectors, then samples 1 on values-only.
@@ -499,7 +522,7 @@ class TestFig3BandStructure:
         # and the top state stays separated from the rest.
         desc = ql.BUNDLED_EXPERIMENTS["fig3"]
         emergent_vals, random_means, separated = [], [], 0
-        for sample in iter_samples(desc.with_overrides(n_samples=100)):
+        for sample in (ql.run_sample(desc, i) for i in range(100)):
             counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
             vals = sample.composed.values
             emergent_vals.append(float(vals[counts == 3][0]))

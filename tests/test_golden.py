@@ -24,9 +24,11 @@ from qlgraph.experiments import BUNDLED_EXPERIMENTS
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
 # `qlgraph run` arguments past the bundled seed and size. Chunks hold 37 fig3
-# samples or 10 fig4a samples; `ensemble_spectrum` runs sample 0 alone first.
+# samples, 10 fig4a or fig4b samples or 40 fig4d samples; `ensemble_spectrum`
+# runs sample 0 alone first. fig4b and fig4d have identical factors.
 RUNS = ("fig3 --seed 777 --samples 37", "fig3 --seed 777 --samples 80",
-        "fig4a --seed 777 --samples 37", "fig4c --seed 777 --samples 23",
+        "fig4a --seed 777 --samples 37", "fig4b --seed 777 --samples 23",
+        "fig4c --seed 777 --samples 23", "fig4d --seed 777 --samples 90",
         "fig4e --seed 777 --samples 13")
 
 

@@ -26,9 +26,8 @@ from qlgraph import cli
 from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_seeds, derive_streams, stream_states
 
-from conftest import iter_samples
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     reference_adjacency, reference_composite, reference_couple,
+                     range_picks, reference_adjacency, reference_composite, reference_couple,
                      reference_d_regular_random, reference_delete_random_edges,
                      reference_diagonal_disorder, reference_graph_edges,
                      reference_is_connected, reference_qlbit_adjacency,
@@ -314,12 +313,30 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
     # A sample has 9 to 768 matrix entries and 1 to 19 streams, so up to 9
     # samples run in chunks of one or several samples, and batches of one or
     # several chunks end mid-run; ensemble_spectrum's (from sample 1) elsewhere.
-    alone = [sample_bytes(ql.run_sample(desc, i)) for i in range(desc.n_samples)]
+    # Each chunk row is bitwise the eigenvalues of run_sample (`eigh`), but a QL
+    # sample that is no range pick is solved values-only: its rows are those of
+    # `eigendecompose(matrix, want_vectors=False)` of its own factor matrices.
+    alone = [ql.run_sample(desc, i) for i in range(desc.n_samples)]
     with mock.patch.object(ql.experiments, "_CHUNK_VALUES", chunk_values):
-        chunked = [sample_bytes(sample) for sample in iter_samples(desc)]
+        chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
         first, histogram, seeds = ql.ensemble_spectrum(desc)
-    assert chunked == alone
-    assert sample_bytes(first) == alone[0]
+    assert [i for indices, _, _ in chunks for i in indices] == list(range(desc.n_samples))
+    picked = range(desc.n_samples)
+    if desc.kind == "qlbit-product":
+        picked = sum(range_picks(desc, [indices for indices, _, _ in chunks],
+                                 ql.experiments._VALUES_ONLY_TOL), [])
+    dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
+    distinct = 1 if desc.identical_factors else desc.n_factors
+    for indices, chunk_seeds, values in chunks:
+        assert chunk_seeds.tolist() == [alone[i].seed for i in indices]
+        assert [(v.dtype, v.shape) for v in values] == [
+            (np.float64, (len(indices), dim))] * distinct
+        for j, i in enumerate(indices):
+            expected = ([s.eigenvalues for s in alone[i].spectra[:distinct]] if i in picked
+                        else [ql.eigendecompose(a, want_vectors=False).eigenvalues
+                              for a in reference_matrices(desc, i)])
+            assert [v[j].tobytes() for v in values] == [e.tobytes() for e in expected]
+    assert sample_bytes(first) == sample_bytes(alone[0])
     assert seeds == [ql.RngSeed(desc.master_seed).derive(i).seed for i in range(desc.n_samples)]
     expected = one_shot_histogram(desc)
     assert histogram.bin_edges.tobytes() == expected.bin_edges.tobytes()
@@ -369,10 +386,10 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
     with mock.patch.multiple(ql.experiments, derive_seeds=counted,
                              _CHUNK_VALUES=per_chunk * entries,
                              **{name: recorder(name) for name in originals}):
-        samples = list(iter_samples(desc))
+        chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
     expected = expected_stage_calls(desc)
     assert sum(hashed) == desc.n_samples * (1 + len(expected))
-    assert [sample.seed for sample in samples] == [
+    assert [seed for _, seeds, _ in chunks for seed in seeds.tolist()] == [
         spawned_seed(desc.master_seed, i) for i in range(desc.n_samples)]
     # Each chunk runs each stage once, in order, on one stream of each of its samples.
     calls, done = iter(received), 0
@@ -416,33 +433,42 @@ def test_edge_row_factors_equal_graph_built_reference(desc, first, count):
     indices = range(first, first + count)
     seeds = derive_seeds([ql.RngSeed(desc.master_seed).derive(i).seed for i in indices], paths)
     streams = derive_streams(seeds, stream_states(seeds))
-    factors, mats = ql.experiments._chunk_matrices(desc, streams)
+    factors, mats = ql.experiments._chunk_matrices(desc, indices, streams)
     dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
     distinct = 1 if desc.identical_factors else desc.n_factors
     assert (mats.dtype, mats.shape) == (np.float64, (distinct, count, dim, dim))
-    assert [len(slot) for slot in factors] == [count] * distinct
+    assert len(factors) == distinct
     for j, (i, row) in enumerate(zip(indices, streams)):
         reference = reference_sample_matrices(desc, dict(zip(paths, row)))
         assert len(reference) == distinct
-        for a, slot, (_, _, expected) in zip(mats, factors, reference):
+        for a, (rows, cross), (graph, q, expected) in zip(mats, factors, reference):
             assert (a[j].shape, a[j].tobytes()) == (expected.shape, expected.tobytes())
-        # The chunk's factors, and the pipeline's, are the reference's graphs
-        # and QL bits, with read-only edge rows.
-        for built in ([slot[j] for slot in factors], ql.run_sample(desc, i).factors):
-            for f, (graph, q, _) in zip(built, reference):
-                if q is None:
-                    assert isinstance(f, ql.Graph)
-                    assert not f.edges.flags.writeable
-                    assert (f.n_vertices, f.edges.tolist()) == (graph.n_vertices,
-                                                                graph.edges.tolist())
-                else:
-                    assert isinstance(f, ql.QLBit)
-                    assert not any(rows.flags.writeable for rows in (
-                        f.basis_1.edges, f.basis_2.edges, f.coupling_edges))
-                    assert [(b.n_vertices, b.edges.tolist()) for b in (f.basis_1, f.basis_2)] == [
-                        (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
-                    assert (f.coupling_edges.tolist(), f.sign) == (q.coupling_edges.tolist(),
-                                                                   q.sign)
+            # The chunk's edge rows of the sample are the reference's graph or QL bit.
+            if q is None:
+                assert cross is None
+                assert [r[j].tolist() for r in rows] == [graph.edges.tolist()]
+            else:
+                s, u, v = cross
+                assert [r[j].tolist() for r in rows] == [b.edges.tolist()
+                                                          for b in (q.basis_1, q.basis_2)]
+                assert np.stack((u[s == j], v[s == j]), axis=1).tolist() == (
+                    q.coupling_edges.tolist())
+        # The pipeline's factors are the reference's graphs and QL bits, with
+        # read-only edge rows.
+        for f, (graph, q, _) in zip(ql.run_sample(desc, i).factors, reference):
+            if q is None:
+                assert isinstance(f, ql.Graph)
+                assert not f.edges.flags.writeable
+                assert (f.n_vertices, f.edges.tolist()) == (graph.n_vertices,
+                                                            graph.edges.tolist())
+            else:
+                assert isinstance(f, ql.QLBit)
+                assert not any(rows.flags.writeable for rows in (
+                    f.basis_1.edges, f.basis_2.edges, f.coupling_edges))
+                assert [(b.n_vertices, b.edges.tolist()) for b in (f.basis_1, f.basis_2)] == [
+                    (b.n_vertices, b.edges.tolist()) for b in (q.basis_1, q.basis_2)]
+                assert (f.coupling_edges.tolist(), f.sign) == (q.coupling_edges.tolist(),
+                                                               q.sign)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
@@ -476,13 +502,18 @@ def test_public_stage_functions_equal_reference_stages(half, data, seed):
     assert same(q.adjacency(), reference_qlbit_adjacency(q))
 
 
-def explicit_spectrum(desc: ql.ExperimentDescriptor, index: int) -> np.ndarray:
-    """Sample ``index``'s eigenvalues, ascending, by `eigvalsh` of the explicit
-    Kronecker sum of its factor matrices, rebuilt from `Graph` and `QLBit`
-    objects on streams spawned by plain SeedSequence."""
+def reference_matrices(desc: ql.ExperimentDescriptor, index: int) -> list[np.ndarray]:
+    """Sample ``index``'s matrix of each distinct factor, rebuilt from `Graph`
+    and `QLBit` objects on streams spawned by plain SeedSequence."""
     streams = {path: ql.RngSeed(stage_stream(desc.master_seed, index, path)[0])
                for _, path in expected_stage_calls(desc)}
-    matrices = [a for _, _, a in reference_sample_matrices(desc, streams)]
+    return [a for _, _, a in reference_sample_matrices(desc, streams)]
+
+
+def explicit_spectrum(desc: ql.ExperimentDescriptor, index: int) -> np.ndarray:
+    """Sample ``index``'s eigenvalues, ascending, by `eigvalsh` of the explicit
+    Kronecker sum of its `reference_matrices`."""
+    matrices = reference_matrices(desc, index)
     if desc.identical_factors:
         matrices *= desc.n_factors
     return np.linalg.eigvalsh(functools.reduce(kronecker_sum_adjacency, matrices))
@@ -512,7 +543,7 @@ def test_cli_artifacts_equal_explicit_construction(desc):
                                         for i in range(desc.n_samples)]
     # Every sample's composed values, which the histogram bins, and sample
     # 0's spectrum CSV are the explicit Kronecker sum's eigenvalues.
-    for sample in iter_samples(desc):
+    for sample in (ql.run_sample(desc, i) for i in range(desc.n_samples)):
         explicit = explicit_spectrum(desc, sample.index)
         assert np.max(np.abs(np.sort(sample.composed.values) - explicit)) <= 1e-9
     rows = list(csv.DictReader(io.StringIO(artifacts["spectrum.csv"])))

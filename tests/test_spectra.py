@@ -101,24 +101,28 @@ class TestStackedEigendecompose:
         (disordered_factors(40), True),
     ], ids=["qlbit-vectors", "qlbit-values", "disordered-values", "disordered-vectors"])
     def test_bitwise_equal_to_one_call_per_matrix(self, matrices, want_vectors):
-        stacked = ql.eigendecompose(np.stack(matrices), want_vectors=want_vectors)
-        assert isinstance(stacked, list) and len(stacked) == len(matrices)
-        for a, s in zip(matrices, stacked):
+        vals, vecs = ql.eigendecompose(np.stack(matrices), want_vectors=want_vectors)
+        n = len(matrices[0])
+        assert (vals.dtype, vals.shape, vals.flags.c_contiguous) == (
+            np.float64, (len(matrices), n), True)
+        if want_vectors:
+            assert (vecs.dtype, vecs.shape, vecs.flags.c_contiguous) == (
+                np.float64, (len(matrices), n, n), True)
+        for j, a in enumerate(matrices):
             alone = ql.eigendecompose(a, want_vectors=want_vectors)
-            assert s.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+            assert vals[j].tobytes() == alone.eigenvalues.tobytes()
             if want_vectors:
-                assert s.eigenvectors.flags.c_contiguous
-                assert s.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+                assert vecs[j].tobytes() == alone.eigenvectors.tobytes()
             else:
-                assert s.eigenvectors is None and alone.eigenvectors is None
+                assert vecs is None and alone.eigenvectors is None
 
     def test_stack_of_one_matches_the_matrix(self, c5):
         a = ql.adjacency(c5)
-        (s,) = ql.eigendecompose(a[np.newaxis])
+        (vals,), (vecs,) = ql.eigendecompose(a[np.newaxis])
         alone = ql.eigendecompose(a)
         assert isinstance(alone, ql.Spectrum)
-        assert s.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
-        assert s.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+        assert vals.tobytes() == alone.eigenvalues.tobytes()
+        assert vecs.tobytes() == alone.eigenvectors.tobytes()
 
     @pytest.mark.parametrize("bad", [0, 5, 11])
     def test_one_asymmetric_matrix_refuses_the_stack(self, bad):
