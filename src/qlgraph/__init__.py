@@ -19,7 +19,7 @@ from .projection import ProjectionReport, project_alphas
 from .qlbits import (EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair,
                      predict_splitting)
 from .rng import RngSeed
-from .spectra import Spectrum, eigendecompose
+from .spectra import eigendecompose
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor", "GenerationFailureError",
     "Graph", "HYBRID", "InvalidParameterError", "NumericalFailureError",
     "ProjectionReport", "QLBit", "QLGraphError", "RANDOM", "RngSeed", "SampleResult",
-    "Spectrum", "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
+    "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
     "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
     "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",
     "histogram_edges", "histogram_from_values", "is_connected",

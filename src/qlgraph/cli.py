@@ -93,7 +93,7 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
                                           "sample_seeds": sample_seeds,
                                           "artifacts": sorted(names.values())})}
     if desc.kind == KIND_QLBIT_PRODUCT:
-        report = project_alphas(first.factors, [s.eigenvectors[:, 0] for s in first.spectra])
+        report = project_alphas(first.factors, [vecs[:, 0] for _, vecs in first.spectra])
         texts["projection.json"] = _json_text({
             "alphas": report.alphas, "residual": report.residual_norm,
             "eigenvalue": float(first.composed.values[0]), "labels": [0] * len(first.factors)})

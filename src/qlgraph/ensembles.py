@@ -11,7 +11,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_real, real_array, require_int, shown
+from .errors import InvalidParameterError, real_array, real_float, require_int, shown
 
 EMERGENT = "emergent"
 HYBRID = "hybrid"
@@ -39,10 +39,7 @@ def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
     """``bins + 1`` uniform edges spanning [lo - 0.5, hi + 0.5]: every value
     in [lo, hi], reals whose span is within float range, lands in a bin."""
     bins = require_int("bins", bins, 1, MAX_BINS)
-    try:  # as Python floats: a numpy float compared to a larger one would warn
-        span = float(hi) - float(lo) if is_real(lo) and is_real(hi) else math.nan
-    except OverflowError:  # an int past float range
-        span = math.nan
+    span = real_float(hi) - real_float(lo)
     if not 0 <= span < math.inf:
         raise InvalidParameterError("histogram range must be finite with lo <= hi, "
                                     f"got [{shown(lo)}, {shown(hi)}]")
@@ -51,9 +48,14 @@ def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
 
 def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Counts of ``values`` per bin between consecutive ``edges``, both cast by
-    `real_array`; the last bin includes its right edge. Counts of parts add up
-    to the counts of the whole."""
-    counts, _ = np.histogram(real_array("values", values), bins=real_array("edges", edges))
+    `real_array`, the edges 1-D, two or more, finite and strictly increasing;
+    the last bin includes its right edge. Counts of parts add up to the whole's."""
+    edges = real_array("edges", edges)
+    if not (edges.ndim == 1 and edges.size > 1 and np.isfinite(edges).all()
+            and (np.diff(edges) > 0).all()):
+        raise InvalidParameterError("edges must be 1-D, at least two, finite and strictly "
+                                    f"increasing, got shape {edges.shape}")
+    counts, _ = np.histogram(real_array("values", values), bins=edges)
     return counts
 
 

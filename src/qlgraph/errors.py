@@ -55,9 +55,16 @@ def require_int(name: str, value, lo: int | None = None, hi: int | None = None) 
     return value
 
 
-def is_real(value) -> bool:
-    """Whether value is a real number: an int, a float or a numpy one, never a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+def real_float(value) -> float:
+    """value as a Python float if it is a real number (an int, a float or a numpy
+    one, never a bool) within float range, else NaN, which fails every comparison.
+    Compared as a Python float, a numpy float casts no bound down to its precision."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # an int past float range
+        return math.nan
 
 
 def real_array(name: str, value) -> np.ndarray:

@@ -25,7 +25,7 @@ from .graphs import (Graph, _add_disorder, _cycle_rows, _d_regular_rows, _delete
 from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
 from .qlbits import QLBit, _checked_p, _checked_sign, _cross_edges, _write_qlbits
 from .rng import MAX_SEED, RngSeed, derive_seeds, derive_streams, stream_states
-from .spectra import Spectrum, eigendecompose
+from .spectra import eigendecompose
 
 KIND_SINGLE = "single-graph"
 KIND_REGULAR_PRODUCT = "d-regular-product"
@@ -226,12 +226,12 @@ class ExperimentDescriptor:
 @dataclass(frozen=True)
 class SampleResult:
     """One pipeline sample: each factor, a `Graph` or `QLBit` as built, and its
-    spectrum. With ``identical_factors`` both repeat one object n_factors times."""
+    `eigendecompose` pair. With ``identical_factors`` both repeat one object n_factors times."""
 
     index: int
     seed: int  # derived from the master seed; RngSeed(seed) roots every stream of the sample
     factors: tuple[Graph | QLBit, ...]
-    spectra: tuple[Spectrum, ...]
+    spectra: tuple[tuple[np.ndarray, np.ndarray | None], ...]
 
     @property
     def emergent_index_sets(self) -> tuple[frozenset[int], ...]:
@@ -241,7 +241,7 @@ class SampleResult:
     @cached_property
     def composed(self) -> ComposedSpectrum:
         """The composed spectrum of the factors, built on first use."""
-        return compose_spectra(self.spectra)
+        return compose_spectra([values for values, _ in self.spectra])
 
 
 def _stage_paths(desc: ExperimentDescriptor) -> list[tuple[int, ...]]:
@@ -415,8 +415,8 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     """
     first = run_sample(desc, 0)  # validates; n_samples >= 1, so sample 0 exists
     kept = [np.empty((desc.n_samples, desc._dim)) for _ in range(_distinct_factors(desc))]
-    for rows, s in zip(kept, first.spectra):
-        rows[0] = s.eigenvalues
+    for rows, (values, _) in zip(kept, first.spectra):
+        rows[0] = values
     seeds = [first.seed]
     for indices, chunk_seeds, values in _chunk_values(desc, 1, desc.n_samples):
         for rows, v in zip(kept, values):

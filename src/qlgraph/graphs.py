@@ -8,12 +8,12 @@ at once, one seed an item; each public stage function is the batch of one.
 """
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GenerationFailureError, InvalidParameterError, is_real, real_array,
+from .errors import (GenerationFailureError, InvalidParameterError, real_array, real_float,
                      require_int, shown)
 from .rng import RngSeed
 
@@ -226,8 +226,7 @@ def apply_diagonal_disorder(a: np.ndarray, sigma: float, seed: RngSeed) -> np.nd
     m = real_array("matrix", a).copy()
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
-    # An int past float range would overflow in the draw.
-    if not is_real(sigma) or not 0 <= sigma <= sys.float_info.max:
+    if not 0 <= real_float(sigma) < math.inf:
         raise InvalidParameterError(f"sigma must be finite and non-negative, got {shown(sigma)}")
     _add_disorder(m[None], sigma, (seed,))
     return m

@@ -19,7 +19,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, require_int
-from .spectra import Spectrum
+from .spectra import checked_eigenvalues
 
 # Spectrum CSV rows formatted per block: bounds the text held at once.
 _BLOCK_ROWS = 4096
@@ -52,16 +52,17 @@ class ComposedSpectrum:
         return np.argsort(-self.values, kind="stable")
 
 
-def compose_spectra(factor_spectra: Sequence[Spectrum]) -> ComposedSpectrum:
-    """All pairwise (N-wise) eigenvalue sums, without any product matrix.
+def compose_spectra(factor_values: Sequence[np.ndarray]) -> ComposedSpectrum:
+    """All pairwise (N-wise) sums of the factors' eigenvalue arrays, each held
+    to `checked_eigenvalues`, without any product matrix.
 
     Associative by construction: the value grid is the left fold of outer
     sums, raveled in C order to match the flat-index convention.
     """
-    if len(factor_spectra) == 0:
+    if len(factor_values) == 0:
         raise InvalidParameterError("need at least one factor spectrum")
-    values = compose_values([s.eigenvalues[None, :] for s in factor_spectra])
-    return ComposedSpectrum(tuple(s.dim for s in factor_spectra), values[0])
+    values = [checked_eigenvalues(v)[None] for v in factor_values]
+    return ComposedSpectrum(tuple(v.shape[1] for v in values), compose_values(values)[0])
 
 
 def compose_values(factor_values: Sequence[np.ndarray]) -> np.ndarray:

@@ -45,6 +45,8 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     per_factor = []
     sq_norm = 1.0
     for w, q in zip(factor_vectors, qlbits):
+        if not isinstance(q, QLBit):
+            raise InvalidParameterError(f"factors must be QL bits, got a {type(q).__name__}")
         w = real_array("factor vector", w)
         if w.shape != (q.n_vertices,):
             raise InvalidParameterError(

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, is_real, require_int, shown
+from .errors import InvalidParameterError, real_float, require_int, shown
 from .graphs import Graph, _write_rows, adjacency, canonical_edges
 from .rng import RngSeed
-from .spectra import Spectrum, eigendecompose
+from .spectra import checked_eigenvalues, eigendecompose
 
 # Least gap between the second and third eigenvalues of an isolated pair.
 MIN_ISOLATION_GAP = 0.5
@@ -31,7 +31,7 @@ def _checked_sign(sign) -> int:
 
 def _checked_p(p) -> float:
     """A cross-edge probability, a real in [0, 1]."""
-    if not is_real(p) or not 0.0 <= p <= 1.0:
+    if not 0.0 <= real_float(p) <= 1.0:
         raise InvalidParameterError(f"p must be a real in [0, 1], got {shown(p)}")
     return p
 
@@ -148,26 +148,27 @@ def predict_splitting(q: QLBit) -> SplittingPrediction:
     """
     n1 = q.basis_1.n_vertices
     delta = q.n_coupling / n1
-    d_eff = float(eigendecompose(adjacency(q.basis_1), want_vectors=False).eigenvalues[0])
+    d_eff = float(eigendecompose(adjacency(q.basis_1), want_vectors=False)[0][0])
     return SplittingPrediction(d_eff, delta, (d_eff + delta, d_eff - delta))
 
 
-def emergent_pair(q: QLBit, s: Spectrum) -> EmergentPair:
+def emergent_pair(q: QLBit, eigenvalues: np.ndarray) -> EmergentPair:
     """The two emergent eigenvalues of the QL bit and their isolation.
 
-    ``s`` is the spectrum, with or without eigenvectors, of ``q.adjacency()``,
-    including any diagonal disorder applied to it. Cross-coupling sign does
-    not move the pair: the sign=-1 matrix is similar to the sign=+1 one.
+    ``eigenvalues``, held to `checked_eigenvalues`, are those of
+    ``q.adjacency()``, including any diagonal disorder applied to it.
+    Cross-coupling sign does not move the pair: the sign=-1 matrix is
+    similar to the sign=+1 one.
 
     Isolation: the second eigenvalue must clear the third by
     max(MIN_ISOLATION_GAP, 2*sqrt(d_mean - 1) - lambda_2); otherwise
     ``degraded_isolation`` is set on the result.
     """
-    if s.dim != q.n_vertices:
+    lam = checked_eigenvalues(eigenvalues)
+    if lam.size != q.n_vertices:
         raise InvalidParameterError("need the QL bit's spectrum")
-    if s.dim < 3:
+    if lam.size < 3:
         raise InvalidParameterError("QL bit too small to isolate an emergent pair")
-    lam = s.eigenvalues
     gap = float(lam[1] - lam[2])
     d_mean = 2.0 * q.basis_1.n_edges / q.basis_1.n_vertices
     band = 2.0 * math.sqrt(max(d_mean - 1.0, 0.0))

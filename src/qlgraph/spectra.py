@@ -1,50 +1,23 @@
-from __future__ import annotations
+"""Dense symmetric eigendecomposition, and the one rule eigenvalues keep.
 
-from dataclasses import dataclass
+A spectrum is the pair ``(values, vectors)`` that `eigendecompose` returns:
+eigenvalues sorted descending and the matching orthonormal eigenvector
+columns, or None. One (n, n) matrix gives (n,) and (n, n) arrays; an
+(S, n, n) stack gives (S, n) and (S, n, n), row s bitwise that of matrix s
+alone. Everything after the solve takes plain eigenvalue arrays, each held
+to `checked_eigenvalues`.
+"""
+from __future__ import annotations
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalFailureError, real_array
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
-
-    When present, ``eigenvectors`` holds orthonormal columns aligned with
-    ``eigenvalues``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-
-    def __post_init__(self):
-        vals = real_array("eigenvalues", self.eigenvalues)
-        if vals.ndim != 1:
-            raise InvalidParameterError("eigenvalues must be a 1-D array")
-        _check_eigenvalues(vals)
-        object.__setattr__(self, "eigenvalues", vals)
-        if self.eigenvectors is not None:
-            vecs = real_array("eigenvectors", self.eigenvectors)
-            if vecs.shape != (vals.size, vals.size):
-                raise InvalidParameterError("eigenvector matrix must be dim x dim")
-            object.__setattr__(self, "eigenvectors", vecs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-
 def eigendecompose(a: np.ndarray, want_vectors: bool = True,
-                   ) -> Spectrum | tuple[np.ndarray, np.ndarray | None]:
-    """Full eigendecomposition of a square, finite, exactly symmetric matrix.
-
-    Eigenvalues come back descending; eigenvectors (optional) are the
-    matching orthonormal columns. An (S, n, n) stack gives, from one solver
-    call, the (S, n) eigenvalue array and the (S, n, n) eigenvector array
-    (or None), row s bitwise equal to decomposing matrix s alone; every
-    matrix of the stack must be symmetric.
-    """
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The spectrum of a square, finite, exactly symmetric matrix, or of an
+    (S, n, n) stack of them, every one symmetric, from one solver call."""
     m = real_array("matrix", a)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise InvalidParameterError(f"matrix must be square, got shape {m.shape}")
@@ -64,15 +37,18 @@ def eigendecompose(a: np.ndarray, want_vectors: bool = True,
     vals = np.ascontiguousarray(vals[:, ::-1])
     vecs = vecs if vecs is None else np.ascontiguousarray(vecs[..., ::-1])
     if m.ndim == 2:
-        return Spectrum(vals[0], vecs if vecs is None else vecs[0])
-    _check_eigenvalues(vals)
-    return vals, vecs
+        vals, vecs = vals[0], vecs if vecs is None else vecs[0]
+    return checked_eigenvalues(vals, m.ndim - 1), vecs
 
 
-def _check_eigenvalues(vals: np.ndarray) -> None:
-    """Refuse eigenvalues, one spectrum per row, that are not finite or a row
-    not sorted descending."""
+def checked_eigenvalues(values, ndim: int = 1) -> np.ndarray:
+    """``values`` by `real_array`, one spectrum per row; InvalidParameterError
+    unless it has ``ndim`` dimensions, is finite and each row is descending."""
+    vals = real_array("eigenvalues", values)
+    if vals.ndim != ndim:
+        raise InvalidParameterError(f"eigenvalues must be a {ndim}-D array")
     if not np.isfinite(vals).all():
         raise InvalidParameterError("eigenvalues must be finite")
     if np.any(np.diff(vals) > 0):
         raise InvalidParameterError("eigenvalues must be sorted descending")
+    return vals

@@ -9,12 +9,14 @@ RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-8
 
 
-def assert_valid_spectrum(a: np.ndarray, s: ql.Spectrum):
-    """Spectrum invariants: order, residual, orthonormality, trace."""
-    assert s.dim == len(a)
-    assert np.all(np.diff(s.eigenvalues) <= 0)
-    assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
-    if s.eigenvectors is not None:
+def assert_valid_spectrum(a: np.ndarray, s: tuple[np.ndarray, np.ndarray | None]):
+    """Invariants of an `eigendecompose` pair: order, residual, orthonormality, trace."""
+    values, vectors = s
+    assert values.shape == (len(a),)
+    assert np.all(np.diff(values) <= 0)
+    assert abs(values.sum() - np.trace(a)) <= 1e-6 * len(a)
+    if vectors is not None:
+        assert vectors.shape == a.shape
         assert max_residual(a, s) <= RESIDUAL_TOL
         assert orthonormality_defect(s) <= ORTHO_TOL
 
@@ -29,8 +31,8 @@ def make_qlbit(n=20, d=15, p=0.2, seed=1234, sign=1, deletions=0) -> ql.QLBit:
     return ql.couple(b1, b2, p, sign, root.derive(4))
 
 
-def composite_spectrum(q: ql.QLBit) -> ql.Spectrum:
-    """Full spectrum, with eigenvectors, of the QL bit's adjacency."""
+def composite_spectrum(q: ql.QLBit) -> tuple[np.ndarray, np.ndarray]:
+    """The QL bit adjacency's `eigendecompose` pair, eigenvectors included."""
     return ql.eigendecompose(q.adjacency())
 
 

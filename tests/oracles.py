@@ -316,9 +316,11 @@ def cartesian_product_adjacency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
-def product_eigenvector(spectra: Sequence[ql.Spectrum], labels: Sequence[int]) -> np.ndarray:
-    """Tensor product of the labeled factor eigenvectors (first factor slowest)."""
-    return functools.reduce(np.kron, [s.eigenvectors[:, i] for s, i in zip(spectra, labels)])
+def product_eigenvector(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
+                        labels: Sequence[int]) -> np.ndarray:
+    """Tensor product of the labeled factor eigenvectors (first factor slowest),
+    from each factor's `eigendecompose` pair."""
+    return functools.reduce(np.kron, [vecs[:, i] for (_, vecs), i in zip(spectra, labels)])
 
 
 def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit]) -> ql.ProjectionReport:
@@ -387,24 +389,28 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def spectral_gap(s: ql.Spectrum) -> float:
-    """Gap between the two largest eigenvalues, lambda_0 - lambda_1."""
-    if s.dim < 2:
+def spectral_gap(values: np.ndarray) -> float:
+    """Gap between the two largest of descending eigenvalues, lambda_0 - lambda_1."""
+    if len(values) < 2:
         raise InvalidParameterError("spectral gap needs dim >= 2")
-    return float(s.eigenvalues[0] - s.eigenvalues[1])
+    return float(values[0] - values[1])
 
 
-def max_residual(a: np.ndarray, s: ql.Spectrum) -> float:
-    """max over pairs of ||A v - lambda v||_inf / max(1, |lambda|)."""
-    r = a @ s.eigenvectors - s.eigenvectors * s.eigenvalues[np.newaxis, :]
-    scale = np.maximum(1.0, np.abs(s.eigenvalues))
+def max_residual(a: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> float:
+    """max over the pairs of an `eigendecompose` pair of
+    ||A v - lambda v||_inf / max(1, |lambda|)."""
+    values, vectors = s
+    r = a @ vectors - vectors * values[np.newaxis, :]
+    scale = np.maximum(1.0, np.abs(values))
     return float(np.max(np.max(np.abs(r), axis=0) / scale))
 
 
-def orthonormality_defect(s: ql.Spectrum) -> float:
-    """max entrywise deviation of V^T V from the identity."""
-    gram = s.eigenvectors.T @ s.eigenvectors
-    return float(np.max(np.abs(gram - np.eye(s.dim))))
+def orthonormality_defect(s: tuple[np.ndarray, np.ndarray]) -> float:
+    """max entrywise deviation of V^T V from the identity, V the vectors of
+    an `eigendecompose` pair."""
+    _, vectors = s
+    gram = vectors.T @ vectors
+    return float(np.max(np.abs(gram - np.eye(len(gram)))))
 
 
 # Finite graphs may exceed the asymptotic Alon-Boppana bound by this much.
@@ -420,14 +426,14 @@ class AlonBoppanaReport:
     satisfied: bool
 
 
-def alon_boppana_check(s: ql.Spectrum, d: int) -> AlonBoppanaReport:
+def alon_boppana_check(values: np.ndarray, d: int) -> AlonBoppanaReport:
     """Report whether lambda_1 respects 2*sqrt(d-1) up to the finite-size AB_SLACK.
 
     Report-only: finite graphs occasionally exceed the asymptotic bound, so
     callers log violations rather than fail on them.
     """
     bound = 2.0 * math.sqrt(d - 1)
-    lam1 = float(s.eigenvalues[1])
+    lam1 = float(values[1])
     return AlonBoppanaReport(bound, lam1, lam1 <= bound + AB_SLACK)
 
 
@@ -436,13 +442,15 @@ def degrees(g: ql.Graph) -> np.ndarray:
     return np.bincount(g.edges.ravel(), minlength=g.n_vertices)
 
 
-def emergent_states(q: ql.QLBit, s: ql.Spectrum) -> list[tuple[float, np.ndarray, int]]:
-    """The top two eigenpairs of the QL bit's spectrum ``s`` as (eigenvalue,
-    sign-fixed vector, phase). The phase is the sign of the product of the
-    vector's block means: +1 in phase, -1 out of phase, 0 indeterminate. An
-    exactly degenerate pair (p=0) is resolved onto J_0 + J_1 and J_0 - J_1
-    where its span holds them."""
-    n1, lam, top = q.basis_1.n_vertices, s.eigenvalues, s.eigenvectors[:, :2]
+def emergent_states(q: ql.QLBit, s: tuple[np.ndarray, np.ndarray],
+                    ) -> list[tuple[float, np.ndarray, int]]:
+    """The top two eigenpairs of the QL bit's `eigendecompose` pair ``s`` as
+    (eigenvalue, sign-fixed vector, phase). The phase is the sign of the
+    product of the vector's block means: +1 in phase, -1 out of phase, 0
+    indeterminate. An exactly degenerate pair (p=0) is resolved onto
+    J_0 + J_1 and J_0 - J_1 where its span holds them."""
+    (lam, vectors), n1 = s, q.basis_1.n_vertices
+    top = vectors[:, :2]
     # Strided column views: a contiguous copy can change `w @ j0` in the last ulp.
     states = [(float(lam[k]), fix_sign(v), int(np.sign(v[:n1].mean()) * np.sign(v[n1:].mean())))
               for k, v in enumerate(top.T)]

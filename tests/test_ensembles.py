@@ -23,8 +23,8 @@ class TestClassifyStates:
     """A state's class is state_kinds(N)[k], k from emergent_component_counts."""
 
     def setup_method(self):
-        s = ql.eigendecompose(ql.adjacency(ql.cycle_graph(4)), want_vectors=False)
-        self.composed = ql.compose_spectra([s, s, s])
+        vals, _ = ql.eigendecompose(ql.adjacency(ql.cycle_graph(4)), want_vectors=False)
+        self.composed = ql.compose_spectra([vals, vals, vals])
 
     def kinds(self, emergent_indices):
         counts = ql.emergent_component_counts(self.composed, emergent_indices)
@@ -93,6 +93,18 @@ class TestHistogram:
         with pytest.raises(InvalidParameterError,
                            match=f"^{name} must hold real numbers, got dtype {dtype}$"):
             ql.histogram_from_values(np.array(values), np.array(edges))
+
+    @pytest.mark.parametrize("edges", [
+        [0.0, math.nan, 1.0],  # binned three values of 1.0 as [3, 0]
+        [0.0, 1.0, math.inf],
+        [[0.0, 1.0], [2.0, 3.0]],  # numpy's "`bins` must be 1d"
+        [1.0, 0.0],  # numpy's "bins must increase monotonically"
+        [0.0, 1.0, 1.0],
+        [0.0],
+    ], ids=["nan", "inf", "2d", "decreasing", "repeated", "one"])
+    def test_edges_that_bound_no_bins_refused(self, edges):
+        with pytest.raises(InvalidParameterError, match="^edges must be 1-D, at least two, finite"):
+            ql.histogram_from_values(np.ones(3), np.array(edges))
 
     def test_float64_input_binned_without_a_copy(self, monkeypatch):
         values, edges, seen = np.array([0.5, 1.5, 1.75]), np.array([0.0, 1.0, 2.0]), []
@@ -286,12 +298,12 @@ class TestRunSample:
 
     def test_qlbit_factor_diagnostics(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
-        q, s = sample.factors[0], sample.spectra[0]
+        q, (vals, vecs) = sample.factors[0], sample.spectra[0]
         assert isinstance(q, ql.QLBit)
         assert ql.predict_splitting(q) is not None
-        assert ql.emergent_pair(q, s) is not None
+        assert ql.emergent_pair(q, vals) is not None
         assert sample.emergent_index_sets[0] == frozenset({0, 1})
-        assert s.eigenvectors is not None
+        assert vecs.shape == (q.n_vertices, q.n_vertices)
 
     @pytest.mark.parametrize("name", ["fig4a", "fig3"])
     def test_factor_kind_sets_emergent_indices(self, name):
@@ -309,8 +321,8 @@ class TestRunSample:
     def test_disordered_qlbit_emergent_pair_uses_factor_spectrum(self):
         # The emergent pair is read off the factor's own (disordered) spectrum.
         sample = ql.run_sample(small_qlbit_descriptor(sigma=1.0), 0)
-        for q, s in zip(sample.factors, sample.spectra):
-            assert list(ql.emergent_pair(q, s).eigenvalues) == s.eigenvalues[:2].tolist()
+        for q, (vals, _) in zip(sample.factors, sample.spectra):
+            assert list(ql.emergent_pair(q, vals).eigenvalues) == vals[:2].tolist()
 
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)

@@ -59,7 +59,7 @@ def _c3():
 
 
 def _c3_composed():
-    return ql.compose_spectra([ql.eigendecompose(ql.adjacency(_c3()))])
+    return ql.compose_spectra([ql.eigendecompose(ql.adjacency(_c3()))[0]])
 
 
 # Public entry point -> (the start of its refusal, a call given x for one parameter).
@@ -112,8 +112,9 @@ _ARRAY_SITES = {
         "matrix", lambda a: ql.apply_diagonal_disorder(a, 1.0, ql.RngSeed(0))),
     "project_alphas": (
         "factor vector", lambda a: ql.project_alphas([ql.QLBit(_c3(), _c3(), [], 1)], [a])),
-    "Spectrum eigenvalues": ("eigenvalues", lambda a: ql.Spectrum(a, None)),
-    "Spectrum eigenvectors": ("eigenvectors", lambda a: ql.Spectrum([1.0, -1.0], a)),
+    "compose_spectra": ("eigenvalues", lambda a: ql.compose_spectra([a])),
+    "emergent_pair": (
+        "eigenvalues", lambda a: ql.emergent_pair(ql.QLBit(_c3(), _c3(), [], 1), a)),
 }
 
 
@@ -140,4 +141,4 @@ def test_ragged_arrays_refused(site):
 
 def test_bool_and_integer_arrays_cast_exactly():
     for a in (np.eye(2, dtype=bool), np.eye(2, dtype=np.int8), [[1, 0], [0, 1]]):
-        assert ql.eigendecompose(a).eigenvalues.tolist() == [1.0, 1.0]
+        assert ql.eigendecompose(a)[0].tolist() == [1.0, 1.0]

@@ -199,8 +199,8 @@ class TestDRegularRandom:
 
     def test_principal_eigenvector_uniform(self):
         g = ql.d_regular_random(12, 8, ql.RngSeed(5))
-        s = ql.eigendecompose(ql.adjacency(g))
-        v = fix_sign(s.eigenvectors[:, 0])
+        _, vecs = ql.eigendecompose(ql.adjacency(g))
+        v = fix_sign(vecs[:, 0])
         assert np.max(np.abs(v - 1 / math.sqrt(12))) <= 1e-9
 
     @pytest.mark.parametrize("n,d", [(20, 15), (12, 8), (10, 9), (12, 11), (7, 6), (16, 3)])
@@ -369,7 +369,9 @@ class TestDiagonalDisorder:
         with pytest.raises(InvalidParameterError):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), -1.0, ql.RngSeed(0))
 
-    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf, np.float64(math.inf)])
+    # A narrow numpy float compared with the largest float64 warned of an overflow.
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -math.inf, np.float64(math.inf),
+                                       np.float16(math.inf), np.float32(math.nan)])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(InvalidParameterError, match="sigma must be finite and non-negative"):
             ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(5)), sigma, ql.RngSeed(0))
@@ -386,6 +388,15 @@ class TestDiagonalDisorder:
     def test_int_sigma_draws_as_its_float(self):
         a = ql.adjacency(ql.cycle_graph(5))
         assert np.array_equal(ql.apply_diagonal_disorder(a, 2, ql.RngSeed(35)),
+                              ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(35)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_float_sigma_draws_as_its_float(self, dtype):
+        # Compared with the largest float64, a narrow sigma cast the bound
+        # down to its own precision and warned of an overflow.
+        a = ql.adjacency(ql.cycle_graph(5))
+        assert np.array_equal(ql.apply_diagonal_disorder(a, dtype(2.0), ql.RngSeed(35)),
                               ql.apply_diagonal_disorder(a, 2.0, ql.RngSeed(35)))
 
     def test_non_square_rejected(self):

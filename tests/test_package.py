@@ -26,6 +26,12 @@ def test_every_export_resolves_once():
     assert [n for n, k in Counter(ql.__all__).items() if k > 1] == []
 
 
+def test_every_module_has_a_docstring():
+    names = ["qlgraph", *(f"qlgraph.{info.name}" for info in pkgutil.iter_modules(ql.__path__))]
+    missing = [name for name in names if not (importlib.import_module(name).__doc__ or "").strip()]
+    assert names[1:] and missing == []
+
+
 def test_readme_tour_runs():
     readme = README.read_text(encoding="utf-8")
     tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)

@@ -109,47 +109,47 @@ class TestKroneckerSum:
 
 class TestComposeSpectra:
     def test_single_factor_identity(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
-        c = ql.compose_spectra([s])
-        assert np.array_equal(c.values, s.eigenvalues)
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
+        c = ql.compose_spectra([vals])
+        assert np.array_equal(c.values, vals)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             ql.compose_spectra([])
 
     def test_gap_preserved(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
-        gap = spectral_gap(s)
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
+        gap = spectral_gap(vals)
         for n_factors in (2, 3):
-            c = ql.compose_spectra([s] * n_factors)
+            c = ql.compose_spectra([vals] * n_factors)
             top = np.sort(c.values)[::-1]
             assert abs((top[0] - top[1]) - gap) <= 1e-9
 
     def test_values_are_exact_sums(self, c5):
-        s5 = ql.eigendecompose(ql.adjacency(c5))
-        s3 = ql.eigendecompose(ql.adjacency(ql.cycle_graph(3)))
+        s5, _ = ql.eigendecompose(ql.adjacency(c5))
+        s3, _ = ql.eigendecompose(ql.adjacency(ql.cycle_graph(3)))
         c = ql.compose_spectra([s5, s3])
         for flat, (i, j) in enumerate(zip(*np.unravel_index(np.arange(c.size), c.dims))):
-            assert c.values[flat] == s5.eigenvalues[i] + s3.eigenvalues[j]
+            assert c.values[flat] == s5[i] + s3[j]
 
     def test_oracle_equivalence(self):
         # Composed sums equal the explicit product spectrum.
         g = ql.d_regular_random(12, 8, ql.RngSeed(66))
         h = ql.delete_random_edges(ql.d_regular_random(14, 3, ql.RngSeed(67)), 2, ql.RngSeed(68))
         c = ql.compose_spectra([
-            ql.eigendecompose(ql.adjacency(g)), ql.eigendecompose(ql.adjacency(h))])
+            ql.eigendecompose(ql.adjacency(g))[0], ql.eigendecompose(ql.adjacency(h))[0]])
         explicit = explicit_eigenvalues(cartesian_product(g, h))
         assert np.max(np.abs(np.sort(c.values) - np.sort(explicit))) <= 1e-8
 
     def test_four_qlbit_factors_compose_without_matrix(self):
         q = make_qlbit(n=7, d=6, p=0.1, seed=69)
-        s = ql.eigendecompose(q.adjacency())
-        c = ql.compose_spectra([s] * 4)
+        vals, _ = ql.eigendecompose(q.adjacency())
+        c = ql.compose_spectra([vals] * 4)
         assert c.size == 14**4 == 38416
 
     def test_descending_order_stable(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
-        c = ql.compose_spectra([s, s])
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
+        c = ql.compose_spectra([vals, vals])
         order = c.descending_order()
         vals = c.values[order]
         assert np.all(np.diff(vals) <= 0)
@@ -171,7 +171,7 @@ class TestProductEigenvector:
         h = ql.delete_random_edges(ql.d_regular_random(40, 3, ql.RngSeed(73)), 5, ql.RngSeed(74))
         sg = ql.eigendecompose(ql.adjacency(g))
         sh = ql.eigendecompose(ql.adjacency(h))
-        c = ql.compose_spectra([sg, sh])
+        c = ql.compose_spectra([sg[0], sh[0]])
         a = kronecker_sum_adjacency(ql.adjacency(g), ql.adjacency(h))
         rng = ql.RngSeed(75).generator()
         for _ in range(10):
@@ -192,8 +192,8 @@ class TestProductEigenvector:
 
 class TestComposedCsv:
     def test_rows_sorted_with_emergent_counts(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
-        c = ql.compose_spectra([s, s])
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
+        c = ql.compose_spectra([vals, vals])
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, [frozenset({0}), frozenset({0})])
         lines = buf.getvalue().splitlines()
@@ -205,16 +205,16 @@ class TestComposedCsv:
         assert values == sorted(values, reverse=True)
 
     def test_counts_zero_for_empty_sets(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(ql.compose_spectra([s, s]), buf, [frozenset()] * 2)
+        ql.write_composed_spectrum_csv(ql.compose_spectra([vals, vals]), buf, [frozenset()] * 2)
         rows = buf.getvalue().splitlines()[1:]
         assert len(rows) == 25
         assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
 
     def test_wrong_set_count_rejected(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5))
-        c = ql.compose_spectra([s, s])
+        vals, _ = ql.eigendecompose(ql.adjacency(c5))
+        c = ql.compose_spectra([vals, vals])
         with pytest.raises(InvalidParameterError):
             ql.write_composed_spectrum_csv(c, io.StringIO(), [frozenset({0})])
 
@@ -226,7 +226,7 @@ class TestComposedCsv:
         # C5 x ... x C5 has many tied values: ties must keep flat order. An odd
         # factor count splits the labels into unequal halves.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
-        c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))] * n_factors)
+        c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))[0]] * n_factors)
         sets = [frozenset({0} if with_sets else ())] * n_factors
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
@@ -235,8 +235,8 @@ class TestComposedCsv:
     @pytest.mark.parametrize("block_rows", [4096, 7])
     def test_matches_reference_writer_on_qlbit_product(self, block_rows, monkeypatch):
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
-        s = ql.eigendecompose(make_qlbit(n=7, d=6, p=0.1, seed=69).adjacency())
-        c = ql.compose_spectra([s, s, s])
+        vals, _ = ql.eigendecompose(make_qlbit(n=7, d=6, p=0.1, seed=69).adjacency())
+        c = ql.compose_spectra([vals, vals, vals])
         sets = [frozenset({0, 1})] * 3
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)
@@ -245,8 +245,8 @@ class TestComposedCsv:
     @pytest.mark.parametrize("block_rows", [4096, 7])
     def test_matches_reference_writer_on_four_identical_qlbits(self, block_rows, monkeypatch):
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
-        s = ql.eigendecompose(make_qlbit(n=5, d=4, p=0.2, seed=11).adjacency())
-        c = ql.compose_spectra([s] * 4)
+        vals, _ = ql.eigendecompose(make_qlbit(n=5, d=4, p=0.2, seed=11).adjacency())
+        c = ql.compose_spectra([vals] * 4)
         assert np.unique(c.values).size < c.size // 4  # runs of tied values cross blocks
         sets = [frozenset({0, 1})] * 4
         buf = io.StringIO()
@@ -263,7 +263,7 @@ class TestComposedCsv:
     def test_signed_zeros_stay_distinct(self, factors, with_sets, block_rows, monkeypatch):
         # 0.0 == -0.0, but their text differs: equal values must not share text.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
-        c = ql.compose_spectra([ql.Spectrum(np.array(v), None) for v in factors])
+        c = ql.compose_spectra(factors)
         sets = [frozenset({0} if with_sets else ())] * len(factors)
         buf = io.StringIO()
         ql.write_composed_spectrum_csv(c, buf, sets)

@@ -34,7 +34,7 @@ def magnitude_deviation(report):
 
 
 def isolation_degraded(*bits):
-    return tuple(ql.emergent_pair(q, composite_spectrum(q)).degraded_isolation for q in bits)
+    return tuple(ql.emergent_pair(q, composite_spectrum(q)[0]).degraded_isolation for q in bits)
 
 
 class TestJBasis:
@@ -150,6 +150,11 @@ class TestProjectAlphas:
         with pytest.raises(InvalidParameterError):
             ql.project_alphas([], [])
 
+    def test_a_factor_that_is_no_qlbit_refused(self):
+        q, g = make_qlbit(n=6, d=3, p=0.3, seed=41), ql.cycle_graph(12)
+        with pytest.raises(InvalidParameterError, match="^factors must be QL bits, got a Graph$"):
+            ql.project_alphas([q, g], [np.ones(12), np.ones(12)])
+
 
 class TestBellPatterns:
     def test_p_zero_exact(self):
@@ -198,6 +203,6 @@ class TestBellPatterns:
         qa, qb = make_qlbit(seed=73), make_qlbit(seed=75)
         (choices, (value, _)), *_ = bell_patterns(qa, qb).items()
         assert choices == (1, 1)
-        sa = ql.eigendecompose(qa.adjacency(), want_vectors=False)
-        sb = ql.eigendecompose(qb.adjacency(), want_vectors=False)
-        assert abs(value - (sa.eigenvalues[0] + sb.eigenvalues[0])) <= 1e-9
+        sa, _ = ql.eigendecompose(qa.adjacency(), want_vectors=False)
+        sb, _ = ql.eigendecompose(qb.adjacency(), want_vectors=False)
+        assert abs(value - (sa[0] + sb[0])) <= 1e-9

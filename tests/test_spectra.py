@@ -15,37 +15,37 @@ class TestEigendecompose:
     def test_c5_top_eigenvalue(self, c5):
         a = ql.adjacency(c5)
         s = ql.eigendecompose(a)
-        assert abs(s.eigenvalues[0] - 2.0) <= 1e-9
+        assert abs(s[0][0] - 2.0) <= 1e-9
         assert_valid_spectrum(a, s)
 
     def test_zero_matrix(self):
         a = np.zeros((3, 3))
-        s = ql.eigendecompose(a)
-        assert np.array_equal(s.eigenvalues, np.zeros(3))
+        vals, _ = ql.eigendecompose(a)
+        assert np.array_equal(vals, np.zeros(3))
 
     def test_regular_graph_principal_pair(self):
         g = ql.d_regular_random(12, 8, ql.RngSeed(40))
         a = ql.adjacency(g)
-        s = ql.eigendecompose(a)
-        assert abs(s.eigenvalues[0] - 8.0) <= 1e-9
-        v = fix_sign(s.eigenvectors[:, 0])
+        s = vals, vecs = ql.eigendecompose(a)
+        assert abs(vals[0] - 8.0) <= 1e-9
+        v = fix_sign(vecs[:, 0])
         assert np.max(np.abs(v - 1 / math.sqrt(12))) <= 1e-9
         assert_valid_spectrum(a, s)
 
     def test_oracles_detect_a_broken_eigenbasis(self):
         # The checks behind assert_valid_spectrum flag a broken spectrum.
         a = ql.adjacency(ql.d_regular_random(12, 8, ql.RngSeed(40)))
-        s = ql.eigendecompose(a)
-        swapped = s.eigenvectors[:, [1, 0, *range(2, s.dim)]]
-        assert max_residual(a, ql.Spectrum(s.eigenvalues, swapped)) > RESIDUAL_TOL
-        scaled = s.eigenvectors.copy()
+        vals, vecs = ql.eigendecompose(a)
+        swapped = vecs[:, [1, 0, *range(2, len(vals))]]
+        assert max_residual(a, (vals, swapped)) > RESIDUAL_TOL
+        scaled = vecs.copy()
         scaled[:, 0] *= 1.1
-        assert orthonormality_defect(ql.Spectrum(s.eigenvalues, scaled)) > ORTHO_TOL
+        assert orthonormality_defect((vals, scaled)) > ORTHO_TOL
 
     def test_without_vectors(self, c5):
-        s = ql.eigendecompose(ql.adjacency(c5), want_vectors=False)
-        assert s.eigenvectors is None
-        assert s.eigenvalues.shape == (5,)
+        vals, vecs = ql.eigendecompose(ql.adjacency(c5), want_vectors=False)
+        assert vecs is None
+        assert vals.shape == (5,)
 
     @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.zeros(3), np.triu(np.ones((3, 3)))])
     def test_non_square_or_asymmetric_rejected(self, bad):
@@ -71,8 +71,8 @@ class TestEigendecompose:
 
     def test_trace_matches_disordered(self):
         a = ql.apply_diagonal_disorder(ql.adjacency(ql.cycle_graph(8)), 2.0, ql.RngSeed(41))
-        s = ql.eigendecompose(a)
-        assert abs(s.eigenvalues.sum() - np.trace(a)) <= 1e-6 * len(a)
+        vals, _ = ql.eigendecompose(a)
+        assert abs(vals.sum() - np.trace(a)) <= 1e-6 * len(a)
 
 
 def qlbit_matrices(count, seed=401):
@@ -109,20 +109,26 @@ class TestStackedEigendecompose:
             assert (vecs.dtype, vecs.shape, vecs.flags.c_contiguous) == (
                 np.float64, (len(matrices), n, n), True)
         for j, a in enumerate(matrices):
-            alone = ql.eigendecompose(a, want_vectors=want_vectors)
-            assert vals[j].tobytes() == alone.eigenvalues.tobytes()
+            alone_vals, alone_vecs = ql.eigendecompose(a, want_vectors=want_vectors)
+            assert vals[j].tobytes() == alone_vals.tobytes()
             if want_vectors:
-                assert vecs[j].tobytes() == alone.eigenvectors.tobytes()
+                assert vecs[j].tobytes() == alone_vecs.tobytes()
             else:
-                assert vecs is None and alone.eigenvectors is None
+                assert vecs is None and alone_vecs is None
 
-    def test_stack_of_one_matches_the_matrix(self, c5):
+    @pytest.mark.parametrize("want_vectors", [True, False], ids=["vectors", "values"])
+    def test_stack_of_one_matches_the_matrix(self, c5, want_vectors):
+        # One matrix gives the pair of arrays a stack of one gives as row 0.
         a = ql.adjacency(c5)
-        (vals,), (vecs,) = ql.eigendecompose(a[np.newaxis])
-        alone = ql.eigendecompose(a)
-        assert isinstance(alone, ql.Spectrum)
-        assert vals.tobytes() == alone.eigenvalues.tobytes()
-        assert vecs.tobytes() == alone.eigenvectors.tobytes()
+        vals, vecs = ql.eigendecompose(a[np.newaxis], want_vectors=want_vectors)
+        alone_vals, alone_vecs = ql.eigendecompose(a, want_vectors=want_vectors)
+        assert (alone_vals.shape, alone_vals.dtype) == ((5,), np.float64)
+        assert alone_vals.tobytes() == vals[0].tobytes()
+        if want_vectors:
+            assert (alone_vecs.shape, alone_vecs.dtype) == ((5, 5), np.float64)
+            assert alone_vecs.tobytes() == vecs[0].tobytes()
+        else:
+            assert vecs is None and alone_vecs is None
 
     @pytest.mark.parametrize("bad", [0, 5, 11])
     def test_one_asymmetric_matrix_refuses_the_stack(self, bad):
@@ -147,7 +153,7 @@ class TestStackedEigendecompose:
     @pytest.mark.parametrize("want_vectors", [True, False], ids=["vectors", "values"])
     @pytest.mark.parametrize("count", [None, 6], ids=["2d", "3d"])
     def test_solver_eigenvalues_checked_once_per_stack(self, monkeypatch, count, want_vectors):
-        # The solver's rows are checked with Spectrum's messages. One NaN
+        # The solver's rows are checked by checked_eigenvalues. One NaN
         # row, or one row the solver gives descending (ascending once
         # reversed), refuses the whole call.
         a = np.stack(disordered_factors(count)) if count else disordered_factors(1)[0]
@@ -178,54 +184,68 @@ class TestStackedEigendecompose:
                 ql.eigendecompose(a, want_vectors=want_vectors)
 
 
-class TestSpectrumType:
-    def test_order_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            ql.Spectrum(np.array([0.0, 1.0]), None)
+def _qlbit():
+    return ql.couple(ql.cycle_graph(3), ql.cycle_graph(3), 0.5, 1, ql.RngSeed(0))
 
-    def test_length_enforced(self):
-        with pytest.raises(InvalidParameterError):
-            ql.Spectrum(np.array([1.0, 0.0]), np.eye(3))
-        with pytest.raises(InvalidParameterError):
-            ql.Spectrum(np.zeros((2, 2)), None)
+
+# Sites that take eigenvalue arrays from outside: each holds them to the rule
+# eigendecompose's own are held to.
+_EIGENVALUE_SITES = {
+    "compose_spectra": lambda values: ql.compose_spectra([values]),
+    "emergent_pair": lambda values: ql.emergent_pair(_qlbit(), values),
+}
+
+
+@pytest.mark.parametrize("site", list(_EIGENVALUE_SITES))
+class TestEigenvalueArrays:
+    def test_ascending_refused(self, site):
+        with pytest.raises(InvalidParameterError, match="^eigenvalues must be sorted descending$"):
+            _EIGENVALUE_SITES[site](np.arange(6.0))
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.float64(1.0)], ids=["2d", "0d"])
+    def test_not_one_dimensional_refused(self, site, bad):
+        with pytest.raises(InvalidParameterError, match="^eigenvalues must be a 1-D array$"):
+            _EIGENVALUE_SITES[site](bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_eigenvalues_rejected(self, bad):
+    def test_non_finite_refused(self, site, bad):
         # NaN passes the descending check; inf would compose into inf sums.
-        for values in ([1.0, bad, 0.0], [bad, 0.0], [1.0, bad]):
-            with pytest.raises(InvalidParameterError, match="finite"):
-                ql.Spectrum(np.array(values), None)
+        for at in (0, 3, 5):
+            values = np.arange(6.0)[::-1].copy()
+            values[at] = bad
+            with pytest.raises(InvalidParameterError, match="^eigenvalues must be finite$"):
+                _EIGENVALUE_SITES[site](values)
 
 
 class TestSpectralGap:
     def test_c5_gap(self, c5):
-        gap = spectral_gap(ql.eigendecompose(ql.adjacency(c5)))
+        gap = spectral_gap(ql.eigendecompose(ql.adjacency(c5))[0])
         assert abs(gap - 1.382) <= 1e-3
         assert abs(gap - (2 - 2 * math.cos(2 * math.pi / 5))) <= 1e-12
 
     def test_complete_graph_gap(self):
         # K_n spectrum is {n-1, -1 x (n-1)}: gap n.
-        s = ql.eigendecompose(ql.adjacency(complete_graph(4)))
-        assert abs(spectral_gap(s) - 4.0) <= 1e-9
+        vals, _ = ql.eigendecompose(ql.adjacency(complete_graph(4)))
+        assert abs(spectral_gap(vals) - 4.0) <= 1e-9
 
     def test_uncoupled_qlbit_degenerate(self):
         b = ql.d_regular_random(10, 3, ql.RngSeed(42))
         q = ql.couple(b, b, 0.0, 1, ql.RngSeed(43))
-        s = ql.eigendecompose(q.adjacency())
-        assert spectral_gap(s) <= 1e-12
+        vals, _ = ql.eigendecompose(q.adjacency())
+        assert spectral_gap(vals) <= 1e-12
 
     def test_too_small(self):
         with pytest.raises(InvalidParameterError):
-            spectral_gap(ql.Spectrum(np.array([1.0]), None))
+            spectral_gap(np.array([1.0]))
 
 
 class TestAlonBoppana:
     def test_bound_value_d8(self, c5):
-        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 8)
+        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5))[0], 8)
         assert abs(r.bound - 2 * math.sqrt(7)) <= 1e-12
 
     def test_cycle_within_bound(self, c5):
-        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5)), 2)
+        r = alon_boppana_check(ql.eigendecompose(ql.adjacency(c5))[0], 2)
         assert r.bound == 2.0
         assert r.lambda_1 <= 2.0
         assert r.satisfied
@@ -234,7 +254,8 @@ class TestAlonBoppana:
         violations = []
         for s in range(50):
             g = ql.d_regular_random(20, 15, ql.RngSeed(44, s))
-            r = alon_boppana_check(ql.eigendecompose(ql.adjacency(g), want_vectors=False), 15)
+            vals, _ = ql.eigendecompose(ql.adjacency(g), want_vectors=False)
+            r = alon_boppana_check(vals, 15)
             if not r.satisfied:
                 violations.append((s, r.lambda_1))
         if violations:
@@ -250,7 +271,7 @@ class TestAlonBoppana:
         outside = 0
         for s in range(20):
             g = ql.d_regular_random(16, d, ql.RngSeed(45, s))
-            vals = ql.eigendecompose(ql.adjacency(g), want_vectors=False).eigenvalues
+            vals, _ = ql.eigendecompose(ql.adjacency(g), want_vectors=False)
             rest = vals[1:]
             if rest.max() > band or rest.min() < -band:
                 outside += 1
