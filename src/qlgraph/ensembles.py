@@ -49,13 +49,19 @@ def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
 def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Counts of ``values`` per bin between consecutive ``edges``, both cast by
     `real_array`, the edges 1-D, two or more, finite and strictly increasing;
-    the last bin includes its right edge. Counts of parts add up to the whole's."""
+    the last bin includes its right edge. Counts of parts add up to the whole's.
+    Refuses values that land in no bin: NaN, infinite or outside the edges."""
     edges = real_array("edges", edges)
     if not (edges.ndim == 1 and edges.size > 1 and np.isfinite(edges).all()
             and (np.diff(edges) > 0).all()):
         raise InvalidParameterError("edges must be 1-D, at least two, finite and strictly "
                                     f"increasing, got shape {edges.shape}")
-    counts, _ = np.histogram(real_array("values", values), bins=edges)
+    values = real_array("values", values)
+    counts, _ = np.histogram(values, bins=edges)
+    if counts.sum() != values.size:
+        raise InvalidParameterError(f"values must lie within [{float(edges[0])!r}, "
+                                    f"{float(edges[-1])!r}]: {values.size - counts.sum()} of "
+                                    f"{values.size} are NaN, infinite or outside")
     return counts
 
 

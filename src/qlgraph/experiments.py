@@ -72,9 +72,10 @@ _VALUES_ONLY_TOL = 2.0**-30
 # solver's vectors, each sample's copy of them and sample 0's kept copy, plus
 # at most 8 bytes an entry for the edge rows of each factor (16 bytes a row;
 # under n^2/2 rows a base and n^2 for a coupling, against (2n)^2 entries of a
-# QL bit); sample 0, kept whole, with its composed values, sort and label
-# arrays, 72*states; one chunk of at most max(_CHUNK_VALUES, states) values
-# and np.histogram's sorted copy of it, 16 bytes a value; one batch of at most
+# QL bit); sample 0, kept whole, with its composed values and then the two
+# int64 arrays of its sort or its CSV text and that text's encoded copy,
+# 72*states; one chunk of at most max(_CHUNK_VALUES, states) values and
+# np.histogram's sorted copy of it, 16 bytes a value; one batch of at most
 # _CHUNK_VALUES hashed streams, 160 bytes a stream (tracemalloc: 2.33 MB for
 # the largest); per sample its factor eigenvalues, 8*n_factors*dim, and its
 # seed as an int and a line of metadata JSON, at most _SEED_BYTES. The vector

@@ -12,7 +12,6 @@ numpy's ``kron`` operand order, so the product adjacency is
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -48,8 +47,28 @@ class ComposedSpectrum:
         return len(self.dims)
 
     def descending_order(self) -> np.ndarray:
-        """Flat indices sorted by descending value; ties keep flat order."""
-        return np.argsort(-self.values, kind="stable")
+        """Flat indices sorted by descending value; ties keep flat order.
+
+        Bit for bit ``np.argsort(-values, kind="stable")``, from one unstable
+        argsort and one int64 sort of ``tie_run * size + flat``: ties are runs
+        of values that compare equal, so 0.0 and -0.0 share a run as they do
+        in the stable sort. The keys stay below size^2; a descriptor's states
+        are at most MAX_BYTES/72 < 2^24, so size^2 < 2^48 < 2^63.
+        """
+        size = self.size
+        order = np.argsort(-self.values)
+        tied = self.values[order]
+        run = np.zeros(size, dtype=np.int64)
+        # Compared straight into `run`: a freed bool temporary of `size` bytes
+        # raises glibc's mmap threshold and, at 11.85M states, peak RSS by 17 MB.
+        np.not_equal(tied[1:], tied[:-1], out=run[1:])
+        del tied
+        np.cumsum(run, out=run)
+        run *= size
+        order += run
+        order.sort()  # each run keeps its positions, so its keys are still run * size
+        order -= run
+        return order
 
 
 def compose_spectra(factor_values: Sequence[np.ndarray]) -> ComposedSpectrum:
@@ -91,10 +110,17 @@ def emergent_component_counts(c: ComposedSpectrum,
     hybrid(k) otherwise: its class is decided by which factor eigen-indices
     it sums, never by peak finding.
     """
-    if len(factor_emergent_indices) != c.n_factors:
+    return _component_counts(c.dims, factor_emergent_indices)
+
+
+def _component_counts(dims: Sequence[int],
+                      factor_emergent_indices: Sequence[frozenset[int] | set[int]],
+                      ) -> np.ndarray:
+    """`emergent_component_counts` over the index grid of ``dims``."""
+    if len(factor_emergent_indices) != len(dims):
         raise InvalidParameterError("one emergent index set per factor required")
     counts = np.zeros(1, dtype=np.int64)
-    for dim, indices in zip(c.dims, factor_emergent_indices):
+    for dim, indices in zip(dims, factor_emergent_indices):
         member = np.zeros(dim, dtype=np.int64)
         for i in indices:
             member[require_int("emergent index", i, 0, dim - 1)] = 1
@@ -118,8 +144,10 @@ def repr_texts(values: np.ndarray) -> np.ndarray:
 
 def _label_texts(dims: Sequence[int]) -> np.ndarray:
     """`",i_1,...,i_k"` for every index tuple of ``dims``, in C order."""
-    return np.array(["".join(f",{i}" for i in t) for t in itertools.product(*map(range, dims))],
-                    dtype=object)
+    texts = np.array([""], dtype=object)
+    for dim in dims:
+        texts = np.add.outer(texts, np.array([f",{i}" for i in range(dim)], dtype=object)).ravel()
+    return texts
 
 
 def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
@@ -128,20 +156,26 @@ def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
 
     ``n_emergent_factors`` is `emergent_component_counts` of
     ``emergent_indices``. Values are written as ``repr`` of Python floats.
-    Each piece of row text is built once and picked by index: labels from two
-    tables, for the first N//2 factors and for the rest, by splitting the
-    flat index in two, and the count text from a table indexed by k.
+    Each row is three pieces of text, each built once and picked by index:
+    the value text, the labels of the first N//2 factors, and a tail of the
+    other labels and the count text, indexed by the front half's emergent
+    count and the back half's flat index.
     """
-    counts = emergent_component_counts(c, emergent_indices)
+    half = c.n_factors // 2
+    # Each half refuses a set count other than its factor count, so together
+    # they refuse a wrong total.
+    front_k = _component_counts(c.dims[:half], emergent_indices[:half])
+    back_k = _component_counts(c.dims[half:], emergent_indices[half:])
     labels = [f"label_{k + 1}" for k in range(c.n_factors)]
     fh.write(",".join(["value", *labels, "n_emergent_factors"]) + "\n")
-    half = c.n_factors // 2
     front, back = _label_texts(c.dims[:half]), _label_texts(c.dims[half:])
     ends = np.array([f",{k}\n" for k in range(c.n_factors + 1)], dtype=object)
+    tail = (back + ends[np.add.outer(np.arange(half + 1), back_k)]).ravel()
+    # Row flat = i * back.size + j reads tail[front_k[i] * back.size + j].
+    shift = (front_k - np.arange(front.size)) * back.size
     order = c.descending_order()
     for start in range(0, c.size, _BLOCK_ROWS):
         block = order[start:start + _BLOCK_ROWS]
-        i, j = np.divmod(block, back.size)
-        pieces = np.stack([repr_texts(c.values[block]), front[i], back[j], ends[counts[block]]],
-                          axis=1)
+        i = block // back.size
+        pieces = np.stack([repr_texts(c.values[block]), front[i], tail[block + shift[i]]], axis=1)
         fh.write("".join(pieces.ravel().tolist()))

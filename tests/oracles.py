@@ -7,7 +7,8 @@ A QL bit's matrix is rebuilt from one signed edge list over both blocks,
 entry by entry, the way the package once built it as a weighted graph, and
 by np.block from dense blocks. Each sample's factor matrices are rebuilt
 stage by stage from validated `Graph` and `QLBit` objects.
-The composed spectrum CSV is also rebuilt here one row at a time, and the
+The composed spectrum CSV is also rebuilt here one row at a time, its order
+by numpy's stable sort and its label text by one join per index tuple, and the
 ensemble histogram from every sample's values held at once, and the samples
 whose extremes a values-only chunk re-solves. Graph
 validation and d-regular generation are rebuilt on Python sets of edge
@@ -352,6 +353,19 @@ def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
         n_em = sum(1 for i, s in zip(labels, emergent_indices) if i in s)
         writer.writerow([repr(values[flat]), *labels, n_em])
     return buf.getvalue()
+
+
+def reference_descending_order(values: np.ndarray) -> np.ndarray:
+    """Flat indices by descending value, ties in flat order: numpy's stable
+    sort of the negated values."""
+    return np.argsort(-values, kind="stable")
+
+
+def reference_label_texts(dims: Sequence[int]) -> np.ndarray:
+    """`",i_1,...,i_k"` for every index tuple of ``dims`` in C order, joined
+    one `itertools.product` tuple at a time."""
+    return np.array(["".join(f",{i}" for i in t) for t in itertools.product(*map(range, dims))],
+                    dtype=object)
 
 
 def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:

@@ -106,6 +106,22 @@ class TestHistogram:
         with pytest.raises(InvalidParameterError, match="^edges must be 1-D, at least two, finite"):
             ql.histogram_from_values(np.ones(3), np.array(edges))
 
+    @pytest.mark.parametrize("values,outside", [
+        ([math.nan, 0.5, math.inf, 7.0], 3),  # once binned as [1]
+        ([-math.inf], 1),
+        ([0.5, -1e-300], 1),
+        ([np.nextafter(1.0, 2.0)], 1),
+    ], ids=["nan-inf-above", "minus-inf", "below", "one-ulp-above"])
+    def test_values_in_no_bin_refused(self, values, outside):
+        with pytest.raises(InvalidParameterError, match=(
+                rf"^values must lie within \[0\.0, 1\.0\]: {outside} of {len(values)} are NaN, "
+                "infinite or outside$")):
+            ql.histogram_from_values(np.array(values), np.array([0.0, 1.0]))
+
+    def test_values_on_and_between_the_edges_all_counted(self):
+        values = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0, -0.0])
+        assert ql.histogram_from_values(values, np.array([0.0, 0.5, 1.0])).tolist() == [3, 3]
+
     def test_float64_input_binned_without_a_copy(self, monkeypatch):
         values, edges, seen = np.array([0.5, 1.5, 1.75]), np.array([0.0, 1.0, 2.0]), []
         histogram = np.histogram

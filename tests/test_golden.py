@@ -29,7 +29,7 @@ GOLDEN = Path(__file__).with_name("golden_digests.json")
 RUNS = ("fig3 --seed 777 --samples 37", "fig3 --seed 777 --samples 80",
         "fig4a --seed 777 --samples 37", "fig4b --seed 777 --samples 23",
         "fig4c --seed 777 --samples 23", "fig4d --seed 777 --samples 90",
-        "fig4e --seed 777 --samples 13")
+        "fig4e --seed 777 --samples 13", "fig4f --seed 777")
 
 
 def toolchain() -> dict[str, str]:

@@ -1,6 +1,8 @@
 """Property tests of the numerical claims: projection Parseval, spectrum
 composition, and the histogram range found without the composed grid, each
-held against an explicit oracle. Graph's canonical arrays and refusals, and
+held against an explicit oracle, and the spectrum CSV's order, label text
+and rows against the stable sort, tuple joins and row-by-row writer they
+replaced. Graph's canonical arrays and refusals, and
 the seed streams, are held the same way against a two-column lexsort and
 against numpy's own SeedSequence: one stream at a time, in batches, and
 as each stage function of the pipeline receives it. Samples run in chunks
@@ -27,10 +29,11 @@ from qlgraph.errors import InvalidParameterError
 from qlgraph.rng import derive_seeds, derive_streams, stream_states
 
 from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_histogram,
-                     range_picks, reference_adjacency, reference_composite, reference_couple,
-                     reference_d_regular_random, reference_delete_random_edges,
+                     range_picks, reference_adjacency, reference_composed_spectrum_csv,
+                     reference_composite, reference_couple, reference_d_regular_random,
+                     reference_delete_random_edges, reference_descending_order,
                      reference_diagonal_disorder, reference_graph_edges,
-                     reference_is_connected, reference_qlbit_adjacency,
+                     reference_is_connected, reference_label_texts, reference_qlbit_adjacency,
                      reference_sample_matrices, spawned_seed, stage_stream, weighted_adjacency)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -122,6 +125,78 @@ def test_composed_range_is_the_extremes_of_the_explicit_grid(factors):
     assert (lo, hi) == (grid.min(), grid.max())
     edges = ql.histogram_edges(lo, hi, 7)
     assert edges.tobytes() == np.linspace(grid.min() - 0.5, grid.max() + 0.5, 8).tobytes()
+
+
+# Factor spectra whose composed values tie heavily: C5's (each inner value
+# twice), a QL bit's, and short descending lists of a few values, with zeros
+# of both signs, one value or none.
+C5_VALUES = ql.eigendecompose(ql.adjacency(ql.cycle_graph(5)), want_vectors=False)[0]
+QLBIT_VALUES = ql.eigendecompose(
+    ql.couple(ql.cycle_graph(5), ql.cycle_graph(5), 0.4, 1, ql.RngSeed(11)).adjacency(),
+    want_vectors=False)[0]
+_TIED_FACTORS = st.one_of(
+    st.sampled_from([C5_VALUES, QLBIT_VALUES]),
+    st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.0, -1.0]), max_size=6).map(
+        lambda v: np.array(sorted(v, reverse=True))))
+
+
+def tied_factors(max_states: int):
+    """One to six factor spectra from `_TIED_FACTORS`, composing to at most
+    ``max_states`` states."""
+    return st.lists(_TIED_FACTORS, min_size=1, max_size=6).filter(
+        lambda fs: np.prod([f.size for f in fs]) <= max_states)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(factors=tied_factors(20_000))
+# C5 powers and identical QL bits on both sides of the writer's 4096-row blocks.
+@example(factors=[C5_VALUES] * 5)
+@example(factors=[C5_VALUES] * 6)
+@example(factors=[QLBIT_VALUES] * 3)
+@example(factors=[QLBIT_VALUES] * 4)
+@example(factors=[np.array([1.0, 0.0, -0.0, 0.0, -0.0, -1.0]), np.array([-0.0])])
+# 1,024 states, 0.0 and -0.0 among them: the unstable argsort mixes their order.
+@example(factors=[np.array([1.0, 0.0, -0.0, -1.0])] * 5)
+@example(factors=[np.array([0.5])])
+@example(factors=[np.array([])])
+@example(factors=[C5_VALUES, np.array([])])
+def test_descending_order_equals_stable_sort_oracle(factors):
+    c = ql.compose_spectra(factors)
+    order, expected = c.descending_order(), reference_descending_order(c.values)
+    assert order.dtype == expected.dtype and order.tobytes() == expected.tobytes()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(factors=tied_factors(3_000), masks=st.lists(st.integers(0, 2**10 - 1), min_size=6,
+                                                   max_size=6),
+       block_rows=st.sampled_from([1, 7, 4096]))
+@example(factors=[QLBIT_VALUES] * 3, masks=[0b0101010101] * 6, block_rows=7)
+@example(factors=[C5_VALUES, np.array([])], masks=[1] * 6, block_rows=7)
+def test_spectrum_csv_equals_row_by_row_oracle(factors, masks, block_rows):
+    # Factor k's emergent set holds the indices of the set bits of masks[k].
+    c = ql.compose_spectra(factors)
+    sets = [frozenset(i for i in range(f.size) if mask >> i & 1)
+            for f, mask in zip(factors, masks)]
+    buf = io.StringIO()
+    with mock.patch.object(ql.products, "_BLOCK_ROWS", block_rows):
+        ql.write_composed_spectrum_csv(c, buf, sets)
+    # A bool: pytest's diff of two long texts, once per shrink step, takes minutes.
+    same = buf.getvalue() == reference_composed_spectrum_csv(c, sets)
+    assert same
+
+
+@PROPERTY_SETTINGS
+@given(dims=st.lists(st.integers(0, 9), max_size=5).filter(lambda d: np.prod(d) <= 5_000))
+@example(dims=[])
+@example(dims=[3, 4, 5])
+def test_label_texts_equal_tuple_join_oracle(dims):
+    # The writer labels each half of the factors, N//2 then the rest; the
+    # front half of one factor is empty and labels with [""].
+    for part in (dims, dims[:len(dims) // 2], dims[len(dims) // 2:]):
+        texts, expected = ql.products._label_texts(part), reference_label_texts(part)
+        assert texts.dtype == expected.dtype == object
+        assert texts.tolist() == expected.tolist()
+    assert ql.products._label_texts([]).tolist() == [""]
 
 
 # 64-bit seeds around the 32-bit word boundaries, and stream ids past 2^64
