@@ -26,6 +26,8 @@ from .projection import project_alphas
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+# Staged texts are encoded a slice at a time, each under glibc's 128 KiB mmap threshold.
+_WRITE_CHARS = 2**16
 
 
 def _json_text(obj) -> str:
@@ -103,9 +105,11 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     staged = []
     try:
         for suffix, name in sorted(names.items()):
-            tmp = out_dir / f".{name}.tmp"
-            tmp.write_text(texts[suffix])
-            staged.append((tmp, out_dir / name))
+            tmp, text = out_dir / f".{name}.tmp", texts[suffix]
+            with tmp.open("w") as f:  # write_text's mode, without an encoded copy of the text
+                staged.append((tmp, out_dir / name))
+                for i in range(0, len(text), _WRITE_CHARS):
+                    f.write(text[i:i + _WRITE_CHARS])
         for tmp, final in staged:
             os.replace(tmp, final)
     except BaseException:

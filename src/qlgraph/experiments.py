@@ -73,7 +73,7 @@ _VALUES_ONLY_TOL = 2.0**-30
 # at most 8 bytes an entry for the edge rows of each factor (16 bytes a row;
 # under n^2/2 rows a base and n^2 for a coupling, against (2n)^2 entries of a
 # QL bit); sample 0, kept whole, with its composed values and then the two
-# int64 arrays of its sort or its CSV text and that text's encoded copy,
+# int64 arrays of its sort or its CSV text and StringIO's copy of it,
 # 72*states; one chunk of at most max(_CHUNK_VALUES, states) values and
 # np.histogram's sorted copy of it, 16 bytes a value; one batch of at most
 # _CHUNK_VALUES hashed streams, 160 bytes a stream (tracemalloc: 2.33 MB for
@@ -273,18 +273,19 @@ def _chunk_matrices(desc: ExperimentDescriptor, indices: range, streams: list[li
                     ) -> tuple[list[tuple[list[np.ndarray], tuple | None]], np.ndarray]:
     """Per distinct factor of samples ``indices``, its (S, m, 2) edge rows per side and its
     `_cross_edges` triple (s, u, v) or None, and the (F, S, dim, dim) matrices to decompose;
-    a stage runs once over the chunk when `_stage_paths` lists it, and a factor without base
-    streams keeps the bases, the same list, before it. A generation failure names its sample."""
+    a stage runs once over the chunk when `_stage_paths` lists it, the bases once for all sides,
+    and a factor without base streams keeps the bases, the same list, before it. A generation
+    failure names its sample."""
     count, n, sides = len(streams), desc.n, range(2 if desc.kind == KIND_QLBIT_PRODUCT else 1)
     streams, factors = dict(zip(_stage_paths(desc), zip(*streams))), []  # by path
     mats = np.zeros((_distinct_factors(desc), count, desc._dim, desc._dim))
     for k, a in enumerate(mats):
         if (_STAGE_BASE, k, 0) in streams:
+            seeds = sum((streams[_STAGE_BASE, k, side] for side in sides), ())  # side-major
             try:
-                bases = [_d_regular_rows(n, desc.d, streams[_STAGE_BASE, k, side])
-                         for side in sides]
+                bases = list(_d_regular_rows(n, desc.d, seeds).reshape(len(sides), count, -1, 2))
             except GenerationFailureError as exc:
-                raise GenerationFailureError(f"sample {indices[exc.item]}: {exc}",
+                raise GenerationFailureError(f"sample {indices[exc.item % count]}: {exc}",
                                              exc.restarts) from exc
         elif k == 0:
             bases = [_cycle_rows(n, count) for _ in sides]

@@ -118,30 +118,28 @@ def _pairing_attempt(n: int, d: int, rng: np.random.Generator) -> set[int] | Non
     """One stub-matching pass of the configuration model.
 
     Pairs all n*d stubs, keeps valid pairs as edge keys u * n + v (u < v) and
-    re-shuffles the leftovers; returns None when the remaining stubs admit no
-    suitable pair.
+    lists both stubs of each clashing pair (a self-loop or a repeat); the
+    leftovers are that list sorted, re-shuffled for the next round. Returns
+    None when every two distinct clashing vertices are already joined.
     """
     keys: set[int] = set()
     stubs = list(range(n)) * d
     while stubs:
-        clashes = [0] * n
         rng.shuffle(stubs)
+        clashing: list[int] = []
         it = iter(stubs)
         for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            key = s1 * n + s2
-            if s1 != s2 and key not in keys:
-                keys.add(key)
+            key = s1 * n + s2 if s1 < s2 else s2 * n + s1
+            if s1 == s2 or key in keys:
+                clashing += s1, s2
             else:
-                clashes[s1] += 1
-                clashes[s2] += 1
-        nodes = [v for v, c in enumerate(clashes) if c]  # ascending, so a < b below
-        if not nodes:
+                keys.add(key)
+        if not clashing:
             return keys
+        nodes = sorted(set(clashing))  # ascending, so a < b below
         if all(a * n + b in keys for i, a in enumerate(nodes) for b in nodes[i + 1 :]):
             return None
-        stubs = [v for v in nodes for _ in range(clashes[v])]
+        stubs = sorted(clashing)
     return keys
 
 
@@ -170,15 +168,16 @@ def d_regular_random(n: int, d: int, seed: RngSeed) -> Graph:
     for _ in range(DEFAULT_MAX_RESTARTS):
         keys = _pairing_attempt(n, d, rng)
         if keys is not None:
-            rows = np.divmod(np.array(sorted(keys), dtype=np.int64)[:, None], n)
-            return Graph._of_canonical(n, np.concatenate(rows, axis=1))
+            rows = np.empty((len(keys), 2), dtype=np.int64)
+            np.divmod(np.fromiter(sorted(keys), np.int64, len(keys)), n, out=tuple(rows.T))
+            return Graph._of_canonical(n, rows)
     raise GenerationFailureError(f"d-regular generation failed for n={n}, d={d} after "
                                  f"{DEFAULT_MAX_RESTARTS} restarts", DEFAULT_MAX_RESTARTS)
 
 
 def _d_regular_rows(n: int, d: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
-    """(B, n*d/2, 2): `d_regular_random`'s rows for B seeds, called per seed for a
-    sparse degree, complemented at once for a dense one; ``item`` names a failure."""
+    """(B, n*d/2, 2): `d_regular_random`'s rows for B seeds, called per seed for a sparse
+    degree, complemented at once for a dense one; a failure's ``item`` indexes its seed."""
     if 2 * d <= n - 1:
         rows = np.empty((len(seeds), n * d // 2, 2), dtype=np.int64)
         for item, seed in enumerate(seeds):

@@ -9,7 +9,8 @@ import qlgraph as ql
 from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
-from oracles import one_shot_histogram, range_picks, reference_composite, reference_is_connected
+from oracles import (one_shot_histogram, range_picks, reference_composite,
+                     reference_is_connected, stage_stream)
 
 
 def small_qlbit_descriptor(**overrides):
@@ -541,6 +542,28 @@ class TestEnsembleSpectrum:
             ql.ensemble_spectrum(desc)
         assert exc.value.restarts == graphs.DEFAULT_MAX_RESTARTS
         assert len(generators) == 8
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_generation_failure_names_the_sample_of_a_side_1_base(self, d, monkeypatch):
+        # A QL bit's chunk builds both sides' bases in one call, side 0's then
+        # side 1's: sample 0 runs alone, then samples 1..10 in one chunk. Only
+        # sample 7's side-1 base fails: its generator, never drawn from, keeps
+        # its stream's first state.
+        import qlgraph.graphs as graphs
+        desc = ql.ExperimentDescriptor("mid", "qlbit-product", 8, d=d, p=0.2, n_samples=11)
+        _, target = stage_stream(desc.master_seed, 7, (0, 0, 1))
+        pairing, failed = graphs._pairing_attempt, []
+
+        def fail_target(n, d, rng):
+            if rng.bit_generator.state == target:
+                failed.append(rng)
+                return None
+            return pairing(n, d, rng)
+
+        monkeypatch.setattr(graphs, "_pairing_attempt", fail_target)
+        with pytest.raises(ql.GenerationFailureError, match="^sample 7: d-regular") as exc:
+            ql.ensemble_spectrum(desc)
+        assert exc.value.restarts == len(failed) == graphs.DEFAULT_MAX_RESTARTS
 
 
 class TestFig3BandStructure:

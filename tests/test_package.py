@@ -106,6 +106,17 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert with_cli == "False"
 
 
+def test_every_module_parses_as_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10: every module's syntax
+    # must parse with the 3.10 grammar, whatever interpreter runs the tests.
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=3.10"' in pyproject
+    sources = sorted(Path(ql.__file__).parent.rglob("*.py"))
+    for source in sources:
+        ast.parse(source.read_text(encoding="utf-8"), str(source), feature_version=(3, 10))
+    assert len(sources) > 1
+
+
 def test_oracles_reach_no_private_qlgraph_name():
     # An oracle or a shared test helper that imports a private helper of the
     # package, or reaches one by attribute (ql.graphs._pairing_attempt), holds

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -33,8 +34,9 @@ from oracles import (dense_project_alphas, kronecker_sum_adjacency, one_shot_his
                      reference_composite, reference_couple, reference_d_regular_random,
                      reference_delete_random_edges, reference_descending_order,
                      reference_diagonal_disorder, reference_graph_edges,
-                     reference_is_connected, reference_label_texts, reference_qlbit_adjacency,
-                     reference_sample_matrices, spawned_seed, stage_stream, weighted_adjacency)
+                     reference_is_connected, reference_label_texts, reference_pairing_attempt,
+                     reference_qlbit_adjacency, reference_sample_matrices, spawned_seed,
+                     stage_stream, weighted_adjacency)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -418,21 +420,23 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
     assert np.array_equal(histogram.counts, expected.counts)
 
 
-def expected_stage_calls(desc: ql.ExperimentDescriptor) -> list[tuple[str, tuple[int, ...]]]:
-    """Each stage helper one chunk calls, with the stage path of the streams
-    it receives, in call order: per distinct factor, its d-regular bases
-    (factor 0's alone with shared bases), deletions, coupling and disorder."""
+def expected_stage_calls(desc: ql.ExperimentDescriptor,
+                         ) -> list[tuple[str, list[tuple[int, ...]]]]:
+    """Each stage helper one chunk calls, with the stage paths of the streams
+    it receives, one stream a sample per path, path by path, in call order: per
+    distinct factor, its d-regular bases of every side in one call (factor 0's
+    alone with shared bases), deletions, coupling and disorder."""
     sides = (0, 1) if desc.kind == "qlbit-product" else (0,)
     calls = []
     for k in range(1 if desc.identical_factors else desc.n_factors):
         if desc.graph == "d-regular" and (k == 0 or not desc.shared_base):
-            calls += [("_d_regular_rows", (0, k, side)) for side in sides]
+            calls.append(("_d_regular_rows", [(0, k, side) for side in sides]))
         if desc.deletions:
-            calls += [("_deleted_rows", (1, k, side)) for side in sides]
+            calls += [("_deleted_rows", [(1, k, side)]) for side in sides]
         if desc.kind == "qlbit-product":
-            calls.append(("_cross_edges", (2, k)))
+            calls.append(("_cross_edges", [(2, k)]))
         if desc.sigma:
-            calls.append(("_add_disorder", (3, k)))
+            calls.append(("_add_disorder", [(3, k)]))
     return calls
 
 
@@ -463,17 +467,18 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
                              **{name: recorder(name) for name in originals}):
         chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
     expected = expected_stage_calls(desc)
-    assert sum(hashed) == desc.n_samples * (1 + len(expected))
+    assert sum(hashed) == desc.n_samples * (1 + sum(len(paths) for _, paths in expected))
     assert [seed for _, seeds, _ in chunks for seed in seeds.tolist()] == [
         spawned_seed(desc.master_seed, i) for i in range(desc.n_samples)]
-    # Each chunk runs each stage once, in order, on one stream of each of its samples.
+    # Each chunk runs each stage once, in order, on one stream of each of its
+    # samples for each of the stage's paths, path by path.
     calls, done = iter(received), 0
     while expected and done < desc.n_samples:
         chunk = range(done, min(done + per_chunk, desc.n_samples))
-        for name, path in expected:
+        for name, paths in expected:
             got_name, seeds = next(calls)
-            assert (got_name, len(seeds)) == (name, len(chunk))
-            for i, seed in zip(chunk, seeds):
+            assert (got_name, len(seeds)) == (name, len(paths) * len(chunk))
+            for (path, i), seed in zip(itertools.product(paths, chunk), seeds):
                 oracle_seed, oracle_state = stage_stream(desc.master_seed, i, path)
                 assert (seed.seed, seed.stream_id) == (oracle_seed, 0)
                 assert seed.generator().bit_generator.state == oracle_state
@@ -577,11 +582,46 @@ def test_public_stage_functions_equal_reference_stages(half, data, seed):
     assert same(q.adjacency(), reference_qlbit_adjacency(q))
 
 
+# (n, d, seed) whose first pairing attempt fails, the stream then restarting.
+RESTARTING = {(5, 2, 0), (20, 4, 0), (12, 3, 0)}
+
+
+@st.composite
+def sparse_degree_cases(draw):
+    """(n, d, seed) with 2d <= n - 1 and n*d even: the degrees paired directly."""
+    d = draw(st.integers(1, 6), label="d")
+    n = draw(st.integers(2 * d + 1, 2 * d + 16), label="n")
+    return n + n * d % 2, d, draw(SEEDS, label="seed")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(case=sparse_degree_cases())
+@example(case=(4, 1, 0))  # d = 1: one perfect matching
+@example(case=(5, 2, 0))
+@example(case=(20, 4, 0))  # fig4a's complement degree
+@example(case=(12, 3, 0))  # fig3's complement degree
+def test_pairing_draws_equal_tuple_set_oracle(case):
+    # `_pairing_attempt` and the tuple-set oracle, on two generators of one
+    # seed, return the same edges (or both None) at every attempt until one
+    # succeeds, and leave equal generator states: every shuffle has the same
+    # length.
+    n, d, seed = case
+    ours, theirs = ql.RngSeed(seed).generator(), ql.RngSeed(seed).generator()
+    failed = []
+    while not failed or failed[-1]:
+        keys = ql.graphs._pairing_attempt(n, d, ours)
+        edges = reference_pairing_attempt(n, d, theirs)
+        assert (None if keys is None else {divmod(k, n) for k in keys}) == edges
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        failed.append(keys is None)
+    assert failed[0] or case not in RESTARTING
+
+
 def reference_matrices(desc: ql.ExperimentDescriptor, index: int) -> list[np.ndarray]:
     """Sample ``index``'s matrix of each distinct factor, rebuilt from `Graph`
     and `QLBit` objects on streams spawned by plain SeedSequence."""
     streams = {path: ql.RngSeed(stage_stream(desc.master_seed, index, path)[0])
-               for _, path in expected_stage_calls(desc)}
+               for _, paths in expected_stage_calls(desc) for path in paths}
     return [a for _, _, a in reference_sample_matrices(desc, streams)]
 
 
