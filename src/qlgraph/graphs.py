@@ -21,6 +21,9 @@ DEFAULT_MAX_RESTARTS = 10_000
 # Edge keys u * n + v stay below n**2, which must fit in int64.
 MAX_VERTICES = 2**31
 MIN_CYCLE = 3  # the shortest cycle of a simple graph
+# Past this many deletions an item's own ``choice`` is faster (measured: 32 to
+# 48). Below 200, ``choice`` draws by Floyd's rule, never by its tail shuffle.
+_RAW_DELETIONS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,17 +197,46 @@ def _d_regular_rows(n: int, d: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
 
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:
-    """A copy of g with `count` uniformly chosen distinct edges removed."""
+    """A copy of g with `count` uniformly chosen distinct edges removed: the rows
+    kept are bit for bit those ``seed.generator().choice(m, count, replace=False)``
+    leaves. `_deleted_rows` replays that draw, and says when it calls ``choice``."""
     count = require_int("count", count, 0, g.n_edges)
     return Graph._of_canonical(g.n_vertices, _deleted_rows(g.edges[None], count, (seed,))[0])
 
 
 def _deleted_rows(rows: np.ndarray, count: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
-    """(B, m - count, 2): each item's rows less `count` its seed draws uniformly."""
-    kept = np.ones(rows.shape[:2], dtype=bool)
-    for row, seed in zip(kept, seeds):
-        row[seed.generator().choice(len(row), size=count, replace=False)] = False
-    return rows[kept].reshape(len(rows), rows.shape[1] - count, 2)
+    """(B, m - count, 2): each item's rows less those at its seed's
+    ``generator().choice(m, count, replace=False)``, bit for bit.
+
+    Up to _RAW_DELETIONS deletions the chunk replays that draw from one
+    ``random_raw`` call per seed: 32-bit draws, each word's low half first;
+    Lemire's bounded draw (x * (j + 1)) >> 32 for j = m - count .. m - 1;
+    Floyd's rule, a value drawn before becomes j (count = m deletes every row
+    whatever is drawn). ``choice`` itself draws an item whose low product
+    x * (j + 1) mod 2**32 is below j + 1, where Lemire may redraw, every item
+    of a larger count, and every item past 2**32 rows.
+    """
+    (b, m), first = rows.shape[:2], rows.shape[1] - count
+    kept = np.ones((b, m), dtype=bool)
+    redraw = range(b)
+    if count <= _RAW_DELETIONS and m <= 2**32:
+        n_words = (count + 1) // 2
+        words = np.array([seed.generator().bit_generator.random_raw(n_words) for seed in seeds],
+                         dtype="<u8").reshape(b, n_words)
+        bound = np.arange(first + 1, m + 1, dtype=np.uint64)
+        draws = words.view("<u4")[:, :count] * bound
+        picks = (draws >> 32).astype(np.int64)
+        kept[np.arange(b)[:, None], picks] = False
+        for item in np.flatnonzero(kept.sum(1) > first):  # a value drawn twice
+            chosen: set[int] = set()
+            for j, value in enumerate(picks[item].tolist(), first):
+                chosen.add(j if value in chosen else value)
+            kept[item, list(chosen)] = False
+        redraw = np.flatnonzero(((draws & 0xFFFF_FFFF) < bound).any(1))
+    for item in redraw:
+        kept[item] = True
+        kept[item][seeds[item].generator().choice(m, size=count, replace=False)] = False
+    return rows[kept].reshape(b, first, 2)
 
 
 def adjacency(g: Graph) -> np.ndarray:

@@ -5,7 +5,8 @@ and rows against the stable sort, tuple joins and row-by-row writer they
 replaced. Graph's canonical arrays and refusals, and
 the seed streams, are held the same way against a two-column lexsort and
 against numpy's own SeedSequence: one stream at a time, in batches, and
-as each stage function of the pipeline receives it. Samples run in chunks
+as each stage function of the pipeline receives it. Edge deletions replayed
+from raw stream words are held to numpy's own ``choice``. Samples run in chunks
 are held bitwise against the same samples run one at a time, and the
 artifacts of small descriptors run through the CLI against the explicit
 Kronecker sum of factor matrices the oracles rebuild."""
@@ -580,6 +581,96 @@ def test_public_stage_functions_equal_reference_stages(half, data, seed):
     expected = reference_couple(h, other, p, sign, root.derive(3))
     assert same(q.coupling_edges, expected.coupling_edges) and q.sign == expected.sign
     assert same(q.adjacency(), reference_qlbit_adjacency(q))
+
+
+RAW_DELETIONS = ql.graphs._RAW_DELETIONS
+# What `graphs._deleted_rows` takes from numpy to replay ``Generator.choice``.
+CHOICE_FACTS = (
+    f"numpy {np.__version__}: graphs._deleted_rows replays Generator.choice(m, count, "
+    "replace=False) and relies on (1) PCG64's next_uint32 taking the low half of each "
+    "64-bit word first, (2) Lemire's bounded draw (x * (j + 1)) >> 32, redrawn while the "
+    "low product is below 2**32 % (j + 1), and (3) choice drawing by Floyd's algorithm for "
+    "j = m - count .. m - 1 unless m > 10000 and count > m // 50 (a tail shuffle)")
+
+
+def star_graph(m: int) -> ql.Graph:
+    """The star of m edges (0, i): any number of canonical rows."""
+    return ql.Graph(m + 1, np.stack((np.zeros(m, dtype=np.int64), np.arange(1, m + 1)), axis=1))
+
+
+def deletion_streams(seed: int, items: int, primed: bool) -> list[ql.RngSeed]:
+    """``items`` streams of one seed: primed by `derive_streams` as the pipeline's, or plain."""
+    if not primed:
+        return [ql.RngSeed(seed, i) for i in range(items)]
+    seeds = derive_seeds([seed], [(1, i, 0) for i in range(items)])
+    return derive_streams(seeds, stream_states(seeds))[0]
+
+
+def assert_deletions_equal_choice(g: ql.Graph, count: int, seeds: list[ql.RngSeed]) -> None:
+    """`_deleted_rows` over the batch, and `delete_random_edges` of its first
+    item, bit for bit `reference_delete_random_edges`, the ``choice`` oracle."""
+    def same(a, b):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    rows = ql.graphs._deleted_rows(np.stack([g.edges] * len(seeds)), count, tuple(seeds))
+    for item, seed in enumerate(seeds):
+        assert same(rows[item], reference_delete_random_edges(g, count, seed).edges), (
+            f"item {item} of m={g.n_edges}, count={count}: {CHOICE_FACTS}")
+    assert same(ql.delete_random_edges(g, count, seeds[0]).edges, rows[0]), CHOICE_FACTS
+
+
+@st.composite
+def deletion_cases(draw):
+    """(m, count, primed, items, seed): counts at 0, 1, m and either side of the bound."""
+    m = draw(st.integers(1, 3 * RAW_DELETIONS) | st.integers(1, 12_000), label="m")
+    count = draw(st.sampled_from([0, 1, m, RAW_DELETIONS, RAW_DELETIONS + 1])
+                 | st.integers(0, 2 * RAW_DELETIONS), label="count")
+    return (m, min(count, m), draw(st.booleans(), label="primed"),
+            draw(st.integers(1, 4), label="items"), draw(SEEDS, label="seed"))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(case=deletion_cases())
+@example(case=(10_001, 200, True, 2, 0))  # choice's Floyd draw at m // 50
+@example(case=(10_001, 201, True, 2, 0))  # choice's tail shuffle
+@example(case=(10_001, RAW_DELETIONS, False, 3, 1))
+@example(case=(RAW_DELETIONS, RAW_DELETIONS, True, 4, 2))  # count = m: j = 0 draws nothing
+def test_deleted_rows_equal_choice_oracle(case):
+    # Every replayed deletion stays in choice's Floyd regime (fact 3).
+    assert RAW_DELETIONS <= 10_000 // 50, CHOICE_FACTS
+    m, count, primed, items, seed = case
+    assert_deletions_equal_choice(star_graph(m), count, deletion_streams(seed, items, primed))
+
+
+def lemire_rejects(streams: list[ql.RngSeed], m: int, count: int) -> np.ndarray:
+    """Per stream, whether numpy's bounded draws for choice(m, count) reject
+    one of its first ``count`` 32-bit draws, low halves first (facts 1 and 2)."""
+    words = np.array([s.generator().bit_generator.random_raw((count + 1) // 2)
+                      for s in streams])
+    draws = np.stack((words & 0xFFFF_FFFF, words >> 32), axis=-1).reshape(len(words), -1)
+    bound = np.arange(m - count + 1, m + 1, dtype=np.uint64)
+    return (draws[:, :count] * bound & 0xFFFF_FFFF < 2**32 % bound).any(1)
+
+
+def test_deleted_rows_redraw_where_lemire_rejects():
+    # A deterministic search for a primed stream on which Lemire rejects a
+    # draw (about one in 27,000 at m = 10,001 and count = 32). `_deleted_rows`
+    # calls that stream's generator a second time, for `choice`, and no other
+    # stream's, and every item of the batch around it equals the oracle.
+    m, count, width = 10_001, RAW_DELETIONS, 2**12
+    for start in range(0, 2**20, width):
+        seeds = derive_seeds([5], [(1, i, 0) for i in range(start, start + width)])
+        streams = derive_streams(seeds, stream_states(seeds))[0]
+        hits = np.flatnonzero(lemire_rejects(streams[1:-1], m, count))
+        if hits.size:
+            break
+    batch, g = streams[hits[0]:hits[0] + 3], star_graph(m)
+    with mock.patch.object(ql.RngSeed, "generator", autospec=True,
+                           side_effect=ql.RngSeed.generator) as spy:
+        ql.graphs._deleted_rows(np.stack([g.edges] * 3), count, tuple(batch))
+    assert [sum(c.args[0] is s for c in spy.call_args_list) for s in batch] == [1, 2, 1], (
+        CHOICE_FACTS)
+    assert_deletions_equal_choice(g, count, batch)
 
 
 # (n, d, seed) whose first pairing attempt fails, the stream then restarting.
