@@ -1,12 +1,12 @@
 """Quantum-like bit graphs from coupled regular networks.
 
 Build d-regular basis graphs, couple them into QL bits, compose Cartesian
-products and their spectra without materializing product matrices, classify
-emergent/hybrid/random states, and project emergent eigenvectors onto the
-2^N qubit tensor basis.
+products and their spectra without materializing product matrices, count
+each state's emergent components, and project emergent eigenvectors onto
+the 2^N qubit tensor basis.
 """
-from .ensembles import (EMERGENT, HYBRID, RANDOM, EnsembleHistogram, histogram_edges,
-                        histogram_from_values, write_histogram_csv)
+from .ensembles import (EnsembleHistogram, histogram_edges, histogram_from_values,
+                        write_histogram_csv)
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
@@ -24,10 +24,10 @@ from .spectra import eigendecompose
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EMERGENT", "EXPERIMENT_NOTES",
+    "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EXPERIMENT_NOTES",
     "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor", "GenerationFailureError",
-    "Graph", "HYBRID", "InvalidParameterError", "NumericalFailureError",
-    "ProjectionReport", "QLBit", "QLGraphError", "RANDOM", "RngSeed", "SampleResult",
+    "Graph", "InvalidParameterError", "NumericalFailureError",
+    "ProjectionReport", "QLBit", "QLGraphError", "RngSeed", "SampleResult",
     "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
     "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
     "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",

@@ -16,11 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-from .ensembles import state_kinds, write_histogram_csv
+from .ensembles import write_histogram_csv
 from .errors import GenerationFailureError, InvalidParameterError, NumericalFailureError
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, KIND_QLBIT_PRODUCT,
-                          KIND_SINGLE, ExperimentDescriptor, ensemble_spectrum, require_valid)
-from .products import emergent_component_counts, repr_texts, write_composed_spectrum_csv
+                          ExperimentDescriptor, ensemble_spectrum, require_valid)
+from .products import write_composed_spectrum_csv
 from .projection import project_alphas
 
 EXIT_OK = 0
@@ -56,20 +56,6 @@ def _load_descriptor(ref: str) -> ExperimentDescriptor:
     return ExperimentDescriptor.from_json_dict(data)
 
 
-def _spectrum_csv_text(sample, kind: str) -> str:
-    buf = io.StringIO()
-    if kind == KIND_SINGLE:
-        order = sample.composed.descending_order()
-        counts = emergent_component_counts(sample.composed, sample.emergent_index_sets)
-        names = state_kinds(sample.composed.n_factors)[counts[order]]
-        buf.write("index,eigenvalue,label\n")
-        rows = zip(repr_texts(sample.composed.values[order]).tolist(), names.tolist())
-        buf.write("".join([f"{i},{v},{name}\n" for i, (v, name) in enumerate(rows)]))
-    else:
-        write_composed_spectrum_csv(sample.composed, buf, sample.emergent_index_sets)
-    return buf.getvalue()
-
-
 def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -88,8 +74,10 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     first, histogram, sample_seeds = ensemble_spectrum(desc)
 
     buf = io.StringIO()
+    write_composed_spectrum_csv(first.composed, buf, first.emergent_index_sets)
+    spectrum, buf = buf.getvalue(), io.StringIO()
     write_histogram_csv(histogram, buf)
-    texts = {"spectrum.csv": _spectrum_csv_text(first, desc.kind),
+    texts = {"spectrum.csv": spectrum,
              "histogram.csv": buf.getvalue(),
              "metadata.json": _json_text({"descriptor": desc.to_json_dict(),
                                           "sample_seeds": sample_seeds,

@@ -1,8 +1,4 @@
-"""State class names of composed spectra, and ensemble histograms.
-
-A composed state's class follows from its emergent component count k
-(`products.emergent_component_counts`) and the factor count N.
-"""
+"""Ensemble histograms: uniform bin edges, counts per bin and their CSV form."""
 from __future__ import annotations
 
 import math
@@ -13,18 +9,9 @@ import numpy as np
 
 from .errors import InvalidParameterError, real_array, real_float, require_int, shown
 
-EMERGENT = "emergent"
-HYBRID = "hybrid"
-RANDOM = "random"
-
 _PAD = 0.5
 # Histogram edges are float64: 10^6 bins take 8 MB.
 MAX_BINS = 1_000_000
-
-
-def state_kinds(n_factors: int) -> np.ndarray:
-    """Class names indexed by k: k == N emergent, k == 0 random, else hybrid(k)."""
-    return np.array([RANDOM] + [f"{HYBRID}({k})" for k in range(1, n_factors)] + [EMERGENT])
 
 
 @dataclass(frozen=True, eq=False)

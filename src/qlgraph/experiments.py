@@ -164,6 +164,8 @@ class ExperimentDescriptor:
                 errors.extend(exc.args)
         if self.kind != KIND_QLBIT_PRODUCT and self.p != 0.0:
             errors.append(f"p applies only to {KIND_QLBIT_PRODUCT}")
+        if self.kind != KIND_QLBIT_PRODUCT and self.sign != 1:
+            errors.append(f"sign applies only to {KIND_QLBIT_PRODUCT}")
         if self.kind == KIND_SINGLE and self.n_factors != 1:
             errors.append(f"{KIND_SINGLE} requires n_factors == 1")
         if self.sigma < 0:

@@ -107,7 +107,7 @@ def emergent_component_counts(c: ComposedSpectrum,
     """Per-flat-index count k of factor components that are emergent indices.
 
     A composed state is emergent when k == N, random when k == 0 and
-    hybrid(k) otherwise: its class is decided by which factor eigen-indices
+    hybrid otherwise: its class is decided by which factor eigen-indices
     it sums, never by peak finding.
     """
     return _component_counts(c.dims, factor_emergent_indices)

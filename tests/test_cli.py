@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -161,14 +162,14 @@ class TestListAndValidate:
                                     "sign": 3, "sigma": -1.0, "n_samples": 0}))
         reports = [json.loads(run_cli(args, capsys)[1]) for args in (
             ["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")])]
-        assert len(reports[0]["errors"]) == 3
+        assert len(reports[0]["errors"]) == 4
         assert reports[0] == reports[1]
 
     def test_library_caller_sees_errors_joined(self):
         desc = dataclasses.replace(ql.BUNDLED_EXPERIMENTS["fig2a"], sign=3, n_samples=0)
         with pytest.raises(InvalidParameterError) as exc:
             ql.run_sample(desc, 0)
-        assert len(exc.value.args) == 2
+        assert len(exc.value.args) == 3  # the sign twice: not +-1, and not a QL-bit product
         assert str(exc.value) == "; ".join(exc.value.args)
         assert str(InvalidParameterError("a", "b")) == "a; b"
         assert str(InvalidParameterError("only")) == "only"
@@ -228,6 +229,19 @@ class TestRun:
         assert run_cli(["run", "fig2a", "--out", str(out_b)], capsys)[0] == 0
         assert file_hashes(out_a) == file_hashes(out_b)
 
+    @pytest.mark.parametrize("kind", ["single-graph", "d-regular-product"])
+    def test_sign_refused_outside_qlbit_products(self, kind, tmp_path, capsys):
+        # No coupling edge carries it: the run would ignore the sign, yet its
+        # metadata would record it.
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"name": "signed", "kind": kind, "n": 12, "d": 8,
+                                    "sign": -1}))
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+            code, out = run_cli(args, capsys)
+            assert code == 2
+            assert json.loads(out)["errors"] == ["sign applies only to qlbit-product"]
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_artifacts(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         base = ["run", "fig4a", "--samples", "2"]
@@ -247,12 +261,23 @@ class TestRun:
         report = json.loads((tmp_path / "fig4f_projection.json").read_text())
         assert len(report["alphas"]) == 16
 
-    def test_fig4f_spectrum_matches_reference_writer(self, tmp_path, capsys):
+    @pytest.mark.parametrize("desc", [
         # Four identical QL bits: 38,416 rows, many tied values, labels from half-tables.
-        assert run_cli(["run", "fig4f", "--out", str(tmp_path)], capsys)[0] == 0
-        sample = ql.run_sample(ql.BUNDLED_EXPERIMENTS["fig4f"], 0)
+        ql.BUNDLED_EXPERIMENTS["fig4f"],
+        ql.ExperimentDescriptor("solo", "single-graph", 12, d=8, master_seed=5),
+        # Cycle spectra are full of ties: 2cos(2 pi j / 5) for j and 5 - j.
+        ql.ExperimentDescriptor("rings", "d-regular-product", 5, graph="cycle", n_factors=3),
+    ], ids=["fig4f", "single-graph", "cycle-product"])
+    def test_every_kind_writes_the_product_spectrum_csv(self, desc, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(desc.to_json_dict()))
+        assert run_cli(["run", str(path), "--out", str(tmp_path)], capsys)[0] == 0
+        sample = ql.run_sample(desc, 0)
+        written = io.StringIO()
+        ql.write_composed_spectrum_csv(sample.composed, written, sample.emergent_index_sets)
         expected = reference_composed_spectrum_csv(sample.composed, sample.emergent_index_sets)
-        text = (tmp_path / "fig4f_spectrum.csv").read_text()
+        text = (tmp_path / f"{desc.name}_spectrum.csv").read_text()
+        assert text == written.getvalue()
         assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
 
     def test_qlbit_run_writes_projection(self, tmp_path, capsys):
@@ -269,13 +294,17 @@ class TestRun:
         code, _ = run_cli(["run", str(path), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
         lines = (tmp_path / "out" / "solo_spectrum.csv").read_text().splitlines()
-        assert lines[0] == "index,eigenvalue,label"
-        assert lines[1].split(",")[2] == "emergent"
-        assert lines[2].split(",")[2] == "random"
+        assert lines[0] == "value,label_1,n_emergent_factors"
+        rows = [row.split(",") for row in lines[1:]]
+        # The top state is the graph's one emergent state (k = N = 1); every
+        # other state is random (k = 0).
+        assert [k for _, _, k in rows] == ["1"] + ["0"] * (len(rows) - 1)
         sample = ql.run_sample(ql.ExperimentDescriptor.from_json_dict(
             json.loads(path.read_text())), 0)
-        expected = sample.composed.values[sample.composed.descending_order()]
-        assert [float(row.split(",")[1]) for row in lines[1:]] == expected.tolist()
+        order = sample.composed.descending_order()
+        assert [int(label) for _, label, _ in rows] == order.tolist()
+        expected = sample.composed.values[order]
+        assert [float(value) for value, _, _ in rows] == expected.tolist()
 
     def test_zero_samples_rejected_no_files(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
@@ -608,7 +637,7 @@ def _near_valid(draw):
     field, or an unknown one, set to an odd value: most validate and run."""
     kind = draw(st.sampled_from(ql.experiments.KINDS))
     data = {"name": "prop", "kind": kind, "n": 6, "deletions": draw(st.integers(0, 2)),
-            "sign": draw(st.sampled_from([1, -1])), "sigma": draw(st.sampled_from([0.0, 1.5])),
+            "sigma": draw(st.sampled_from([0.0, 1.5])),
             "identical_factors": draw(st.booleans()), "shared_base": draw(st.booleans()),
             "n_samples": draw(st.integers(1, 3))}
     if draw(st.booleans()):
@@ -619,6 +648,7 @@ def _near_valid(draw):
         data["n_factors"] = draw(st.integers(1, 3))
     if kind == "qlbit-product":
         data["p"] = draw(st.floats(0.0, 1.0))
+        data["sign"] = draw(st.sampled_from([1, -1]))
     odd = draw(st.dictionaries(
         st.sampled_from([f.name for f in dataclasses.fields(ql.ExperimentDescriptor)] + ["extra"]),
         _ODD_VALUES, max_size=1))

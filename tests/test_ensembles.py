@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import qlgraph as ql
-from qlgraph.ensembles import EMERGENT, HYBRID, RANDOM, state_kinds
 from qlgraph.errors import InvalidParameterError
 
 from oracles import (one_shot_histogram, range_picks, reference_composite,
@@ -21,40 +20,40 @@ def small_qlbit_descriptor(**overrides):
 
 
 class TestClassifyStates:
-    """A state's class is state_kinds(N)[k], k from emergent_component_counts."""
+    """A state's class follows from k, its emergent component count from
+    emergent_component_counts, of N factors: emergent when k == N, random
+    when k == 0, hybrid in between."""
 
     def setup_method(self):
         vals, _ = ql.eigendecompose(ql.adjacency(ql.cycle_graph(4)), want_vectors=False)
         self.composed = ql.compose_spectra([vals, vals, vals])
 
-    def kinds(self, emergent_indices):
+    def counts(self, emergent_indices):
         counts = ql.emergent_component_counts(self.composed, emergent_indices)
         assert counts.shape == (self.composed.size,) and counts.dtype == np.int64
-        return counts, state_kinds(self.composed.n_factors)[counts]
+        return counts
 
     def test_labels_by_component_membership(self):
-        counts, kinds = self.kinds([{0}, {0}, {0}])
+        counts = self.counts([{0}, {0}, {0}])
         def flat(labels):
             return np.ravel_multi_index(labels, self.composed.dims)
 
-        assert kinds[flat((0, 0, 0))] == EMERGENT
-        assert (counts[flat((0, 2, 3))], kinds[flat((0, 2, 3))]) == (1, f"{HYBRID}(1)")
-        assert (counts[flat((0, 0, 3))], kinds[flat((0, 0, 3))]) == (2, f"{HYBRID}(2)")
-        assert kinds[flat((1, 2, 3))] == RANDOM
+        assert counts[flat((0, 0, 0))] == 3  # emergent
+        assert counts[flat((0, 2, 3))] == 1  # hybrid
+        assert counts[flat((0, 0, 3))] == 2  # hybrid
+        assert counts[flat((1, 2, 3))] == 0  # random
 
     def test_partition_is_exhaustive(self):
-        _, kinds = self.kinds([{0}, {0}, {0}])
-        names, counts = np.unique(kinds, return_counts=True)
-        counts = dict(zip(names.tolist(), counts.tolist()))
-        assert sum(counts.values()) == self.composed.size == 64
-        assert counts[EMERGENT] == 1
-        # one or two emergent components
-        assert counts[f"{HYBRID}(1)"] + counts[f"{HYBRID}(2)"] == 3 * 3 + 3 * 9
-        assert counts[RANDOM] == 27
+        counts = self.counts([{0}, {0}, {0}])
+        n = self.composed.n_factors
+        # emergent, hybrid (one or two emergent components) and random
+        classes = [counts == n, (0 < counts) & (counts < n), counts == 0]
+        assert [np.count_nonzero(c) for c in classes] == [1, 3 * 3 + 3 * 9, 27]
+        assert sum(classes).all() and self.composed.size == 64
 
     def test_qlbit_factors_give_2_to_n_emergent(self):
-        _, kinds = self.kinds([{0, 1}] * 3)
-        assert np.count_nonzero(kinds == EMERGENT) == 2**3
+        counts = self.counts([{0, 1}] * 3)
+        assert np.count_nonzero(counts == 3) == 2**3
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -344,7 +343,7 @@ class TestRunSample:
     def test_labels_match_classification(self):
         sample = ql.run_sample(small_qlbit_descriptor(), 0)
         counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
-        assert np.count_nonzero(state_kinds(2)[counts] == EMERGENT) == 4
+        assert np.count_nonzero(counts == 2) == 4  # k == N: emergent
 
     def test_invalid_descriptor_rejected(self):
         with pytest.raises(InvalidParameterError):

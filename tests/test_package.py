@@ -142,3 +142,26 @@ def test_oracles_reach_no_private_qlgraph_name():
         private = [name for name in names
                    if any(part.startswith("_") for part in name.split("."))]
         assert bound and private == [], module
+
+
+def test_every_import_of_the_package_is_read():
+    # No linter runs here: an import the module never reads again, such as one
+    # left behind by a deletion, fails instead. An import marked
+    # "# noqa: F401" on its line is exempt, and a name listed in __all__ is read.
+    unused = []
+    for source in sorted(Path(ql.__file__).parent.glob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                                 for t in node.targets] == ["__all__"]:
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{source.name}:{alias.lineno} {name}")
+    assert unused == []

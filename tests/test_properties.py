@@ -360,7 +360,8 @@ def small_descriptors(draw):
     return ql.ExperimentDescriptor(
         name="prop", kind=kind, n=n, graph=graph, d=d,
         deletions=draw(st.integers(0, min(2, edges))),
-        p=draw(st.floats(0.0, 1.0)) if qlbit else 0.0, sign=draw(st.sampled_from([1, -1])),
+        p=draw(st.floats(0.0, 1.0)) if qlbit else 0.0,
+        sign=draw(st.sampled_from([1, -1])) if qlbit else 1,
         n_factors=1 if kind == "single-graph" else draw(st.integers(1, 3)),
         identical_factors=draw(st.booleans()), shared_base=draw(st.booleans()),
         sigma=draw(st.sampled_from([0.0, 0.5, 2.0])), n_samples=draw(st.integers(1, 9)),
@@ -753,8 +754,7 @@ def test_cli_artifacts_equal_explicit_construction(desc):
         explicit = explicit_spectrum(desc, sample.index)
         assert np.max(np.abs(np.sort(sample.composed.values) - explicit)) <= 1e-9
     rows = list(csv.DictReader(io.StringIO(artifacts["spectrum.csv"])))
-    column = "eigenvalue" if desc.kind == "single-graph" else "value"
-    values = np.sort([float(row[column]) for row in rows])
+    values = np.sort([float(row["value"]) for row in rows])
     explicit = explicit_spectrum(desc, 0)
     assert values.shape == explicit.shape
     assert np.max(np.abs(values - explicit)) <= 1e-9
