@@ -5,8 +5,7 @@ products and their spectra without materializing product matrices, count
 each state's emergent components, and project emergent eigenvectors onto
 the 2^N qubit tensor basis.
 """
-from .ensembles import (EnsembleHistogram, histogram_edges, histogram_from_values,
-                        write_histogram_csv)
+from .ensembles import histogram_edges, histogram_from_values, write_histogram_csv
 from .errors import (GenerationFailureError, InvalidParameterError,
                      NumericalFailureError, QLGraphError)
 from .experiments import (BUNDLED_EXPERIMENTS, EXPERIMENT_NOTES, ExperimentDescriptor,
@@ -15,7 +14,7 @@ from .graphs import (Graph, adjacency, apply_diagonal_disorder, cycle_graph,
                      d_regular_random, delete_random_edges, is_connected)
 from .products import (ComposedSpectrum, compose_spectra, emergent_component_counts,
                        write_composed_spectrum_csv)
-from .projection import ProjectionReport, project_alphas
+from .projection import project_alphas
 from .qlbits import (EmergentPair, QLBit, SplittingPrediction, couple, emergent_pair,
                      predict_splitting)
 from .rng import RngSeed
@@ -25,9 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUNDLED_EXPERIMENTS", "ComposedSpectrum", "EXPERIMENT_NOTES",
-    "EmergentPair", "EnsembleHistogram", "ExperimentDescriptor", "GenerationFailureError",
+    "EmergentPair", "ExperimentDescriptor", "GenerationFailureError",
     "Graph", "InvalidParameterError", "NumericalFailureError",
-    "ProjectionReport", "QLBit", "QLGraphError", "RngSeed", "SampleResult",
+    "QLBit", "QLGraphError", "RngSeed", "SampleResult",
     "SplittingPrediction", "adjacency", "apply_diagonal_disorder",
     "compose_spectra", "couple", "cycle_graph", "d_regular_random", "delete_random_edges",
     "eigendecompose", "emergent_component_counts", "emergent_pair", "ensemble_spectrum",

@@ -71,21 +71,21 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
         for path in (out_dir / f".{name}.tmp", out_dir / name):
             if path.exists() and not path.is_file():
                 raise InvalidParameterError(f"{path} exists and is not a regular file")
-    first, histogram, sample_seeds = ensemble_spectrum(desc)
+    first, (counts, edges), sample_seeds = ensemble_spectrum(desc)
 
     buf = io.StringIO()
     write_composed_spectrum_csv(first.composed, buf, first.emergent_index_sets)
     spectrum, buf = buf.getvalue(), io.StringIO()
-    write_histogram_csv(histogram, buf)
+    write_histogram_csv(counts, edges, buf)
     texts = {"spectrum.csv": spectrum,
              "histogram.csv": buf.getvalue(),
              "metadata.json": _json_text({"descriptor": desc.to_json_dict(),
                                           "sample_seeds": sample_seeds,
                                           "artifacts": sorted(names.values())})}
     if desc.kind == KIND_QLBIT_PRODUCT:
-        report = project_alphas(first.factors, [vecs[:, 0] for _, vecs in first.spectra])
+        alphas, residual = project_alphas(first.factors, [vecs[:, 0] for _, vecs in first.spectra])
         texts["projection.json"] = _json_text({
-            "alphas": report.alphas, "residual": report.residual_norm,
+            "alphas": alphas, "residual": residual,
             "eigenvalue": float(first.composed.values[0]), "labels": [0] * len(first.factors)})
 
     # Stage everything, then rename: no partial outputs on failure. The names

@@ -1,8 +1,7 @@
-"""Ensemble histograms: uniform bin edges, counts per bin and their CSV form."""
+"""Ensemble histograms: the pair ``(counts, edges)``, in `np.histogram`'s order, and its CSV."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -12,14 +11,6 @@ from .errors import InvalidParameterError, real_array, real_float, require_int, 
 _PAD = 0.5
 # Histogram edges are float64: 10^6 bins take 8 MB.
 MAX_BINS = 1_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleHistogram:
-    """Aggregate eigenvalue histogram over ensemble samples."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
 
 
 def histogram_edges(lo: float, hi: float, bins: int) -> np.ndarray:
@@ -52,8 +43,8 @@ def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
-def write_histogram_csv(h: EnsembleHistogram, fh: IO[str]) -> None:
-    """Rows `bin_left,bin_right,count`."""
+def write_histogram_csv(counts: np.ndarray, edges: np.ndarray, fh: IO[str]) -> None:
+    """Rows `bin_left,bin_right,count`, one per bin."""
     fh.write("bin_left,bin_right,count\n")
-    for left, right, count in zip(h.bin_edges[:-1], h.bin_edges[1:], h.counts):
+    for left, right, count in zip(edges[:-1], edges[1:], counts):
         fh.write(f"{left!r},{right!r},{int(count)}\n")

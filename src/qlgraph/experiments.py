@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .ensembles import MAX_BINS, EnsembleHistogram, histogram_edges, histogram_from_values
+from .ensembles import MAX_BINS, histogram_edges, histogram_from_values
 from .errors import (GenerationFailureError, InvalidParameterError, NumericalFailureError,
                      require_int, shown)
 from .graphs import MAX_VERTICES, MIN_CYCLE, _checked_degree
@@ -383,8 +383,14 @@ def _chunk_values(desc: ExperimentDescriptor, start: int, stop: int,
                 for v, a in zip(values, mats):
                     v[pick] = eigendecompose(a[pick])[0]
         except NumericalFailureError as exc:
-            named = (f"sample {indices.start}" if len(indices) == 1
-                     else f"samples {indices.start}..{indices.stop - 1}")
+            named = f"samples {indices.start}..{indices.stop - 1}"
+            for j, i in enumerate(indices):  # name the first sample that fails alone
+                try:
+                    for want in (False, True):
+                        eigendecompose(mats[:, j], want)
+                except NumericalFailureError as one:
+                    exc, named = one, f"sample {i}"
+                    break
             raise NumericalFailureError(f"{named}: {exc}") from exc
         yield indices, seeds, values
 
@@ -401,8 +407,8 @@ def _near_edge_rows(chunk: np.ndarray, edges: np.ndarray, tol: float) -> np.ndar
 
 
 def ensemble_spectrum(desc: ExperimentDescriptor,
-                      ) -> tuple[SampleResult, EnsembleHistogram, list[int]]:
-    """Sample 0, the histogram of every eigenvalue of every sample, and the sample seeds.
+                      ) -> tuple[SampleResult, tuple[np.ndarray, np.ndarray], list[int]]:
+    """Sample 0, the ``(counts, edges)`` histogram of every sample's eigenvalues, and the seeds.
 
     Counts sum to n_samples * product_dim: every eigenvalue of every sample
     lands in a bin, and the histogram is bitwise the one of every sample
@@ -438,7 +444,7 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
             for j in _near_edge_rows(chunk, edges, tol).tolist():
                 chunk[j] = run_sample(desc, start + j).composed.values
         counts += histogram_from_values(chunk.ravel(), edges)
-    return first, EnsembleHistogram(edges, counts), seeds
+    return first, (counts, edges), seeds
 
 
 BUNDLED_EXPERIMENTS: dict[str, ExperimentDescriptor] = {

@@ -9,7 +9,6 @@ J-product vector, which factors into per-bit inner products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,25 +17,16 @@ from .errors import InvalidParameterError, real_array
 from .qlbits import QLBit
 
 
-@dataclass(frozen=True)
-class ProjectionReport:
-    """Alpha coefficients over all N-bit strings plus the leftover mass.
+def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray],
+                   ) -> tuple[dict[str, float], float]:
+    """``(alphas, residual_norm)`` of a product vector v on the qubit basis: the
+    alpha of every N-bit string, and the weight of v orthogonal to every
+    J-product vector, so that sum(alpha^2) + residual_norm^2 = |v|^2.
 
-    residual_norm is the eigenvector weight orthogonal to every J-product
-    vector; alphas and residual satisfy sum(alpha^2) + residual^2 = |v|^2.
-    """
-
-    alphas: dict[str, float]
-    residual_norm: float
-
-
-def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]) -> ProjectionReport:
-    """Alpha coefficients of a product vector on the qubit basis.
-
-    The vector is the tensor product of ``factor_vectors``, one per QL bit
-    (first factor slowest), and is never formed: its alphas are products of
-    the per-bit inner products with J_0/J_1, and its squared norm is the
-    product of the per-bit squared norms.
+    v is the tensor product of ``factor_vectors``, one per QL bit (first
+    factor slowest), and is never formed: its alphas are products of the
+    per-bit inner products with J_0/J_1, and its squared norm is the product
+    of the per-bit squared norms.
     """
     if len(qlbits) == 0:
         raise InvalidParameterError("need at least one QL bit")
@@ -61,4 +51,4 @@ def project_alphas(qlbits: Sequence[QLBit], factor_vectors: Sequence[np.ndarray]
     flat = tensor.reshape(-1)
     alphas = {format(i, f"0{len(qlbits)}b"): float(a) for i, a in enumerate(flat)}
     residual_sq = max(0.0, sq_norm - float(flat @ flat))
-    return ProjectionReport(alphas, math.sqrt(residual_sq))
+    return alphas, math.sqrt(residual_sq)

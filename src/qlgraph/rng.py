@@ -1,7 +1,7 @@
 """Seeded, splittable random number generation.
 
 Every random draw in the package flows through an :class:`RngSeed` so that
-identical (seed, stream_id) pairs reproduce identical results bit for bit.
+identical seeds reproduce identical results bit for bit.
 The bit generator is a named, stable one (PCG64 keyed through numpy's
 SeedSequence hash), never the interpreter's global state. One stream at a
 time, `RngSeed` calls ``np.random.SeedSequence`` itself. For the pipeline's
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import require_int, shown
+from .errors import require_int
 
 MAX_SEED = 2**64 - 1  # a seed is an integer in [0, 2^64)
 _WORD = 0xFFFF_FFFF
@@ -120,41 +120,35 @@ def _checked_path(path: Sequence[int]) -> list[int]:
 class RngSeed:
     """A reproducible random stream identity.
 
-    ``seed`` is an integer in [0, MAX_SEED]; ``stream_id`` separates
-    independent draws made from the same seed (graph generation, edge
-    deletion, coupling, disorder, ...). The generator is PCG64 keyed by
-    ``SeedSequence(seed, spawn_key=(stream_id,))``; a seed from
-    `derive_streams` carries its state already.
+    ``seed`` is an integer in [0, MAX_SEED]; `derive` splits it into
+    independent streams (graph generation, edge deletion, coupling,
+    disorder, ...). The generator is PCG64 keyed by
+    ``SeedSequence(seed, spawn_key=(0,))``; a seed from `derive_streams`
+    carries its state already.
     """
 
     seed: int
-    stream_id: int = 0
-    _state: np.ndarray | None = field(default=None, init=False, compare=False)
+    _state: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "seed", require_int("seed", self.seed, 0, MAX_SEED))
-        object.__setattr__(self, "stream_id", require_int("stream_id", self.stream_id, 0))
-
-    def __repr__(self) -> str:  # a stream id has no upper bound: it may be too long to print
-        return f"RngSeed(seed={self.seed}, stream_id={shown(self.stream_id)})"
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
         if self._state is None:
             return np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))))
+                np.random.SeedSequence(self.seed, spawn_key=(0,))))
         return np.random.Generator(np.random.PCG64(_precomputed_state()(self._state)))
 
     def derive(self, *path: int) -> "RngSeed":
         """Derive an independent child seed from a path of integers in [0, 2^32).
 
-        The child is a pure function of (seed, stream_id, path); distinct
-        paths give statistically independent streams. Used to split one
-        master seed across ensemble samples, factors, and pipeline stages.
-        Its seed is ``SeedSequence(seed, spawn_key=(stream_id, *path))
-        .generate_state(1, np.uint64)[0]`` and its stream id 0.
+        The child is a pure function of (seed, path); distinct paths give
+        statistically independent streams. Used to split one master seed
+        across ensemble samples, factors, and pipeline stages. Its seed is
+        ``SeedSequence(seed, spawn_key=(0, *path)).generate_state(1, np.uint64)[0]``.
         """
-        key = (self.stream_id, *_checked_path(path))
+        key = (0, *_checked_path(path))
         return RngSeed(int(np.random.SeedSequence(self.seed, spawn_key=key)
                            .generate_state(1, np.uint64)[0]))
 
@@ -167,7 +161,7 @@ def _hash_paths(seeds: np.ndarray, paths: Sequence[Sequence[int]], n_words: int)
     words = np.fromiter(itertools.chain.from_iterable(map(_checked_path, paths)), np.uint32,
                         int(lengths.sum()))
     # Each row starts with the seed's two words, zero-padded to the pool size
-    # as numpy pads them before a spawn key, then stream id 0; the path follows.
+    # as numpy pads them before a spawn key, then the spawn key (0, *path).
     start, width = _POOL + 1, int(lengths.max(initial=0))
     rows = np.zeros((len(seeds), len(paths), start + width), dtype=np.uint32)
     rows[:, :, 0], rows[:, :, 1] = seeds[:, None] & _WORD, seeds[:, None] >> 32
@@ -199,5 +193,5 @@ def _primed(seed: int, state: np.ndarray) -> RngSeed:
     """RngSeed(seed) carrying its generator's state. It is valid by
     construction: __post_init__'s checks are skipped."""
     child = object.__new__(RngSeed)
-    vars(child).update(seed=seed, stream_id=0, _state=state)
+    vars(child).update(seed=seed, _state=state)
     return child

@@ -324,16 +324,17 @@ def product_eigenvector(spectra: Sequence[tuple[np.ndarray, np.ndarray]],
     return functools.reduce(np.kron, [vecs[:, i] for (_, vecs), i in zip(spectra, labels)])
 
 
-def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit]) -> ql.ProjectionReport:
-    """Alphas of any product-space vector, product or not: contract each
-    factor axis of ``v`` with that bit's [J_0, J_1]."""
+def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit],
+                         ) -> tuple[dict[str, float], float]:
+    """``(alphas, residual_norm)`` of any product-space vector, product or not:
+    contract each factor axis of ``v`` with that bit's [J_0, J_1]."""
     v = np.asarray(v, dtype=np.float64)
     tensor = v.reshape([q.n_vertices for q in qlbits])
     for q in qlbits:
         tensor = np.tensordot(tensor, np.stack(q.block_uniform(), axis=1), axes=([0], [0]))
     flat = tensor.reshape(-1)
     alphas = {format(i, f"0{len(qlbits)}b"): float(a) for i, a in enumerate(flat)}
-    return ql.ProjectionReport(alphas, math.sqrt(max(0.0, float(v @ v) - float(flat @ flat))))
+    return alphas, math.sqrt(max(0.0, float(v @ v) - float(flat @ flat)))
 
 
 def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
@@ -368,14 +369,14 @@ def reference_label_texts(dims: Sequence[int]) -> np.ndarray:
                     dtype=object)
 
 
-def one_shot_histogram(desc: ql.ExperimentDescriptor) -> ql.EnsembleHistogram:
+def one_shot_histogram(desc: ql.ExperimentDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """Every sample's composed values, each sample run alone, concatenated,
     then binned at once over uniform edges spanning [min - 0.5, max + 0.5]."""
     values = np.concatenate([ql.run_sample(desc, i).composed.values
                              for i in range(desc.n_samples)])
     edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
     counts, _ = np.histogram(values, bins=edges)
-    return ql.EnsembleHistogram(edges, counts)
+    return counts, edges
 
 
 def range_picks(desc: ql.ExperimentDescriptor, chunks: Sequence[range],
@@ -480,9 +481,9 @@ def emergent_states(q: ql.QLBit, s: tuple[np.ndarray, np.ndarray],
 
 
 def bell_patterns(qa: ql.QLBit, qb: ql.QLBit,
-                  ) -> dict[tuple[int, int], tuple[float, ql.ProjectionReport]]:
+                  ) -> dict[tuple[int, int], tuple[float, tuple[dict[str, float], float]]]:
     """For each choice (s_a, s_b), +1 the in-phase and -1 the out-of-phase
-    state of each bit, the summed eigenvalue and the `project_alphas` report
+    state of each bit, the summed eigenvalue and the `project_alphas` pair
     of the product state. A bit whose phases do not split one each way gives
     its states by position."""
     chosen = []

@@ -287,6 +287,23 @@ class TestRun:
         assert sorted(report["alphas"]) == ["0", "1"]
         assert "residual" in report and "eigenvalue" in report
 
+    def test_library_results_are_the_pairs_the_cli_writes(self, tmp_path, capsys):
+        # The histogram is np.histogram's (counts, edges) pair and the
+        # projection an (alphas, residual) pair: both give the CLI's artifacts.
+        desc = ql.BUNDLED_EXPERIMENTS["fig4a"]
+        first, (counts, edges), _ = ql.ensemble_spectrum(desc)
+        assert counts.sum() == desc.n_samples * first.composed.size
+        buf = io.StringIO()
+        ql.write_histogram_csv(counts, edges, buf)
+        assert run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)[0] == 0
+        assert buf.getvalue() == (tmp_path / "fig4a_histogram.csv").read_text()
+        vectors = [vecs[:, 0] for _, vecs in first.spectra]
+        alphas, residual = ql.project_alphas(first.factors, vectors)
+        norm_sq = math.prod(float(v @ v) for v in vectors)
+        assert abs(sum(a * a for a in alphas.values()) + residual**2 - norm_sq) <= 1e-12
+        report = json.loads((tmp_path / "fig4a_projection.json").read_text())
+        assert (report["alphas"], report["residual"]) == (alphas, residual)
+
     def test_single_graph_spectrum_format(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"name": "solo", "kind": "single-graph",

@@ -379,22 +379,22 @@ class TestRunSample:
 class TestEnsembleSpectrum:
     def test_counts_account_for_every_draw(self):
         desc = small_qlbit_descriptor()
-        _, h, seeds = ql.ensemble_spectrum(desc)
-        assert h.counts.sum() == 3 * 16**2
+        _, (counts, _), seeds = ql.ensemble_spectrum(desc)
+        assert counts.sum() == 3 * 16**2
         assert len(seeds) == 3
 
     def test_single_sample_counts_equal_dim(self):
-        _, h, _ = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
-        assert h.counts.sum() == 16**2
+        _, (counts, _), _ = ql.ensemble_spectrum(small_qlbit_descriptor(n_samples=1))
+        assert counts.sum() == 16**2
 
     def test_deterministic_and_seed_sensitive(self):
         desc = small_qlbit_descriptor()
-        _, h1, _ = ql.ensemble_spectrum(desc)
-        _, h2, _ = ql.ensemble_spectrum(desc)
-        _, h3, _ = ql.ensemble_spectrum(desc.with_overrides(master_seed=1))
-        assert np.array_equal(h1.counts, h2.counts)
-        assert np.array_equal(h1.bin_edges, h2.bin_edges)
-        assert not np.array_equal(h1.counts, h3.counts)
+        _, (counts_1, edges_1), _ = ql.ensemble_spectrum(desc)
+        _, (counts_2, edges_2), _ = ql.ensemble_spectrum(desc)
+        _, (counts_3, _), _ = ql.ensemble_spectrum(desc.with_overrides(master_seed=1))
+        assert np.array_equal(counts_1, counts_2)
+        assert np.array_equal(edges_1, edges_2)
+        assert not np.array_equal(counts_1, counts_3)
 
     def test_parameters_recorded(self):
         desc = small_qlbit_descriptor(n_samples=2)
@@ -428,10 +428,10 @@ class TestEnsembleSpectrum:
         desc = self.ORACLE_CASES[name]
         if seed is not None:
             desc = desc.with_overrides(master_seed=seed)
-        _, h, _ = ql.ensemble_spectrum(desc)
-        expected = one_shot_histogram(desc)
-        assert h.bin_edges.tobytes() == expected.bin_edges.tobytes()
-        assert np.array_equal(h.counts, expected.counts)
+        _, (counts, edges), _ = ql.ensemble_spectrum(desc)
+        expected_counts, expected_edges = one_shot_histogram(desc)
+        assert edges.tobytes() == expected_edges.tobytes()
+        assert np.array_equal(counts, expected_counts)
 
     @pytest.mark.parametrize("name", ["fig4a", "fig4c", "fig4e"])
     def test_values_only_eigenvalues_within_tol_of_eigh(self, name, monkeypatch):
@@ -460,11 +460,11 @@ class TestEnsembleSpectrum:
             desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=n_samples)
             tracemalloc.start()
             try:
-                _, h, _ = ql.ensemble_spectrum(desc)
+                _, (counts, _), _ = ql.ensemble_spectrum(desc)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert h.counts.sum() == n_samples * states
+            assert counts.sum() == n_samples * states
             assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name,stacks", [
@@ -500,13 +500,30 @@ class TestEnsembleSpectrum:
         desc = ql.BUNDLED_EXPERIMENTS["fig3"]
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 5: eigendecomposition failed"):
             ql.run_sample(desc, 5)
-        with pytest.raises(ql.NumericalFailureError, match=r"^samples 0\.\.36: eigendecomposition"):
+        with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: eigendecomposition"):
             next(ql.experiments._chunk_values(desc, 0, desc.n_samples))
         with pytest.raises(ql.NumericalFailureError, match=r"^sample 0: "):
             ql.ensemble_spectrum(desc)
         # A QL run solves sample 0 with eigenvectors, then samples 1 on values-only.
-        with pytest.raises(ql.NumericalFailureError, match=r"^samples 1\.\.10: "):
+        with pytest.raises(ql.NumericalFailureError, match=r"^sample 1: "):
             ql.ensemble_spectrum(ql.BUNDLED_EXPERIMENTS["fig4a"])
+
+    def test_numerical_failure_names_the_first_failing_sample_of_its_chunk(self, monkeypatch):
+        # The solver fails on any stack that holds one of fig3 sample 7's
+        # matrices: the whole chunk of samples 1..37, then sample 7 alone.
+        desc = ql.BUNDLED_EXPERIMENTS["fig3"]
+        ((indices, _, streams),) = ql.experiments._chunk_streams(desc, 7, 8)
+        _, mats = ql.experiments._chunk_matrices(desc, indices, streams)
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail_on_sample_7(a):
+            if any(np.array_equal(m, target) for m in a for target in mats[:, 0]):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_sample_7)
+        with pytest.raises(ql.NumericalFailureError, match=r"^sample 7: eigendecomposition"):
+            ql.ensemble_spectrum(desc)
 
     def test_zero_samples_refused(self):
         with pytest.raises(InvalidParameterError, match="n_samples"):

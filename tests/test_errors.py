@@ -71,7 +71,6 @@ _ENTRY_POINTS = {
     "delete_random_edges count": (
         "count", lambda x: ql.delete_random_edges(_c3(), x, ql.RngSeed(0))),
     "RngSeed seed": ("seed", lambda x: ql.RngSeed(x)),
-    "RngSeed stream_id": ("stream_id", lambda x: ql.RngSeed(0, x)),
     "derive": ("derivation path entry", lambda x: ql.RngSeed(0).derive(1, x)),
     "run_sample": ("sample_index", lambda x: ql.run_sample(ql.BUNDLED_EXPERIMENTS["fig2a"], x)),
     "emergent_component_counts": (
@@ -87,22 +86,11 @@ _ENTRY_POINTS = {
 }
 
 
-# A stream id has no upper bound: only -HUGE is refused.
-@pytest.mark.parametrize("site,sign", [(site, sign) for site in _ENTRY_POINTS for sign in (1, -1)
-                                       if (site, sign) != ("RngSeed stream_id", 1)])
+@pytest.mark.parametrize("site,sign", [(site, sign) for site in _ENTRY_POINTS for sign in (1, -1)])
 def test_ints_too_long_to_print_are_refused_by_digit_count(site, sign):
     start, call = _ENTRY_POINTS[site]
     with pytest.raises(InvalidParameterError, match=rf"^{start} .*an int of 5001 digits"):
         call(sign * HUGE)
-
-
-def test_stream_ids_keep_their_full_range():
-    assert ql.RngSeed(0, HUGE).stream_id == HUGE
-
-
-def test_a_seed_names_its_stream_id_through_shown():
-    assert repr(ql.RngSeed(5, 2)) == "RngSeed(seed=5, stream_id=2)"
-    assert repr(ql.RngSeed(0, HUGE)) == "RngSeed(seed=0, stream_id=an int of 5001 digits)"
 
 
 # Public entry point -> (the name its refusal gives the array, a call given it).

@@ -191,9 +191,9 @@ class TestDRegularRandom:
             ql.d_regular_random(5, 5, ql.RngSeed(0))
 
     def test_deterministic_in_seed(self):
-        a = ql.d_regular_random(16, 5, ql.RngSeed(42, 3))
-        b = ql.d_regular_random(16, 5, ql.RngSeed(42, 3))
-        c = ql.d_regular_random(16, 5, ql.RngSeed(42, 4))
+        a = ql.d_regular_random(16, 5, ql.RngSeed(42).derive(3))
+        b = ql.d_regular_random(16, 5, ql.RngSeed(42).derive(3))
+        c = ql.d_regular_random(16, 5, ql.RngSeed(42).derive(4))
         assert np.array_equal(a.edges, b.edges)
         assert not np.array_equal(a.edges, c.edges)
 
@@ -360,7 +360,7 @@ class TestDiagonalDisorder:
         draws = []
         zero = np.zeros((100, 100))
         for k in range(100):
-            b = ql.apply_diagonal_disorder(zero, 2.0, ql.RngSeed(32, k))
+            b = ql.apply_diagonal_disorder(zero, 2.0, ql.RngSeed(32).derive(k))
             draws.append(np.diag(b))
         var = np.concatenate(draws).var()
         assert abs(var - 4.0) <= 0.05 * 4.0
@@ -425,13 +425,13 @@ class TestConnectivity:
 
 class TestRngSeed:
     def test_same_stream_reproduces(self):
-        a = ql.RngSeed(7, 1).generator().random(8)
-        b = ql.RngSeed(7, 1).generator().random(8)
+        a = ql.RngSeed(7).derive(1).generator().random(8)
+        b = ql.RngSeed(7).derive(1).generator().random(8)
         assert np.array_equal(a, b)
 
     def test_streams_independent(self):
-        a = ql.RngSeed(7, 1).generator().random(8)
-        b = ql.RngSeed(7, 2).generator().random(8)
+        a = ql.RngSeed(7).derive(1).generator().random(8)
+        b = ql.RngSeed(7).derive(2).generator().random(8)
         assert not np.array_equal(a, b)
 
     def test_derive_deterministic(self):
@@ -442,23 +442,28 @@ class TestRngSeed:
         with pytest.raises(InvalidParameterError):
             ql.RngSeed(-1)
         with pytest.raises(InvalidParameterError):
-            ql.RngSeed(0, -2)
+            ql.RngSeed(0).derive(-2)
 
-    @pytest.mark.parametrize("seed,stream_id,path", [
+    @pytest.mark.parametrize("seed,entry,path", [
         (3.7, 0, ()), ("7", 0, ()), (True, 0, ()), (None, 0, ()), (7.0, 0, ()),
         (7, 1.5, ()), (7, False, ()),
         (7, 0, (2.5,)), (7, 0, (1, True)), (7, 0, ("1",)), (7, 0, (np.float64(1),)),
     ])
-    def test_non_integer_rejected(self, seed, stream_id, path):
+    def test_non_integer_rejected(self, seed, entry, path):
         with pytest.raises(InvalidParameterError, match="must be an integer"):
-            ql.RngSeed(seed, stream_id).derive(*path)
+            ql.RngSeed(seed).derive(entry, *path)
 
     def test_numpy_integers_accepted(self):
-        a = ql.RngSeed(np.uint64(2**64 - 1), np.int32(2))
-        assert a == ql.RngSeed(2**64 - 1, 2)
-        assert type(a.seed) is int and type(a.stream_id) is int
-        assert a.derive(np.int64(3), np.uint8(1)) == ql.RngSeed(2**64 - 1, 2).derive(3, 1)
-        assert np.array_equal(a.generator().random(4), ql.RngSeed(2**64 - 1, 2).generator().random(4))
+        root = ql.RngSeed(np.uint64(2**64 - 1))
+        assert root == ql.RngSeed(2**64 - 1) and type(root.seed) is int
+        a = root.derive(np.int32(2))
+        assert a == ql.RngSeed(2**64 - 1).derive(2)
+        assert a.derive(np.int64(3), np.uint8(1)) == ql.RngSeed(2**64 - 1).derive(2).derive(3, 1)
+        assert np.array_equal(a.generator().random(4),
+                              ql.RngSeed(2**64 - 1).derive(2).generator().random(4))
+
+    def test_repr_shows_the_seed_alone(self):
+        assert repr(ql.RngSeed(5)) == "RngSeed(seed=5)"
 
     def test_negative_path_entry_rejected(self):
         with pytest.raises(InvalidParameterError,

@@ -40,9 +40,9 @@ class TestCartesianProduct:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_edge_count_formula(self, seed):
-        g = ql.d_regular_random(8, 3, ql.RngSeed(60, seed))
-        h = ql.delete_random_edges(ql.d_regular_random(10, 4, ql.RngSeed(61, seed)), 3,
-                                   ql.RngSeed(62, seed))
+        g = ql.d_regular_random(8, 3, ql.RngSeed(60).derive(seed))
+        h = ql.delete_random_edges(ql.d_regular_random(10, 4, ql.RngSeed(61).derive(seed)), 3,
+                                   ql.RngSeed(62).derive(seed))
         pg = cartesian_product(g, h)
         assert pg.composite.n_edges == g.n_edges * h.n_vertices + g.n_vertices * h.n_edges
 

@@ -25,12 +25,12 @@ def state_vector(q, phase):
     return next(v for _, v, p in emergent_states(q, composite_spectrum(q)) if p == phase)
 
 
-def sign_pattern(report):
-    return tuple(int(np.sign(a)) for a in report.alphas.values())
+def sign_pattern(alphas):
+    return tuple(int(np.sign(a)) for a in alphas.values())
 
 
-def magnitude_deviation(report):
-    return max(abs(abs(a) - 0.5) for a in report.alphas.values())
+def magnitude_deviation(alphas):
+    return max(abs(abs(a) - 0.5) for a in alphas.values())
 
 
 def isolation_degraded(*bits):
@@ -67,24 +67,24 @@ class TestProjectAlphas:
         qa, qb = uncoupled_bit(seed=9), uncoupled_bit(seed=11)
         va = np.zeros(24); va[:12] = 1 / np.sqrt(12)
         vb = np.zeros(24); vb[:12] = 1 / np.sqrt(12)
-        report = ql.project_alphas([qa, qb], [va, vb])
-        assert abs(report.alphas["00"] - 1.0) <= 1e-9
+        alphas, residual = ql.project_alphas([qa, qb], [va, vb])
+        assert abs(alphas["00"] - 1.0) <= 1e-9
         for key in ("01", "10", "11"):
-            assert abs(report.alphas[key]) <= 1e-9
-        assert report.residual_norm <= 1e-9
+            assert abs(alphas[key]) <= 1e-9
+        assert residual <= 1e-9
 
     def test_in_phase_product_alphas_uniform(self):
         qa, qb = uncoupled_bit(seed=13), uncoupled_bit(seed=15)
         va, vb = state_vector(qa, 1), state_vector(qb, 1)
-        report = ql.project_alphas([qa, qb], [va, vb])
+        alphas, _ = ql.project_alphas([qa, qb], [va, vb])
         for key in ("00", "01", "10", "11"):
-            assert abs(report.alphas[key] - 0.5) <= 1e-9
+            assert abs(alphas[key] - 0.5) <= 1e-9
 
     def test_out_in_sign_pattern(self):
         qa, qb = uncoupled_bit(seed=17), uncoupled_bit(seed=19)
         va, vb = state_vector(qa, -1), state_vector(qb, 1)
-        report = ql.project_alphas([qa, qb], [va, vb])
-        pattern = tuple(int(np.sign(report.alphas[k])) for k in ("00", "01", "10", "11"))
+        alphas, _ = ql.project_alphas([qa, qb], [va, vb])
+        pattern = tuple(int(np.sign(alphas[k])) for k in ("00", "01", "10", "11"))
         assert pattern in ((1, 1, -1, -1), (-1, -1, 1, 1))
 
     def test_paths_agree(self):
@@ -92,11 +92,11 @@ class TestProjectAlphas:
         va = emergent_states(qa, composite_spectrum(qa))[0][1]
         vb = emergent_states(qb, composite_spectrum(qb))[1][1]
         v = np.kron(va, vb)
-        factored = ql.project_alphas([qa, qb], [va, vb])
-        general = dense_project_alphas(v, [qa, qb])
-        for key in factored.alphas:
-            assert abs(factored.alphas[key] - general.alphas[key]) <= 1e-8
-        assert abs(factored.residual_norm - general.residual_norm) <= 1e-8
+        factored, factored_residual = ql.project_alphas([qa, qb], [va, vb])
+        general, general_residual = dense_project_alphas(v, [qa, qb])
+        for key in factored:
+            assert abs(factored[key] - general[key]) <= 1e-8
+        assert abs(factored_residual - general_residual) <= 1e-8
 
     def test_parseval_on_arbitrary_vector(self):
         qa, qb = make_qlbit(n=6, d=3, p=0.3, seed=25), make_qlbit(n=6, d=3, p=0.3, seed=27)
@@ -108,20 +108,20 @@ class TestProjectAlphas:
         cases = [(v_any, dense_project_alphas(v_any, [qa, qb])),
                  (np.kron(wa, wb), ql.project_alphas([qa, qb], [wa, wb]))]
         jba, jbb = qa.block_uniform(), qb.block_uniform()
-        for v, report in cases:
-            total = sum(a * a for a in report.alphas.values()) + report.residual_norm**2
+        for v, (alphas, residual) in cases:
+            total = sum(a * a for a in alphas.values()) + residual**2
             assert abs(total - v @ v) <= 1e-8
             # Independent residual: subtract the J-product components explicitly.
             remainder = v.astype(float).copy()
-            for key, alpha in report.alphas.items():
+            for key, alpha in alphas.items():
                 ja = jba[int(key[0])]
                 jb = jbb[int(key[1])]
                 remainder -= alpha * np.kron(ja, jb)
-            assert abs(np.linalg.norm(remainder) - report.residual_norm) <= 1e-8
-        v, report = cases[1]
-        dense = dense_project_alphas(v, [qa, qb])
-        for key, alpha in report.alphas.items():
-            assert abs(alpha - dense.alphas[key]) <= 1e-8
+            assert abs(np.linalg.norm(remainder) - residual) <= 1e-8
+        v, (alphas, _) = cases[1]
+        dense, _ = dense_project_alphas(v, [qa, qb])
+        for key, alpha in alphas.items():
+            assert abs(alpha - dense[key]) <= 1e-8
 
     def test_j_products_exactly_orthogonal(self):
         qa, qb = make_qlbit(n=6, d=3, p=0.3, seed=31), make_qlbit(n=6, d=3, p=0.3, seed=33)
@@ -138,8 +138,8 @@ class TestProjectAlphas:
     def test_three_factor_keys(self):
         bits = [make_qlbit(n=6, d=3, p=0.3, seed=35 + 2 * k) for k in range(3)]
         vectors = [emergent_states(q, composite_spectrum(q))[0][1] for q in bits]
-        report = ql.project_alphas(bits, vectors)
-        assert sorted(report.alphas) == [format(i, "03b") for i in range(8)]
+        alphas, _ = ql.project_alphas(bits, vectors)
+        assert sorted(alphas) == [format(i, "03b") for i in range(8)]
 
     def test_input_validation(self):
         q = make_qlbit(n=6, d=3, p=0.3, seed=41)
@@ -161,28 +161,28 @@ class TestBellPatterns:
         qa, qb = uncoupled_bit(seed=43), uncoupled_bit(seed=45)
         combos = bell_patterns(qa, qb)
         assert isolation_degraded(qa, qb) == (False, False)
-        for choices, (_, report) in combos.items():
-            assert magnitude_deviation(report) <= 1e-9
-            assert report.residual_norm <= 1e-9
+        for choices, (_, (alphas, residual)) in combos.items():
+            assert magnitude_deviation(alphas) <= 1e-9
+            assert residual <= 1e-9
             expected = EXPECTED_PATTERNS[choices]
-            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
+            assert sign_pattern(alphas) in (expected, tuple(-x for x in expected))
 
     @pytest.mark.parametrize("seed", [47, 53, 59])
     def test_intact_bases_small_p(self, seed):
         qa, qb = make_qlbit(p=0.1, seed=seed), make_qlbit(p=0.1, seed=seed + 100)
-        for choices, (_, report) in bell_patterns(qa, qb).items():
+        for choices, (_, (alphas, _)) in bell_patterns(qa, qb).items():
             expected = EXPECTED_PATTERNS[choices]
-            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
+            assert sign_pattern(alphas) in (expected, tuple(-x for x in expected))
         assert isolation_degraded(qa, qb) == (False, False)
 
     def test_deleted_bases_report_deviation(self):
         # No closed-form value exists here: run and record. Deleted edges
         # make the block restrictions non-uniform, so magnitudes drift off
         # 1/2 and residual mass appears.
-        reports = [r for _, r in bell_patterns(make_qlbit(p=0.1, seed=61, deletions=4),
-                                               make_qlbit(p=0.1, seed=63, deletions=4)).values()]
-        assert max(magnitude_deviation(r) for r in reports) > 1e-4
-        assert all(r.residual_norm > 1e-4 for r in reports)
+        pairs = [r for _, r in bell_patterns(make_qlbit(p=0.1, seed=61, deletions=4),
+                                             make_qlbit(p=0.1, seed=63, deletions=4)).values()]
+        assert max(magnitude_deviation(alphas) for alphas, _ in pairs) > 1e-4
+        assert all(residual > 1e-4 for _, residual in pairs)
 
     def test_degraded_isolation_for_cycle_bases(self):
         # Cycle bases are not expanders: neither pair is isolated.
@@ -194,10 +194,10 @@ class TestBellPatterns:
         # The combination patterns are tensor products of per-factor
         # patterns (+,+) and (+,-), up to a global sign.
         combos = bell_patterns(make_qlbit(seed=69), make_qlbit(seed=71))
-        for (sa, sb), (_, report) in combos.items():
+        for (sa, sb), (_, (alphas, _)) in combos.items():
             expected = EXPECTED_PATTERNS[(sa, sb)]
             assert tuple(np.kron([1, sa], [1, sb]).tolist()) == expected
-            assert sign_pattern(report) in (expected, tuple(-x for x in expected))
+            assert sign_pattern(alphas) in (expected, tuple(-x for x in expected))
 
     def test_eigenvalues_reported(self):
         qa, qb = make_qlbit(seed=73), make_qlbit(seed=75)

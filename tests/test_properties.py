@@ -75,15 +75,15 @@ def factor_adjacency(draw):
 def test_project_alphas_parseval_and_dense_agreement(bits):
     qlbits = [q for q, _ in bits]
     vectors = [w for _, w in bits]
-    report = ql.project_alphas(qlbits, vectors)
+    alphas, residual = ql.project_alphas(qlbits, vectors)
     norm_sq = float(np.prod([w @ w for w in vectors]))
     tol = 1e-9 * max(1.0, norm_sq)
-    total = sum(a * a for a in report.alphas.values()) + report.residual_norm**2
+    total = sum(a * a for a in alphas.values()) + residual**2
     assert abs(total - norm_sq) <= tol
-    dense = dense_project_alphas(functools.reduce(np.kron, vectors), qlbits)
-    assert report.alphas.keys() == dense.alphas.keys()
-    for key, alpha in report.alphas.items():
-        assert abs(alpha - dense.alphas[key]) <= tol
+    dense, _ = dense_project_alphas(functools.reduce(np.kron, vectors), qlbits)
+    assert alphas.keys() == dense.keys()
+    for key, alpha in alphas.items():
+        assert abs(alpha - dense[key]) <= tol
 
 
 @PROPERTY_SETTINGS
@@ -202,27 +202,26 @@ def test_label_texts_equal_tuple_join_oracle(dims):
     assert ql.products._label_texts([]).tolist() == [""]
 
 
-# 64-bit seeds around the 32-bit word boundaries, and stream ids past 2^64
-# too. A derivation path entry is one 32-bit word.
+# 64-bit seeds around the 32-bit word boundaries. A derivation path entry is
+# one 32-bit word.
 _WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]),
                    st.integers(0, 2**64 - 1))
-_STREAM_IDS = st.one_of(_WORDS, st.integers(2**64, 2**100))
 _PATH_ENTRIES = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 @PROPERTY_SETTINGS
-@given(seed=_WORDS, stream_id=_STREAM_IDS, path=st.lists(_PATH_ENTRIES, max_size=4))
-def test_rng_streams_equal_plain_seed_sequence(seed, stream_id, path):
-    root = ql.RngSeed(seed, stream_id)
-    spawned = np.random.SeedSequence(seed, spawn_key=(stream_id, *path))
+@given(seed=_WORDS, path=st.lists(_PATH_ENTRIES, max_size=4))
+def test_rng_streams_equal_plain_seed_sequence(seed, path):
+    root = ql.RngSeed(seed)
+    spawned = np.random.SeedSequence(seed, spawn_key=(0, *path))
     assert root.derive(*path).seed == int(spawned.generate_state(1, np.uint64)[0])
-    plain = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream_id,)))
+    plain = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
     assert root.generator().bit_generator.state == plain.state
 
 
 def _plain_child(parent: ql.RngSeed, path) -> tuple[int, dict]:
     """A child seed by plain SeedSequence, and the PCG64 state of its stream 0."""
-    spawned = np.random.SeedSequence(parent.seed, spawn_key=(parent.stream_id, *path))
+    spawned = np.random.SeedSequence(parent.seed, spawn_key=(0, *path))
     seed = int(spawned.generate_state(1, np.uint64)[0])
     return seed, np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))).state
 
@@ -250,7 +249,7 @@ def test_derive_streams_equal_plain_seed_sequence(seeds, paths):
         for path, child, stream in zip(paths, row, streams):
             seed, state = _plain_child(parent, path)
             assert child == seed
-            assert (stream.seed, stream.stream_id) == (seed, 0)
+            assert stream.seed == seed
             assert stream.generator().bit_generator.state == state
             assert stream == parent.derive(*path) == ql.RngSeed(child)
             # The same stream unprimed hashes its state on its own.
@@ -265,16 +264,16 @@ _PATHS_PAST_A_WORD = st.tuples(
 
 
 @PROPERTY_SETTINGS
-@given(seed=_WORDS, stream_id=_STREAM_IDS, paths=_PATHS, bad=_PATHS_PAST_A_WORD)
-@example(seed=7, stream_id=0, paths=[], bad=(2**32,))
-@example(seed=1, stream_id=0, paths=[(2**32 - 1,)], bad=(2**32, 0))
-@example(seed=1, stream_id=2**64, paths=[], bad=(2**64 - 1, 1, 2))
-@example(seed=2**63, stream_id=0, paths=[()], bad=(2**64,))
-@example(seed=2**63, stream_id=0, paths=[(0, 0)], bad=(2**64 + 5, 2**32))
-def test_path_entries_past_a_word_refused(seed, stream_id, paths, bad):
+@given(seed=_WORDS, paths=_PATHS, bad=_PATHS_PAST_A_WORD)
+@example(seed=7, paths=[], bad=(2**32,))
+@example(seed=1, paths=[(2**32 - 1,)], bad=(2**32, 0))
+@example(seed=1, paths=[], bad=(2**64 - 1, 1, 2))
+@example(seed=2**63, paths=[()], bad=(2**64,))
+@example(seed=2**63, paths=[(0, 0)], bad=(2**64 + 5, 2**32))
+def test_path_entries_past_a_word_refused(seed, paths, bad):
     refused = rf"^derivation path entry must be in \[0, 4294967295\], got {max(bad)}$"
     with pytest.raises(InvalidParameterError, match=refused):
-        ql.RngSeed(seed, stream_id).derive(*bad)
+        ql.RngSeed(seed).derive(*bad)
     with pytest.raises(InvalidParameterError, match=refused):
         derive_seeds([seed], [*paths, bad])
 
@@ -398,7 +397,7 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
     alone = [ql.run_sample(desc, i) for i in range(desc.n_samples)]
     with mock.patch.object(ql.experiments, "_CHUNK_VALUES", chunk_values):
         chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
-        first, histogram, seeds = ql.ensemble_spectrum(desc)
+        first, (counts, edges), seeds = ql.ensemble_spectrum(desc)
     assert [i for indices, _, _ in chunks for i in indices] == list(range(desc.n_samples))
     picked = range(desc.n_samples)
     if desc.kind == "qlbit-product":
@@ -417,9 +416,9 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
             assert [v[j].tobytes() for v in values] == [e.tobytes() for e in expected]
     assert sample_bytes(first) == sample_bytes(alone[0])
     assert seeds == [ql.RngSeed(desc.master_seed).derive(i).seed for i in range(desc.n_samples)]
-    expected = one_shot_histogram(desc)
-    assert histogram.bin_edges.tobytes() == expected.bin_edges.tobytes()
-    assert np.array_equal(histogram.counts, expected.counts)
+    expected_counts, expected_edges = one_shot_histogram(desc)
+    assert edges.tobytes() == expected_edges.tobytes()
+    assert np.array_equal(counts, expected_counts)
 
 
 def expected_stage_calls(desc: ql.ExperimentDescriptor,
@@ -482,7 +481,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
             assert (got_name, len(seeds)) == (name, len(paths) * len(chunk))
             for (path, i), seed in zip(itertools.product(paths, chunk), seeds):
                 oracle_seed, oracle_state = stage_stream(desc.master_seed, i, path)
-                assert (seed.seed, seed.stream_id) == (oracle_seed, 0)
+                assert seed.seed == oracle_seed
                 assert seed.generator().bit_generator.state == oracle_state
         done = chunk.stop
     assert next(calls, None) is None
@@ -602,7 +601,7 @@ def star_graph(m: int) -> ql.Graph:
 def deletion_streams(seed: int, items: int, primed: bool) -> list[ql.RngSeed]:
     """``items`` streams of one seed: primed by `derive_streams` as the pipeline's, or plain."""
     if not primed:
-        return [ql.RngSeed(seed, i) for i in range(items)]
+        return [ql.RngSeed(seed).derive(i) for i in range(items)]
     seeds = derive_seeds([seed], [(1, i, 0) for i in range(items)])
     return derive_streams(seeds, stream_states(seeds))[0]
 
@@ -759,7 +758,7 @@ def test_cli_artifacts_equal_explicit_construction(desc):
     assert values.shape == explicit.shape
     assert np.max(np.abs(values - explicit)) <= 1e-9
     histogram = csv.DictReader(io.StringIO(artifacts["histogram.csv"]))
-    assert [int(row["count"]) for row in histogram] == one_shot_histogram(desc).counts.tolist()
+    assert [int(row["count"]) for row in histogram] == one_shot_histogram(desc)[0].tolist()
     # The projection of sample 0's top product state, of unit factor vectors.
     if desc.kind == "qlbit-product":
         report = json.loads(artifacts["projection.json"])
