@@ -74,7 +74,8 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
     first, (counts, edges), sample_seeds = ensemble_spectrum(desc)
 
     buf = io.StringIO()
-    write_composed_spectrum_csv(first.composed, buf, first.emergent_index_sets)
+    write_composed_spectrum_csv(first.composed, [len(v) for v, _ in first.spectra], buf,
+                                first.emergent_index_sets)
     spectrum, buf = buf.getvalue(), io.StringIO()
     write_histogram_csv(counts, edges, buf)
     texts = {"spectrum.csv": spectrum,
@@ -86,7 +87,7 @@ def _run(desc: ExperimentDescriptor, out_dir: Path) -> list[Path]:
         alphas, residual = project_alphas(first.factors, [vecs[:, 0] for _, vecs in first.spectra])
         texts["projection.json"] = _json_text({
             "alphas": alphas, "residual": residual,
-            "eigenvalue": float(first.composed.values[0]), "labels": [0] * len(first.factors)})
+            "eigenvalue": float(first.composed[0]), "labels": [0] * len(first.factors)})
 
     # Stage everything, then rename: no partial outputs on failure. The names
     # share one stem, so suffix order is file-name order.

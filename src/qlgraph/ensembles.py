@@ -44,7 +44,10 @@ def histogram_from_values(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def write_histogram_csv(counts: np.ndarray, edges: np.ndarray, fh: IO[str]) -> None:
-    """Rows `bin_left,bin_right,count`, one per bin."""
+    """Rows `bin_left,bin_right,count`, one per bin; refuses counts of any other shape."""
+    if np.shape(counts) != (len(edges) - 1,):
+        raise InvalidParameterError(f"{len(edges)} edges bound {len(edges) - 1} bins, "
+                                    f"got counts of shape {np.shape(counts)}")
     fh.write("bin_left,bin_right,count\n")
     for left, right, count in zip(edges[:-1], edges[1:], counts):
         fh.write(f"{left!r},{right!r},{int(count)}\n")

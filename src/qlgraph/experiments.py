@@ -22,7 +22,7 @@ from .errors import (GenerationFailureError, InvalidParameterError, NumericalFai
 from .graphs import MAX_VERTICES, MIN_CYCLE, _checked_degree
 from .graphs import (Graph, _add_disorder, _cycle_rows, _d_regular_rows, _deleted_rows,
                      _write_rows, d_regular_random)  # noqa: F401, read here by perfbench's tracer
-from .products import ComposedSpectrum, compose_spectra, compose_values, composed_range
+from .products import compose_spectra, compose_values, composed_range
 from .qlbits import QLBit, _checked_p, _checked_sign, _cross_edges, _write_qlbits
 from .rng import MAX_SEED, RngSeed, derive_seeds, derive_streams, stream_states
 from .spectra import eigendecompose
@@ -242,8 +242,8 @@ class SampleResult:
         return tuple(frozenset({0, 1} if isinstance(f, QLBit) else {0}) for f in self.factors)
 
     @cached_property
-    def composed(self) -> ComposedSpectrum:
-        """The composed spectrum of the factors, built on first use."""
+    def composed(self) -> np.ndarray:
+        """`compose_spectra` of the factors' eigenvalues, built on first use."""
         return compose_spectra([values for values, _ in self.spectra])
 
 
@@ -435,14 +435,14 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     kept *= desc.n_factors // len(kept)  # identical factors: one array, repeated
     lo, hi = composed_range(kept)
     edges = histogram_edges(lo, hi, desc.bins)
-    counts = histogram_from_values(first.composed.values, edges)
+    counts = histogram_from_values(first.composed, edges)
     step = max(1, _CHUNK_VALUES // first.composed.size)
     tol = _VALUES_ONLY_TOL * max(1.0, abs(lo), abs(hi))
     for start in range(1, desc.n_samples, step):
         chunk = compose_values([rows[start:start + step] for rows in kept])
         if desc.kind == KIND_QLBIT_PRODUCT:
             for j in _near_edge_rows(chunk, edges, tol).tolist():
-                chunk[j] = run_sample(desc, start + j).composed.values
+                chunk[j] = run_sample(desc, start + j).composed
         counts += histogram_from_values(chunk.ravel(), edges)
     return first, (counts, edges), seeds
 

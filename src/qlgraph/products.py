@@ -8,11 +8,12 @@ product vertex (i_1, ..., i_N) maps to the flat index
 i.e. the first factor is slowest, the last fastest (C order). This matches
 numpy's ``kron`` operand order, so the product adjacency is
 ``kron(A_G, I) + kron(I, A_H)`` and product eigenvectors are
-``kron(x_G, y_H)``.
+``kron(x_G, y_H)``. A composed spectrum is the 1-D float64 array of the
+eigenvalue sums over this flat index; the factor lengths give its grid.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import IO, Sequence
 
 import numpy as np
@@ -24,64 +25,40 @@ from .spectra import checked_eigenvalues
 _BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class ComposedSpectrum:
-    """All eigenvalue sums of the factor spectra, labeled by factor indices.
-
-    ``values[flat]`` is the eigenvalue whose per-factor labels are
-    ``np.unravel_index(flat, dims)``; it equals the left-fold sum of the
-    labeled factor eigenvalues exactly, by construction. Its eigenvector is
-    the tensor product of the labeled factor eigenvectors; projections use
-    the factors directly and never build it.
-    """
-
-    dims: tuple[int, ...]
-    values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.dims)
-
-    def descending_order(self) -> np.ndarray:
-        """Flat indices sorted by descending value; ties keep flat order.
-
-        Bit for bit ``np.argsort(-values, kind="stable")``, from one unstable
-        argsort and one int64 sort of ``tie_run * size + flat``: ties are runs
-        of values that compare equal, so 0.0 and -0.0 share a run as they do
-        in the stable sort. The keys stay below size^2; a descriptor's states
-        are at most MAX_BYTES/72 < 2^24, so size^2 < 2^48 < 2^63.
-        """
-        size = self.size
-        order = np.argsort(-self.values)
-        tied = self.values[order]
-        run = np.zeros(size, dtype=np.int64)
-        # Compared straight into `run`: a freed bool temporary of `size` bytes
-        # raises glibc's mmap threshold and, at 11.85M states, peak RSS by 17 MB.
-        np.not_equal(tied[1:], tied[:-1], out=run[1:])
-        del tied
-        np.cumsum(run, out=run)
-        run *= size
-        order += run
-        order.sort()  # each run keeps its positions, so its keys are still run * size
-        order -= run
-        return order
-
-
-def compose_spectra(factor_values: Sequence[np.ndarray]) -> ComposedSpectrum:
+def compose_spectra(factor_values: Sequence[np.ndarray]) -> np.ndarray:
     """All pairwise (N-wise) sums of the factors' eigenvalue arrays, each held
-    to `checked_eigenvalues`, without any product matrix.
-
-    Associative by construction: the value grid is the left fold of outer
-    sums, raveled in C order to match the flat-index convention.
-    """
+    to `checked_eigenvalues`, without any product matrix: ``values[flat]`` sums
+    the labels ``np.unravel_index(flat, dims)``, ``dims`` the factor lengths,
+    as the left fold of outer sums raveled in C order. Its eigenvector is the
+    tensor product of the labeled factor eigenvectors, never built here."""
     if len(factor_values) == 0:
         raise InvalidParameterError("need at least one factor spectrum")
-    values = [checked_eigenvalues(v)[None] for v in factor_values]
-    return ComposedSpectrum(tuple(v.shape[1] for v in values), compose_values(values)[0])
+    return compose_values([checked_eigenvalues(v)[None] for v in factor_values])[0]
+
+
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Flat indices sorted by descending value; ties keep flat order.
+
+    Bit for bit ``np.argsort(-values, kind="stable")``, from one unstable
+    argsort and one int64 sort of ``tie_run * size + flat``: ties are runs
+    of values that compare equal, so 0.0 and -0.0 share a run as they do
+    in the stable sort. The keys stay below size^2; a descriptor's states
+    are at most MAX_BYTES/72 < 2^24, so size^2 < 2^48 < 2^63.
+    """
+    size = values.size
+    order = np.argsort(-values)
+    tied = values[order]
+    run = np.zeros(size, dtype=np.int64)
+    # Compared straight into `run`: a freed bool temporary of `size` bytes
+    # raises glibc's mmap threshold and, at 11.85M states, peak RSS by 17 MB.
+    np.not_equal(tied[1:], tied[:-1], out=run[1:])
+    del tied
+    np.cumsum(run, out=run)
+    run *= size
+    order += run
+    order.sort()  # each run keeps its positions, so its keys are still run * size
+    order -= run
+    return order
 
 
 def compose_values(factor_values: Sequence[np.ndarray]) -> np.ndarray:
@@ -101,22 +78,15 @@ def composed_range(factor_values: Sequence[np.ndarray]) -> tuple[float, float]:
             float(compose_values([v[:, :1] for v in factor_values]).max()))
 
 
-def emergent_component_counts(c: ComposedSpectrum,
+def emergent_component_counts(dims: Sequence[int],
                               factor_emergent_indices: Sequence[frozenset[int] | set[int]],
                               ) -> np.ndarray:
-    """Per-flat-index count k of factor components that are emergent indices.
+    """Per-flat-index count k, over the grid of ``dims``, of emergent factor components.
 
     A composed state is emergent when k == N, random when k == 0 and
     hybrid otherwise: its class is decided by which factor eigen-indices
     it sums, never by peak finding.
     """
-    return _component_counts(c.dims, factor_emergent_indices)
-
-
-def _component_counts(dims: Sequence[int],
-                      factor_emergent_indices: Sequence[frozenset[int] | set[int]],
-                      ) -> np.ndarray:
-    """`emergent_component_counts` over the index grid of ``dims``."""
     if len(factor_emergent_indices) != len(dims):
         raise InvalidParameterError("one emergent index set per factor required")
     counts = np.zeros(1, dtype=np.int64)
@@ -150,9 +120,10 @@ def _label_texts(dims: Sequence[int]) -> np.ndarray:
     return texts
 
 
-def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
+def write_composed_spectrum_csv(values: np.ndarray, dims: Sequence[int], fh: IO[str],
                                 emergent_indices: Sequence[frozenset[int]]) -> None:
-    """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending.
+    """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending,
+    of `compose_spectra` ``values`` over factors of lengths ``dims``.
 
     ``n_emergent_factors`` is `emergent_component_counts` of
     ``emergent_indices``. Values are written as ``repr`` of Python floats.
@@ -161,21 +132,24 @@ def write_composed_spectrum_csv(c: ComposedSpectrum, fh: IO[str],
     other labels and the count text, indexed by the front half's emergent
     count and the back half's flat index.
     """
-    half = c.n_factors // 2
+    if np.shape(values) != (math.prod(dims),):
+        raise InvalidParameterError(f"values of shape {np.shape(values)} do not fill "
+                                    f"the grid of dims {dims}")
+    n, half = len(dims), len(dims) // 2
     # Each half refuses a set count other than its factor count, so together
     # they refuse a wrong total.
-    front_k = _component_counts(c.dims[:half], emergent_indices[:half])
-    back_k = _component_counts(c.dims[half:], emergent_indices[half:])
-    labels = [f"label_{k + 1}" for k in range(c.n_factors)]
+    front_k = emergent_component_counts(dims[:half], emergent_indices[:half])
+    back_k = emergent_component_counts(dims[half:], emergent_indices[half:])
+    labels = [f"label_{k + 1}" for k in range(n)]
     fh.write(",".join(["value", *labels, "n_emergent_factors"]) + "\n")
-    front, back = _label_texts(c.dims[:half]), _label_texts(c.dims[half:])
-    ends = np.array([f",{k}\n" for k in range(c.n_factors + 1)], dtype=object)
+    front, back = _label_texts(dims[:half]), _label_texts(dims[half:])
+    ends = np.array([f",{k}\n" for k in range(n + 1)], dtype=object)
     tail = (back + ends[np.add.outer(np.arange(half + 1), back_k)]).ravel()
     # Row flat = i * back.size + j reads tail[front_k[i] * back.size + j].
     shift = (front_k - np.arange(front.size)) * back.size
-    order = c.descending_order()
-    for start in range(0, c.size, _BLOCK_ROWS):
+    order = descending_order(values)
+    for start in range(0, values.size, _BLOCK_ROWS):
         block = order[start:start + _BLOCK_ROWS]
         i = block // back.size
-        pieces = np.stack([repr_texts(c.values[block]), front[i], tail[block + shift[i]]], axis=1)
+        pieces = np.stack([repr_texts(values[block]), front[i], tail[block + shift[i]]], axis=1)
         fh.write("".join(pieces.ravel().tolist()))

@@ -337,18 +337,18 @@ def dense_project_alphas(v: np.ndarray, qlbits: Sequence[ql.QLBit],
     return alphas, math.sqrt(max(0.0, float(v @ v) - float(flat @ flat)))
 
 
-def reference_composed_spectrum_csv(c: ql.ComposedSpectrum,
+def reference_composed_spectrum_csv(composed: np.ndarray, dims: Sequence[int],
                                     emergent_indices: Sequence[frozenset[int]]) -> str:
     """The composed spectrum CSV written row by row, with Python's stable sort
     and a mixed-radix decode of each flat index (first factor slowest)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["value"] + [f"label_{k + 1}" for k in range(c.n_factors)]
+    writer.writerow(["value"] + [f"label_{k + 1}" for k in range(len(dims))]
                     + ["n_emergent_factors"])
-    values = c.values.tolist()
-    for flat in sorted(range(c.size), key=lambda f: -values[f]):
+    values = composed.tolist()
+    for flat in sorted(range(composed.size), key=lambda f: -values[f]):
         labels, rest = [], flat
-        for n in reversed(c.dims):
+        for n in reversed(dims):
             rest, i = divmod(rest, n)
             labels.insert(0, i)
         n_em = sum(1 for i, s in zip(labels, emergent_indices) if i in s)
@@ -372,7 +372,7 @@ def reference_label_texts(dims: Sequence[int]) -> np.ndarray:
 def one_shot_histogram(desc: ql.ExperimentDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """Every sample's composed values, each sample run alone, concatenated,
     then binned at once over uniform edges spanning [min - 0.5, max + 0.5]."""
-    values = np.concatenate([ql.run_sample(desc, i).composed.values
+    values = np.concatenate([ql.run_sample(desc, i).composed
                              for i in range(desc.n_samples)])
     edges = np.linspace(values.min() - 0.5, values.max() + 0.5, desc.bins + 1)
     counts, _ = np.histogram(values, bins=edges)
@@ -388,7 +388,7 @@ def range_picks(desc: ql.ExperimentDescriptor, chunks: Sequence[range],
     both magnitudes."""
     top, bottom, picks = -math.inf, math.inf, []
     for chunk in chunks:
-        values = [ql.run_sample(desc, i).composed.values for i in chunk]
+        values = [ql.run_sample(desc, i).composed for i in chunk]
         top = max(top, *(v.max() for v in values))
         bottom = min(bottom, *(v.min() for v in values))
         tol = rate * max(1.0, abs(top), abs(bottom))

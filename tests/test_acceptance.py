@@ -70,7 +70,7 @@ def test_criterion_2_product_oracle_equivalence():
             explicit = np.linalg.eigvalsh(kronecker_sum_adjacency(a, b))
             composed = ql.compose_spectra([
                 ql.eigendecompose(a, want_vectors=False)[0],
-                ql.eigendecompose(b, want_vectors=False)[0]]).values
+                ql.eigendecompose(b, want_vectors=False)[0]])
             assert np.max(np.abs(np.sort(explicit) - np.sort(composed))) <= 1e-8
             checked += 1
 
@@ -80,7 +80,7 @@ def test_criterion_3_gap_preservation(c5):
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         gap = spectral_gap(vals)
         for n_factors in (2, 3):
-            composed = np.sort(ql.compose_spectra([vals] * n_factors).values)[::-1]
+            composed = np.sort(ql.compose_spectra([vals] * n_factors))[::-1]
             assert abs((composed[0] - composed[1]) - gap) <= 1e-9
             explicit = np.linalg.eigvalsh(
                 ql.adjacency(product_graph([c5] * n_factors).composite))[::-1]
@@ -126,8 +126,9 @@ def test_criterion_6_two_qlbit_emergent_structure():
         desc = ql.BUNDLED_EXPERIMENTS["fig4c"]
         actual, predicted = [], []
         for sample in (ql.run_sample(desc, i) for i in range(30)):
-            counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
-            emergent_vals = sample.composed.values[counts == 2]
+            counts = ql.emergent_component_counts([len(v) for v, _ in sample.spectra],
+                                                  sample.emergent_index_sets)
+            emergent_vals = sample.composed[counts == 2]
             assert emergent_vals.shape == (4,)
             actual.append(np.sort(emergent_vals)[::-1])
             pa, pb = (ql.predict_splitting(q) for q in sample.factors)
@@ -146,7 +147,8 @@ def test_criterion_7_four_qlbit_composed_scale():
                       "no product matrix"):
         sample = ql.run_sample(ql.BUNDLED_EXPERIMENTS["fig4f"], 0)
         assert sample.composed.size == 38416
-        counts = ql.emergent_component_counts(sample.composed, sample.emergent_index_sets)
+        counts = ql.emergent_component_counts([len(v) for v, _ in sample.spectra],
+                                              sample.emergent_index_sets)
         assert int((counts == 4).sum()) == 16
         # Composition only: the largest object anywhere is the value grid.
         assert max(vecs.size for _, vecs in sample.spectra) == 14 * 14
@@ -161,7 +163,7 @@ def test_criterion_8_scaling_law():
                 identical_factors=True, master_seed=7100 + n_factors)
             tops, gaps, pred_tops, pred_gaps = [], [], [], []
             for sample in (ql.run_sample(desc, i) for i in range(30)):
-                values = sample.composed.values
+                values = sample.composed
                 top2 = np.partition(values, values.size - 2)[-2:]
                 tops.append(top2[1])
                 gaps.append(top2[1] - top2[0])

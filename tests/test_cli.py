@@ -274,8 +274,10 @@ class TestRun:
         assert run_cli(["run", str(path), "--out", str(tmp_path)], capsys)[0] == 0
         sample = ql.run_sample(desc, 0)
         written = io.StringIO()
-        ql.write_composed_spectrum_csv(sample.composed, written, sample.emergent_index_sets)
-        expected = reference_composed_spectrum_csv(sample.composed, sample.emergent_index_sets)
+        dims = [len(v) for v, _ in sample.spectra]
+        ql.write_composed_spectrum_csv(sample.composed, dims, written, sample.emergent_index_sets)
+        expected = reference_composed_spectrum_csv(sample.composed, dims,
+                                                   sample.emergent_index_sets)
         text = (tmp_path / f"{desc.name}_spectrum.csv").read_text()
         assert text == written.getvalue()
         assert text.splitlines(keepends=True) == expected.splitlines(keepends=True)
@@ -318,9 +320,9 @@ class TestRun:
         assert [k for _, _, k in rows] == ["1"] + ["0"] * (len(rows) - 1)
         sample = ql.run_sample(ql.ExperimentDescriptor.from_json_dict(
             json.loads(path.read_text())), 0)
-        order = sample.composed.descending_order()
+        order = ql.products.descending_order(sample.composed)
         assert [int(label) for _, label, _ in rows] == order.tolist()
-        expected = sample.composed.values[order]
+        expected = sample.composed[order]
         assert [float(value) for value, _, _ in rows] == expected.tolist()
 
     def test_zero_samples_rejected_no_files(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """The shared input checks of qlgraph.errors, and the public entry points
 refusing values through them."""
+import io
+
 import numpy as np
 import pytest
 
@@ -58,10 +60,6 @@ def _c3():
     return ql.cycle_graph(3)
 
 
-def _c3_composed():
-    return ql.compose_spectra([ql.eigendecompose(ql.adjacency(_c3()))[0]])
-
-
 # Public entry point -> (the start of its refusal, a call given x for one parameter).
 _ENTRY_POINTS = {
     "Graph n_vertices": ("n_vertices", lambda x: ql.Graph(x, [])),
@@ -74,7 +72,7 @@ _ENTRY_POINTS = {
     "derive": ("derivation path entry", lambda x: ql.RngSeed(0).derive(1, x)),
     "run_sample": ("sample_index", lambda x: ql.run_sample(ql.BUNDLED_EXPERIMENTS["fig2a"], x)),
     "emergent_component_counts": (
-        "emergent index", lambda x: ql.emergent_component_counts(_c3_composed(), [{x}])),
+        "emergent index", lambda x: ql.emergent_component_counts([3], [{x}])),
     "histogram_edges bins": ("bins", lambda x: ql.histogram_edges(0.0, 1.0, x)),
     "QLBit sign": ("sign", lambda x: ql.QLBit(_c3(), _c3(), [[0, 1]], x)),
     "couple sign": ("sign", lambda x: ql.couple(_c3(), _c3(), 0.5, x, ql.RngSeed(0))),
@@ -130,3 +128,15 @@ def test_ragged_arrays_refused(site):
 def test_bool_and_integer_arrays_cast_exactly():
     for a in (np.eye(2, dtype=bool), np.eye(2, dtype=np.int8), [[1, 0], [0, 1]]):
         assert ql.eigendecompose(a)[0].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("write", [
+    lambda fh: ql.write_histogram_csv(np.array([1, 2, 3]), np.array([0.0, 1.0]), fh),
+    lambda fh: ql.write_composed_spectrum_csv(np.zeros(3), (2, 2), fh, [{0}, {0}]),
+], ids=["histogram", "spectrum"])
+def test_writers_refuse_mismatched_shapes_before_writing(write):
+    # 3 counts for the one bin of two edges; 3 values for the 2 x 2 grid.
+    fh = io.StringIO()
+    with pytest.raises(InvalidParameterError):
+        write(fh)
+    assert fh.getvalue() == ""

@@ -111,7 +111,7 @@ class TestComposeSpectra:
     def test_single_factor_identity(self, c5):
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         c = ql.compose_spectra([vals])
-        assert np.array_equal(c.values, vals)
+        assert np.array_equal(c, vals)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -122,15 +122,15 @@ class TestComposeSpectra:
         gap = spectral_gap(vals)
         for n_factors in (2, 3):
             c = ql.compose_spectra([vals] * n_factors)
-            top = np.sort(c.values)[::-1]
+            top = np.sort(c)[::-1]
             assert abs((top[0] - top[1]) - gap) <= 1e-9
 
     def test_values_are_exact_sums(self, c5):
         s5, _ = ql.eigendecompose(ql.adjacency(c5))
         s3, _ = ql.eigendecompose(ql.adjacency(ql.cycle_graph(3)))
         c = ql.compose_spectra([s5, s3])
-        for flat, (i, j) in enumerate(zip(*np.unravel_index(np.arange(c.size), c.dims))):
-            assert c.values[flat] == s5[i] + s3[j]
+        for flat, (i, j) in enumerate(zip(*np.unravel_index(np.arange(c.size), (5, 3)))):
+            assert c[flat] == s5[i] + s3[j]
 
     def test_oracle_equivalence(self):
         # Composed sums equal the explicit product spectrum.
@@ -139,7 +139,7 @@ class TestComposeSpectra:
         c = ql.compose_spectra([
             ql.eigendecompose(ql.adjacency(g))[0], ql.eigendecompose(ql.adjacency(h))[0]])
         explicit = explicit_eigenvalues(cartesian_product(g, h))
-        assert np.max(np.abs(np.sort(c.values) - np.sort(explicit))) <= 1e-8
+        assert np.max(np.abs(np.sort(c) - np.sort(explicit))) <= 1e-8
 
     def test_four_qlbit_factors_compose_without_matrix(self):
         q = make_qlbit(n=7, d=6, p=0.1, seed=69)
@@ -150,8 +150,8 @@ class TestComposeSpectra:
     def test_descending_order_stable(self, c5):
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         c = ql.compose_spectra([vals, vals])
-        order = c.descending_order()
-        vals = c.values[order]
+        order = products.descending_order(c)
+        vals = c[order]
         assert np.all(np.diff(vals) <= 0)
         # Ties resolve by flat index for deterministic artifacts.
         ties = np.where(np.diff(vals) == 0)[0]
@@ -177,7 +177,7 @@ class TestProductEigenvector:
         for _ in range(10):
             labels = (int(rng.integers(12)), int(rng.integers(40)))
             v = product_eigenvector([sg, sh], labels)
-            lam = c.values[np.ravel_multi_index(labels, c.dims)]
+            lam = c[np.ravel_multi_index(labels, (12, 40))]
             assert np.max(np.abs(a @ v - lam * v)) <= 1e-8
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
 
@@ -195,7 +195,7 @@ class TestComposedCsv:
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         c = ql.compose_spectra([vals, vals])
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(c, buf, [frozenset({0}), frozenset({0})])
+        ql.write_composed_spectrum_csv(c, (5, 5), buf, [frozenset({0}), frozenset({0})])
         lines = buf.getvalue().splitlines()
         assert lines[0] == "value,label_1,label_2,n_emergent_factors"
         assert len(lines) == 26
@@ -207,7 +207,8 @@ class TestComposedCsv:
     def test_counts_zero_for_empty_sets(self, c5):
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(ql.compose_spectra([vals, vals]), buf, [frozenset()] * 2)
+        ql.write_composed_spectrum_csv(ql.compose_spectra([vals, vals]), (5, 5), buf,
+                                       [frozenset()] * 2)
         rows = buf.getvalue().splitlines()[1:]
         assert len(rows) == 25
         assert all(r.rsplit(",", 1)[1] == "0" for r in rows)
@@ -216,7 +217,7 @@ class TestComposedCsv:
         vals, _ = ql.eigendecompose(ql.adjacency(c5))
         c = ql.compose_spectra([vals, vals])
         with pytest.raises(InvalidParameterError):
-            ql.write_composed_spectrum_csv(c, io.StringIO(), [frozenset({0})])
+            ql.write_composed_spectrum_csv(c, (5, 5), io.StringIO(), [frozenset({0})])
 
     @pytest.mark.parametrize("block_rows", [4096, 7])
     @pytest.mark.parametrize("n_factors", [1, 2, 3, 4, 5])
@@ -227,10 +228,10 @@ class TestComposedCsv:
         # factor count splits the labels into unequal halves.
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         c = ql.compose_spectra([ql.eigendecompose(ql.adjacency(c5))[0]] * n_factors)
-        sets = [frozenset({0} if with_sets else ())] * n_factors
+        sets, dims = [frozenset({0} if with_sets else ())] * n_factors, (5,) * n_factors
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(c, buf, sets)
-        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
+        ql.write_composed_spectrum_csv(c, dims, buf, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, dims, sets))
 
     @pytest.mark.parametrize("block_rows", [4096, 7])
     def test_matches_reference_writer_on_qlbit_product(self, block_rows, monkeypatch):
@@ -239,19 +240,19 @@ class TestComposedCsv:
         c = ql.compose_spectra([vals, vals, vals])
         sets = [frozenset({0, 1})] * 3
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(c, buf, sets)
-        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
+        ql.write_composed_spectrum_csv(c, (14,) * 3, buf, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, (14,) * 3, sets))
 
     @pytest.mark.parametrize("block_rows", [4096, 7])
     def test_matches_reference_writer_on_four_identical_qlbits(self, block_rows, monkeypatch):
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         vals, _ = ql.eigendecompose(make_qlbit(n=5, d=4, p=0.2, seed=11).adjacency())
         c = ql.compose_spectra([vals] * 4)
-        assert np.unique(c.values).size < c.size // 4  # runs of tied values cross blocks
+        assert np.unique(c).size < c.size // 4  # runs of tied values cross blocks
         sets = [frozenset({0, 1})] * 4
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(c, buf, sets)
-        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, sets))
+        ql.write_composed_spectrum_csv(c, (10,) * 4, buf, sets)
+        assert_same_rows(buf.getvalue(), reference_composed_spectrum_csv(c, (10,) * 4, sets))
 
     SIGNED_ZEROS = [1.0, 0.0, -0.0, 0.0, -0.0, -1.0]
 
@@ -265,9 +266,10 @@ class TestComposedCsv:
         monkeypatch.setattr(products, "_BLOCK_ROWS", block_rows)
         c = ql.compose_spectra(factors)
         sets = [frozenset({0} if with_sets else ())] * len(factors)
+        dims = [len(f) for f in factors]
         buf = io.StringIO()
-        ql.write_composed_spectrum_csv(c, buf, sets)
+        ql.write_composed_spectrum_csv(c, dims, buf, sets)
         text = buf.getvalue()
-        assert_same_rows(text, reference_composed_spectrum_csv(c, sets))
+        assert_same_rows(text, reference_composed_spectrum_csv(c, dims, sets))
         assert [row.split(",")[0] for row in text.splitlines()[1:]] == [
             "1.0", "0.0", "-0.0", "0.0", "-0.0", "-1.0"]

@@ -90,13 +90,13 @@ def test_project_alphas_parseval_and_dense_agreement(bits):
 @given(factors=st.lists(factor_adjacency(), min_size=2, max_size=3))
 def test_compose_spectra_matches_kronecker_sum_and_regroups_exactly(factors):
     spectra = [ql.eigendecompose(a, want_vectors=False)[0] for a in factors]
-    composed = ql.compose_spectra(spectra).values
+    composed = ql.compose_spectra(spectra)
     explicit = np.linalg.eigvalsh(functools.reduce(kronecker_sum_adjacency, factors))
     assert np.max(np.abs(np.sort(composed) - explicit)) <= 1e-8
     # Composing a prefix first, as one factor, gives the same sums to the bit.
     for k in range(1, len(spectra)):
-        prefix = np.sort(ql.compose_spectra(spectra[:k]).values)[::-1]
-        regrouped = ql.compose_spectra([prefix, *spectra[k:]]).values
+        prefix = np.sort(ql.compose_spectra(spectra[:k]))[::-1]
+        regrouped = ql.compose_spectra([prefix, *spectra[k:]])
         assert np.array_equal(np.sort(regrouped), np.sort(composed))
 
 
@@ -165,7 +165,7 @@ def tied_factors(max_states: int):
 @example(factors=[C5_VALUES, np.array([])])
 def test_descending_order_equals_stable_sort_oracle(factors):
     c = ql.compose_spectra(factors)
-    order, expected = c.descending_order(), reference_descending_order(c.values)
+    order, expected = ql.products.descending_order(c), reference_descending_order(c)
     assert order.dtype == expected.dtype and order.tobytes() == expected.tobytes()
 
 
@@ -182,9 +182,9 @@ def test_spectrum_csv_equals_row_by_row_oracle(factors, masks, block_rows):
             for f, mask in zip(factors, masks)]
     buf = io.StringIO()
     with mock.patch.object(ql.products, "_BLOCK_ROWS", block_rows):
-        ql.write_composed_spectrum_csv(c, buf, sets)
+        ql.write_composed_spectrum_csv(c, [f.size for f in factors], buf, sets)
     # A bool: pytest's diff of two long texts, once per shrink step, takes minutes.
-    same = buf.getvalue() == reference_composed_spectrum_csv(c, sets)
+    same = buf.getvalue() == reference_composed_spectrum_csv(c, [f.size for f in factors], sets)
     assert same
 
 
@@ -382,7 +382,7 @@ def sample_bytes(sample: ql.SampleResult) -> tuple:
               for items in (sample.factors, sample.spectra)]
     return (sample.index, sample.seed, [factor(f) for f in sample.factors],
             [(array(vals), array(vecs)) for vals, vecs in sample.spectra],
-            sample.emergent_index_sets, shared, array(sample.composed.values))
+            sample.emergent_index_sets, shared, array(sample.composed))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -751,7 +751,7 @@ def test_cli_artifacts_equal_explicit_construction(desc):
     # 0's spectrum CSV are the explicit Kronecker sum's eigenvalues.
     for sample in (ql.run_sample(desc, i) for i in range(desc.n_samples)):
         explicit = explicit_spectrum(desc, sample.index)
-        assert np.max(np.abs(np.sort(sample.composed.values) - explicit)) <= 1e-9
+        assert np.max(np.abs(np.sort(sample.composed) - explicit)) <= 1e-9
     rows = list(csv.DictReader(io.StringIO(artifacts["spectrum.csv"])))
     values = np.sort([float(row["value"]) for row in rows])
     explicit = explicit_spectrum(desc, 0)
