@@ -36,8 +36,10 @@ def _json_text(obj) -> str:
 
 
 def _refuse(kind: str, exc: Exception, code: int) -> int:
-    """Print the error report, one entry per exception argument, and return the exit code."""
-    print(_json_text({"status": "error", "kind": kind, "errors": list(exc.args)}), end="")
+    """Print the error report, one entry per exception argument and the failing sample
+    and stage when known, and return the exit code."""
+    known = {k: v for k in ("sample", "stage") if (v := getattr(exc, k)) is not None}
+    print(_json_text({"status": "error", "kind": kind, "errors": list(exc.args), **known}), end="")
     return code
 
 

@@ -7,6 +7,8 @@ import numpy as np
 class QLGraphError(Exception):
     """Base class for all qlgraph errors."""
 
+    sample = stage = None  # a pipeline failure's sample and stage ("base", "eigensolve")
+
 
 class InvalidParameterError(QLGraphError, ValueError):
     """A precondition on an operation's inputs was violated.

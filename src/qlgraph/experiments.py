@@ -48,10 +48,14 @@ _STAGE_DISORDER = 3
 MAX_SIGMA = 1e100
 
 # `ensemble_spectrum` recomposes and bins this many values at a time, or one
-# whole sample when that is larger: its memory does not grow with n_samples.
-# Samples are built and eigendecomposed in chunks of at most this many matrix
-# entries across their distinct factors, or of one sample when that is larger.
-_CHUNK_VALUES = 2**14  # also the most streams hashed in one batch of whole chunks
+# whole sample when that is larger, and `_chunk_streams` hashes at most this
+# many streams in one batch of whole chunks: memory does not grow with n_samples.
+_CHUNK_VALUES = 2**14
+# Samples are built and eigendecomposed in chunks of at most _CHUNK_ENTRIES
+# matrix entries (2 MiB of float64) across their distinct factors and at most
+# _CHUNK_SAMPLES samples, or of one sample when that is larger.
+_CHUNK_ENTRIES = 2**18
+_CHUNK_SAMPLES = 128
 
 # A QL sample solved values-only (`eigvalsh`) is off the bits of `eigh` on the
 # same matrix: both LAPACK paths are backward stable, each eigenvalue within
@@ -64,24 +68,25 @@ _CHUNK_VALUES = 2**14  # also the most streams hashed in one batch of whole chun
 _VALUES_ONLY_TOL = 2.0**-30
 
 # Modelled peak memory of a run, refused past this. With dim = 2n for a QL bit
-# and n otherwise, states = dim^n_factors, and entries = dim^2 times the
-# distinct factors of a sample, the model adds up one chunk of at most
-# max(_CHUNK_VALUES, entries) matrix entries, 8 bytes an entry each for the
-# factor matrices, decomposed in place, and part of LAPACK's copy of them or,
-# before the solve, a QL bit's coupling draws and, for QL bits, for the
-# solver's vectors, each sample's copy of them and sample 0's kept copy, plus
-# at most 8 bytes an entry for the edge rows of each factor (16 bytes a row;
-# under n^2/2 rows a base and n^2 for a coupling, against (2n)^2 entries of a
-# QL bit); sample 0, kept whole, with its composed values and then the two
-# int64 arrays of its sort or its CSV text and StringIO's copy of it,
-# 72*states; one chunk of at most max(_CHUNK_VALUES, states) values and
-# np.histogram's sorted copy of it, 16 bytes a value; one batch of at most
-# _CHUNK_VALUES hashed streams, 160 bytes a stream (tracemalloc: 2.33 MB for
-# the largest); per sample its factor eigenvalues, 8*n_factors*dim, and its
-# seed as an int and a line of metadata JSON, at most _SEED_BYTES. The vector
-# terms over-count chunks that keep no vectors, and 8*n_factors*dim identical
-# factors, which keep one array: both are kept, so `validate` accepts the same
-# descriptors.
+# and n otherwise, states = dim^n_factors, F distinct factors a sample and
+# entries = F*dim^2, the model adds up `_chunk_bytes`: one chunk of
+# _chunk_samples(entries) samples, per matrix entry 8 bytes for the factor
+# matrices, decomposed in place, at most 8 for the edge rows of each factor
+# (16 bytes a row; under n^2/2 rows a base and n^2 for a coupling, against
+# (2n)^2 entries of a QL bit) and 8 for what a stage or the solve holds
+# beside them: the checks' bool arrays, a stage's draws, the solver's outputs
+# or sample 0's kept vectors; for QL bits 24 more for the range picks' copy of
+# their matrices, their vectors and the vectors' copy, at most the whole chunk;
+# per sample at most 1 + 3F streams (1 + 6F for QL bits, two sides), 512 bytes
+# each primed (tracemalloc: 422); and one batch of at most _CHUNK_VALUES hashed
+# streams, 160 bytes a stream (tracemalloc: 142 to 224). To that it adds
+# sample 0, kept whole, with its composed values and then the two int64 arrays
+# of its sort or its CSV text and StringIO's copy of it, 72*states; one chunk
+# of at most max(_CHUNK_VALUES, states) values and np.histogram's sorted copy
+# of it, 16 bytes a value; per sample its factor eigenvalues, 8*n_factors*dim,
+# and its seed as an int and a line of metadata JSON, at most _SEED_BYTES. The
+# pick terms over-count chunks with few picks, and 8*n_factors*dim identical
+# factors, which keep one array.
 MAX_BYTES = 2**30
 _SEED_BYTES = 128
 
@@ -185,16 +190,21 @@ class ExperimentDescriptor:
     def _over_budget(self) -> bool:
         """Whether the MAX_BYTES model is exceeded, multiplying one factor at a time."""
         dim = self._dim
-        entry_bytes = 48 if self.kind == KIND_QLBIT_PRODUCT else 24
         states = 1
         for k in range(1, self.n_factors + 1):  # dim >= 2: past the budget within ~30 steps
             states *= dim
-            entries = (1 if self.identical_factors else k) * dim * dim
-            if (entry_bytes * max(_CHUNK_VALUES, entries) + 72 * states
-                    + 16 * max(_CHUNK_VALUES, states) + 160 * _CHUNK_VALUES
+            if (self._chunk_bytes(k) + 72 * states + 16 * max(_CHUNK_VALUES, states)
                     + self.n_samples * (8 * k * dim + _SEED_BYTES) > MAX_BYTES):
                 return True
         return False
+
+    def _chunk_bytes(self, n_factors: int) -> int:
+        """The model's bytes for `_chunk_values` on samples of n_factors factors: one
+        chunk of samples and one batch of hashed streams."""
+        ql, distinct = self.kind == KIND_QLBIT_PRODUCT, 1 if self.identical_factors else n_factors
+        entries = distinct * self._dim ** 2
+        per_sample = (48 if ql else 24) * entries + 512 * (1 + (6 if ql else 3) * distinct)
+        return _chunk_samples(entries) * per_sample + 160 * _CHUNK_VALUES
 
     def _type_errors(self) -> list[str]:
         """Fields whose value is not of the annotated type; floats must be finite."""
@@ -271,6 +281,17 @@ def _distinct_factors(desc: ExperimentDescriptor) -> int:
     return 1 if desc.identical_factors else desc.n_factors
 
 
+def _failed(exc: Exception, sample: int | None, stage: str, named: str = "") -> Exception:
+    """exc, its message led by ``named`` or its sample, naming the sample and stage that failed."""
+    exc.args, exc.sample, exc.stage = (f"{named or f'sample {sample}'}: {exc}",), sample, stage
+    return exc
+
+
+def _chunk_samples(entries: int) -> int:
+    """Samples a chunk holds when each has ``entries`` matrix entries."""
+    return max(1, min(_CHUNK_SAMPLES, _CHUNK_ENTRIES // entries))
+
+
 def _chunk_matrices(desc: ExperimentDescriptor, indices: range, streams: list[list[RngSeed]],
                     ) -> tuple[list[tuple[list[np.ndarray], tuple | None]], np.ndarray]:
     """Per distinct factor of samples ``indices``, its (S, m, 2) edge rows per side and its
@@ -287,8 +308,7 @@ def _chunk_matrices(desc: ExperimentDescriptor, indices: range, streams: list[li
             try:
                 bases = list(_d_regular_rows(n, desc.d, seeds).reshape(len(sides), count, -1, 2))
             except GenerationFailureError as exc:
-                raise GenerationFailureError(f"sample {indices[exc.item % count]}: {exc}",
-                                             exc.restarts) from exc
+                raise _failed(exc, indices[exc.item % count], "base")
         elif k == 0:
             bases = [_cycle_rows(n, count) for _ in sides]
         rows = bases if (_STAGE_DELETE, k, 0) not in streams else [_deleted_rows(
@@ -338,7 +358,7 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
     try:
         spectra = tuple(eigendecompose(a[0], desc.kind == KIND_QLBIT_PRODUCT) for a in mats)
     except NumericalFailureError as exc:
-        raise NumericalFailureError(f"sample {sample_index}: {exc}") from exc
+        raise _failed(exc, sample_index, "eigensolve")
     built, last = [], None
     for rows, cross in factors:
         if rows is not last:  # a factor that keeps the bases before it keeps their graphs
@@ -351,12 +371,13 @@ def run_sample(desc: ExperimentDescriptor, sample_index: int) -> SampleResult:
 
 def _chunk_streams(desc: ExperimentDescriptor, start: int, stop: int,
                    ) -> Iterator[tuple[range, np.ndarray, list[list[RngSeed]]]]:
-    """Samples start..stop-1 in chunks of at most `_CHUNK_VALUES` matrix entries
-    across distinct factors, or of one sample: each chunk's indices, sample seeds
-    and stage streams. Streams are hashed in three passes per batch of whole
-    chunks, at most `_CHUNK_VALUES` streams; each chunk primes a slice."""
+    """Samples start..stop-1 in chunks of `_chunk_samples`, at most `_CHUNK_ENTRIES`
+    matrix entries across distinct factors and `_CHUNK_SAMPLES` samples, or one
+    sample: each chunk's indices, sample seeds and stage streams. Streams are hashed
+    in three passes per batch of whole chunks, at most `_CHUNK_VALUES` streams;
+    each chunk primes a slice."""
     paths = _stage_paths(desc)
-    step = max(1, _CHUNK_VALUES // (_distinct_factors(desc) * desc._dim ** 2))
+    step = _chunk_samples(_distinct_factors(desc) * desc._dim ** 2)
     batch = step * max(1, _CHUNK_VALUES // (step * (1 + len(paths))))
     for first in range(start, stop, batch):
         indices = range(first, min(first + batch, stop))
@@ -370,28 +391,29 @@ def _chunk_streams(desc: ExperimentDescriptor, start: int, stop: int,
 
 def _chunk_values(desc: ExperimentDescriptor, start: int, stop: int,
                   ) -> Iterator[tuple[range, np.ndarray, list[np.ndarray]]]:
-    """Samples start..stop-1 in the chunks of `_chunk_streams`: each chunk's indices,
-    sample seeds and (S, dim) eigenvalues per distinct factor, one stacked solve each.
-    QL samples are solved values-only, then each chunk's `_range_picks`, over the
-    extremes so far, again with `eigh`, for its bits."""
+    """Samples start..stop-1 in the chunks of `_chunk_streams`, so a bundled ensemble
+    after sample 0 is one chunk: each chunk's indices, sample seeds and (S, dim)
+    eigenvalues per distinct factor, one stacked solve each. QL samples are solved
+    values-only, then each chunk's `_range_picks`, over the extremes so far, again
+    with `eigh`, for its bits. A failure names its sample, or the chunk's samples
+    when none fails alone, and its stage."""
     bounds = [-math.inf, math.inf] if desc.kind == KIND_QLBIT_PRODUCT else None
     for indices, seeds, streams in _chunk_streams(desc, start, stop):
-        _, mats = _chunk_matrices(desc, indices, streams)
+        mats = _chunk_matrices(desc, indices, streams)[1]
         try:
             values = [eigendecompose(a, want_vectors=False)[0] for a in mats]
             if bounds and (pick := _range_picks(values, desc.n_factors, bounds)).size:
                 for v, a in zip(values, mats):
                     v[pick] = eigendecompose(a[pick])[0]
         except NumericalFailureError as exc:
-            named = f"samples {indices.start}..{indices.stop - 1}"
             for j, i in enumerate(indices):  # name the first sample that fails alone
                 try:
                     for want in (False, True):
                         eigendecompose(mats[:, j], want)
                 except NumericalFailureError as one:
-                    exc, named = one, f"sample {i}"
-                    break
-            raise NumericalFailureError(f"{named}: {exc}") from exc
+                    raise _failed(one, i, "eigensolve") from exc
+            raise _failed(exc, None, "eigensolve", f"samples {indices.start}..{indices.stop - 1}")
+        del streams, mats  # the next chunk is built without them
         yield indices, seeds, values
 
 
@@ -413,12 +435,13 @@ def ensemble_spectrum(desc: ExperimentDescriptor,
     Counts sum to n_samples * product_dim: every eigenvalue of every sample
     lands in a bin, and the histogram is bitwise the one of every sample
     run alone. Pass 1 runs sample 0 alone and keeps it whole, then runs the
-    others in chunks and keeps only their factor eigenvalues; the bin edges
-    follow from their extremes. QL samples after sample 0 are solved
-    values-only, and each chunk re-solves with `eigh` the samples that may
-    hold its extremes (`_range_picks`), so the edges carry `eigh`'s bits.
-    Pass 2 bins sample 0's composed grid, then recomposes samples 1 on
-    `_CHUNK_VALUES` values at a time, with the additions of
+    others in chunks of up to `_CHUNK_SAMPLES` (every bundled ensemble: one
+    stacked solve per distinct factor) and keeps only their factor
+    eigenvalues; the bin edges follow from their extremes. QL samples after
+    sample 0 are solved values-only, and each chunk re-solves with `eigh` the
+    samples that may hold its extremes (`_range_picks`), so the edges carry
+    `eigh`'s bits. Pass 2 bins sample 0's composed grid, then recomposes
+    samples 1 on `_CHUNK_VALUES` values at a time, with the additions of
     `compose_spectra`, and adds up the counts. Each sample is run once, but
     a QL sample with a value within tol of a bin edge, where values-only
     bits may bin apart from `eigh`'s, is run again alone.

@@ -193,7 +193,11 @@ def _d_regular_rows(n: int, d: int, seeds: tuple[RngSeed, ...]) -> np.ndarray:
     taken = np.tile(np.tri(n, dtype=bool).ravel(), (len(seeds), 1))  # no key u*n + v, u < v
     if d < n - 1:  # K_n is the complement of the edgeless graph; keys are rows @ (n, 1)
         taken[np.arange(len(seeds))[:, None], _d_regular_rows(n, n - 1 - d, seeds) @ [n, 1]] = True
-    return np.stack(np.divmod(np.nonzero(~taken)[1].reshape(len(seeds), -1), n), axis=-1)
+    keys = np.flatnonzero(~taken)  # item * n^2 + u*n + v
+    keys %= n * n
+    rows = np.empty((len(seeds), n * d // 2, 2), dtype=np.int64)
+    np.divmod(keys.reshape(len(seeds), -1), n, out=(rows[..., 0], rows[..., 1]))
+    return rows
 
 
 def delete_random_edges(g: Graph, count: int, seed: RngSeed) -> Graph:

@@ -123,7 +123,9 @@ def _label_texts(dims: Sequence[int]) -> np.ndarray:
 def write_composed_spectrum_csv(values: np.ndarray, dims: Sequence[int], fh: IO[str],
                                 emergent_indices: Sequence[frozenset[int]]) -> None:
     """Rows `value,label_1,...,label_N,n_emergent_factors`, sorted descending,
-    of `compose_spectra` ``values`` over factors of lengths ``dims``.
+    of `compose_spectra` ``values`` over factors of lengths ``dims``; values
+    of another shape or of a dtype other than float64 are refused before
+    anything is written.
 
     ``n_emergent_factors`` is `emergent_component_counts` of
     ``emergent_indices``. Values are written as ``repr`` of Python floats.
@@ -132,9 +134,12 @@ def write_composed_spectrum_csv(values: np.ndarray, dims: Sequence[int], fh: IO[
     other labels and the count text, indexed by the front half's emergent
     count and the back half's flat index.
     """
-    if np.shape(values) != (math.prod(dims),):
-        raise InvalidParameterError(f"values of shape {np.shape(values)} do not fill "
+    values = np.asarray(values)
+    if values.shape != (math.prod(dims),):
+        raise InvalidParameterError(f"values of shape {values.shape} do not fill "
                                     f"the grid of dims {dims}")
+    if values.dtype != np.float64:  # repr_texts reads their bits as int64
+        raise InvalidParameterError(f"values must be float64, got {values.dtype}")
     n, half = len(dims), len(dims) // 2
     # Each half refuses a set count other than its factor count, so together
     # they refuse a wrong total.

@@ -8,6 +8,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -377,6 +378,44 @@ class TestRun:
         assert json.loads(out)["kind"] == "numerical"
         assert not list(out_dir.iterdir())  # nothing staged, nothing left behind
 
+    def test_generation_failure_names_its_sample_and_stage(self, tmp_path, capsys, monkeypatch):
+        # No pairing attempt is allowed, so sample 0's first base fails: fig4a
+        # pairs the 4-regular complement of each 15-regular base.
+        monkeypatch.setattr(ql.graphs, "DEFAULT_MAX_RESTARTS", 0)
+        out_dir = tmp_path / "out"
+        code, out = run_cli(["run", "fig4a", "--out", str(out_dir)], capsys)
+        assert code == 3
+        assert json.loads(out) == {
+            "status": "error", "kind": "numerical", "sample": 0, "stage": "base",
+            "errors": ["sample 0: d-regular generation failed for n=20, d=4 after 0 restarts"]}
+        assert not list(out_dir.iterdir())
+
+    def test_solver_failure_names_its_sample_and_stage(self, tmp_path, capsys, monkeypatch):
+        # fig4a solves samples 1..99 values-only in one stacked call. The solver
+        # fails on any stack holding sample 42's matrix: the chunk, then sample
+        # 42 alone after samples 1..41 solve alone.
+        desc = ql.BUNDLED_EXPERIMENTS["fig4a"]
+        ((indices, _, streams),) = ql.experiments._chunk_streams(desc, 42, 43)
+        _, mats = ql.experiments._chunk_matrices(desc, indices, streams)
+        eigvalsh, stacks = np.linalg.eigvalsh, []
+
+        def fail_on_sample_42(a):
+            stacks.append(len(a))
+            if any(np.array_equal(m, mats[0, 0]) for m in a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_sample_42)
+        out_dir = tmp_path / "out"
+        code, out = run_cli(["run", "fig4a", "--out", str(out_dir)], capsys)
+        assert code == 3
+        assert stacks == [99] + [1] * 42
+        report = json.loads(out)
+        assert (report["kind"], report["sample"], report["stage"]) == ("numerical", 42, "eigensolve")
+        assert report["errors"] == ["sample 42: eigendecomposition failed for dim=40, max|entry|=1: "
+                                    "Eigenvalues did not converge"]
+        assert not list(out_dir.iterdir())
+
 
 def count_calls(monkeypatch, names, weights=None):
     """Count calls of the named functions, each looked up in the qlgraph module
@@ -588,17 +627,18 @@ class TestComputeOnce:
         # for the projection included. Sample 0 is a batch of one and samples
         # 1..99 (4 streams each) a second batch: 2 batches of 3 hash passes.
         # Each chunk primes its own streams: sample 0, then samples 1..99 in
-        # chunks of 10 (16,384 entries / 40^2).
+        # one chunk (at most 128 samples; 2^18 entries / 40^2 is 163).
         hashed = count_hashing(monkeypatch)
         built = count_graphs(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)
         assert code == 0
         assert built["Graph"] == 0
-        assert (hashed["hashes"], hashed["primings"]) == (2 * 3, 1 + 10)
+        assert (hashed["hashes"], hashed["primings"]) == (2 * 3, 1 + 1)
 
     def test_fig4a_hash_passes_do_not_depend_on_chunks(self, tmp_path, capsys, monkeypatch):
         # One sample a chunk: 100 chunks. A batch holds at most 40^2 streams,
         # 400 samples, so still 2 batches of 3 hash passes.
+        monkeypatch.setattr(ql.experiments, "_CHUNK_ENTRIES", 40**2)
         monkeypatch.setattr(ql.experiments, "_CHUNK_VALUES", 40**2)
         hashed = count_hashing(monkeypatch)
         code, _ = run_cli(["run", "fig4a", "--out", str(tmp_path)], capsys)

@@ -456,7 +456,7 @@ class TestEnsembleSpectrum:
     def test_many_sample_peak_memory_bounded(self):
         # 100 samples of three QL bits: 1,382,400 values, 11 MB if held at
         # once. 1,000 samples of fig3: samples 1..999 hash their streams in
-        # one batch of 27 chunks of 37 samples, 8 streams each (7,992 streams).
+        # one batch of 8 chunks of up to 128 samples, 8 streams each (7,992 streams).
         for name, n_samples, states in [("fig4e", 100, 24**3), ("fig3", 1000, 12**3)]:
             desc = ql.BUNDLED_EXPERIMENTS[name].with_overrides(n_samples=n_samples)
             tracemalloc.start()
@@ -468,20 +468,46 @@ class TestEnsembleSpectrum:
             assert counts.sum() == n_samples * states
             assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("desc", [
+        ql.BUNDLED_EXPERIMENTS["fig3"], ql.BUNDLED_EXPERIMENTS["fig4a"],
+        ql.BUNDLED_EXPERIMENTS["fig4e"],
+        # Twelve 2-vertex factors, each with base, deletion and disorder streams:
+        # about one stream a matrix entry, where the streams outweigh the matrices.
+        ql.ExperimentDescriptor("streams", "d-regular-product", 2, d=1, deletions=1,
+                                sigma=1.0, n_factors=12),
+    ], ids=["fig3", "fig4a", "fig4e", "streams"])
+    def test_chunk_memory_within_model(self, desc):
+        # Samples 1..384 fill three whole chunks of 128 samples, their streams
+        # hashed in one batch. The traced peak of the chunk loop, its eigenvalues
+        # kept, stays below the memory model's `_chunk_bytes`; a first chunk
+        # before tracing leaves out one-time costs of the process.
+        desc = desc.with_overrides(n_samples=1 + 3 * 128)
+        list(ql.experiments._chunk_values(desc, 1, 2))
+        tracemalloc.start()
+        try:
+            chunks = list(ql.experiments._chunk_values(desc, 1, desc.n_samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(indices) for indices, _, _ in chunks] == [128] * 3
+        assert peak < desc._chunk_bytes(desc.n_factors)
+
     @pytest.mark.parametrize("name,stacks", [
-        ("fig3", [1] * 3 + [37] * 6 + [25] * 3),   # 3 distinct 12x12 factors a sample
-        ("fig4a", [1] + [10] * 9 + [9]),           # one 40x40 composite a sample
-        ("fig4b", [1]),                             # identical factors: one to decompose
+        ("fig3", [1] * 3 + [99] * 3),   # 3 distinct 12x12 factors a sample
+        ("fig4a", [1] + [99]),          # one 40x40 composite a sample
+        ("fig4c", [1] * 2 + [49] * 2),  # 2 distinct 40x40 composites
+        ("fig4e", [1] * 3 + [49] * 3),  # 3 distinct 24x24 composites
+        ("fig4b", [1]),                 # identical factors: one to decompose
     ])
     def test_one_stacked_eigensolve_per_chunk_and_distinct_factor(self, name, stacks,
                                                                  monkeypatch):
-        # Sample 0 runs alone; the others in chunks of at most 2**14 matrix entries.
+        # Sample 0 runs alone; the others in chunks of at most 2**18 matrix entries
+        # and 128 samples: one chunk at every bundled size.
         desc = ql.BUNDLED_EXPERIMENTS[name]
-        if desc.kind == "qlbit-product":  # one factor: a chunk after sample 0 re-solves its picks
-            chunks = [range(start, start + size)
-                      for start, size in zip(np.cumsum(stacks).tolist(), stacks[1:])]
-            picks = range_picks(desc, chunks, ql.experiments._VALUES_ONLY_TOL)
-            stacks = stacks[:1] + [k for c, p in zip(chunks, picks) for k in (len(c), len(p)) if k]
+        if desc.kind == "qlbit-product" and desc.n_samples > 1:  # the chunk re-solves its picks
+            (picks,) = range_picks(desc, [range(1, desc.n_samples)],
+                                   ql.experiments._VALUES_ONLY_TOL)
+            stacks = stacks + [len(picks)] * desc.n_factors
         sizes = []
         decompose = ql.experiments.eigendecompose
 
@@ -511,7 +537,7 @@ class TestEnsembleSpectrum:
 
     def test_numerical_failure_names_the_first_failing_sample_of_its_chunk(self, monkeypatch):
         # The solver fails on any stack that holds one of fig3 sample 7's
-        # matrices: the whole chunk of samples 1..37, then sample 7 alone.
+        # matrices: the whole chunk of samples 1..99, then sample 7 alone.
         desc = ql.BUNDLED_EXPERIMENTS["fig3"]
         ((indices, _, streams),) = ql.experiments._chunk_streams(desc, 7, 8)
         _, mats = ql.experiments._chunk_matrices(desc, indices, streams)

@@ -140,3 +140,15 @@ def test_writers_refuse_mismatched_shapes_before_writing(write):
     with pytest.raises(InvalidParameterError):
         write(fh)
     assert fh.getvalue() == ""
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_spectrum_writer_refuses_values_other_than_float64(dtype):
+    # Values of the right shape: float32 once wrote the header, then failed in
+    # repr_texts; int64 wrote rows such as `3,0,0,2`.
+    fh = io.StringIO()
+    with pytest.raises(InvalidParameterError,
+                       match=f"^values must be float64, got {dtype.__name__}$"):
+        ql.write_composed_spectrum_csv(np.array([3, 2, 1, 0], dtype=dtype), (2, 2), fh,
+                                       [{0}, {0}])
+    assert fh.getvalue() == ""

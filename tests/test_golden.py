@@ -23,13 +23,18 @@ from qlgraph.experiments import BUNDLED_EXPERIMENTS
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
-# `qlgraph run` arguments past the bundled seed and size. Chunks hold 37 fig3
-# samples, 10 fig4a or fig4b samples or 40 fig4d samples; `ensemble_spectrum`
-# runs sample 0 alone first. fig4b and fig4d have identical factors.
+# `qlgraph run` arguments past the bundled seed and size. Chunks hold 128
+# samples, 81 for fig4c; `ensemble_spectrum` runs sample 0 alone first, so the
+# runs of 200 and 300 samples span three chunks and end in a partial one. The
+# shorter runs are one chunk each; they were recorded when chunks held 37 fig3
+# samples, 10 fig4a or fig4b samples, 9 fig4e samples, 5 fig4c samples or 40
+# fig4d samples. fig4b and fig4d have identical factors.
 RUNS = ("fig3 --seed 777 --samples 37", "fig3 --seed 777 --samples 80",
         "fig4a --seed 777 --samples 37", "fig4b --seed 777 --samples 23",
         "fig4c --seed 777 --samples 23", "fig4d --seed 777 --samples 90",
-        "fig4e --seed 777 --samples 13", "fig4f --seed 777")
+        "fig4e --seed 777 --samples 13", "fig4f --seed 777",
+        "fig3 --seed 777 --samples 300", "fig4a --seed 777 --samples 300",
+        "fig4c --seed 777 --samples 200", "fig4e --seed 777 --samples 300")
 
 
 def toolchain() -> dict[str, str]:

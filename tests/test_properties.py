@@ -395,7 +395,8 @@ def test_chunked_samples_equal_samples_run_alone(desc, chunk_values):
     # sample that is no range pick is solved values-only: its rows are those of
     # `eigendecompose(matrix, want_vectors=False)` of its own factor matrices.
     alone = [ql.run_sample(desc, i) for i in range(desc.n_samples)]
-    with mock.patch.object(ql.experiments, "_CHUNK_VALUES", chunk_values):
+    with mock.patch.multiple(ql.experiments, _CHUNK_ENTRIES=chunk_values,
+                             _CHUNK_VALUES=chunk_values):
         chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
         first, (counts, edges), seeds = ql.ensemble_spectrum(desc)
     assert [i for indices, _, _ in chunks for i in indices] == list(range(desc.n_samples))
@@ -464,6 +465,7 @@ def test_stage_streams_equal_nested_seed_sequence_oracle(desc, per_chunk):
     dim = 2 * desc.n if desc.kind == "qlbit-product" else desc.n
     entries = (1 if desc.identical_factors else desc.n_factors) * dim * dim
     with mock.patch.multiple(ql.experiments, derive_seeds=counted,
+                             _CHUNK_ENTRIES=per_chunk * entries,
                              _CHUNK_VALUES=per_chunk * entries,
                              **{name: recorder(name) for name in originals}):
         chunks = list(ql.experiments._chunk_values(desc, 0, desc.n_samples))
